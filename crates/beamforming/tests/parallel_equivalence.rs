@@ -94,3 +94,50 @@ fn beamform_batch_propagates_frame_errors() {
     let bad = vec![ChannelData::zeros(64, 16, 31.25e6)];
     assert!(DelayAndSum::default().beamform_batch(&bad, &array, &grid, 1540.0).is_err());
 }
+
+/// Largest relative difference between two equally long buffers.
+fn max_rel_diff(a: &[f32], b: &[f32]) -> f32 {
+    assert_eq!(a.len(), b.len());
+    a.iter().zip(b).map(|(x, y)| (x - y).abs() / x.abs().max(y.abs()).max(1e-6)).fold(0.0, f32::max)
+}
+
+#[test]
+fn das_and_tof_match_plain_serial_loops() {
+    // Reference: textbook per-pixel loops, serial, with every delay
+    // recomputed per sample. The production paths hoist delays, run rows in
+    // parallel and reduce in SIMD lane order, so they agree to rounding.
+    use usdsp::interp::{sample_at, InterpMethod};
+    let array = LinearArray::l11_5v().with_num_elements(64);
+    let sim = PlaneWaveSimulator::new(array.clone(), Medium::soft_tissue(), 0.035);
+    let phantom =
+        Phantom::builder(0.015, 0.035).seed(11).speckle_density(30.0).add_point_target(0.0, 0.02, 5.0).build();
+    let rf = sim.simulate(&phantom, PlaneWave::zero_angle()).unwrap();
+    let grid = ImagingGrid::for_array(&array, 0.010, 0.020, 64, 32);
+    let das = DelayAndSum::with_hann_aperture();
+    let (c, fs, t0) = (1540.0, rf.sampling_frequency(), rf.start_time());
+    let traces = rf.to_channel_traces();
+    let xs = array.element_positions();
+    let sample = |ch: usize, x: f32, z: f32, method: InterpMethod| {
+        let t_rx = ((x - xs[ch]) * (x - xs[ch]) + z * z).sqrt() / c;
+        sample_at(&traces[ch], (das.transmit.transmit_delay(x, z, c) + t_rx - t0) * fs, method)
+    };
+
+    let mut das_reference = Vec::with_capacity(grid.num_pixels());
+    let mut tof_reference = Vec::with_capacity(grid.num_pixels() * xs.len());
+    for row in 0..grid.num_rows() {
+        let z = grid.z(row);
+        for col in 0..grid.num_cols() {
+            let x = grid.x(col);
+            let weights = das.apodization.weights(&array, x, z);
+            das_reference.push((0..xs.len()).map(|ch| weights[ch] * sample(ch, x, z, das.interpolation)).sum::<f32>());
+            tof_reference.extend((0..xs.len()).map(|ch| sample(ch, x, z, InterpMethod::Linear)));
+        }
+    }
+
+    let das_rf = das.beamform_rf(&rf, &array, &grid, c).unwrap();
+    let das_diff = max_rel_diff(&das_reference, &das_rf);
+    assert!(das_diff < 1e-4, "DAS diverged from the serial loop: {das_diff}");
+    let cube = beamforming::tof::tof_correct(&rf, &array, &grid, das.transmit, c).unwrap();
+    let tof_diff = max_rel_diff(&tof_reference, cube.as_slice());
+    assert!(tof_diff < 1e-4, "ToF diverged from the serial loop: {tof_diff}");
+}

@@ -85,7 +85,7 @@ pub fn install_chaos_panic_hook() {
 /// Builds the beamformer for a backend label. `chaos:` prefixes wrap the
 /// inner backend in a fault-injecting [`ChaosBeamformer`] driven by the
 /// scenario's schedule; quantized Tiny-VBF labels share one TOF plan cache
-/// across schemes, as in `bench_pr5`.
+/// across schemes, as in `tests/quant_serving.rs`.
 pub fn build_backend(
     label: &str,
     spec: &StreamSpec,

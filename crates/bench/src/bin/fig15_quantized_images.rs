@@ -7,7 +7,7 @@ use beamforming::bmode::BModeImage;
 use beamforming::pipeline::Beamformer;
 use quantize::QuantScheme;
 use tiny_vbf::evaluation::train_models;
-use tiny_vbf::quantized::QuantizedTinyVbf;
+use tiny_vbf::quantized::QuantizedTinyVbfBeamformer;
 use ultrasound::picmus::PicmusKind;
 use usmetrics::compare::{nrmse, psnr_db};
 
@@ -20,13 +20,13 @@ fn main() {
     for (kind, label) in [(PicmusKind::InSilico, "simulation"), (PicmusKind::InVitro, "phantom")] {
         let frame = config.contrast_frame(kind).expect("frame");
         println!("=== Fig. 15 — {label} data ===");
-        let float_model = QuantizedTinyVbf::from_model(&models.tiny_vbf, QuantScheme::float());
+        let float_model = QuantizedTinyVbfBeamformer::new(&models.tiny_vbf, QuantScheme::float());
         let float_iq = float_model
             .beamform(&frame.channel_data, &frame.array, &grid, config.sound_speed)
             .expect("float beamform");
         let float_envelope = float_iq.envelope();
         for scheme in QuantScheme::all() {
-            let quantized = QuantizedTinyVbf::from_model(&models.tiny_vbf, scheme);
+            let quantized = QuantizedTinyVbfBeamformer::new(&models.tiny_vbf, scheme);
             let iq = quantized
                 .beamform(&frame.channel_data, &frame.array, &grid, config.sound_speed)
                 .expect("beamform");

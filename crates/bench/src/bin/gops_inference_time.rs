@@ -2,6 +2,8 @@
 //! measured single-frame CPU inference time of our implementation, next to the paper's
 //! reported numbers.
 
+use neural::init::normal;
+use quantize::QuantScheme;
 use std::time::Instant;
 use tiny_vbf::config::TinyVbfConfig;
 use tiny_vbf::gops::{
@@ -10,7 +12,7 @@ use tiny_vbf::gops::{
     PAPER_MVDR_CPU_SECONDS, PAPER_TINY_CNN_CPU_SECONDS, PAPER_TINY_VBF_CPU_SECONDS,
 };
 use tiny_vbf::model::TinyVbf;
-use neural::init::normal;
+use tiny_vbf::quantized::QuantizedTinyVbf;
 
 fn main() {
     println!("GOPs per 368x128 frame (our analytical count vs paper):");
@@ -28,14 +30,14 @@ fn main() {
     println!("  (paper also cites CNN [8] ≈ {PAPER_CNN8_GOPS} GOPs and CNN [9] ≈ {PAPER_CNN9_GOPS} GOPs)");
 
     // Measure our per-row inference time and extrapolate to a full frame.
-    let mut model = TinyVbf::new(&config).expect("model");
+    let model = QuantizedTinyVbf::from_model(&TinyVbf::new(&config).expect("model"), QuantScheme::float());
     let row = normal(&[config.tokens, config.channels], 0.3, 1);
     // Warm up.
-    let _ = model.infer_row(&row).unwrap();
+    let _ = model.infer_row(&row);
     let iterations = 20usize;
     let start = Instant::now();
     for _ in 0..iterations {
-        let _ = model.infer_row(&row).unwrap();
+        let _ = model.infer_row(&row);
     }
     let per_row = start.elapsed().as_secs_f64() / iterations as f64;
     let per_frame = per_row * 368.0;

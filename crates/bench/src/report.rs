@@ -7,30 +7,28 @@
 //! across `runtime::default_threads()` workers (override with the
 //! `TINY_VBF_THREADS` environment variable), and `Tensor::matmul` runs an
 //! 8×32 register-tiled kernel. Parallel outputs are bitwise identical to the
-//! serial ones, so table values never depend on the host's core count. For
-//! before/after throughput measurements run
-//! `cargo run --release -p bench --bin bench_pr1`, which writes
-//! `BENCH_pr1.json` (matmul, DAS and ToF medians plus speedups vs the seed's
-//! serial loops).
+//! serial ones, so table values never depend on the host's core count.
 
 use tiny_vbf::evaluation::{ContrastTableRow, EvaluationConfig, QuantizedQualityRow, ResolutionTableRow};
 
 /// Paper Table I reference values: `(beamformer, sim CR, sim CNR, sim GCNR, phantom CR,
-/// phantom CNR, phantom GCNR)`.
+/// phantom CNR, phantom GCNR)`. Rows are keyed by
+/// [`Beamformer::name`](beamforming::pipeline::Beamformer::name), so Tiny-VBF's row
+/// carries the float scheme's serving label, `QuantScheme::float().backend_label()`.
 pub const PAPER_TABLE1: [(&str, f32, f32, f32, f32, f32, f32); 4] = [
     ("DAS", 13.78, 2.37, 0.83, 11.70, 1.04, 0.83),
     ("MVDR", 21.66, 1.95, 0.78, 15.09, 2.63, 0.72),
     ("Tiny-CNN", 13.45, 2.04, 0.83, 11.30, 1.05, 0.79),
-    ("Tiny-VBF", 14.89, 1.75, 0.74, 12.20, 1.39, 0.67),
+    ("tiny-vbf-fp", 14.89, 1.75, 0.74, 12.20, 1.39, 0.67),
 ];
 
 /// Paper Table II reference values: `(beamformer, sim axial, sim lateral, phantom axial,
-/// phantom lateral)` in millimetres.
+/// phantom lateral)` in millimetres, keyed like [`PAPER_TABLE1`].
 pub const PAPER_TABLE2: [(&str, f32, f32, f32, f32); 4] = [
     ("DAS", 0.364, 0.6, 0.459, 0.6),
     ("MVDR", 0.297, 0.45, 0.459, 0.48),
     ("Tiny-CNN", 0.368, 0.6, 0.466, 0.72),
-    ("Tiny-VBF", 0.303, 0.45, 0.444, 0.48),
+    ("tiny-vbf-fp", 0.303, 0.45, 0.444, 0.48),
 ];
 
 /// Paper Table IV reference values: `(scheme, sim axial, sim lateral, phantom axial,
@@ -66,18 +64,9 @@ pub fn evaluation_config_from_env() -> EvaluationConfig {
 /// Whether a per-PR bench binary should run its reduced fast configuration.
 ///
 /// True when either the binary's own `BENCH_PR<n>_FAST` variable or the
-/// `BENCH_FAST` umbrella is set (any value). Every `bench_pr*` binary used
-/// to hand-roll the same `std::env::var(...).is_ok()` line with no umbrella;
-/// CI and developers can now flip one switch for the whole trajectory.
+/// `BENCH_FAST` umbrella is set (any value).
 pub fn fast_mode(pr: u32) -> bool {
     std::env::var("BENCH_FAST").is_ok() || std::env::var(format!("BENCH_PR{pr}_FAST")).is_ok()
-}
-
-/// Reads a positive-integer tuning knob from the environment
-/// (`BENCH_PR5_FRAMES`, `BENCH_PR6_WAVES`, …): `Some(n)` when the variable
-/// parses as an integer `>= min`, `None` when unset or out of range.
-pub fn env_knob(name: &str, min: usize) -> Option<usize> {
-    std::env::var(name).ok().and_then(|v| v.trim().parse::<usize>().ok()).filter(|&n| n >= min)
 }
 
 /// Renders a contrast table (our measured values) with the paper's reference alongside.
@@ -85,16 +74,16 @@ pub fn format_contrast_table(title: &str, rows: &[ContrastTableRow], reference: 
     let mut out = String::new();
     out.push_str(&format!("{title}\n"));
     out.push_str(&format!(
-        "{:<10} | {:>8} {:>8} {:>8} | {:>8} {:>8} {:>8}\n",
+        "{:<11} | {:>8} {:>8} {:>8} | {:>8} {:>8} {:>8}\n",
         "Beamformer", "CR(dB)", "CNR", "GCNR", "ref CR", "ref CNR", "ref GCNR"
     ));
-    out.push_str(&"-".repeat(76));
+    out.push_str(&"-".repeat(77));
     out.push('\n');
     for row in rows {
         let reference_row = reference.iter().find(|(name, ..)| *name == row.beamformer);
         let (rc, rn, rg) = reference_row.map_or((f32::NAN, f32::NAN, f32::NAN), |r| (r.1, r.2, r.3));
         out.push_str(&format!(
-            "{:<10} | {:>8.2} {:>8.2} {:>8.2} | {:>8.2} {:>8.2} {:>8.2}\n",
+            "{:<11} | {:>8.2} {:>8.2} {:>8.2} | {:>8.2} {:>8.2} {:>8.2}\n",
             row.beamformer, row.metrics.cr_db, row.metrics.cnr, row.metrics.gcnr, rc, rn, rg
         ));
     }
@@ -106,16 +95,16 @@ pub fn format_resolution_table(title: &str, rows: &[ResolutionTableRow], referen
     let mut out = String::new();
     out.push_str(&format!("{title}\n"));
     out.push_str(&format!(
-        "{:<10} | {:>10} {:>11} | {:>10} {:>11}\n",
+        "{:<11} | {:>10} {:>11} | {:>10} {:>11}\n",
         "Beamformer", "Axial(mm)", "Lateral(mm)", "ref Axial", "ref Lateral"
     ));
-    out.push_str(&"-".repeat(62));
+    out.push_str(&"-".repeat(63));
     out.push('\n');
     for row in rows {
         let reference_row = reference.iter().find(|(name, ..)| *name == row.beamformer);
         let (ra, rl) = reference_row.map_or((f32::NAN, f32::NAN), |r| (r.1, r.2));
         out.push_str(&format!(
-            "{:<10} | {:>10.3} {:>11.3} | {:>10.3} {:>11.3}\n",
+            "{:<11} | {:>10.3} {:>11.3} | {:>10.3} {:>11.3}\n",
             row.beamformer, row.metrics.axial_mm, row.metrics.lateral_mm, ra, rl
         ));
     }
@@ -199,6 +188,32 @@ mod tests {
         let rtext = format_resolution_table("Table II", &rrows, &paper_table2_simulation());
         assert!(rtext.contains("MVDR"));
         assert!(rtext.contains("0.450"));
+    }
+
+    #[test]
+    fn every_compared_beamformer_has_paper_reference_rows() {
+        use tiny_vbf::baselines::{Fcnn, TinyCnn};
+        use tiny_vbf::evaluation::{beamformer_suite, TrainedModels};
+        use tiny_vbf::training::TrainingHistory;
+        use tiny_vbf::{TinyVbf, TinyVbfConfig};
+
+        let config = EvaluationConfig::test_size();
+        let channels = config.array().num_elements();
+        let history = || TrainingHistory { epoch_losses: Vec::new() };
+        let models = TrainedModels {
+            tiny_vbf: TinyVbf::new(&TinyVbfConfig::tiny_test().for_frame(channels, config.grid_cols)).unwrap(),
+            tiny_cnn: TinyCnn::new(channels, 3, 1).unwrap(),
+            fcnn: Fcnn::new(channels, 8, 1).unwrap(),
+            tiny_vbf_history: history(),
+            tiny_cnn_history: history(),
+            fcnn_history: history(),
+        };
+        // FCNN is in the suite for the GOPs comparison only; Tables I/II omit it.
+        for beamformer in beamformer_suite(&models, &config).iter().filter(|b| b.name() != "FCNN") {
+            let name = beamformer.name();
+            assert!(PAPER_TABLE1.iter().any(|row| row.0 == name), "Table I has no reference row for {name}");
+            assert!(PAPER_TABLE2.iter().any(|row| row.0 == name), "Table II has no reference row for {name}");
+        }
     }
 
     #[test]

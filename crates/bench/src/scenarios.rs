@@ -1,7 +1,7 @@
 //! The named scenario catalogue — the bench trajectory as data.
 //!
-//! Each scenario ports one of the measurements the per-PR bench binaries
-//! (`bench_pr2`–`bench_pr6`) made in-process into the process-spawning
+//! Each scenario ports one of the measurements the retired per-PR bench
+//! binaries (`bench_pr2`–`bench_pr6`) made in-process into the process-spawning
 //! harness, so the whole trajectory is re-runnable under one schema and
 //! gated by `bench_compare`:
 //!

@@ -7,9 +7,9 @@
 
 use crate::baselines::{Fcnn, TinyCnn};
 use crate::config::TinyVbfConfig;
-use crate::inference::{FcnnBeamformer, TinyCnnBeamformer, TinyVbfBeamformer};
+use crate::inference::{FcnnBeamformer, TinyCnnBeamformer};
 use crate::model::TinyVbf;
-use crate::quantized::QuantizedTinyVbf;
+use crate::quantized::QuantizedTinyVbfBeamformer;
 use crate::training::{build_training_set, train_fcnn, train_tiny_cnn, train_tiny_vbf, TrainerConfig, TrainingHistory};
 use crate::TinyVbfResult;
 use beamforming::bmode::BModeImage;
@@ -197,12 +197,14 @@ pub fn train_models(config: &EvaluationConfig) -> TinyVbfResult<TrainedModels> {
 
 /// The beamformers compared in the paper's tables, in table order:
 /// DAS, MVDR, Tiny-CNN, Tiny-VBF (FCNN is included at the end for the GOPs comparison).
+/// Tiny-VBF is the float-scheme serving adapter, named by its backend label
+/// `tiny-vbf-fp`.
 pub fn beamformer_suite(models: &TrainedModels, config: &EvaluationConfig) -> Vec<Box<dyn Beamformer>> {
     vec![
         Box::new(DelayAndSum::default()),
         Box::new(config.mvdr.clone()),
         Box::new(TinyCnnBeamformer::new(models.tiny_cnn.clone())),
-        Box::new(TinyVbfBeamformer::new(models.tiny_vbf.clone())),
+        Box::new(QuantizedTinyVbfBeamformer::new(&models.tiny_vbf, QuantScheme::float())),
         Box::new(FcnnBeamformer::new(models.fcnn.clone())),
     ]
 }
@@ -332,7 +334,7 @@ pub fn quantized_quality_table(
 
     let mut rows = Vec::new();
     for scheme in QuantScheme::all() {
-        let quantized = QuantizedTinyVbf::from_model(model, scheme);
+        let quantized = QuantizedTinyVbfBeamformer::new(model, scheme);
 
         let res_iq = quantized.beamform(&resolution_frame.channel_data, &resolution_frame.array, &grid, config.sound_speed)?;
         let res_envelope = res_iq.envelope();

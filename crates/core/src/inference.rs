@@ -1,21 +1,20 @@
-//! [`Beamformer`] adapters for the learned models.
+//! [`Beamformer`] adapters for the learned baselines, and the parallel row sweep
+//! they share with the Tiny-VBF adapter
+//! ([`QuantizedTinyVbfBeamformer`](crate::quantized::QuantizedTinyVbfBeamformer)).
 //!
 //! Wrapping the trained networks in the same [`Beamformer`] trait as DAS and MVDR lets
 //! the evaluation harness (and downstream users) swap beamformers freely.
 
 use crate::baselines::{Fcnn, TinyCnn};
-use crate::model::TinyVbf;
 use crate::training::cube_row;
 use crate::{TinyVbfError, TinyVbfResult};
 use beamforming::grid::ImagingGrid;
 use beamforming::iq::{rf_to_iq, IqImage};
 use beamforming::pipeline::Beamformer;
-use beamforming::plan::{BeamformPlan, FrameFormat, PlanCache, PlanCacheStats};
-use beamforming::tof::{tof_correct, tof_correct_planned, TofCube};
+use beamforming::tof::{tof_correct, TofCube};
 use beamforming::{BeamformError, BeamformResult};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use ultrasound::{ChannelData, LinearArray, PlaneWave};
-use usdsp::Complex32;
 
 fn normalized_cube(
     data: &ChannelData,
@@ -28,54 +27,12 @@ fn normalized_cube(
     Ok(cube)
 }
 
-/// The planned counterpart of [`normalized_cube`]: fetches (or builds) the
-/// dense ToF plan from `plans` and replays it — bitwise identical to the
-/// direct path. Shared by the float and quantized serving adapters.
-pub(crate) fn planned_normalized_cube(
-    plans: &PlanCache,
-    data: &ChannelData,
-    array: &LinearArray,
-    grid: &ImagingGrid,
-    sound_speed: f32,
-) -> BeamformResult<TofCube> {
-    let frame = FrameFormat::of(data);
-    let plan = plans.get_or_build(array, grid, sound_speed, &frame, || {
-        BeamformPlan::for_tof(array, grid, PlaneWave::zero_angle(), sound_speed, frame)
-    })?;
-    let mut cube = tof_correct_planned(data, &plan)?;
-    cube.normalize();
-    Ok(cube)
-}
-
-/// Best-effort [`Beamformer::prepare`] body for a dense-ToF plan cache:
-/// builds the plan now so a stream's first frame doesn't pay it
-/// (configuration errors surface on the next beamform call instead).
-pub(crate) fn warm_tof_plan(
-    plans: &PlanCache,
-    array: &LinearArray,
-    grid: &ImagingGrid,
-    sound_speed: f32,
-    frame: &FrameFormat,
-) {
-    let _ = plans.get_or_build(array, grid, sound_speed, frame, || {
-        BeamformPlan::for_tof(array, grid, PlaneWave::zero_angle(), sound_speed, *frame)
-    });
-}
-
-/// Writes one `(cols, 2)` network output row as the (I, Q) pixels of an
-/// image row — the [`parallel_row_sweep`] writer of the IQ-predicting
-/// beamformers.
-pub(crate) fn write_iq_row(out: &neural::tensor::Tensor, out_row: &mut [Complex32]) {
-    for (col, px) in out_row.iter_mut().enumerate() {
-        *px = Complex32::new(out.at(col, 0), out.at(col, 1));
-    }
-}
-
 /// Sweeps a row-streaming network over every depth row of `cube` in parallel.
 ///
 /// Image rows are split into disjoint chunks across `num_threads` scoped
 /// workers; each worker clones the model once (amortising the clone over its
-/// whole chunk, since `infer_row` needs `&mut self` for the layer caches),
+/// whole chunk, since a baseline's `infer_row` needs `&mut self` for its layer
+/// caches),
 /// runs `infer` per row and converts the `(cols, …)` output tensor into the
 /// pixel values of that row via `write`. Each row's output depends only on its
 /// own input, so the image is bitwise identical for every thread count.
@@ -139,120 +96,6 @@ fn beamform_rf_rows<M: Clone + Sync>(
         },
     )?;
     Ok(rf)
-}
-
-/// Tiny-VBF as a drop-in beamformer.
-///
-/// The network consumes the ToF-corrected data cube, so the per-frame delay
-/// math is the same sqrt-heavy geometry the classical beamformers pay. This
-/// adapter routes the cube through a cached dense [`BeamformPlan`]
-/// ([`tof_correct_planned`], bitwise identical to the direct
-/// [`tof_correct`]), amortising that work across every frame of a stream —
-/// the learned-beamformer counterpart of [`beamforming::plan::PlannedDas`].
-#[derive(Debug, Clone)]
-pub struct TinyVbfBeamformer {
-    model: TinyVbf,
-    /// Dense ToF plans keyed on (probe, grid, sound speed, frame format).
-    /// Shared by clones, so the per-worker model clones of a serving engine
-    /// all hit one warm cache.
-    tof_plans: Arc<PlanCache>,
-}
-
-impl TinyVbfBeamformer {
-    /// Wraps a (typically trained) Tiny-VBF model with a ToF plan cache of
-    /// [`PlanCache::DEFAULT_CAPACITY`] slots.
-    pub fn new(model: TinyVbf) -> Self {
-        Self::with_cache_capacity(model, PlanCache::DEFAULT_CAPACITY)
-    }
-
-    /// [`TinyVbfBeamformer::new`] with an explicit ToF plan-cache capacity
-    /// (clamped to ≥ 1): size it to the number of distinct stream shapes the
-    /// adapter will serve concurrently.
-    pub fn with_cache_capacity(model: TinyVbf, capacity: usize) -> Self {
-        Self { model, tof_plans: Arc::new(PlanCache::new(capacity)) }
-    }
-
-    /// The wrapped model.
-    pub fn model(&self) -> &TinyVbf {
-        &self.model
-    }
-
-    /// Snapshot of the ToF plan-cache counters (hits / misses / evictions).
-    pub fn cache_stats(&self) -> PlanCacheStats {
-        self.tof_plans.stats()
-    }
-
-    fn planned_cube(
-        &self,
-        data: &ChannelData,
-        array: &LinearArray,
-        grid: &ImagingGrid,
-        sound_speed: f32,
-    ) -> BeamformResult<TofCube> {
-        planned_normalized_cube(&self.tof_plans, data, array, grid, sound_speed)
-    }
-
-    /// Runs the model over every row of a (already normalized) ToF cube,
-    /// distributing rows over the workspace-default worker threads.
-    ///
-    /// # Errors
-    ///
-    /// Propagates row shape errors from the model.
-    pub fn beamform_cube(&self, cube: &TofCube, grid: &ImagingGrid) -> TinyVbfResult<IqImage> {
-        self.beamform_cube_with_threads(cube, grid, runtime::default_threads())
-    }
-
-    /// [`TinyVbfBeamformer::beamform_cube`] with an explicit worker-thread
-    /// count (each worker clones the model once for its chunk of rows).
-    ///
-    /// # Errors
-    ///
-    /// Propagates row shape errors from the model.
-    pub fn beamform_cube_with_threads(
-        &self,
-        cube: &TofCube,
-        grid: &ImagingGrid,
-        num_threads: usize,
-    ) -> TinyVbfResult<IqImage> {
-        let mut data = vec![Complex32::new(0.0, 0.0); cube.rows() * cube.cols()];
-        parallel_row_sweep(
-            cube,
-            &mut data,
-            num_threads,
-            &|| self.model.clone(),
-            &|model, input| model.infer_row(input),
-            &write_iq_row,
-        )?;
-        Ok(IqImage::from_data(data, grid.clone())?)
-    }
-}
-
-impl Beamformer for TinyVbfBeamformer {
-    fn name(&self) -> &str {
-        "Tiny-VBF"
-    }
-
-    fn beamform(
-        &self,
-        data: &ChannelData,
-        array: &LinearArray,
-        grid: &ImagingGrid,
-        sound_speed: f32,
-    ) -> BeamformResult<IqImage> {
-        let cube = self.planned_cube(data, array, grid, sound_speed)?;
-        self.beamform_cube(&cube, grid)
-            .map_err(|e| BeamformError::InvalidParameter { name: "tiny_vbf", reason: e.to_string() })
-    }
-
-    fn prepare(&self, array: &LinearArray, grid: &ImagingGrid, sound_speed: f32, frame: &FrameFormat) {
-        // Best effort, like the planned classical wrappers: build the ToF
-        // plan now so the stream's first frame doesn't pay it.
-        warm_tof_plan(&self.tof_plans, array, grid, sound_speed, frame);
-    }
-
-    fn plan_cache_stats(&self) -> Option<PlanCacheStats> {
-        Some(self.cache_stats())
-    }
 }
 
 /// Tiny-CNN baseline as a drop-in beamformer.
@@ -333,6 +176,10 @@ impl Beamformer for FcnnBeamformer {
 mod tests {
     use super::*;
     use crate::config::TinyVbfConfig;
+    use crate::model::TinyVbf;
+    use crate::quantized::QuantizedTinyVbfBeamformer;
+    use beamforming::plan::FrameFormat;
+    use quantize::QuantScheme;
     use ultrasound::{Medium, Phantom, PlaneWaveSimulator};
 
     fn small_frame() -> (ChannelData, LinearArray, ImagingGrid) {
@@ -344,38 +191,34 @@ mod tests {
         (rf, array, grid)
     }
 
+    fn float_beamformer(channels: usize, grid: &ImagingGrid) -> QuantizedTinyVbfBeamformer {
+        let config = TinyVbfConfig::small().for_frame(channels, grid.num_cols());
+        QuantizedTinyVbfBeamformer::new(&TinyVbf::new(&config).unwrap(), QuantScheme::float())
+    }
+
     #[test]
     fn tiny_vbf_beamformer_produces_grid_shaped_iq() {
         let (rf, array, grid) = small_frame();
-        let config = TinyVbfConfig::small().for_frame(array.num_elements(), grid.num_cols());
-        let model = TinyVbf::new(&config).unwrap();
-        let beamformer = TinyVbfBeamformer::new(model);
-        assert_eq!(beamformer.name(), "Tiny-VBF");
+        let beamformer = float_beamformer(array.num_elements(), &grid);
+        assert_eq!(beamformer.name(), QuantScheme::float().backend_label());
         let iq = beamformer.beamform(&rf, &array, &grid, 1540.0).unwrap();
         assert_eq!(iq.num_pixels(), grid.num_pixels());
         assert!(iq.peak() <= (2.0f32).sqrt() + 1e-5); // tanh bounds both components
-        assert!(beamformer.model().num_weights() > 0);
     }
 
     #[test]
     fn tiny_vbf_planned_tof_is_bitwise_identical_to_direct() {
         let (rf, array, grid) = small_frame();
-        let config = TinyVbfConfig::small().for_frame(array.num_elements(), grid.num_cols());
-        let model = TinyVbf::new(&config).unwrap();
-        let beamformer = TinyVbfBeamformer::new(model);
+        let beamformer = float_beamformer(array.num_elements(), &grid);
 
-        // Reference: the pre-PR-4 path — direct tof_correct + normalize.
+        // Reference: the direct tof_correct + normalize cube.
         let direct_cube = normalized_cube(&rf, &array, &grid, 1540.0).unwrap();
-        let planned_cube = beamformer.planned_cube(&rf, &array, &grid, 1540.0).unwrap();
-        for (i, (a, b)) in direct_cube.as_slice().iter().zip(planned_cube.as_slice()).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "cube sample {i}: direct {a} vs planned {b}");
-        }
-
         let direct_iq = beamformer.beamform_cube(&direct_cube, &grid).unwrap();
         let served_iq = beamformer.beamform(&rf, &array, &grid, 1540.0).unwrap();
         assert_eq!(direct_iq, served_iq, "planned ToF must not change the network output");
 
-        // The cache amortises: the two planned calls above share one plan.
+        // The cache amortises: one stream shape builds one plan.
+        beamformer.beamform(&rf, &array, &grid, 1540.0).unwrap();
         let stats = beamformer.cache_stats();
         assert_eq!(stats.misses, 1, "one stream shape must build exactly one ToF plan");
         assert_eq!(stats.hits, 1);
@@ -405,8 +248,7 @@ mod tests {
     #[test]
     fn parallel_row_sweep_is_identical_across_thread_counts() {
         let (rf, array, grid) = small_frame();
-        let config = TinyVbfConfig::small().for_frame(array.num_elements(), grid.num_cols());
-        let beamformer = TinyVbfBeamformer::new(TinyVbf::new(&config).unwrap());
+        let beamformer = float_beamformer(array.num_elements(), &grid);
         let cube = normalized_cube(&rf, &array, &grid, 1540.0).unwrap();
         let serial = beamformer.beamform_cube_with_threads(&cube, &grid, 1).unwrap();
         for threads in [2, 3, 8] {
@@ -416,38 +258,10 @@ mod tests {
     }
 
     #[test]
-    fn forward_batch_matches_row_by_row_inference() {
-        let (rf, array, grid) = small_frame();
-        let config = TinyVbfConfig::small().for_frame(array.num_elements(), grid.num_cols());
-        let model = TinyVbf::new(&config).unwrap();
-        let cube = normalized_cube(&rf, &array, &grid, 1540.0).unwrap();
-        let rows: Vec<_> = (0..cube.rows()).map(|r| cube_row(&cube, r)).collect();
-        let batch = model.forward_batch(&rows).unwrap();
-        assert_eq!(batch.len(), rows.len());
-        let mut serial_model = model.clone();
-        for (row, out) in rows.iter().zip(batch.iter()) {
-            assert_eq!(&serial_model.infer_row(row).unwrap(), out);
-        }
-        // Thread count must not change batch results either.
-        let batch4 = model.forward_batch_with_threads(&rows, 4).unwrap();
-        assert_eq!(batch, batch4);
-    }
-
-    #[test]
-    fn forward_batch_reports_bad_rows() {
-        let (_, array, grid) = small_frame();
-        let config = TinyVbfConfig::small().for_frame(array.num_elements(), grid.num_cols());
-        let model = TinyVbf::new(&config).unwrap();
-        let bad = vec![neural::tensor::Tensor::zeros(&[grid.num_cols(), array.num_elements() + 1])];
-        assert!(model.forward_batch(&bad).is_err());
-    }
-
-    #[test]
     fn wrong_channel_count_is_reported() {
         let (rf, array, grid) = small_frame();
         // Model configured for a different channel count.
-        let config = TinyVbfConfig::small().for_frame(16, grid.num_cols());
-        let beamformer = TinyVbfBeamformer::new(TinyVbf::new(&config).unwrap());
+        let beamformer = float_beamformer(16, &grid);
         assert!(beamformer.beamform(&rf, &array, &grid, 1540.0).is_err());
     }
 }

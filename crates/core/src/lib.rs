@@ -5,14 +5,15 @@
 //!
 //! * [`config`] — the Tiny-VBF architecture hyper-parameters (paper-scale and reduced
 //!   evaluation-scale presets),
-//! * [`model`] — the ViT encoder/decoder model with handwritten forward/backward,
+//! * [`model`] — the ViT encoder/decoder training model with handwritten forward/backward,
 //! * [`baselines`] — the Tiny-CNN and FCNN learned baselines the paper compares against,
 //! * [`training`] — dataset assembly (MVDR IQ targets from simulated acquisitions) and
 //!   the MSE-before-log-compression training loop with Adam + polynomial decay,
 //! * [`inference`] — [`beamforming::pipeline::Beamformer`] adapters so the learned
-//!   models drop into the same evaluation harness as DAS and MVDR,
+//!   baselines drop into the same evaluation harness as DAS and MVDR,
 //! * [`gops`] — operations-per-frame accounting (the 0.34 GOPs/frame headline),
-//! * [`quantized`] — fixed-point inference under the paper's quantization schemes,
+//! * [`quantized`] — the one Tiny-VBF inference engine, with the quantization scheme
+//!   (float included) as a parameter, and its `Beamformer` adapter,
 //! * [`evaluation`] — the end-to-end experiment harness that regenerates the paper's
 //!   tables and figures.
 //!

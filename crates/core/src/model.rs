@@ -5,6 +5,11 @@
 //! A full frame is beamformed by running every depth row through the model, which keeps
 //! the per-frame cost at the paper's sub-GOP level and matches the row-streaming
 //! dataflow of the FPGA accelerator.
+//!
+//! [`TinyVbf`] is the training model: forward/backward, parameters, weight export
+//! and serialization. Inference, float included, runs on
+//! [`QuantizedTinyVbf`](crate::quantized::QuantizedTinyVbf) built from the
+//! exported weights.
 
 use crate::config::TinyVbfConfig;
 use crate::{TinyVbfError, TinyVbfResult};
@@ -40,25 +45,12 @@ impl TransformerBlock {
         })
     }
 
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let attended = if train {
-            let normed = self.norm1.forward(input);
-            self.attention.forward(&normed)
-        } else {
-            let normed = self.norm1.infer(input);
-            self.attention.infer(&normed)
-        };
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        let attended = self.attention.forward(&self.norm1.forward(input));
         let after_attention = input.add(&attended);
-        let mlp = if train {
-            let normed = self.norm2.forward(&after_attention);
-            let hidden = self.mlp_act.forward(&self.mlp_in.forward(&normed));
-            self.mlp_out.forward(&hidden)
-        } else {
-            let normed = self.norm2.infer(&after_attention);
-            let hidden = self.mlp_act.infer(&self.mlp_in.infer(&normed));
-            self.mlp_out.infer(&hidden)
-        };
-        after_attention.add(&mlp)
+        let normed = self.norm2.forward(&after_attention);
+        let hidden = self.mlp_act.forward(&self.mlp_in.forward(&normed));
+        after_attention.add(&self.mlp_out.forward(&hidden))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -210,7 +202,9 @@ impl TinyVbf {
         }
     }
 
-    /// Forward pass for one depth row (training mode: caches for backward).
+    /// Forward pass for one depth row, caching activations for
+    /// [`backward_row`](Self::backward_row). The float inference engine is
+    /// bitwise equal to it.
     ///
     /// # Errors
     ///
@@ -221,100 +215,11 @@ impl TinyVbf {
         let encoded = self.encoder.forward(row);
         let mut x = self.add_positional(&encoded);
         for block in &mut self.blocks {
-            x = block.forward(&x, true);
+            x = block.forward(&x);
         }
         let hidden = self.decoder_act.forward(&self.decoder_in.forward(&x));
         let out = self.decoder_out.forward(&hidden);
         Ok(self.output_act.forward(&out))
-    }
-
-    /// Inference-only forward pass for one depth row (no gradient caches).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TinyVbfError::ShapeMismatch`] when the row width differs from the
-    /// configured channel count.
-    pub fn infer_row(&mut self, row: &Tensor) -> TinyVbfResult<Tensor> {
-        self.check_row(row)?;
-        let encoded = self.encoder.infer(row);
-        let mut x = self.add_positional(&encoded);
-        for block in &mut self.blocks {
-            x = block.forward(&x, false);
-        }
-        let hidden = self.decoder_act.infer(&self.decoder_in.infer(&x));
-        let out = self.decoder_out.infer(&hidden);
-        Ok(self.output_act.infer(&out))
-    }
-
-    /// Inference over a batch of independent depth rows, split across the
-    /// workspace-default worker threads (see [`runtime::default_threads`]).
-    ///
-    /// This is the multi-frame scaling primitive: each worker clones the model
-    /// once for its whole chunk (amortising the clone that `infer_row`'s
-    /// `&mut self` layer caches would otherwise force per call) and outputs are
-    /// returned in input order, identical for every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TinyVbfError::ShapeMismatch`] when any row's width differs from
-    /// the configured channel count.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use neural::init::normal;
-    /// use tiny_vbf::config::TinyVbfConfig;
-    /// use tiny_vbf::model::TinyVbf;
-    ///
-    /// let config = TinyVbfConfig::tiny_test();
-    /// let model = TinyVbf::new(&config)?;
-    /// let rows: Vec<_> = (0..4).map(|i| normal(&[config.tokens, config.channels], 0.5, i)).collect();
-    /// let outputs = model.forward_batch(&rows)?;
-    /// assert_eq!(outputs.len(), 4);
-    /// assert_eq!(outputs[0].shape(), &[config.tokens, 2]); // (I, Q) per token
-    /// # Ok::<(), tiny_vbf::TinyVbfError>(())
-    /// ```
-    pub fn forward_batch(&self, rows: &[Tensor]) -> TinyVbfResult<Vec<Tensor>> {
-        self.forward_batch_with_threads(rows, runtime::default_threads())
-    }
-
-    /// [`TinyVbf::forward_batch`] with an explicit *total* thread budget.
-    ///
-    /// The budget is split via [`runtime::split_budget`]: batch items run
-    /// concurrently across the outer workers, and each item's forward pass may
-    /// use the remaining share for its internal matmul row parallelism (only
-    /// relevant when the batch is smaller than the budget).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TinyVbf::forward_batch`].
-    pub fn forward_batch_with_threads(&self, rows: &[Tensor], num_threads: usize) -> TinyVbfResult<Vec<Tensor>> {
-        use std::sync::Mutex;
-        // Keyed by batch index so the reported error is the first one in
-        // input order, independent of the thread count.
-        let failure: Mutex<Option<(usize, TinyVbfError)>> = Mutex::new(None);
-        let (outer, inner) = runtime::split_budget(num_threads, rows.len());
-        let mut out: Vec<Option<Tensor>> = vec![None; rows.len()];
-        runtime::par_map_rows_with_budget(&mut out, 1, outer, inner, |offset, chunk| {
-            let mut model = self.clone();
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                match model.infer_row(&rows[offset + i]) {
-                    Ok(t) => *slot = Some(t),
-                    Err(e) => {
-                        let index = offset + i;
-                        let mut first = failure.lock().expect("forward_batch mutex poisoned");
-                        if first.as_ref().is_none_or(|(j, _)| index < *j) {
-                            *first = Some((index, e));
-                        }
-                        return;
-                    }
-                }
-            }
-        });
-        if let Some((_, e)) = failure.into_inner().expect("forward_batch mutex poisoned") {
-            return Err(e);
-        }
-        Ok(out.into_iter().map(|t| t.expect("forward_batch worker skipped a row")).collect())
     }
 
     /// Backward pass for the most recent [`forward_row`](Self::forward_row), given the
@@ -478,10 +383,6 @@ mod tests {
         assert_eq!(out.shape(), &[config.tokens, 2]);
         // Tanh output stays in [-1, 1].
         assert!(out.max_abs() <= 1.0);
-        let inferred = model.infer_row(&row).unwrap();
-        for (a, b) in out.as_slice().iter().zip(inferred.as_slice()) {
-            assert!((a - b).abs() < 1e-5);
-        }
     }
 
     #[test]
@@ -489,7 +390,6 @@ mod tests {
         let mut model = TinyVbf::new(&TinyVbfConfig::tiny_test()).unwrap();
         let bad = Tensor::zeros(&[6, 5]);
         assert!(matches!(model.forward_row(&bad), Err(TinyVbfError::ShapeMismatch { .. })));
-        assert!(matches!(model.infer_row(&bad), Err(TinyVbfError::ShapeMismatch { .. })));
     }
 
     #[test]
@@ -563,8 +463,8 @@ mod tests {
         // Outputs now agree.
         let row = rand_tensor(&[config.tokens, config.channels], 0.5, 3);
         let mut model = model;
-        let ya = model.infer_row(&row).unwrap();
-        let yb = other.infer_row(&row).unwrap();
+        let ya = model.forward_row(&row).unwrap();
+        let yb = other.forward_row(&row).unwrap();
         for (a, b) in ya.as_slice().iter().zip(yb.as_slice()) {
             assert!((a - b).abs() < 1e-6);
         }

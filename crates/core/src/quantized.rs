@@ -1,26 +1,22 @@
-//! Fixed-point (quantized) Tiny-VBF inference.
+//! The Tiny-VBF inference engine and its serving adapter.
 //!
-//! The FPGA deployment runs the network in fixed point. This module replays the exact
-//! operation sequence of [`crate::model::TinyVbf`] on exported weights with **real
-//! integer kernels** (`quantized_int`): weights become integer codes once up
-//! front, dense layers run exact i16/i32/i64 multiply-accumulates, and every MAC
-//! result / softmax / intermediate activation is requantized onto its scheme-assigned
-//! grid by an integer rounding shift (Table III). The float scheme short-circuits to
-//! a plain `f32` datapath. Evaluating the resulting images against the float model
-//! reproduces Tables IV and V and Fig. 15 — and, because the datapath is integer, a
-//! quantized rung is now *cheaper* than float instead of paying to simulate rounding.
+//! The paper runs one network under the six schemes of Table III, Float among
+//! them. This module does the same:
 //!
-//! Two entry points consume a quantized model:
-//!
-//! * [`QuantizedTinyVbf`] — the raw fixed-point network (row / cube / batch
-//!   inference) plus a direct [`Beamformer`] impl used by the evaluation
-//!   harness,
-//! * [`QuantizedTinyVbfBeamformer`] — the **serving** adapter: planned ToF
-//!   (shared [`PlanCache`], like [`crate::inference::TinyVbfBeamformer`]),
-//!   row-parallel sweeps, and per-stream SQNR accuracy-proxy counters
-//!   surfaced through [`Beamformer::quant_quality_stats`] so a
-//!   `serve::router::Router` can expose quantization degradation per backend
-//!   label under load.
+//! * [`QuantizedTinyVbf`] — the one inference engine. It takes the scheme as a
+//!   parameter. The float scheme is the identity quantizer and runs a plain
+//!   `f32` datapath, bitwise equal to [`TinyVbf::forward_row`]. Every
+//!   fixed-point scheme runs **real integer kernels** (`quantized_int`):
+//!   weights become integer codes once up front, dense layers run exact
+//!   i16/i32/i64 multiply-accumulates, and every MAC result, softmax and
+//!   intermediate activation is requantized onto its scheme-assigned grid by
+//!   an integer rounding shift. Comparing its images against float
+//!   reproduces Tables IV and V and Fig. 15.
+//! * [`QuantizedTinyVbfBeamformer`] — the one Tiny-VBF [`Beamformer`]:
+//!   planned ToF through a shareable [`PlanCache`], row-parallel sweeps, and
+//!   per-stream SQNR accuracy-proxy counters surfaced through
+//!   [`Beamformer::quant_quality_stats`] so a `serve::router::Router` can
+//!   expose quantization degradation per backend label under load.
 
 use crate::inference::parallel_row_sweep;
 use crate::model::{TinyVbf, TinyVbfWeights, TransformerBlockWeights};
@@ -29,8 +25,8 @@ use crate::{TinyVbfError, TinyVbfResult};
 use beamforming::grid::ImagingGrid;
 use beamforming::iq::IqImage;
 use beamforming::pipeline::{Beamformer, QuantQualityStats};
-use beamforming::plan::{FrameFormat, PlanCache, PlanCacheStats};
-use beamforming::tof::{tof_correct, TofCube};
+use beamforming::plan::{BeamformPlan, FrameFormat, PlanCache, PlanCacheStats};
+use beamforming::tof::{tof_correct_planned, TofCube};
 use beamforming::{BeamformError, BeamformResult};
 use neural::activation::softmax_rows;
 use neural::tensor::Tensor;
@@ -136,8 +132,8 @@ impl QuantizedTinyVbf {
 
     /// The float-scheme datapath, also the reference the serving adapter's
     /// output-SQNR proxy compares the integer path against. Same op sequence
-    /// as [`QuantizedTinyVbf::infer_row`], plain `f32` arithmetic throughout
-    /// (the float scheme's "quantizers" were always identities).
+    /// and `f32` arithmetic as [`TinyVbf::forward_row`], without its
+    /// gradient caches.
     pub(crate) fn infer_row_float(&self, row: &Tensor) -> Tensor {
         let mut x = Self::dense_f32(row, &self.weights.encoder_weight, &self.weights.encoder_bias);
         if let Some(pos) = self.weights.positional.as_ref() {
@@ -163,9 +159,9 @@ impl QuantizedTinyVbf {
         out.map(|v| v.tanh())
     }
 
-    /// Runs quantized inference on one `(tokens, channels)` depth row —
-    /// through the integer datapath for fixed-point schemes, or the plain
-    /// `f32` datapath for the float scheme.
+    /// Runs inference on one `(tokens, channels)` depth row — through the
+    /// integer datapath for fixed-point schemes, or the plain `f32` datapath
+    /// for the float scheme.
     ///
     /// # Panics
     ///
@@ -183,99 +179,17 @@ impl QuantizedTinyVbf {
         let int = self.int.as_ref().expect("fixed-point scheme requires the integer model from from_model()");
         int.infer_row(&self.weights, row)
     }
-
-    fn check_row(&self, row: &Tensor) -> TinyVbfResult<()> {
-        if row.shape().len() != 2 || row.cols() != self.weights.config.channels {
-            return Err(TinyVbfError::ShapeMismatch {
-                expected: format!("(tokens, {}) row", self.weights.config.channels),
-                actual: format!("{:?}", row.shape()),
-            });
-        }
-        Ok(())
-    }
-
-    /// Quantized inference over a batch of independent depth rows, split
-    /// across the workspace-default worker threads — the fixed-point
-    /// counterpart of [`TinyVbf::forward_batch`].
-    ///
-    /// Each row's output depends only on that row, so batch results are
-    /// **bitwise identical** to serial per-row [`QuantizedTinyVbf::infer_row`]
-    /// calls for every thread count (asserted by this module's tests).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TinyVbfError::ShapeMismatch`] (for the first offending row in
-    /// input order) when any row's width differs from the configured channel
-    /// count.
-    pub fn forward_batch(&self, rows: &[Tensor]) -> TinyVbfResult<Vec<Tensor>> {
-        self.forward_batch_with_threads(rows, runtime::default_threads())
-    }
-
-    /// [`QuantizedTinyVbf::forward_batch`] with an explicit *total* thread
-    /// budget, split via [`runtime::split_budget`] (rows concurrent across
-    /// the outer workers, each row's matmuls capped at the inner share).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`QuantizedTinyVbf::forward_batch`].
-    pub fn forward_batch_with_threads(&self, rows: &[Tensor], num_threads: usize) -> TinyVbfResult<Vec<Tensor>> {
-        for row in rows {
-            self.check_row(row)?;
-        }
-        let (outer, inner) = runtime::split_budget(num_threads, rows.len());
-        Ok(runtime::par_collect_budgeted(rows.len(), outer, inner, |i| self.infer_row(&rows[i])))
-    }
-
-    /// Runs quantized inference over every row of a normalized ToF cube.
-    ///
-    /// # Errors
-    ///
-    /// Propagates image-assembly errors.
-    pub fn beamform_cube(&self, cube: &TofCube, grid: &ImagingGrid) -> TinyVbfResult<IqImage> {
-        let mut data = Vec::with_capacity(grid.num_pixels());
-        for row in 0..cube.rows() {
-            let input = cube_row(cube, row);
-            let out = self.infer_row(&input);
-            for col in 0..out.rows() {
-                data.push(Complex32::new(out.at(col, 0), out.at(col, 1)));
-            }
-        }
-        Ok(IqImage::from_data(data, grid.clone())?)
-    }
 }
 
-impl Beamformer for QuantizedTinyVbf {
-    fn name(&self) -> &str {
-        self.scheme.name
-    }
-
-    fn beamform(
-        &self,
-        data: &ChannelData,
-        array: &LinearArray,
-        grid: &ImagingGrid,
-        sound_speed: f32,
-    ) -> BeamformResult<IqImage> {
-        let mut cube = tof_correct(data, array, grid, PlaneWave::zero_angle(), sound_speed)?;
-        cube.normalize();
-        self.beamform_cube(&cube, grid)
-            .map_err(|e| BeamformError::InvalidParameter { name: "quantized_tiny_vbf", reason: e.to_string() })
-    }
-}
-
-/// Fixed-point Tiny-VBF as a first-class **serving** backend.
+/// Tiny-VBF under any Table III scheme as a [`Beamformer`], for the
+/// evaluation harness and the `serve` stack alike:
 ///
-/// Where the raw [`QuantizedTinyVbf`] beamforms serially through the direct
-/// [`tof_correct`] (fine for the evaluation harness), this adapter is built
-/// for the `serve` stack:
-///
-/// * the ToF cube goes through a cached dense
-///   [`BeamformPlan`](beamforming::plan::BeamformPlan)
-///   ([`tof_correct_planned`](beamforming::tof::tof_correct_planned),
-///   bitwise identical to the direct path), with
-///   the [`PlanCache`] shareable across backends — the ToF geometry does not
-///   depend on the quantization scheme, so every per-scheme engine of a
-///   router can replay **one** plan ([`QuantizedTinyVbfBeamformer::with_tof_cache`]),
+/// * the ToF cube goes through a cached dense [`BeamformPlan`]
+///   ([`tof_correct_planned`], bitwise identical to the direct
+///   [`tof_correct`](beamforming::tof::tof_correct)), with the [`PlanCache`]
+///   shareable across backends — the ToF geometry does not depend on the
+///   quantization scheme, so every per-scheme engine of a router can replay
+///   **one** plan ([`QuantizedTinyVbfBeamformer::with_tof_cache`]),
 /// * the row sweep is parallel via `runtime` (bitwise identical for every
 ///   thread count), and batches inherit the frame-concurrent × row-parallel
 ///   default of [`Beamformer::beamform_batch_results`],
@@ -361,6 +275,8 @@ impl QuantizedTinyVbfBeamformer {
         *self.quality.lock().expect("quantized quality mutex poisoned")
     }
 
+    /// Fetches (or builds) the dense ToF plan for this stream shape and
+    /// replays it into a normalized cube.
     fn planned_cube(
         &self,
         data: &ChannelData,
@@ -368,7 +284,22 @@ impl QuantizedTinyVbfBeamformer {
         grid: &ImagingGrid,
         sound_speed: f32,
     ) -> BeamformResult<TofCube> {
-        crate::inference::planned_normalized_cube(&self.tof_plans, data, array, grid, sound_speed)
+        let plan = self.tof_plan(array, grid, sound_speed, &FrameFormat::of(data))?;
+        let mut cube = tof_correct_planned(data, &plan)?;
+        cube.normalize();
+        Ok(cube)
+    }
+
+    fn tof_plan(
+        &self,
+        array: &LinearArray,
+        grid: &ImagingGrid,
+        sound_speed: f32,
+        frame: &FrameFormat,
+    ) -> BeamformResult<Arc<BeamformPlan>> {
+        self.tof_plans.get_or_build(array, grid, sound_speed, frame, || {
+            BeamformPlan::for_tof(array, grid, PlaneWave::zero_angle(), sound_speed, *frame)
+        })
     }
 
     /// Accumulates the SQNR proxy for one served frame from the integer
@@ -446,7 +377,11 @@ impl QuantizedTinyVbfBeamformer {
             num_threads,
             &|| &self.model,
             &|model: &mut &QuantizedTinyVbf, input| Ok(model.infer_row(input)),
-            &crate::inference::write_iq_row,
+            &|out, out_row| {
+                for (col, px) in out_row.iter_mut().enumerate() {
+                    *px = Complex32::new(out.at(col, 0), out.at(col, 1));
+                }
+            },
         )?;
         Ok(IqImage::from_data(data, grid.clone())?)
     }
@@ -477,8 +412,10 @@ impl Beamformer for QuantizedTinyVbfBeamformer {
     }
 
     fn prepare(&self, array: &LinearArray, grid: &ImagingGrid, sound_speed: f32, frame: &FrameFormat) {
-        // Best effort, like the other planned wrappers.
-        crate::inference::warm_tof_plan(&self.tof_plans, array, grid, sound_speed, frame);
+        // Best effort, like the other planned wrappers: build the ToF plan now
+        // so the stream's first frame doesn't pay it (configuration errors
+        // surface on the next beamform call instead).
+        let _ = self.tof_plan(array, grid, sound_speed, frame);
     }
 
     fn plan_cache_stats(&self) -> Option<PlanCacheStats> {
@@ -494,7 +431,10 @@ impl Beamformer for QuantizedTinyVbfBeamformer {
 mod tests {
     use super::*;
     use crate::config::TinyVbfConfig;
+    use beamforming::tof::tof_correct;
     use neural::init::normal;
+    use neural::loss::mse;
+    use neural::optimizer::{Adam, Optimizer};
 
     fn model_and_row() -> (TinyVbf, Tensor) {
         let config = TinyVbfConfig::tiny_test();
@@ -503,34 +443,54 @@ mod tests {
         (model, row)
     }
 
+    /// Largest absolute output difference between `scheme` and the float engine.
+    fn max_error_vs_float(model: &TinyVbf, row: &Tensor, scheme: QuantScheme) -> f32 {
+        let reference = QuantizedTinyVbf::from_model(model, QuantScheme::float()).infer_row(row);
+        let out = QuantizedTinyVbf::from_model(model, scheme).infer_row(row);
+        reference.as_slice().iter().zip(out.as_slice()).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max)
+    }
+
     #[test]
-    fn float_scheme_matches_float_model_closely() {
-        let (mut model, row) = model_and_row();
-        let float_out = model.infer_row(&row).unwrap();
-        let quantized = QuantizedTinyVbf::from_model(&model, QuantScheme::float());
-        let q_out = quantized.infer_row(&row);
-        for (a, b) in float_out.as_slice().iter().zip(q_out.as_slice()) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
+    fn float_engine_matches_training_forward_bitwise() {
+        // (config, tokens per row): the unit-test shape, a row shorter than
+        // the positional table, the small preset and the shape served on the
+        // paper's 128-channel, 128-column grid.
+        let cases = [
+            (TinyVbfConfig::tiny_test(), 6),
+            (TinyVbfConfig::tiny_test(), 4),
+            (TinyVbfConfig::small(), 32),
+            (TinyVbfConfig::small().for_frame(128, 128), 128),
+        ];
+        for (config, tokens) in cases {
+            let mut model = TinyVbf::new(&config).unwrap();
+            let rows: Vec<Tensor> = (0..3)
+                .map(|seed| normal(&[tokens, config.channels], 0.4, 100 + seed).map(|v| v.clamp(-1.0, 1.0)))
+                .collect();
+            let target = normal(&[tokens, 2], 0.3, 7).map(f32::tanh);
+            let mut adam = Adam::new(5e-3);
+            for step in 0..4 {
+                let engine = QuantizedTinyVbf::from_model(&model, QuantScheme::float());
+                for (r, row) in rows.iter().enumerate() {
+                    let training = model.forward_row(row).unwrap();
+                    let served = engine.infer_row(row);
+                    assert_eq!(training.shape(), served.shape());
+                    for (i, (a, b)) in training.as_slice().iter().zip(served.as_slice()).enumerate() {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{config:?} step {step} row {r} value {i}: {a} vs {b}");
+                    }
+                }
+                // Move the weights off their initialisation before the next check.
+                let (_, grad) = mse(&model.forward_row(&rows[0]).unwrap(), &target);
+                model.backward_row(&grad);
+                adam.step(model.params_mut());
+            }
         }
-        assert_eq!(quantized.name(), "Float");
     }
 
     #[test]
     fn quantization_error_grows_as_bits_shrink() {
-        let (mut model, row) = model_and_row();
-        let reference = model.infer_row(&row).unwrap();
-        let error = |scheme: QuantScheme| {
-            let q = QuantizedTinyVbf::from_model(&model, scheme);
-            let out = q.infer_row(&row);
-            reference
-                .as_slice()
-                .iter()
-                .zip(out.as_slice())
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0f32, f32::max)
-        };
-        let e24 = error(QuantScheme::w24());
-        let e16 = error(QuantScheme::w16());
+        let (model, row) = model_and_row();
+        let e24 = max_error_vs_float(&model, &row, QuantScheme::w24());
+        let e16 = max_error_vs_float(&model, &row, QuantScheme::w16());
         assert!(e24 <= e16 + 1e-6, "e24 {e24} e16 {e16}");
         // 24-bit inference should stay very close to float.
         assert!(e24 < 0.05, "e24 {e24}");
@@ -538,20 +498,9 @@ mod tests {
 
     #[test]
     fn hybrid_schemes_sit_between_float_and_16_bit() {
-        let (mut model, row) = model_and_row();
-        let reference = model.infer_row(&row).unwrap();
-        let max_err = |scheme: QuantScheme| {
-            let q = QuantizedTinyVbf::from_model(&model, scheme);
-            let out = q.infer_row(&row);
-            reference
-                .as_slice()
-                .iter()
-                .zip(out.as_slice())
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0f32, f32::max)
-        };
-        let h1 = max_err(QuantScheme::hybrid1());
-        let h2 = max_err(QuantScheme::hybrid2());
+        let (model, row) = model_and_row();
+        let h1 = max_error_vs_float(&model, &row, QuantScheme::hybrid1());
+        let h2 = max_error_vs_float(&model, &row, QuantScheme::hybrid2());
         // Both hybrids keep the output usable (bounded error) …
         assert!(h1 < 0.5 && h2 < 0.5, "h1 {h1} h2 {h2}");
         // … and Hybrid-1 (wider datapath) is at least as accurate as Hybrid-2.
@@ -587,49 +536,37 @@ mod tests {
     }
 
     #[test]
-    fn forward_batch_is_bitwise_identical_to_serial_rows() {
-        let (quantized, rf, array, grid) = small_quantized(QuantScheme::hybrid2());
-        let mut cube = tof_correct(&rf, &array, &grid, PlaneWave::zero_angle(), 1540.0).unwrap();
-        cube.normalize();
-        let rows: Vec<Tensor> = (0..cube.rows()).map(|r| cube_row(&cube, r)).collect();
-        let serial: Vec<Tensor> = rows.iter().map(|row| quantized.infer_row(row)).collect();
-        for threads in [1, 2, 3, 8] {
-            let batch = quantized.forward_batch_with_threads(&rows, threads).unwrap();
-            assert_eq!(batch, serial, "threads {threads}");
-        }
-        assert_eq!(quantized.forward_batch(&rows).unwrap(), serial);
-    }
-
-    #[test]
-    fn forward_batch_reports_bad_rows_in_input_order() {
-        let (quantized, _, _, _) = small_quantized(QuantScheme::w16());
-        let channels = quantized.weights().config.channels;
-        let rows = vec![Tensor::zeros(&[4, channels]), Tensor::zeros(&[4, channels + 1])];
-        assert!(matches!(quantized.forward_batch(&rows), Err(TinyVbfError::ShapeMismatch { .. })));
-    }
-
-    #[test]
     fn serving_adapter_is_bitwise_identical_to_direct_quantized_inference() {
-        let (quantized, rf, array, grid) = small_quantized(QuantScheme::hybrid1());
-        // Reference: the evaluation-harness path (direct ToF, serial rows).
-        let direct = quantized.beamform(&rf, &array, &grid, 1540.0).unwrap();
-        let backend = QuantizedTinyVbfBeamformer::from_quantized(quantized);
-        let served = backend.beamform(&rf, &array, &grid, 1540.0).unwrap();
-        assert_eq!(direct, served, "planned ToF + parallel sweep must not change quantized output");
+        for scheme in [QuantScheme::float(), QuantScheme::hybrid1()] {
+            let (quantized, rf, array, grid) = small_quantized(scheme);
+            // Reference: direct ToF, normalize, then the engine row by row.
+            let mut cube = tof_correct(&rf, &array, &grid, PlaneWave::zero_angle(), 1540.0).unwrap();
+            cube.normalize();
+            let mut pixels = Vec::with_capacity(grid.num_pixels());
+            for row in 0..cube.rows() {
+                let out = quantized.infer_row(&cube_row(&cube, row));
+                pixels.extend((0..out.rows()).map(|col| Complex32::new(out.at(col, 0), out.at(col, 1))));
+            }
+            let direct = IqImage::from_data(pixels, grid.clone()).unwrap();
+            let backend = QuantizedTinyVbfBeamformer::from_quantized(quantized);
+            let served = backend.beamform(&rf, &array, &grid, 1540.0).unwrap();
+            assert_eq!(direct, served, "{}: planned ToF + parallel sweep must not change the output", scheme.name);
 
-        // Thread count must not change the cube sweep either.
-        let cube = backend.planned_cube(&rf, &array, &grid, 1540.0).unwrap();
-        let serial = backend.beamform_cube_with_threads(&cube, &grid, 1).unwrap();
-        for threads in [2, 3, 8] {
-            assert_eq!(serial, backend.beamform_cube_with_threads(&cube, &grid, threads).unwrap(), "threads {threads}");
+            // Thread count must not change the cube sweep either.
+            let cube = backend.planned_cube(&rf, &array, &grid, 1540.0).unwrap();
+            let serial = backend.beamform_cube_with_threads(&cube, &grid, 1).unwrap();
+            for threads in [2, 3, 8] {
+                let parallel = backend.beamform_cube_with_threads(&cube, &grid, threads).unwrap();
+                assert_eq!(serial, parallel, "{} threads {threads}", scheme.name);
+            }
+
+            // The serving label comes from the scheme.
+            assert_eq!(backend.name(), scheme.backend_label());
+            assert_eq!(backend.scheme(), &scheme);
+            // Channel mismatches are reported, not panicked.
+            let wrong = TofCube::zeros(4, grid.num_cols(), array.num_elements() + 1);
+            assert!(backend.beamform_cube(&wrong, &grid).is_err());
         }
-
-        // The serving label comes from the scheme.
-        assert_eq!(backend.name(), QuantScheme::hybrid1().backend_label());
-        assert_eq!(backend.scheme(), &QuantScheme::hybrid1());
-        // Channel mismatches are reported, not panicked.
-        let wrong = TofCube::zeros(4, grid.num_cols(), array.num_elements() + 1);
-        assert!(backend.beamform_cube(&wrong, &grid).is_err());
     }
 
     #[test]

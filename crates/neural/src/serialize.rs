@@ -10,6 +10,9 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 const MAGIC: u32 = 0x5456_4246; // "TVBF"
 
+/// Smallest encoded tensor: rank, one dimension and one value.
+const MIN_TENSOR_BYTES: usize = 12;
+
 /// Serialises a list of tensors into a byte buffer.
 pub fn tensors_to_bytes(tensors: &[&Tensor]) -> Bytes {
     let mut buf = BytesMut::new();
@@ -32,7 +35,8 @@ pub fn tensors_to_bytes(tensors: &[&Tensor]) -> Bytes {
 /// # Errors
 ///
 /// Returns [`NeuralError::DeserializeError`] when the buffer is truncated, the magic tag
-/// is wrong, or a shape is invalid.
+/// is wrong, or a shape is invalid or too large to address. The header is untrusted:
+/// nothing is allocated beyond what the remaining bytes can fill.
 pub fn tensors_from_bytes(mut data: &[u8]) -> NeuralResult<Vec<Tensor>> {
     let need = |n: usize, what: &str, data: &[u8]| -> NeuralResult<()> {
         if data.remaining() < n {
@@ -47,7 +51,7 @@ pub fn tensors_from_bytes(mut data: &[u8]) -> NeuralResult<Vec<Tensor>> {
         return Err(NeuralError::DeserializeError(format!("bad magic 0x{magic:08x}")));
     }
     let count = data.get_u32_le() as usize;
-    let mut tensors = Vec::with_capacity(count);
+    let mut tensors = Vec::with_capacity(count.min(data.remaining() / MIN_TENSOR_BYTES));
     for i in 0..count {
         need(4, "tensor rank", data)?;
         let rank = data.get_u32_le() as usize;
@@ -59,11 +63,15 @@ pub fn tensors_from_bytes(mut data: &[u8]) -> NeuralResult<Vec<Tensor>> {
         for _ in 0..rank {
             shape.push(data.get_u32_le() as usize);
         }
-        let numel: usize = shape.iter().product();
+        let numel = shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+        let payload = numel.and_then(|n| n.checked_mul(4));
+        let (Some(numel), Some(payload)) = (numel, payload) else {
+            return Err(NeuralError::DeserializeError(format!("tensor {i} shape {shape:?} overflows")));
+        };
         if numel == 0 {
             return Err(NeuralError::DeserializeError(format!("tensor {i} has a zero dimension")));
         }
-        need(4 * numel, "tensor data", data)?;
+        need(payload, "tensor data", data)?;
         let mut values = Vec::with_capacity(numel);
         for _ in 0..numel {
             values.push(data.get_f32_le());
@@ -117,5 +125,26 @@ mod tests {
         buf.put_u32_le(1);
         buf.put_u32_le(100); // absurd rank
         assert!(tensors_from_bytes(&buf.freeze()).is_err());
+    }
+
+    #[test]
+    fn huge_tensor_count_is_rejected_without_allocating_for_it() {
+        let mut buf = BytesMut::new();
+        buf.put_u32_le(MAGIC);
+        buf.put_u32_le(u32::MAX); // claims 4 billion tensors
+        buf.put_u32_le(1);
+        assert!(matches!(tensors_from_bytes(&buf.freeze()), Err(NeuralError::DeserializeError(_))));
+    }
+
+    #[test]
+    fn overflowing_shape_is_rejected() {
+        let mut buf = BytesMut::new();
+        buf.put_u32_le(MAGIC);
+        buf.put_u32_le(1);
+        buf.put_u32_le(3);
+        for _ in 0..3 {
+            buf.put_u32_le(u32::MAX);
+        }
+        assert!(matches!(tensors_from_bytes(&buf.freeze()), Err(NeuralError::DeserializeError(_))));
     }
 }

@@ -14,11 +14,11 @@
 //!
 //! # Thread budgets (two-level parallelism)
 //!
-//! Multi-frame entry points (`Beamformer::beamform_batch`,
-//! `TinyVbf::forward_batch`, the `serve` micro-batcher) want frames of a batch
-//! to run *concurrently* while each frame stays *internally* row-parallel,
-//! without the product of the two levels oversubscribing the machine. The
-//! budgeted variants make that split explicit:
+//! Multi-frame entry points (`Beamformer::beamform_batch`, the `serve`
+//! micro-batcher) want frames of a batch to run *concurrently* while each
+//! frame stays *internally* row-parallel, without the product of the two
+//! levels oversubscribing the machine. The budgeted variants make that split
+//! explicit:
 //!
 //! * [`split_budget`] — divide a total thread budget into
 //!   `(outer_workers, inner_threads)` for `items` outer work units,

@@ -11,8 +11,8 @@
 //! exercise the registry's retry/circuit-breaker path.
 //!
 //! The chaos test suite (`serve/tests/chaos.rs`), the degradation suite
-//! (`serve/tests/degrade.rs`) and `bench_pr6` drive the router through these
-//! wrappers to prove the PR-6 guarantees: a panicking engine fails only its
+//! (`serve/tests/degrade.rs`) and the `chaos_availability` scenario drive the
+//! router through these wrappers to prove the PR-6 guarantees: a panicking engine fails only its
 //! own requests, every handle resolves, and responses served on an
 //! un-degraded backend stay bitwise identical to direct inference.
 

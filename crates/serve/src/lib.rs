@@ -4,9 +4,9 @@
 //! plane-wave imaging: frames arrive continuously from the scanner and must be
 //! reconstructed at acquisition rate. The deep-learning beamforming literature
 //! frames models like Tiny-VBF as components of a streaming
-//! acquisition→reconstruction pipeline, and PR 1 built the per-frame batch
-//! primitives (`Beamformer::beamform_batch`, `TinyVbf::forward_batch`). This
-//! crate turns those per-call primitives into a throughput-oriented service:
+//! acquisition→reconstruction pipeline, and `Beamformer::beamform_batch` is
+//! the per-frame batch primitive. This crate turns that per-call primitive
+//! into a throughput-oriented service:
 //!
 //! * [`Server`] — the generic micro-batching server: a **bounded submission
 //!   queue** (backpressure), a scheduler that **coalesces** pending requests

@@ -169,6 +169,55 @@ fn ladder_downshifts_under_deadline_pressure_and_recovers() {
     assert!(stats.degrade[0].windows >= 2);
 }
 
+/// Serves `waves` saturating waves of 8 deadline-bound frames on `spec`,
+/// one wave at a time, and returns how many were served. Every handle must
+/// resolve, served images must equal direct inference, and the only failure
+/// allowed is a deadline expiry.
+fn serve_waves(router: &Router, spec: &StreamSpec, waves: u64) -> usize {
+    let mut served = 0;
+    for wave in 0..waves {
+        let frames: Vec<_> = (0..8).map(|i| synthetic_frame(&spec.array, 256, 300 + 8 * wave + i)).collect();
+        let handles: Vec<_> = frames
+            .iter()
+            .map(|frame| router.submit_with_deadline(spec, frame.clone(), Duration::from_millis(15)).unwrap())
+            .collect();
+        for (frame, handle) in frames.iter().zip(handles) {
+            match handle.wait() {
+                Ok(image) => {
+                    assert_eq!(image, direct_das(spec, frame), "degradation must never corrupt results");
+                    served += 1;
+                }
+                Err(ServeError::DeadlineExceeded) => {}
+                Err(other) => panic!("unexpected failure under pressure: {other}"),
+            }
+        }
+    }
+    served
+}
+
+#[test]
+fn ladder_serves_more_of_a_pressured_stream_than_no_ladder() {
+    // The slow rung takes 30 ms per call against 15 ms deadlines, so
+    // without a ladder each wave sheds everything behind its first batch.
+    // With the ladder, expiries move the stream to the fast rung and later
+    // waves are served.
+    let config =
+        BatchConfig { max_batch: 2, linger: Duration::ZERO, workers: 1, queue_capacity: 64, ..BatchConfig::default() };
+    let spec = small_spec("slow");
+    let off = Router::new(config.clone(), two_rung_factory(Duration::from_millis(30)));
+    let served_off = serve_waves(&off, &spec, 4);
+    let off_stats = off.shutdown();
+    assert!(off_stats.degrade.is_empty(), "without a ladder no stream is managed");
+    assert_eq!(off_stats.downshifts_total(), 0, "without a ladder nothing may shift");
+
+    let on =
+        Router::with_degrade(config, two_rung_factory(Duration::from_millis(30)), two_rung_ladder_config()).unwrap();
+    let served_on = serve_waves(&on, &spec, 4);
+    let on_stats = on.shutdown();
+    assert!(on_stats.downshifts_total() >= 1, "the pressured ladder run must actually downshift");
+    assert!(served_on > served_off, "the ladder must improve availability: on {served_on} vs off {served_off} of 32");
+}
+
 #[test]
 fn calibrated_ladder_is_bitwise_unchanged_for_unmanaged_and_rung0_traffic() {
     // Acceptance gate of the quality-calibration subsystem: a DegradeConfig

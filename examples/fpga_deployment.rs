@@ -13,12 +13,12 @@ use tiny_vbf::quantized::QuantizedTinyVbf;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = TinyVbfConfig::paper();
-    let mut model = TinyVbf::new(&config)?;
+    let model = TinyVbf::new(&config)?;
     println!("Tiny-VBF ({} weights) on the ZCU104 accelerator model\n", model.num_weights());
 
     // A representative normalized ToF-corrected row.
     let row = normal(&[config.tokens, config.channels], 0.3, 11).map(|v| v.clamp(-1.0, 1.0));
-    let float_out = model.infer_row(&row)?;
+    let float_out = QuantizedTinyVbf::from_model(&model, QuantScheme::float()).infer_row(&row);
 
     println!("{:<10} {:>12} {:>10} {:>10} {:>8} {:>10} {:>10}", "Scheme", "max |err|", "LUT", "FF", "DSP", "BRAM", "latency");
     for scheme in QuantScheme::all() {

@@ -48,10 +48,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         array: array_vbf.clone(),
         grid: ImagingGrid::for_array(&array_vbf, 0.010, 0.010, 20, 12),
         sound_speed,
-        backend: "tiny-vbf".into(),
+        backend: "tiny-vbf-fp".into(),
     };
     let model_config = TinyVbfConfig::small().for_frame(array_vbf.num_elements(), spec_vbf.grid.num_cols());
-    let vbf = TinyVbfBeamformer::new(TinyVbf::new(&model_config)?);
+    let vbf = QuantizedTinyVbfBeamformer::new(&TinyVbf::new(&model_config)?, QuantScheme::float());
 
     println!("simulating 2 × {FRAMES_PER_STREAM} frames ({} | {})…", spec_das.label(), spec_vbf.label());
     let frames_das = simulate_stream(&array_das, 0.026, 500);
@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         move |spec: &StreamSpec| -> ServeResult<Arc<dyn Beamformer + Send + Sync>> {
             match spec.backend.as_str() {
                 "das" => Ok(Arc::new(PlannedDas::new(DelayAndSum::default()))),
-                "tiny-vbf" => Ok(Arc::new(vbf.clone())),
+                "tiny-vbf-fp" => Ok(Arc::new(vbf.clone())),
                 other => Err(ServeError::Engine(format!("unknown backend {other}"))),
             }
         }
@@ -121,7 +121,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for engine in &stats.engines {
         let cache = engine.plan_cache.expect("both backends are planned");
         println!(
-            "  {:<18} {:>3} frames in {:>2} dispatches | p50 {:>7.2?} p99 {:>7.2?} | plans: {} built, {} hits, {} evictions",
+            "  {:<22} {:>3} frames in {:>2} dispatches | p50 {:>7.2?} p99 {:>7.2?} | plans: {} built, {} hits, {} evictions",
             engine.spec.label(),
             engine.requests,
             engine.batches,

@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let array = LinearArray::small_test_array();
     let grid = ImagingGrid::for_array(&array, 0.012, 0.012, 24, 16);
     let config = TinyVbfConfig::small().for_frame(array.num_elements(), grid.num_cols());
-    let beamformer = TinyVbfBeamformer::new(TinyVbf::new(&config)?);
+    let beamformer = QuantizedTinyVbfBeamformer::new(&TinyVbf::new(&config)?, QuantScheme::float());
     let sound_speed = Medium::soft_tissue().sound_speed();
 
     // Simulate a stream of 64 frames: a point target drifting laterally, as a

@@ -29,7 +29,6 @@ pub mod prelude {
     pub use serve::{BatchConfig, ChaosBeamformer, ChaosSchedule, DegradeConfig, Server};
     pub use tiny_vbf::config::TinyVbfConfig;
     pub use tiny_vbf::evaluation::EvaluationConfig;
-    pub use tiny_vbf::inference::TinyVbfBeamformer;
     pub use tiny_vbf::model::TinyVbf;
     pub use tiny_vbf::quantized::{QuantizedTinyVbf, QuantizedTinyVbfBeamformer};
     pub use ultrasound::picmus::{PicmusDataset, PicmusKind};

@@ -78,7 +78,7 @@ fn tiny_vbf_beamformer_plugs_into_the_generic_pipeline() {
 
     let model_config = TinyVbfConfig::paper().for_frame(array.num_elements(), grid.num_cols());
     let model = TinyVbf::new(&model_config).expect("model");
-    let beamformer = TinyVbfBeamformer::new(model);
+    let beamformer = QuantizedTinyVbfBeamformer::new(&model, QuantScheme::float());
 
     let learned: Vec<Box<dyn Beamformer>> = vec![Box::new(DelayAndSum::default()), Box::new(beamformer)];
     for bf in &learned {
