@@ -6,13 +6,13 @@
 //! the evaluation harness (and downstream users) swap beamformers freely.
 
 use crate::baselines::{Fcnn, TinyCnn};
-use crate::training::cube_row;
 use crate::{TinyVbfError, TinyVbfResult};
 use beamforming::grid::ImagingGrid;
 use beamforming::iq::{rf_to_iq, IqImage};
 use beamforming::pipeline::Beamformer;
 use beamforming::tof::{tof_correct, TofCube};
 use beamforming::{BeamformError, BeamformResult};
+use neural::tensor::Tensor;
 use std::sync::Mutex;
 use ultrasound::{ChannelData, LinearArray, PlaneWave};
 
@@ -30,42 +30,34 @@ fn normalized_cube(
 /// Sweeps a row-streaming network over every depth row of `cube` in parallel.
 ///
 /// Image rows are split into disjoint chunks across `num_threads` scoped
-/// workers; each worker clones the model once (amortising the clone over its
-/// whole chunk, since a baseline's `infer_row` needs `&mut self` for its layer
-/// caches),
-/// runs `infer` per row and converts the `(cols, …)` output tensor into the
-/// pixel values of that row via `write`. Each row's output depends only on its
-/// own input, so the image is bitwise identical for every thread count.
+/// workers. Each worker calls `worker` once for its chunk's state — a model
+/// clone for the baselines, whose `infer_row` needs `&mut self` for its layer
+/// caches, or reusable activation buffers for the Tiny-VBF engine — then
+/// `infer` per row with the depth row read in place from the cube (a
+/// row-major `(cols, channels)` slice: the cube's `[row][col][ch]` layout
+/// already is that matrix) and the row's pixels to fill. Each row's output
+/// depends only on its own input, so the image is bitwise identical for
+/// every thread count.
 pub(crate) fn parallel_row_sweep<T, M>(
     cube: &TofCube,
     out: &mut [T],
     num_threads: usize,
-    clone_model: &(impl Fn() -> M + Sync),
-    infer: &(impl Fn(&mut M, &neural::tensor::Tensor) -> TinyVbfResult<neural::tensor::Tensor> + Sync),
-    write: &(impl Fn(&neural::tensor::Tensor, &mut [T]) + Sync),
+    worker: &(impl Fn() -> M + Sync),
+    infer: &(impl Fn(&mut M, &[f32], &mut [T]) -> TinyVbfResult<()> + Sync),
 ) -> TinyVbfResult<()>
 where
     T: Send,
 {
     let cols = cube.cols();
+    let row_len = cols * cube.channels();
     let failure: Mutex<Option<TinyVbfError>> = Mutex::new(None);
     runtime::par_map_rows(out, cols, num_threads, |first_row, block| {
-        let mut model = clone_model();
+        let mut state = worker();
         for (local, out_row) in block.chunks_mut(cols).enumerate() {
-            let input = cube_row(cube, first_row + local);
-            match infer(&mut model, &input) {
-                Ok(o) if o.rows() == cols => write(&o, out_row),
-                Ok(o) => {
-                    *failure.lock().expect("row-sweep mutex poisoned") = Some(TinyVbfError::ShapeMismatch {
-                        expected: format!("{cols} output tokens"),
-                        actual: format!("{}", o.rows()),
-                    });
-                    return;
-                }
-                Err(e) => {
-                    *failure.lock().expect("row-sweep mutex poisoned") = Some(e);
-                    return;
-                }
+            let start = (first_row + local) * row_len;
+            if let Err(e) = infer(&mut state, &cube.as_slice()[start..start + row_len], out_row) {
+                *failure.lock().expect("row-sweep mutex poisoned") = Some(e);
+                return;
             }
         }
     });
@@ -80,21 +72,23 @@ where
 fn beamform_rf_rows<M: Clone + Sync>(
     model: &M,
     cube: &TofCube,
-    infer: impl Fn(&mut M, &neural::tensor::Tensor) -> TinyVbfResult<neural::tensor::Tensor> + Sync,
+    infer: impl Fn(&mut M, &Tensor) -> TinyVbfResult<Tensor> + Sync,
 ) -> TinyVbfResult<Vec<f32>> {
-    let mut rf = vec![0.0f32; cube.rows() * cube.cols()];
-    parallel_row_sweep(
-        cube,
-        &mut rf,
-        runtime::default_threads(),
-        &|| model.clone(),
-        &infer,
-        &|out, out_row| {
-            for (col, px) in out_row.iter_mut().enumerate() {
-                *px = out.at(col, 0);
-            }
-        },
-    )?;
+    let (cols, channels) = (cube.cols(), cube.channels());
+    let mut rf = vec![0.0f32; cube.rows() * cols];
+    parallel_row_sweep(cube, &mut rf, runtime::default_threads(), &|| model.clone(), &|model, row, out_row| {
+        let out = infer(model, &Tensor::from_vec(row.to_vec(), &[cols, channels])?)?;
+        if out.rows() != cols {
+            return Err(TinyVbfError::ShapeMismatch {
+                expected: format!("{cols} output tokens"),
+                actual: format!("{}", out.rows()),
+            });
+        }
+        for (col, px) in out_row.iter_mut().enumerate() {
+            *px = out.at(col, 0);
+        }
+        Ok(())
+    })?;
     Ok(rf)
 }
 

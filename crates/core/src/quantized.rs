@@ -20,7 +20,6 @@
 
 use crate::inference::parallel_row_sweep;
 use crate::model::{TinyVbf, TinyVbfWeights, TransformerBlockWeights};
-use crate::training::cube_row;
 use crate::{TinyVbfError, TinyVbfResult};
 use beamforming::grid::ImagingGrid;
 use beamforming::iq::IqImage;
@@ -28,8 +27,7 @@ use beamforming::pipeline::{Beamformer, QuantQualityStats};
 use beamforming::plan::{BeamformPlan, FrameFormat, PlanCache, PlanCacheStats};
 use beamforming::tof::{tof_correct_planned, TofCube};
 use beamforming::{BeamformError, BeamformResult};
-use neural::activation::softmax_rows;
-use neural::tensor::Tensor;
+use neural::tensor::{matmul_into, Tensor};
 use quantize::quantizer::quantize_for_role;
 use quantize::{QuantScheme, TensorRole};
 use std::sync::{Arc, Mutex};
@@ -90,73 +88,112 @@ impl QuantizedTinyVbf {
         &self.weights
     }
 
-    fn dense_f32(input: &Tensor, weight: &Tensor, bias: &Tensor) -> Tensor {
-        input.matmul(weight).add_row_broadcast(bias)
-    }
-
-    fn layer_norm_f32(input: &Tensor, gamma: &Tensor, beta: &Tensor) -> Tensor {
-        let (rows, cols) = (input.rows(), input.cols());
-        let mut out = Tensor::zeros(&[rows, cols]);
-        for r in 0..rows {
-            let mean: f32 = (0..cols).map(|c| input.at(r, c)).sum::<f32>() / cols as f32;
-            let var: f32 = (0..cols).map(|c| (input.at(r, c) - mean).powi(2)).sum::<f32>() / cols as f32;
-            let inv_std = 1.0 / (var + 1e-5).sqrt();
-            for c in 0..cols {
-                *out.at_mut(r, c) = (input.at(r, c) - mean) * inv_std * gamma.at(0, c) + beta.at(0, c);
-            }
-        }
-        out
-    }
-
-    fn attention_f32(&self, input: &Tensor, block: &TransformerBlockWeights) -> Tensor {
+    /// Multi-head self-attention of one depth row, from `s.normed` into
+    /// `s.branch`, [`QUERY_BLOCK`] query rows at a time per head. Each block
+    /// computes its scores as `[key][query lane]`, each row's running max,
+    /// [`runtime::simd::exp`] of the shifted scores, the per-row denominators
+    /// summed in ascending key order (interleaved across the block's rows),
+    /// the divide, and the probabilities times V summed in ascending key
+    /// order. Per element this is exactly the sequence of `Tensor::matmul`
+    /// and `softmax_rows` in the training model's attention. A short last
+    /// block runs zero queries in its unused lanes and drops their results.
+    fn attention_f32(&self, block: &TransformerBlockWeights, s: &mut RowScratch) {
         let config = &self.weights.config;
-        let head_dim = config.model_dim / config.num_heads;
+        let dim = config.model_dim;
+        let head_dim = dim / config.num_heads;
         let scale = 1.0 / (head_dim as f32).sqrt();
-        let q = input.matmul(&block.wq);
-        let k = input.matmul(&block.wk);
-        let v = input.matmul(&block.wv);
-        let tokens = input.rows();
-        let mut concat = Tensor::zeros(&[tokens, config.model_dim]);
-        for h in 0..config.num_heads {
-            let start = h * head_dim;
-            let qh = q.slice_cols(start, head_dim);
-            let kh = k.slice_cols(start, head_dim);
-            let vh = v.slice_cols(start, head_dim);
-            let scores = qh.matmul(&kh.transpose()).scale(scale);
-            let attention = softmax_rows(&scores);
-            let oh = attention.matmul(&vh);
-            concat.set_cols(start, &oh);
-        }
-        concat.matmul(&block.wo)
-    }
-
-    /// The float-scheme datapath, also the reference the serving adapter's
-    /// output-SQNR proxy compares the integer path against. Same op sequence
-    /// and `f32` arithmetic as [`TinyVbf::forward_row`], without its
-    /// gradient caches.
-    pub(crate) fn infer_row_float(&self, row: &Tensor) -> Tensor {
-        let mut x = Self::dense_f32(row, &self.weights.encoder_weight, &self.weights.encoder_bias);
-        if let Some(pos) = self.weights.positional.as_ref() {
-            let rows = x.rows();
-            for r in 0..rows {
-                let pr = r.min(pos.rows() - 1);
-                for c in 0..x.cols() {
-                    *x.at_mut(r, c) += pos.at(pr, c);
+        let tokens = s.normed.len() / dim;
+        matmul_into(&s.normed, &block.wq, &mut s.q);
+        matmul_into(&s.normed, &block.wk, &mut s.k);
+        matmul_into(&s.normed, &block.wv, &mut s.v);
+        s.queries.resize(head_dim, [0.0; QUERY_BLOCK]);
+        s.scores.resize(tokens, [0.0; QUERY_BLOCK]);
+        for head in (0..dim).step_by(head_dim) {
+            for i0 in (0..tokens).step_by(QUERY_BLOCK) {
+                let lanes = QUERY_BLOCK.min(tokens - i0);
+                for (p, column) in s.queries.iter_mut().enumerate() {
+                    for (lane, q) in column.iter_mut().enumerate() {
+                        *q = if lane < lanes { s.q[(i0 + lane) * dim + head + p] } else { 0.0 };
+                    }
+                }
+                let row_max = block_scores(&mut s.scores, &s.queries, &s.k[head..], dim, scale);
+                block_softmax(&mut s.scores, row_max);
+                let mut col = head;
+                while col < head + head_dim {
+                    let (values, concat) = (&s.v[col..], &mut s.concat[col..]);
+                    col += if head + head_dim - col >= 4 {
+                        attend_values::<4>(&s.scores, values, concat, i0, lanes, dim)
+                    } else {
+                        attend_values::<1>(&s.scores, values, concat, i0, lanes, dim)
+                    };
                 }
             }
         }
-        for block in &self.weights.blocks {
-            let normed = Self::layer_norm_f32(&x, &block.norm1_gamma, &block.norm1_beta);
-            let attended = self.attention_f32(&normed, block);
-            let after_attention = x.add(&attended);
-            let normed2 = Self::layer_norm_f32(&after_attention, &block.norm2_gamma, &block.norm2_beta);
-            let hidden = Self::dense_f32(&normed2, &block.mlp_in_weight, &block.mlp_in_bias).map(|v| v.max(0.0));
-            let mlp = Self::dense_f32(&hidden, &block.mlp_out_weight, &block.mlp_out_bias);
-            x = after_attention.add(&mlp);
+        matmul_into(&s.concat, &block.wo, &mut s.branch);
+    }
+
+    /// The float-scheme datapath over one depth row — a row-major `(tokens,
+    /// channels)` slice — with every activation in `s`; returns the
+    /// `(tokens, 2)` output, row-major. Same op sequence and per-element
+    /// `f32` arithmetic as [`TinyVbf::forward_row`], without its gradient
+    /// caches. Also the reference the serving adapter's output-SQNR proxy
+    /// compares the integer path against.
+    pub(crate) fn infer_row_float<'s>(&self, row: &[f32], s: &'s mut RowScratch) -> &'s [f32] {
+        let w = &self.weights;
+        let config = &w.config;
+        let dim = config.model_dim;
+        let tokens = row.len() / config.channels;
+        for buf in [&mut s.x, &mut s.normed, &mut s.q, &mut s.k, &mut s.v, &mut s.concat, &mut s.branch] {
+            buf.resize(tokens * dim, 0.0);
         }
-        let hidden = Self::dense_f32(&x, &self.weights.decoder_in_weight, &self.weights.decoder_in_bias).map(|v| v.max(0.0));
-        let out = Self::dense_f32(&hidden, &self.weights.decoder_out_weight, &self.weights.decoder_out_bias);
-        out.map(|v| v.tanh())
+        s.out.resize(tokens * 2, 0.0);
+        dense_f32(row, &w.encoder_weight, &w.encoder_bias, &mut s.x);
+        if let Some(pos) = w.positional.as_ref() {
+            for (r, x) in s.x.chunks_exact_mut(dim).enumerate() {
+                let pr = r.min(pos.rows() - 1);
+                for (x, &p) in x.iter_mut().zip(&pos.as_slice()[pr * dim..(pr + 1) * dim]) {
+                    *x += p;
+                }
+            }
+        }
+        for block in &w.blocks {
+            layer_norm_f32(&s.x, &block.norm1_gamma, &block.norm1_beta, &mut s.normed);
+            self.attention_f32(block, s);
+            add_assign(&mut s.x, &s.branch);
+            layer_norm_f32(&s.x, &block.norm2_gamma, &block.norm2_beta, &mut s.normed);
+            s.hidden.resize(tokens * config.mlp_dim, 0.0);
+            dense_f32(&s.normed, &block.mlp_in_weight, &block.mlp_in_bias, &mut s.hidden);
+            relu(&mut s.hidden);
+            dense_f32(&s.hidden, &block.mlp_out_weight, &block.mlp_out_bias, &mut s.branch);
+            add_assign(&mut s.x, &s.branch);
+        }
+        s.hidden.resize(tokens * config.decoder_dim, 0.0);
+        dense_f32(&s.x, &w.decoder_in_weight, &w.decoder_in_bias, &mut s.hidden);
+        relu(&mut s.hidden);
+        dense_f32(&s.hidden, &w.decoder_out_weight, &w.decoder_out_bias, &mut s.out);
+        for v in s.out.iter_mut() {
+            *v = v.tanh();
+        }
+        &s.out
+    }
+
+    /// [`QuantizedTinyVbf::infer_row`] over a row-major `(tokens, channels)`
+    /// slice — a depth row read in place from a `TofCube` — with the float
+    /// path's activations in `scratch`. Returns the `(tokens, 2)` output,
+    /// row-major.
+    pub(crate) fn infer_row_into<'s>(&self, row: &[f32], scratch: &'s mut RowScratch) -> &'s [f32] {
+        let channels = self.weights.config.channels;
+        assert_eq!(row.len() % channels, 0, "quantized inference: channel mismatch");
+        // Scheme first: struct-update construction can pair a float scheme
+        // with a stale integer model, and the scheme is authoritative.
+        if self.scheme.is_float() {
+            return self.infer_row_float(row, scratch);
+        }
+        let int = self.int.as_ref().expect("fixed-point scheme requires the integer model from from_model()");
+        let out = int.infer_row(&self.weights, row, row.len() / channels);
+        scratch.out.clear();
+        scratch.out.extend_from_slice(out.as_slice());
+        &scratch.out
     }
 
     /// Runs inference on one `(tokens, channels)` depth row — through the
@@ -169,16 +206,161 @@ impl QuantizedTinyVbf {
     /// or when a fixed-point scheme was attached to a model without its
     /// integer weights (only reachable by hand-assembling the struct).
     pub fn infer_row(&self, row: &Tensor) -> Tensor {
-        let config = &self.weights.config;
-        assert_eq!(row.cols(), config.channels, "quantized inference: channel mismatch");
-        // Scheme first: struct-update construction can pair a float scheme
-        // with a stale integer model, and the scheme is authoritative.
-        if self.scheme.is_float() {
-            return self.infer_row_float(row);
-        }
-        let int = self.int.as_ref().expect("fixed-point scheme requires the integer model from from_model()");
-        int.infer_row(&self.weights, row)
+        assert_eq!(row.cols(), self.weights.config.channels, "quantized inference: channel mismatch");
+        let out = self.infer_row_into(row.as_slice(), &mut RowScratch::default()).to_vec();
+        Tensor::from_vec(out, &[row.rows(), 2]).expect("the forward emits two values per token")
     }
+}
+
+/// Query rows per block of the float attention kernel: one lane each of an
+/// 8-wide register.
+const QUERY_BLOCK: usize = 8;
+
+/// Per-worker buffers of the float forward, reused row after row so a warm
+/// worker allocates nothing per depth row.
+#[derive(Debug, Default)]
+pub(crate) struct RowScratch {
+    /// Residual stream, `tokens × model_dim`.
+    x: Vec<f32>,
+    /// LayerNorm output, `tokens × model_dim`.
+    normed: Vec<f32>,
+    /// Query projection, `tokens × model_dim`.
+    q: Vec<f32>,
+    /// Key projection, `tokens × model_dim`.
+    k: Vec<f32>,
+    /// Value projection, `tokens × model_dim`.
+    v: Vec<f32>,
+    /// Head outputs side by side, `tokens × model_dim`.
+    concat: Vec<f32>,
+    /// Attention or MLP output before its residual add, `tokens × model_dim`.
+    branch: Vec<f32>,
+    /// MLP or decoder hidden layer, `tokens × mlp_dim` / `decoder_dim`.
+    hidden: Vec<f32>,
+    /// One query block's queries of one head, `[head column][query lane]`.
+    queries: Vec<[f32; QUERY_BLOCK]>,
+    /// One query block's scores, then probabilities, `[key][query lane]`.
+    scores: Vec<[f32; QUERY_BLOCK]>,
+    /// The `(tokens, 2)` output.
+    out: Vec<f32>,
+}
+
+/// `out = input · weight + bias`, row by row.
+fn dense_f32(input: &[f32], weight: &Tensor, bias: &Tensor, out: &mut [f32]) {
+    matmul_into(input, weight, out);
+    for row in out.chunks_exact_mut(weight.cols()) {
+        add_assign(row, bias.as_slice());
+    }
+}
+
+/// `x[i] += y[i]`.
+fn add_assign(x: &mut [f32], y: &[f32]) {
+    for (a, &b) in x.iter_mut().zip(y) {
+        *a += b;
+    }
+}
+
+fn relu(values: &mut [f32]) {
+    for v in values {
+        *v = v.max(0.0);
+    }
+}
+
+/// LayerNorm of each `gamma.numel()`-wide row: the training `LayerNorm`'s
+/// exact expression. The integer datapath's float boundary runs it too.
+pub(crate) fn layer_norm_f32(input: &[f32], gamma: &Tensor, beta: &Tensor, out: &mut [f32]) {
+    let cols = gamma.numel();
+    for (x, o) in input.chunks_exact(cols).zip(out.chunks_exact_mut(cols)) {
+        let mean: f32 = x.iter().sum::<f32>() / cols as f32;
+        let var: f32 = x.iter().map(|&v| (v - mean).powi(2)).sum::<f32>() / cols as f32;
+        let inv_std = 1.0 / (var + 1e-5).sqrt();
+        for ((o, &v), (&g, &b)) in o.iter_mut().zip(x).zip(gamma.as_slice().iter().zip(beta.as_slice())) {
+            *o = (v - mean) * inv_std * g + b;
+        }
+    }
+}
+
+/// One query block's scores against every key, `[key][query lane]`: the
+/// products `q · k` added in ascending head column from `0.0`, times
+/// `scale`. `keys` starts at the head's first column of key row 0 and has
+/// row stride `stride`. Returns each query lane's max, folded from −∞ in
+/// ascending key order.
+fn block_scores(
+    scores: &mut [[f32; QUERY_BLOCK]],
+    queries: &[[f32; QUERY_BLOCK]],
+    keys: &[f32],
+    stride: usize,
+    scale: f32,
+) -> [f32; QUERY_BLOCK] {
+    let mut row_max = [f32::NEG_INFINITY; QUERY_BLOCK];
+    for (scores, key) in scores.iter_mut().zip(keys.chunks(stride)) {
+        let mut acc = [0.0f32; QUERY_BLOCK];
+        for (column, &k) in queries.iter().zip(key) {
+            for (a, &q) in acc.iter_mut().zip(column) {
+                *a += q * k;
+            }
+        }
+        for ((score, a), max) in scores.iter_mut().zip(acc).zip(row_max.iter_mut()) {
+            *score = a * scale;
+            *max = max.max(*score);
+        }
+    }
+    row_max
+}
+
+/// Softmax of one query block's scores over the keys, in place: `exp(s −
+/// max)` through [`runtime::simd::exp`], each lane's denominator summed in
+/// ascending key order from `0.0`, then one divide per element.
+fn block_softmax(scores: &mut [[f32; QUERY_BLOCK]], row_max: [f32; QUERY_BLOCK]) {
+    for lane_scores in scores.iter_mut() {
+        for (score, max) in lane_scores.iter_mut().zip(row_max) {
+            *score -= max;
+        }
+    }
+    runtime::simd::exp(scores.as_flattened_mut());
+    let mut denom = [0.0f32; QUERY_BLOCK];
+    for e in scores.iter() {
+        for (d, &e) in denom.iter_mut().zip(e) {
+            *d += e;
+        }
+    }
+    for p in scores.iter_mut() {
+        for (p, d) in p.iter_mut().zip(denom) {
+            *p /= d;
+        }
+    }
+}
+
+/// `D` head columns of one query block's output: `Σ_j probs[j][lane] ·
+/// values[j·stride + d]`, products added in ascending `j` from `0.0`,
+/// written to `concat[(i0 + lane)·stride + d]` for the block's first `lanes`
+/// lanes. Returns `D`.
+///
+/// Kept out of line: inlined into the block loop, it compiled to code that
+/// made the whole float forward about 1.7× slower on the paper grid.
+#[inline(never)]
+fn attend_values<const D: usize>(
+    probs: &[[f32; QUERY_BLOCK]],
+    values: &[f32],
+    concat: &mut [f32],
+    i0: usize,
+    lanes: usize,
+    stride: usize,
+) -> usize {
+    let mut acc = [[0.0f32; QUERY_BLOCK]; D];
+    for (p, v) in probs.iter().zip(values.chunks(stride)) {
+        let v: &[f32; D] = v[..D].try_into().unwrap();
+        for (a, &vd) in acc.iter_mut().zip(v) {
+            for (o, &pj) in a.iter_mut().zip(p) {
+                *o += pj * vd;
+            }
+        }
+    }
+    for (d, column) in acc.iter().enumerate() {
+        for (lane, &o) in column[..lanes].iter().enumerate() {
+            concat[(i0 + lane) * stride + d] = o;
+        }
+    }
+    D
 }
 
 /// Tiny-VBF under any Table III scheme as a [`Beamformer`], for the
@@ -270,7 +452,9 @@ impl QuantizedTinyVbfBeamformer {
         self.tof_plans.stats()
     }
 
-    /// Snapshot of the accumulated input-quantization accuracy proxy.
+    /// Snapshot of the accumulated output-SQNR accuracy proxy: the integer
+    /// path's output against the float reference on one probe row per served
+    /// frame (see `record_output_quality`).
     pub fn quality_stats(&self) -> QuantQualityStats {
         *self.quality.lock().expect("quantized quality mutex poisoned")
     }
@@ -323,12 +507,15 @@ impl QuantizedTinyVbfBeamformer {
             quality_for(0.0, 0.0);
             return;
         }
-        let input = cube_row(cube, cube.rows() / 2);
-        let reference = self.model.infer_row_float(&input);
-        let quantized = self.model.infer_row(&input);
+        let row_len = cube.cols() * cube.channels();
+        let start = cube.rows() / 2 * row_len;
+        let input = &cube.as_slice()[start..start + row_len];
+        let mut scratch = RowScratch::default();
+        let reference = self.model.infer_row_float(input, &mut scratch).to_vec();
+        let quantized = self.model.infer_row_into(input, &mut scratch);
         let mut signal = 0.0f64;
         let mut noise = 0.0f64;
-        for (&a, &b) in reference.as_slice().iter().zip(quantized.as_slice()) {
+        for (&a, &b) in reference.iter().zip(quantized) {
             signal += f64::from(a) * f64::from(a);
             let error = f64::from(a) - f64::from(b);
             noise += error * error;
@@ -369,20 +556,14 @@ impl QuantizedTinyVbfBeamformer {
             });
         }
         let mut data = vec![Complex32::new(0.0, 0.0); cube.rows() * cube.cols()];
-        // `infer_row` needs no mutable layer caches, so "cloning" the model
-        // per worker chunk is just reborrowing it.
-        parallel_row_sweep(
-            cube,
-            &mut data,
-            num_threads,
-            &|| &self.model,
-            &|model: &mut &QuantizedTinyVbf, input| Ok(model.infer_row(input)),
-            &|out, out_row| {
-                for (col, px) in out_row.iter_mut().enumerate() {
-                    *px = Complex32::new(out.at(col, 0), out.at(col, 1));
-                }
-            },
-        )?;
+        // Each worker reuses one set of activation buffers for its rows.
+        parallel_row_sweep(cube, &mut data, num_threads, &RowScratch::default, &|scratch, row, out_row| {
+            let out = self.model.infer_row_into(row, scratch);
+            for (px, iq) in out_row.iter_mut().zip(out.chunks_exact(2)) {
+                *px = Complex32::new(iq[0], iq[1]);
+            }
+            Ok(())
+        })?;
         Ok(IqImage::from_data(data, grid.clone())?)
     }
 }
@@ -431,6 +612,7 @@ impl Beamformer for QuantizedTinyVbfBeamformer {
 mod tests {
     use super::*;
     use crate::config::TinyVbfConfig;
+    use crate::training::cube_row;
     use beamforming::tof::tof_correct;
     use neural::init::normal;
     use neural::loss::mse;
@@ -453,13 +635,17 @@ mod tests {
     #[test]
     fn float_engine_matches_training_forward_bitwise() {
         // (config, tokens per row): the unit-test shape, a row shorter than
-        // the positional table, the small preset and the shape served on the
-        // paper's 128-channel, 128-column grid.
+        // the positional table, the small preset, the shape served on the
+        // paper's 128-channel, 128-column grid, and two rows whose last
+        // attention query block is short (37 = 4·8 + 5, 130 = 16·8 + 2) and
+        // longer than the positional table.
         let cases = [
             (TinyVbfConfig::tiny_test(), 6),
             (TinyVbfConfig::tiny_test(), 4),
             (TinyVbfConfig::small(), 32),
             (TinyVbfConfig::small().for_frame(128, 128), 128),
+            (TinyVbfConfig::small(), 37),
+            (TinyVbfConfig::small().for_frame(128, 128), 130),
         ];
         for (config, tokens) in cases {
             let mut model = TinyVbf::new(&config).unwrap();

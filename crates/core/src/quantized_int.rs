@@ -57,15 +57,14 @@ impl IntTensor {
     /// the same correctly-rounded operation, and `simd::quantize_codes`
     /// asserts identity with that scalar form across its dispatch tiers.
     fn from_f32(t: &Tensor, fmt: FixedFormat) -> Self {
-        let mut codes = vec![0i32; t.rows() * t.cols()];
-        simd::quantize_codes(
-            t.as_slice(),
-            1.0 / fmt.resolution(),
-            fmt.max_raw() as i32,
-            fmt.min_raw() as i32,
-            &mut codes,
-        );
-        Self { codes, rows: t.rows(), cols: t.cols() }
+        Self::from_slice(t.as_slice(), t.rows(), fmt)
+    }
+
+    /// [`IntTensor::from_f32`] of a row-major `rows × (len / rows)` slice.
+    fn from_slice(values: &[f32], rows: usize, fmt: FixedFormat) -> Self {
+        let mut codes = vec![0i32; values.len()];
+        simd::quantize_codes(values, 1.0 / fmt.resolution(), fmt.max_raw() as i32, fmt.min_raw() as i32, &mut codes);
+        Self { codes, rows, cols: values.len() / rows }
     }
 
     /// The exact `f32` values of the codes (every code of a ≤24-bit format is
@@ -335,11 +334,13 @@ pub(crate) struct IntModel {
     /// `exp` lookup over score-code deltas: `exp_lut[d] = exp(-d · step)` for
     /// every possible non-negative code delta on the activation grid — the
     /// softmax exponentials an FPGA datapath would serve from a lookup unit.
-    /// Bitwise identical to the float boundary because `x - row_max` on exact
-    /// code values is exactly `(c - cmax) · step` (the difference of exactly
-    /// representable values is representable, hence the f32 subtraction is
-    /// exact). Built only when the table stays cache-friendly (coarse grids
-    /// like the deployment rungs fx16/w8a16); finer grids keep libm `exp`.
+    /// Built with [`simd::exp`], the kernel `softmax_rows` uses, so it is
+    /// bitwise identical to the float boundary on every host: `x - row_max`
+    /// on exact code values is exactly `(c - cmax) · step` (the difference of
+    /// exactly representable values is representable, hence the f32
+    /// subtraction is exact). Built only when the table stays cache-friendly
+    /// (coarse grids like the deployment rungs fx16/w8a16); finer grids run
+    /// `softmax_rows` on the dequantized scores.
     exp_lut: Option<Vec<f32>>,
 }
 
@@ -408,7 +409,9 @@ impl IntModel {
                 let span = (act.max_raw() - act.min_raw()) as usize + 1;
                 (span <= EXP_LUT_MAX_LEN).then(|| {
                     let step = act.resolution();
-                    (0..span).map(|d| (-(d as f32) * step).exp()).collect()
+                    let mut lut: Vec<f32> = (0..span).map(|d| -(d as f32) * step).collect();
+                    simd::exp(&mut lut);
+                    lut
                 })
             },
         })
@@ -426,21 +429,13 @@ impl IntModel {
         out
     }
 
-    /// Float-boundary layer norm: exact codes → f32, the float model's exact
-    /// normalization expression, then back onto the activation grid.
+    /// Float-boundary layer norm: exact codes → f32, the float engine's
+    /// layer norm, then back onto the activation grid.
     fn layer_norm(&self, x: &IntTensor, gamma: &Tensor, beta: &Tensor) -> IntTensor {
         let input = x.to_f32(self.act);
-        let (rows, cols) = (input.rows(), input.cols());
-        let mut out = Tensor::zeros(&[rows, cols]);
-        for r in 0..rows {
-            let mean: f32 = (0..cols).map(|c| input.at(r, c)).sum::<f32>() / cols as f32;
-            let var: f32 = (0..cols).map(|c| (input.at(r, c) - mean).powi(2)).sum::<f32>() / cols as f32;
-            let inv_std = 1.0 / (var + 1e-5).sqrt();
-            for c in 0..cols {
-                *out.at_mut(r, c) = (input.at(r, c) - mean) * inv_std * gamma.at(0, c) + beta.at(0, c);
-            }
-        }
-        IntTensor::from_f32(&out, self.act)
+        let mut out = vec![0.0f32; input.numel()];
+        crate::quantized::layer_norm_f32(input.as_slice(), gamma, beta, &mut out);
+        IntTensor::from_slice(&out, x.rows, self.act)
     }
 
     /// Score codes on the activation grid: `round(q·kᵀ · scale)` per element.
@@ -540,7 +535,7 @@ impl IntModel {
             } else {
                 // The score codes are consumed only by the softmax boundary,
                 // so dequantize to their exact f32 values (code · step) and
-                // run the libm softmax.
+                // run the float softmax.
                 let mut scores = Tensor::zeros(&[tokens, tokens]);
                 simd::codes_to_f32(&codes, step, scores.as_mut_slice());
                 IntTensor::from_f32(&softmax_rows(&scores), self.soft)
@@ -556,12 +551,12 @@ impl IntModel {
         ib.wo.forward(&concat, self.act)
     }
 
-    /// Integer-datapath inference over one `(tokens, channels)` row. The op
-    /// sequence mirrors the float path exactly; only the arithmetic domain
-    /// changes.
-    pub(crate) fn infer_row(&self, weights: &TinyVbfWeights, row: &Tensor) -> Tensor {
+    /// Integer-datapath inference over one `(tokens, channels)` row, given
+    /// row-major. The op sequence mirrors the float path exactly; only the
+    /// arithmetic domain changes.
+    pub(crate) fn infer_row(&self, weights: &TinyVbfWeights, row: &[f32], tokens: usize) -> Tensor {
         let act = self.act;
-        let mut x = self.encoder.forward(&IntTensor::from_f32(row, act), act);
+        let mut x = self.encoder.forward(&IntTensor::from_slice(row, tokens, act), act);
         if let Some((pos_codes, pos_frac, pos_rows, pos_cols)) = &self.pos {
             // Positional codes live on the (possibly finer) weight grid:
             // lift both operands to the common grid, add exactly, round back.

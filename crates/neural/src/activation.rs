@@ -68,20 +68,24 @@ impl Layer for Tanh {
 
 /// Numerically stable softmax over the last dimension of a 2-D tensor (one distribution
 /// per row) — the attention-score normalisation.
+///
+/// Per row: the max (a left fold from −∞), `exp(x − max)` through
+/// [`runtime::simd::exp`], the denominator summed in ascending column order
+/// from `0.0`, then one divide per element. The float inference engine's
+/// attention kernel keeps exactly this per-element sequence.
 pub fn softmax_rows(input: &Tensor) -> Tensor {
     assert_eq!(input.shape().len(), 2, "softmax_rows expects a 2-D tensor");
-    let (n, m) = (input.rows(), input.cols());
-    let mut out = Tensor::zeros(&[n, m]);
-    for i in 0..n {
-        let row_max = (0..m).map(|j| input.at(i, j)).fold(f32::NEG_INFINITY, f32::max);
-        let mut denom = 0.0f32;
-        for j in 0..m {
-            let e = (input.at(i, j) - row_max).exp();
-            *out.at_mut(i, j) = e;
-            denom += e;
+    let mut out = input.clone();
+    let m = input.cols();
+    for row in out.as_mut_slice().chunks_exact_mut(m) {
+        let row_max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        for v in row.iter_mut() {
+            *v -= row_max;
         }
-        for j in 0..m {
-            *out.at_mut(i, j) /= denom;
+        runtime::simd::exp(row);
+        let denom = row.iter().fold(0.0f32, |acc, &e| acc + e);
+        for v in row.iter_mut() {
+            *v /= denom;
         }
     }
     out

@@ -364,6 +364,28 @@ impl Tensor {
     }
 }
 
+/// [`Tensor::matmul`] of a row-major slice `a` (`n × k`, with `k =
+/// b.rows()`) into `out` (`n × m`), on the calling thread and without
+/// allocating — for per-row forwards that keep their activations in reused
+/// buffers. Same kernel, hence the same bits, as [`Tensor::matmul`].
+///
+/// # Panics
+///
+/// Panics when `b` is not 2-D, or when `a` and `out` do not hold the same
+/// whole number of rows.
+pub fn matmul_into(a: &[f32], b: &Tensor, out: &mut [f32]) {
+    assert_eq!(b.shape.len(), 2, "matmul: rhs must be 2-D");
+    let (k, m) = (b.shape[0], b.shape[1]);
+    let n = out.len() / m;
+    assert!(
+        out.len() == n * m && a.len() == n * k,
+        "matmul_into: {} lhs values and {} outputs do not fit a {k}x{m} rhs",
+        a.len(),
+        out.len()
+    );
+    matmul_row_block(a, &b.data, out, 0, k, m);
+}
+
 /// Fills `out` — the contiguous block of output rows starting at global row
 /// `first_row` — with `A × B` for row-major `a` (`? × k`) and `b` (`k × m`).
 ///
@@ -427,87 +449,96 @@ fn matmul_row_block_native(a: &[f32], b: &[f32], out: &mut [f32], first_row: usi
     matmul_row_block_body(a, b, out, first_row, k, m)
 }
 
+/// Register-tile width (output columns per full-width micro-kernel call).
+const NR: usize = 32;
+/// Register-tile height (output rows per micro-kernel call).
+const MR: usize = 8;
+
 #[inline(always)]
 fn matmul_row_block_body(a: &[f32], b: &[f32], out: &mut [f32], first_row: usize, k: usize, m: usize) {
-    /// Register-tile width (output columns per micro-kernel invocation).
-    const NR: usize = 32;
-    /// Register-tile height (output rows per micro-kernel invocation).
-    const MR: usize = 8;
     let rows = out.len() / m.max(1);
     let mut r = 0;
     while r + MR <= rows {
-        let a_base = (first_row + r) * k;
-        let out_base = r * m;
-        // Full-width MR×NR register tiles: the C tile lives in `acc` for the whole
-        // inner-product loop, so per FMA the only memory traffic is streaming B.
-        let mut j0 = 0;
-        while j0 + NR <= m {
-            let mut acc = [[0.0f32; NR]; MR];
-            for p in 0..k {
-                let bvals: &[f32; NR] = b[p * m + j0..p * m + j0 + NR].try_into().unwrap();
-                for (q, acc_row) in acc.iter_mut().enumerate() {
-                    let av = a[a_base + q * k + p];
-                    for (o, &bv) in acc_row.iter_mut().zip(bvals.iter()) {
-                        *o += av * bv;
-                    }
-                }
-            }
-            for (q, acc_row) in acc.iter().enumerate() {
-                out[out_base + q * m + j0..out_base + q * m + j0 + NR].copy_from_slice(acc_row);
-            }
-            j0 += NR;
-        }
-        // Column remainder: a variable-width (≤ NR) lane tile, so narrow
-        // matrices (the model's m = 8..16 layers) still accumulate whole
-        // output rows in registers. Per output element the adds remain in
-        // ascending-p order — bitwise identical to the scalar reference.
-        let cw = m - j0;
-        if cw > 0 {
-            let mut acc = [[0.0f32; NR]; MR];
-            for p in 0..k {
-                let bvals = &b[p * m + j0..p * m + j0 + cw];
-                for (q, acc_row) in acc.iter_mut().enumerate() {
-                    let av = a[a_base + q * k + p];
-                    for (o, &bv) in acc_row[..cw].iter_mut().zip(bvals) {
-                        *o += av * bv;
-                    }
-                }
-            }
-            for (q, acc_row) in acc.iter().enumerate() {
-                out[out_base + q * m + j0..out_base + q * m + j0 + cw].copy_from_slice(&acc_row[..cw]);
-            }
-        }
+        column_tiles::<MR>(a, b, out, first_row + r, r, k, m);
         r += MR;
     }
     // Row remainder: single-row tiles.
     while r < rows {
-        let a_base = (first_row + r) * k;
-        let arow = &a[a_base..a_base + k];
-        let out_row = &mut out[r * m..(r + 1) * m];
-        let mut j0 = 0;
-        while j0 + NR <= m {
-            let mut acc = [0.0f32; NR];
-            for (p, &av) in arow.iter().enumerate() {
-                let bvals: &[f32; NR] = b[p * m + j0..p * m + j0 + NR].try_into().unwrap();
-                for (o, &bv) in acc.iter_mut().zip(bvals.iter()) {
-                    *o += av * bv;
-                }
-            }
-            out_row[j0..j0 + NR].copy_from_slice(&acc);
-            j0 += NR;
-        }
-        let cw = m - j0;
-        if cw > 0 {
-            let mut acc = [0.0f32; NR];
-            for (p, &av) in arow.iter().enumerate() {
-                let bvals = &b[p * m + j0..p * m + j0 + cw];
-                for (o, &bv) in acc[..cw].iter_mut().zip(bvals) {
-                    *o += av * bv;
-                }
-            }
-            out_row[j0..j0 + cw].copy_from_slice(&acc[..cw]);
-        }
+        column_tiles::<1>(a, b, out, first_row + r, r, k, m);
         r += 1;
+    }
+}
+
+/// Covers every output column of `R` rows with register tiles of constant
+/// width: full `NR`-wide tiles, then the remainder as 16-, 8-, 4-, 2- and
+/// 1-wide tiles, so the model's narrow layers (m = 2..16) also keep whole
+/// output rows in registers.
+#[inline(always)]
+fn column_tiles<const R: usize>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    a_row: usize,
+    out_row: usize,
+    k: usize,
+    m: usize,
+) {
+    let mut j0 = 0;
+    while j0 + NR <= m {
+        tile::<R, NR>(a, b, out, a_row, out_row, k, m, j0);
+        j0 += NR;
+    }
+    if m - j0 >= 16 {
+        tile::<R, 16>(a, b, out, a_row, out_row, k, m, j0);
+        j0 += 16;
+    }
+    if m - j0 >= 8 {
+        tile::<R, 8>(a, b, out, a_row, out_row, k, m, j0);
+        j0 += 8;
+    }
+    if m - j0 >= 4 {
+        tile::<R, 4>(a, b, out, a_row, out_row, k, m, j0);
+        j0 += 4;
+    }
+    if m - j0 >= 2 {
+        tile::<R, 2>(a, b, out, a_row, out_row, k, m, j0);
+        j0 += 2;
+    }
+    if m - j0 == 1 {
+        tile::<R, 1>(a, b, out, a_row, out_row, k, m, j0);
+    }
+}
+
+/// One `R × W` tile of `C` at column `j0`, accumulated in registers over the
+/// whole inner dimension before one write-back: per multiply-add the only
+/// memory traffic is streaming `B`. Each output element adds its products
+/// in ascending-`p` order from `0.0`, exactly like the scalar reference.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn tile<const R: usize, const W: usize>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    a_row: usize,
+    out_row: usize,
+    k: usize,
+    m: usize,
+    j0: usize,
+) {
+    let a_rows: [&[f32]; R] = std::array::from_fn(|q| &a[(a_row + q) * k..(a_row + q + 1) * k]);
+    let mut acc = [[0.0f32; W]; R];
+    for p in 0..k {
+        let bvals: &[f32; W] = b[p * m + j0..p * m + j0 + W].try_into().unwrap();
+        for (acc_row, a_row) in acc.iter_mut().zip(&a_rows) {
+            let av = a_row[p];
+            for (o, &bv) in acc_row.iter_mut().zip(bvals) {
+                *o += av * bv;
+            }
+        }
+    }
+    for (q, acc_row) in acc.iter().enumerate() {
+        let o = (out_row + q) * m + j0;
+        out[o..o + W].copy_from_slice(acc_row);
     }
 }
 
@@ -646,16 +677,34 @@ mod tests {
 
     #[test]
     fn blocked_matmul_matches_naive_reference() {
-        // Shapes straddle the register tile (4 rows) and KC panel (128) edges.
-        for (n, k, m, seed) in [(1, 1, 1, 1), (3, 5, 2, 2), (4, 130, 7, 3), (17, 129, 33, 4), (64, 257, 96, 5)] {
+        // Shapes straddle the 8-row and 32-column register tiles and every
+        // const-width remainder tile, then the Tiny-VBF layers' own shapes
+        // (encoder, scores, attention·V, decoder output, MLP input).
+        let shapes = [
+            (1, 1, 1, 1),
+            (3, 5, 2, 2),
+            (4, 130, 7, 3),
+            (17, 129, 33, 4),
+            (64, 257, 96, 5),
+            (9, 7, 31, 6),
+            (128, 128, 8, 7),
+            (128, 4, 128, 8),
+            (128, 128, 4, 9),
+            (128, 16, 2, 10),
+            (128, 8, 16, 11),
+        ];
+        for (n, k, m, seed) in shapes {
             let a = pseudo_random_tensor(&[n, k], seed);
             let b = pseudo_random_tensor(&[k, m], seed + 100);
             let fast = a.matmul(&b);
             let reference = a.matmul_naive(&b);
             assert_eq!(fast.shape(), reference.shape());
-            for (f, r) in fast.as_slice().iter().zip(reference.as_slice()) {
-                assert!((f - r).abs() <= 1e-5 * r.abs().max(1.0), "{n}x{k}x{m}: {f} vs {r}");
+            for (i, (f, r)) in fast.as_slice().iter().zip(reference.as_slice()).enumerate() {
+                assert_eq!(f.to_bits(), r.to_bits(), "{n}x{k}x{m} element {i}: {f} vs {r}");
             }
+            let mut into = vec![f32::NAN; n * m];
+            matmul_into(a.as_slice(), &b, &mut into);
+            assert_eq!(into, fast.as_slice(), "{n}x{k}x{m}: matmul_into");
         }
     }
 

@@ -143,7 +143,7 @@ proptest! {
         let reference = a.matmul_naive(&b);
         prop_assert_eq!(fast.shape(), reference.shape());
         for (f, r) in fast.as_slice().iter().zip(reference.as_slice()) {
-            prop_assert!((f - r).abs() <= 1e-5 * r.abs().max(1.0), "{} vs {}", f, r);
+            prop_assert_eq!(f.to_bits(), r.to_bits(), "{} vs {}", f, r);
         }
     }
 

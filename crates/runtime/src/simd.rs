@@ -1,8 +1,8 @@
 //! Portable SIMD kernels with runtime dispatch.
 //!
 //! Every hot inner loop in the workspace (planned DAS/ToF/MVDR gathers, the
-//! register-tiled matmul, Hilbert/FIR passes, and the integer fixed-point
-//! datapath) funnels through this module. Three dispatch tiers exist:
+//! register-tiled matmul, Hilbert/FIR passes, the softmax `exp`, and the
+//! integer fixed-point datapath) funnels through this module. Three dispatch tiers exist:
 //!
 //! * **Scalar** — straightforward per-element loops. For reductions the
 //!   scalar path is written in the *lane-order* defined below, and is the
@@ -15,6 +15,8 @@
 //!   autovectorization cannot reach (the i16 pair-madd kernel). The native
 //!   wrappers deliberately do **not** enable FMA: fusing a multiply-add
 //!   would change rounding and break bitwise identity with the reference.
+//!   [`exp`] fuses on purpose: its multiply-adds are explicit `mul_add`
+//!   steps of the scalar reference itself, rounded once on every tier.
 //!
 //! The active tier is picked once from the [`SIMD_ENV`] environment variable
 //! (`scalar`, `portable` or `native`) falling back to auto-detection, and can
@@ -165,6 +167,129 @@ pub fn available_modes() -> Vec<SimdMode> {
 #[inline(always)]
 fn lane_tree(l: &[f32; F32_LANES]) -> f32 {
     ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
+}
+
+// ---------------------------------------------------------------------------
+// exp: a port of glibc 2.36's `expf` (sysdeps/ieee754/flt-32/e_expf.c, FMA
+// build). With N = 32: x·N/ln2 = k + r, exp(x) = 2^(k/N) · 2^(r/N), where
+// 2^(k/N) comes from a 32-entry table plus an exponent shift and 2^(r/N) from
+// a degree-3 polynomial, all in f64, rounded once to f32.
+// ---------------------------------------------------------------------------
+
+/// `T[i] = bits(2^(i/32)) − (i << 47)`: adding `k << 47` to `T[k % 32]`
+/// yields the bits of `2^(k/32)`.
+const EXP_TABLE: [u64; 32] = [
+    0x3ff0000000000000,
+    0x3fefd9b0d3158574,
+    0x3fefb5586cf9890f,
+    0x3fef9301d0125b51,
+    0x3fef72b83c7d517b,
+    0x3fef54873168b9aa,
+    0x3fef387a6e756238,
+    0x3fef1e9df51fdee1,
+    0x3fef06fe0a31b715,
+    0x3feef1a7373aa9cb,
+    0x3feedea64c123422,
+    0x3feece086061892d,
+    0x3feebfdad5362a27,
+    0x3feeb42b569d4f82,
+    0x3feeab07dd485429,
+    0x3feea47eb03a5585,
+    0x3feea09e667f3bcd,
+    0x3fee9f75e8ec5f74,
+    0x3feea11473eb0187,
+    0x3feea589994cce13,
+    0x3feeace5422aa0db,
+    0x3feeb737b0cdc5e5,
+    0x3feec49182a3f090,
+    0x3feed503b23e255d,
+    0x3feee89f995ad3ad,
+    0x3feeff76f2fb5e47,
+    0x3fef199bdd85529c,
+    0x3fef3720dcef9069,
+    0x3fef5818dcfba487,
+    0x3fef7c97337b9b5f,
+    0x3fefa4afa2a490da,
+    0x3fefd0765b6e4540,
+];
+/// `0x1.8p52`: adding it rounds a double to an integer held in the low
+/// mantissa bits.
+const EXP_SHIFT: f64 = f64::from_bits(0x4338_0000_0000_0000);
+/// `0x1.71547652b82fep0 · 32` = 32 / ln 2.
+const EXP_INV_LN2_N: f64 = f64::from_bits(0x4047_1547_652b_82fe);
+/// `0x1.c6af84b912394p-5 / 32³`.
+const EXP_C0: f64 = f64::from_bits(0x3ebc_6af8_4b91_2394);
+/// `0x1.ebfce50fac4f3p-3 / 32²`.
+const EXP_C1: f64 = f64::from_bits(0x3f2e_bfce_50fa_c4f3);
+/// `0x1.62e42ff0c52d6p-1 / 32`.
+const EXP_C2: f64 = f64::from_bits(0x3f96_2e42_ff0c_52d6);
+/// `0x1.62e42ep6` ≈ 88.72: above it `exp` overflows to +inf.
+const EXP_OVERFLOW: f32 = f32::from_bits(0x42b1_7217);
+/// `−0x1.9fe368p6` ≈ −103.97: below it `exp` underflows to +0.
+const EXP_UNDERFLOW: f32 = f32::from_bits(0xc2cf_f1b4);
+
+/// `|x| ≥ 88` or NaN: the inputs glibc sends through its special-case branch.
+#[inline(always)]
+fn exp_is_special(x: f32) -> bool {
+    (x.to_bits() >> 20) & 0x7ff >= 0x42b
+}
+
+/// The table-and-polynomial path, valid for every input that is not
+/// [`exp_is_special`] (and for the special finite ones that do not overflow or
+/// underflow). The `mul_add`s are the algorithm, not an optimisation: each is
+/// one correctly rounded fused operation on every target.
+#[inline(always)]
+fn exp_core(x: f32) -> f32 {
+    let xd = f64::from(x);
+    let kd = EXP_INV_LN2_N.mul_add(xd, EXP_SHIFT);
+    let ki = kd.to_bits();
+    let r = EXP_INV_LN2_N.mul_add(xd, -(kd - EXP_SHIFT));
+    let s = f64::from_bits(EXP_TABLE[(ki % 32) as usize].wrapping_add(ki << 47));
+    let y = EXP_C0.mul_add(r, EXP_C1).mul_add(r * r, EXP_C2.mul_add(r, 1.0)) * s;
+    y as f32
+}
+
+/// The scalar reference: glibc's special cases, else [`exp_core`].
+#[inline(always)]
+fn exp_one(x: f32) -> f32 {
+    if exp_is_special(x) {
+        if x == f32::NEG_INFINITY {
+            return 0.0;
+        }
+        if (x.to_bits() >> 20) & 0x7ff >= 0x7f8 {
+            return x + x; // +inf stays +inf, NaN is quieted
+        }
+        if x > EXP_OVERFLOW {
+            return f32::INFINITY;
+        }
+        if x < EXP_UNDERFLOW {
+            return 0.0;
+        }
+    }
+    exp_core(x)
+}
+
+fn exp_scalar(values: &mut [f32]) {
+    for v in values {
+        *v = exp_one(*v);
+    }
+}
+
+/// Lane blocks run the branch-free [`exp_core`]; a block holding any special
+/// input takes the scalar reference for all its lanes.
+#[inline(always)]
+fn exp_lanes(values: &mut [f32]) {
+    let mut blocks = values.chunks_exact_mut(F32_LANES);
+    for block in &mut blocks {
+        if block.iter().any(|&x| exp_is_special(x)) {
+            exp_scalar(block);
+        } else {
+            for v in block.iter_mut() {
+                *v = exp_core(*v);
+            }
+        }
+    }
+    exp_scalar(blocks.into_remainder());
 }
 
 // ---------------------------------------------------------------------------
@@ -800,6 +925,11 @@ mod native {
         i64_mac_row_body(acc, a_row, b)
     }
 
+    #[target_feature(enable = "avx2")]
+    unsafe fn exp_avx2(values: &mut [f32]) {
+        exp_lanes(values)
+    }
+
     pub fn axpy(acc: &mut [f32], a: f32, x: &[f32]) {
         debug_assert!(native_available());
         unsafe { axpy_avx2(acc, a, x) }
@@ -873,6 +1003,10 @@ mod native {
     pub fn shift_round_saturate_i32(values: &[i32], shift: u32, min_raw: i32, max_raw: i32, out: &mut [i32]) {
         debug_assert!(native_available());
         unsafe { shift_round_saturate_i32_avx2(values, shift, min_raw, max_raw, out) }
+    }
+    pub fn exp(values: &mut [f32]) {
+        debug_assert!(native_available());
+        unsafe { exp_avx2(values) }
     }
 }
 
@@ -1004,6 +1138,13 @@ mod native {
         }
         unsafe { go(values, shift, min_raw, max_raw, out) }
     }
+    pub fn exp(values: &mut [f32]) {
+        #[target_feature(enable = "neon")]
+        unsafe fn go(values: &mut [f32]) {
+            exp_lanes(values)
+        }
+        unsafe { go(values) }
+    }
 }
 
 #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
@@ -1070,6 +1211,9 @@ mod native {
     }
     pub fn shift_round_saturate_i32(values: &[i32], shift: u32, min_raw: i32, max_raw: i32, out: &mut [i32]) {
         shift_round_saturate_i32_body(values, shift, min_raw, max_raw, out)
+    }
+    pub fn exp(values: &mut [f32]) {
+        exp_lanes(values)
     }
 }
 
@@ -1255,6 +1399,22 @@ pub fn shift_round_saturate_i32(values: &[i32], shift: u32, min_raw: i32, max_ra
     }
 }
 
+/// `values[i] = exp(values[i])`, bit for bit glibc 2.36's `expf` (the FMA
+/// build that x86-64 glibc selects on FMA hardware): 32-entry `2^(i/32)`
+/// table, degree-3 polynomial in f64, one rounding to f32, and glibc's
+/// special cases (−inf → 0, NaN → NaN, x > 88.72 → +inf, x < −103.97 → 0).
+/// Its fused multiply-adds are explicit `f64::mul_add` steps, each rounded
+/// once on every target, so every tier is bitwise identical to the scalar
+/// reference by construction — and to `f32::exp` wherever libm is that
+/// glibc.
+pub fn exp(values: &mut [f32]) {
+    match mode() {
+        SimdMode::Scalar => exp_scalar(values),
+        SimdMode::Portable => exp_lanes(values),
+        SimdMode::Native => native::exp(values),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1315,6 +1475,17 @@ mod tests {
             assert_eq!(acc, expect, "mode {:?}", m);
         }
         force_mode(None);
+    }
+
+    /// glibc's libm computes `exp2` of these 32 arguments correctly
+    /// rounded, so it re-derives the hard-coded table.
+    #[cfg(target_env = "gnu")]
+    #[test]
+    fn exp_table_holds_two_to_the_i_over_32() {
+        for (i, &t) in EXP_TABLE.iter().enumerate() {
+            let expect = f64::exp2(i as f64 / 32.0).to_bits().wrapping_sub((i as u64) << 47);
+            assert_eq!(t, expect, "T[{i}]");
+        }
     }
 
     #[test]

@@ -398,6 +398,90 @@ proptest! {
     }
 }
 
+/// Inputs that steer `exp` through every branch of the glibc port: signed
+/// zeros, infinities, a quiet and a signalling NaN, subnormals, and each
+/// threshold (|x| = 88, the overflow bound ≈ 88.72, the underflow bound
+/// ≈ −103.97) with its neighbours one ulp either side.
+fn exp_edge_inputs() -> Vec<f32> {
+    let mut edges = vec![
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        f32::from_bits(0x7fa0_0001),
+        f32::from_bits(0x0000_0001),
+        f32::from_bits(0x8000_0001),
+        f32::from_bits(0x007f_ffff),
+        f32::from_bits(0x807f_ffff),
+        f32::MIN_POSITIVE,
+        f32::MAX,
+        f32::MIN,
+    ];
+    for threshold in [88.0f32, -88.0, f32::from_bits(0x42b1_7217), f32::from_bits(0xc2cf_f1b4)] {
+        let bits = threshold.to_bits();
+        edges.extend([f32::from_bits(bits - 1), threshold, f32::from_bits(bits + 1)]);
+    }
+    edges
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn exp_is_bitwise_identical_across_modes(seed in 0u64..1_000_000, n in 0usize..97) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let edges = exp_edge_inputs();
+        // Softmax-shaped inputs (x ≤ 0), the full finite range, arbitrary
+        // bit patterns, and the edge cases scattered through the slice so
+        // they land in vector blocks and in the ragged tail alike.
+        let values: Vec<f32> = (0..n)
+            .map(|_| match rng.gen_range(0u32..4) {
+                0 => rng.gen_range(-110.0f32..0.0),
+                1 => rng.gen_range(-120.0f32..95.0),
+                2 => f32::from_bits(rng.gen::<u32>()),
+                _ => edges[rng.gen_range(0..edges.len())],
+            })
+            .collect();
+        let reference = with_mode(SimdMode::Scalar, || {
+            let mut v = values.clone();
+            simd::exp(&mut v);
+            v
+        });
+        for mode in alternative_modes() {
+            let got = with_mode(mode, || {
+                let mut v = values.clone();
+                simd::exp(&mut v);
+                v
+            });
+            assert_bits_eq(&reference, &got, "exp", mode);
+        }
+    }
+}
+
+#[test]
+fn exp_edge_cases_follow_glibc() {
+    for mode in simd::available_modes() {
+        let mut v = exp_edge_inputs();
+        with_mode(mode, || simd::exp(&mut v));
+        for (x, y) in exp_edge_inputs().into_iter().zip(v) {
+            if x.is_nan() {
+                assert!(y.is_nan(), "exp({x}) = {y} under {mode:?}");
+            } else if x == 0.0 {
+                assert_eq!(y.to_bits(), 1.0f32.to_bits(), "exp({x}) under {mode:?}");
+            } else if x == f32::INFINITY {
+                assert_eq!(y, f32::INFINITY, "under {mode:?}");
+            } else if x == f32::NEG_INFINITY {
+                assert_eq!(y.to_bits(), 0, "exp(-inf) = {y} under {mode:?}");
+            }
+        }
+        // Overflow and underflow saturate exactly at glibc's bounds.
+        let mut bounds = [f32::from_bits(0x42b1_7218), f32::MAX, f32::from_bits(0xc2cf_f1b5), f32::MIN];
+        with_mode(mode, || simd::exp(&mut bounds));
+        assert_eq!(bounds, [f32::INFINITY, f32::INFINITY, 0.0, 0.0], "under {mode:?}");
+    }
+}
+
 #[test]
 fn scalar_and_portable_are_always_available() {
     let modes = simd::available_modes();
