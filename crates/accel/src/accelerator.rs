@@ -13,8 +13,6 @@ pub struct Accelerator {
     config: TinyVbfConfig,
     scheme: QuantScheme,
     scheduler: Scheduler,
-    resources: ResourceModel,
-    clock_hz: f64,
 }
 
 /// Latency / throughput / utilization summary for one frame size.
@@ -26,7 +24,7 @@ pub struct FrameReport {
     pub cycles_per_row: u64,
     /// Cycles to process the whole frame.
     pub cycles_per_frame: u64,
-    /// Frame latency in seconds at the configured clock.
+    /// Frame latency in seconds at the paper's [`CLOCK_HZ`].
     pub latency_seconds: f64,
     /// Frames per second.
     pub frames_per_second: f64,
@@ -37,35 +35,12 @@ pub struct FrameReport {
 impl Accelerator {
     /// Creates the paper's accelerator (4 PEs at 100 MHz, calibrated resource model).
     pub fn new(config: TinyVbfConfig, scheme: QuantScheme) -> Self {
-        Self {
-            config,
-            scheme,
-            scheduler: Scheduler::paper(),
-            resources: ResourceModel::paper_calibrated(),
-            clock_hz: CLOCK_HZ,
-        }
+        Self { config, scheme, scheduler: Scheduler::paper() }
     }
 
     /// Overrides the number of processing elements (design-space ablation).
     pub fn with_pes(mut self, num_pes: usize) -> Self {
         self.scheduler = Scheduler::with_pes(num_pes);
-        self
-    }
-
-    /// Overrides the resource model.
-    pub fn with_resource_model(mut self, model: ResourceModel) -> Self {
-        self.resources = model;
-        self
-    }
-
-    /// Overrides the clock frequency in Hz.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the frequency is not positive.
-    pub fn with_clock_hz(mut self, clock_hz: f64) -> Self {
-        assert!(clock_hz > 0.0, "clock frequency must be positive");
-        self.clock_hz = clock_hz;
         self
     }
 
@@ -84,14 +59,14 @@ impl Accelerator {
         let row_config = TinyVbfConfig { tokens: cols, ..self.config };
         let cycles_per_row = self.scheduler.row_cycles(&row_config, &self.scheme);
         let cycles_per_frame = cycles_per_row * rows as u64;
-        let latency_seconds = cycles_per_frame as f64 / self.clock_hz;
+        let latency_seconds = cycles_per_frame as f64 / CLOCK_HZ;
         FrameReport {
             scheme: self.scheme.name.to_string(),
             cycles_per_row,
             cycles_per_frame,
             latency_seconds,
             frames_per_second: if latency_seconds > 0.0 { 1.0 / latency_seconds } else { 0.0 },
-            resources: self.resources.estimate(&self.config, &self.scheme),
+            resources: ResourceModel::paper_calibrated().estimate(&self.config, &self.scheme),
         }
     }
 
@@ -140,13 +115,6 @@ mod tests {
     }
 
     #[test]
-    fn slower_clock_increases_latency() {
-        let fast = Accelerator::new(TinyVbfConfig::paper(), QuantScheme::float());
-        let slow = Accelerator::new(TinyVbfConfig::paper(), QuantScheme::float()).with_clock_hz(50.0e6);
-        assert!(slow.frame_report(368, 128).latency_seconds > fast.frame_report(368, 128).latency_seconds);
-    }
-
-    #[test]
     fn all_schemes_report_covers_table_vi_rows() {
         let reports = Accelerator::all_schemes_report(TinyVbfConfig::paper(), 368, 128);
         assert_eq!(reports.len(), 6);
@@ -156,19 +124,5 @@ mod tests {
         let float = &reports[0];
         let hybrid2 = &reports[5];
         assert!(hybrid2.resources.lut < float.resources.lut);
-    }
-
-    #[test]
-    fn analytical_resource_model_can_be_selected() {
-        let accel = Accelerator::new(TinyVbfConfig::paper(), QuantScheme::w20())
-            .with_resource_model(ResourceModel::analytical());
-        let report = accel.frame_report(100, 64);
-        assert!(report.resources.lut > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "clock frequency must be positive")]
-    fn zero_clock_panics() {
-        let _ = Accelerator::new(TinyVbfConfig::paper(), QuantScheme::float()).with_clock_hz(0.0);
     }
 }

@@ -3,7 +3,7 @@
 //! A processing element multiplies 16 operand pairs in parallel and reduces them through
 //! a binary adder tree (Fig. 8(b)): one cycle for the multipliers plus `log2(16) = 4`
 //! pipeline stages for the tree. Dot products longer than 16 are folded across multiple
-//! passes with an accumulate cycle per pass.
+//! passes, which issue back to back once the pipeline is full.
 
 use crate::MACS_PER_PE;
 
@@ -20,18 +20,6 @@ impl ProcessingElement {
     /// The paper's PE: 16 multiplier lanes, 4-level adder tree.
     pub fn paper() -> Self {
         Self { lanes: MACS_PER_PE, adder_tree_depth: (MACS_PER_PE as f64).log2() as usize }
-    }
-
-    /// Cycles to compute one dot product of `length` elements (including accumulation
-    /// of partial passes). A zero-length dot product costs nothing.
-    pub fn dot_product_cycles(&self, length: usize) -> u64 {
-        if length == 0 {
-            return 0;
-        }
-        let passes = length.div_ceil(self.lanes) as u64;
-        // Each pass: 1 multiply cycle + adder tree latency; subsequent passes accumulate
-        // into the running sum (1 extra cycle each).
-        passes * (1 + self.adder_tree_depth as u64) + passes.saturating_sub(1)
     }
 
     /// Throughput-optimal cycles for `count` independent dot products of `length`
@@ -109,21 +97,10 @@ mod tests {
     }
 
     #[test]
-    fn dot_product_cycles_scale_with_length() {
-        let pe = ProcessingElement::paper();
-        assert_eq!(pe.dot_product_cycles(0), 0);
-        let short = pe.dot_product_cycles(16);
-        let long = pe.dot_product_cycles(128);
-        assert_eq!(short, 5);
-        assert!(long > short);
-        // 128 elements = 8 passes: 8*5 + 7 = 47 cycles.
-        assert_eq!(long, 47);
-    }
-
-    #[test]
     fn batched_execution_amortises_the_tree_latency() {
         let pe = ProcessingElement::paper();
-        let sequential: u64 = (0..10).map(|_| pe.dot_product_cycles(16)).sum();
+        // Ten one-pass dot products back to back, unpipelined: 10 × (1 + 4).
+        let sequential = 10 * (1 + pe.adder_tree_depth as u64);
         let batched = pe.batched_dot_product_cycles(10, 16);
         assert!(batched < sequential, "batched {batched} sequential {sequential}");
         assert_eq!(pe.batched_dot_product_cycles(0, 16), 0);

@@ -5,7 +5,7 @@
 //! * [`ResourceModel::paper_calibrated`] returns the paper's measured ZCU104 utilization
 //!   for the six evaluated schemes verbatim (these are the reference numbers the
 //!   benchmark prints next to the model's estimates), and
-//! * [`ResourceModel::analytical`] estimates utilization for *any* scheme from its bit
+//! * [`analytical_estimate`] estimates utilization for *any* scheme from its bit
 //!   widths with a simple per-component model (datapath LUTs/FFs grow with the MAC
 //!   width, weight storage with the weight width, DSP usage depends on whether a
 //!   multiplier fits the 27×18 DSP48 slice, BRAM follows the memory budget).
@@ -64,11 +64,6 @@ impl ResourceModel {
     /// The calibrated model.
     pub fn paper_calibrated() -> Self {
         ResourceModel::PaperCalibrated
-    }
-
-    /// The analytical model.
-    pub fn analytical() -> Self {
-        ResourceModel::Analytical
     }
 
     /// Estimates the utilization of the accelerator for a model configuration and

@@ -99,24 +99,6 @@ impl IqImage {
         out
     }
 
-    /// Rebuilds an image from the interleaved representation produced by
-    /// [`to_interleaved`](Self::to_interleaved).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BeamformError::ShapeMismatch`] when the length is not
-    /// `2 × num_pixels`.
-    pub fn from_interleaved(values: &[f32], grid: ImagingGrid) -> BeamformResult<Self> {
-        if values.len() != 2 * grid.num_pixels() {
-            return Err(BeamformError::ShapeMismatch {
-                expected: format!("{} interleaved values", 2 * grid.num_pixels()),
-                actual: format!("{}", values.len()),
-            });
-        }
-        let data = values.chunks_exact(2).map(|p| Complex32::new(p[0], p[1])).collect();
-        Ok(Self { data, grid })
-    }
-
     /// Mean squared difference between two images' interleaved IQ values (the paper's
     /// training loss domain).
     ///
@@ -220,12 +202,8 @@ mod tests {
             Complex32::new(0.0, 0.0),
             Complex32::new(3.0, -4.0),
         ];
-        let img = IqImage::from_data(data, g.clone()).unwrap();
-        let inter = img.to_interleaved();
-        assert_eq!(inter.len(), 8);
-        let back = IqImage::from_interleaved(&inter, g.clone()).unwrap();
-        assert_eq!(img, back);
-        assert!(IqImage::from_interleaved(&inter[..7], g).is_err());
+        let img = IqImage::from_data(data, g).unwrap();
+        assert_eq!(img.to_interleaved(), vec![1.0, 2.0, -1.0, 0.5, 0.0, 0.0, 3.0, -4.0]);
     }
 
     #[test]

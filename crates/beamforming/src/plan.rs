@@ -501,11 +501,6 @@ impl BeamformPlan {
         matches!(self.kind, PlanKind::Dense { .. })
     }
 
-    /// Total number of retained pixel×channel entries.
-    pub fn num_entries(&self) -> usize {
-        self.tap0.len()
-    }
-
     /// Approximate heap footprint of the tables in bytes
     /// (`entries · (taps + weights [+ apod] [+ channel]) + offsets`).
     pub fn memory_bytes(&self) -> usize {
@@ -998,7 +993,7 @@ impl PlanCache {
 /// (bitwise) outputs and the per-frame delay math amortised away. Streams
 /// should warm the cache once via
 /// [`prepare`](crate::pipeline::Beamformer::prepare) (the serve crate's
-/// `BeamformEngine::warm` does this) so the first frame doesn't pay the build.
+/// `Router::warm` does this) so the first frame doesn't pay the build.
 pub struct PlannedDas {
     das: DelayAndSum,
     cache: PlanCache,
@@ -1190,7 +1185,7 @@ mod tests {
         let frame = FrameFormat { num_samples: 128, sampling_frequency: array.sampling_frequency(), start_time: 0.0 };
         let plan = BeamformPlan::for_tof(&array, &grid, PlaneWave::zero_angle(), 1540.0, frame).unwrap();
         assert!(plan.is_dense());
-        assert_eq!(plan.num_entries(), grid.num_pixels() * array.num_elements());
+        assert_eq!(plan.tap0.len(), grid.num_pixels() * array.num_elements());
         assert!(plan.memory_bytes() > 0);
         assert_eq!(plan.channels(), array.num_elements());
         assert_eq!(plan.method(), InterpMethod::Linear);
@@ -1232,7 +1227,7 @@ mod tests {
         let frame = FrameFormat { num_samples: 0, sampling_frequency: array.sampling_frequency(), start_time: 0.0 };
         let das = DelayAndSum::default();
         let plan = BeamformPlan::for_das(&das, &array, &grid, 1540.0, frame).unwrap();
-        assert_eq!(plan.num_entries(), 0);
+        assert!(plan.tap0.is_empty());
         let data = ChannelData::zeros(16, array.num_elements(), array.sampling_frequency());
         assert!(matches!(plan.beamform_rf(&data), Err(BeamformError::ShapeMismatch { .. })));
     }

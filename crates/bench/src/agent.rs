@@ -29,11 +29,12 @@ use serve::{
     TrySubmitError,
 };
 use std::collections::HashSet;
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
+use shard::wire::FrameReader;
+use std::io::{BufWriter, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tiny_vbf::config::TinyVbfConfig;
 use tiny_vbf::model::TinyVbf;
 use tiny_vbf::quantized::{QuantizedTinyVbf, QuantizedTinyVbfBeamformer};
@@ -47,10 +48,10 @@ pub const FRAME_POOL: usize = 32;
 /// roughly dispatch order, so a small pool keeps up with the batcher.
 pub const COMPLETION_THREADS: usize = 4;
 
-/// How long an accepted data-plane connection may sit with no complete
-/// request line before the server closes it as dead. Load agents
-/// disconnect when done, so only a wedged or vanished peer ever idles
-/// this long — without the cap, each one would leak a connection thread.
+/// How long the server waits for each complete request line before it
+/// closes the connection as dead. Load agents disconnect when done, so only
+/// a wedged or vanished peer ever idles this long — without the cap, each
+/// one would leak a connection thread.
 pub const CONNECTION_IDLE: Duration = Duration::from_secs(120);
 
 /// Budget for writing one response line before the connection is declared
@@ -291,10 +292,16 @@ impl Default for ShardView {
     }
 }
 
-/// Serves one load-agent connection until it disconnects or idles out: a
-/// reader thread submits, [`COMPLETION_THREADS`] waiters resolve handles
-/// and write responses (with the image checksum on success) through a
-/// shared writer.
+/// Serves one load-agent connection until it disconnects, idles out or
+/// misbehaves: a reader thread submits, [`COMPLETION_THREADS`] waiters
+/// resolve handles and write responses (with the image checksum on success)
+/// through a shared writer.
+///
+/// Requests are read through [`FrameReader`], one JSON object per line under
+/// a [`CONNECTION_IDLE`] deadline per line. Any reader error closes the
+/// connection: a silent peer, a line longer than
+/// [`shard::wire::MAX_FRAME_BYTES`] (so a peer that never sends a newline
+/// cannot grow the server's memory), a blank or unparseable line, or EOF.
 ///
 /// With a `shard_view`, requests whose `key` the registry no longer
 /// assigns to this shard are answered `status:"wrong_epoch"` instead of
@@ -315,11 +322,10 @@ pub fn serve_connection(
     shard_view: Option<ShardView>,
     shed_on_full: bool,
 ) {
-    // Satellite hardening: both socket directions are time-bounded, so a
-    // dead or silent peer can never pin this connection's threads forever.
-    let _ = stream.set_read_timeout(Some(CONNECTION_IDLE));
+    // Both socket directions are time-bounded (reads by the frame deadline),
+    // so a dead or silent peer can never pin this connection's threads.
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let reader = BufReader::new(stream.try_clone().expect("clone connection"));
+    let mut reader = FrameReader::new(stream.try_clone().expect("clone connection"));
     let writer = Arc::new(Mutex::new(BufWriter::new(stream)));
     let (tx, rx) = mpsc::channel::<(u64, serve::ResponseHandle<IqImage>)>();
     let rx = Arc::new(Mutex::new(rx));
@@ -348,13 +354,7 @@ pub fn serve_connection(
         })
         .collect();
 
-    let mut lines = TimeoutLines { reader };
-    while let Some(line) = lines.next_line() {
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let Ok(request) = Json::parse(trimmed) else { break };
+    while let Ok(request) = reader.read_frame(Instant::now() + CONNECTION_IDLE) {
         let (Some(id), Some(stream_idx), Some(seed)) = (
             request.get("id").and_then(Json::as_u64),
             request.get("stream").and_then(Json::as_usize),
@@ -417,36 +417,5 @@ pub fn serve_connection(
     drop(tx);
     for waiter in waiters {
         let _ = waiter.join();
-    }
-}
-
-/// `BufReader::read_line` with the socket timeout folded in: a timeout
-/// with a partial line buffered keeps reading (the peer is mid-write); a
-/// timeout on a line boundary means a fully idle peer — give up.
-struct TimeoutLines {
-    reader: BufReader<TcpStream>,
-}
-
-impl TimeoutLines {
-    fn next_line(&mut self) -> Option<String> {
-        let mut line = String::new();
-        loop {
-            match self.reader.read_line(&mut line) {
-                Ok(0) => return None, // EOF
-                Ok(_) => {
-                    if line.ends_with('\n') {
-                        return Some(line);
-                    }
-                    // A read can return before the newline; keep going.
-                }
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    if line.is_empty() {
-                        return None; // idle past CONNECTION_IDLE: dead peer
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return None,
-            }
-        }
     }
 }

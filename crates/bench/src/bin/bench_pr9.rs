@@ -5,10 +5,10 @@
 //!
 //! * **Kernels** — each `runtime::simd` hot kernel timed under every
 //!   available dispatch tier (`scalar` → `portable` → `native`) on
-//!   paper-scale shapes (128-channel gathers, 2048-tap FIR rows, the
-//!   128×128·128×8 encoder matmul, and the i16-madd vs i64 integer MAC
-//!   panels). The determinism contract makes the tiers bitwise
-//!   interchangeable, so the speedups are pure throughput wins.
+//!   paper-scale shapes (128-channel gathers, the 128×128·128×8 encoder
+//!   matmul, and the i16-madd vs i64 integer MAC panels). The determinism
+//!   contract makes the tiers bitwise interchangeable, so the speedups are
+//!   pure throughput wins.
 //! * **Inference** — full Tiny-VBF row inference over every depth row of the
 //!   368×128 paper grid (tokens = 128, channels = 128), once per Table III
 //!   scheme. The float scheme runs the `f32` datapath; every fixed-point
@@ -98,8 +98,6 @@ fn main() {
     let w0: Vec<f32> = frac.iter().map(|f| 1.0 - f).collect();
     let w1 = frac;
     let apod: Vec<f32> = (0..channels).map(|_| lcg(&mut state).abs()).collect();
-    let kernel_fir: Vec<f32> = (0..63).map(|_| lcg(&mut state)).collect();
-    let mut fir_out = vec![0.0f32; 2048 + 63];
     let a_mat = {
         let mut t = Tensor::zeros(&[128, 128]);
         for v in t.as_mut_slice() {
@@ -139,15 +137,6 @@ fn main() {
             per_mode(reps, iters, || {
                 simd::gather_two_tap(&flat, &tap0, &tap1, &w0, &w1, &mut gather_out);
                 black_box(&gather_out);
-            }),
-        ),
-        (
-            "fir_axpy_2048",
-            per_mode(reps, iters / 4 + 1, || {
-                for s in 0..32 {
-                    simd::axpy(&mut fir_out[s..s + 63], 0.37, &kernel_fir);
-                }
-                black_box(&fir_out);
             }),
         ),
         (

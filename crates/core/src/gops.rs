@@ -108,18 +108,6 @@ pub fn das_gops(rows: usize, cols: usize, channels: usize) -> GopsEstimate {
     GopsEstimate { model: "DAS".into(), ops_per_frame: (gops * 1e9) as u64, gops_per_frame: gops }
 }
 
-/// The full comparison for the paper's 368 × 128 frame with 128 channels.
-pub fn paper_frame_comparison() -> Vec<GopsEstimate> {
-    let config = TinyVbfConfig::paper();
-    vec![
-        tiny_vbf_gops(&config, 368, 128),
-        fcnn_gops(368, 128, 128, 128),
-        tiny_cnn_gops(368, 128, 128, 8),
-        mvdr_gops(368, 128, 128),
-        das_gops(368, 128, 128),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,13 +147,5 @@ mod tests {
         let half = tiny_vbf_gops(&config, 184, 128).ops_per_frame;
         let full = tiny_vbf_gops(&config, 368, 128).ops_per_frame;
         assert_eq!(full, half * 2);
-    }
-
-    #[test]
-    fn paper_comparison_lists_five_models() {
-        let rows = paper_frame_comparison();
-        assert_eq!(rows.len(), 5);
-        let names: Vec<&str> = rows.iter().map(|r| r.model.as_str()).collect();
-        assert!(names.contains(&"Tiny-VBF") && names.contains(&"MVDR") && names.contains(&"DAS"));
     }
 }

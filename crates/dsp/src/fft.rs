@@ -1,8 +1,8 @@
 //! Radix-2 fast Fourier transform.
 //!
 //! The transforms here are used by the [Hilbert transform](crate::hilbert) (envelope
-//! detection of beamformed RF) and by the FIR design routines. Signals whose length is
-//! not a power of two are handled by zero-padding helpers ([`next_pow2`], [`fft_padded`]).
+//! detection of beamformed RF). Signals whose length is not a power of two are handled
+//! by zero-padding helpers ([`next_pow2`], [`fft_padded`]).
 
 use crate::complex::Complex32;
 use crate::{DspError, DspResult};
@@ -154,37 +154,6 @@ pub fn bin_frequency(k: usize, n: usize) -> f32 {
     }
 }
 
-/// Circular convolution of two equal-length power-of-two sequences via the FFT.
-///
-/// # Errors
-///
-/// Returns an error when the lengths differ, are empty, or are not powers of two.
-pub fn circular_convolve(a: &[Complex32], b: &[Complex32]) -> DspResult<Vec<Complex32>> {
-    if a.is_empty() || b.is_empty() {
-        return Err(DspError::EmptyInput);
-    }
-    if a.len() != b.len() {
-        return Err(DspError::InvalidLength { actual: b.len(), requirement: "circular convolution requires equal lengths" });
-    }
-    if !is_pow2(a.len()) {
-        return Err(DspError::InvalidLength { actual: a.len(), requirement: "circular convolution requires a power-of-two length" });
-    }
-    let mut fa = a.to_vec();
-    let mut fb = b.to_vec();
-    fft_in_place(&mut fa, false)?;
-    fft_in_place(&mut fb, false)?;
-    for (x, y) in fa.iter_mut().zip(fb.iter()) {
-        *x *= *y;
-    }
-    fft_in_place(&mut fa, true)?;
-    Ok(fa)
-}
-
-/// Power spectrum (squared magnitude per bin) of a real signal.
-pub fn power_spectrum(input: &[f32]) -> DspResult<Vec<f32>> {
-    Ok(rfft(input)?.iter().map(|c| c.norm_sqr()).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,36 +259,5 @@ mod tests {
         assert_eq!(bin_frequency(4, 8), 0.5);
         assert_eq!(bin_frequency(5, 8), -0.375);
         assert_eq!(bin_frequency(7, 8), -0.125);
-    }
-
-    #[test]
-    fn circular_convolution_with_impulse_is_identity() {
-        let x: Vec<Complex32> = (0..16).map(|i| Complex32::from_real(i as f32)).collect();
-        let mut delta = vec![Complex32::ZERO; 16];
-        delta[0] = Complex32::ONE;
-        let y = circular_convolve(&x, &delta).unwrap();
-        for (a, b) in x.iter().zip(y.iter()) {
-            assert_close(*a, *b, 1e-3);
-        }
-    }
-
-    #[test]
-    fn circular_convolution_shift() {
-        // Convolving with a shifted impulse rotates the sequence.
-        let x: Vec<Complex32> = (0..8).map(|i| Complex32::from_real(i as f32)).collect();
-        let mut delta = vec![Complex32::ZERO; 8];
-        delta[1] = Complex32::ONE;
-        let y = circular_convolve(&x, &delta).unwrap();
-        assert_close(y[0], Complex32::from_real(7.0), 1e-3);
-        assert_close(y[1], Complex32::from_real(0.0), 1e-3);
-        assert_close(y[7], Complex32::from_real(6.0), 1e-3);
-    }
-
-    #[test]
-    fn power_spectrum_is_nonnegative() {
-        let x: Vec<f32> = (0..50).map(|i| (i as f32 * 0.2).sin()).collect();
-        for p in power_spectrum(&x).unwrap() {
-            assert!(p >= 0.0);
-        }
     }
 }

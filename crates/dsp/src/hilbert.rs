@@ -122,68 +122,6 @@ pub fn envelope(signal: &[f32]) -> DspResult<Vec<f32>> {
     Ok(analytic_signal(signal)?.into_iter().map(|c| c.abs()).collect())
 }
 
-/// Envelope of an already-complex IQ sequence (simple magnitude).
-pub fn envelope_iq(signal: &[Complex32]) -> Vec<f32> {
-    signal.iter().map(|c| c.abs()).collect()
-}
-
-/// Instantaneous phase of a real RF sequence, in radians.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] when `signal` is empty.
-pub fn instantaneous_phase(signal: &[f32]) -> DspResult<Vec<f32>> {
-    Ok(analytic_signal(signal)?.into_iter().map(|c| c.arg()).collect())
-}
-
-/// Demodulates a real RF sequence to complex baseband IQ.
-///
-/// Multiplies by `exp(-i 2π f0 t)` and low-pass filters with a moving-average of
-/// `smooth_len` samples (a cheap but adequate stand-in for the paper's IQ demodulation,
-/// which happens before the MSE loss / log compression).
-///
-/// * `f0_normalized` — demodulation frequency in cycles per sample (`f0 / fs`).
-/// * `smooth_len` — moving-average length; `0` or `1` disables smoothing.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] when `signal` is empty and
-/// [`DspError::InvalidParameter`] when the normalized frequency is outside `[0, 0.5]`.
-pub fn demodulate_iq(signal: &[f32], f0_normalized: f32, smooth_len: usize) -> DspResult<Vec<Complex32>> {
-    if signal.is_empty() {
-        return Err(DspError::EmptyInput);
-    }
-    if !(0.0..=0.5).contains(&f0_normalized) {
-        return Err(DspError::InvalidParameter {
-            name: "f0_normalized",
-            reason: "must lie in [0, 0.5] cycles/sample",
-        });
-    }
-    let analytic = analytic_signal(signal)?;
-    let mut mixed: Vec<Complex32> = analytic
-        .iter()
-        .enumerate()
-        .map(|(i, &a)| a * Complex32::cis(-2.0 * std::f32::consts::PI * f0_normalized * i as f32))
-        .collect();
-    if smooth_len > 1 {
-        mixed = moving_average_complex(&mixed, smooth_len);
-    }
-    Ok(mixed)
-}
-
-fn moving_average_complex(x: &[Complex32], len: usize) -> Vec<Complex32> {
-    let n = x.len();
-    let mut out = Vec::with_capacity(n);
-    let half = len / 2;
-    for i in 0..n {
-        let start = i.saturating_sub(half);
-        let end = (i + half + 1).min(n);
-        let sum: Complex32 = x[start..end].iter().sum();
-        out.push(sum / (end - start) as f32);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,45 +221,6 @@ mod tests {
             // The envelope should dominate the instantaneous signal value up to FFT edge
             // effects.
             assert!(*e + 5e-2 >= s.abs());
-        }
-    }
-
-    #[test]
-    fn demodulation_produces_near_dc_baseband() {
-        let fs = 31.25e6_f32;
-        let f0 = 7.6e6_f32;
-        let n = 1024;
-        let x: Vec<f32> = (0..n).map(|i| (2.0 * PI * f0 / fs * i as f32).cos()).collect();
-        let iq = demodulate_iq(&x, f0 / fs, 8).unwrap();
-        // After mixing down, the phase should rotate very slowly: successive samples stay
-        // close to each other.
-        let mut max_step = 0.0f32;
-        for w in iq[100..900].windows(2) {
-            max_step = max_step.max((w[1] - w[0]).abs());
-        }
-        assert!(max_step < 0.05, "max step {max_step}");
-    }
-
-    #[test]
-    fn demodulation_rejects_bad_frequency() {
-        let x = vec![0.0f32; 16];
-        assert!(matches!(
-            demodulate_iq(&x, 0.7, 4).unwrap_err(),
-            DspError::InvalidParameter { name: "f0_normalized", .. }
-        ));
-    }
-
-    #[test]
-    fn envelope_iq_is_magnitude() {
-        let iq = vec![Complex32::new(3.0, 4.0), Complex32::ZERO];
-        assert_eq!(envelope_iq(&iq), vec![5.0, 0.0]);
-    }
-
-    #[test]
-    fn instantaneous_phase_is_bounded() {
-        let x: Vec<f32> = (0..128).map(|i| (i as f32 * 0.3).sin()).collect();
-        for p in instantaneous_phase(&x).unwrap() {
-            assert!(p <= PI && p >= -PI);
         }
     }
 }

@@ -119,11 +119,6 @@ pub fn catmull_rom(p0: f32, p1: f32, p2: f32, p3: f32, t: f32) -> f32 {
         + (-p0 + 3.0 * p1 - 3.0 * p2 + p3) * t3)
 }
 
-/// Resamples a whole signal onto arbitrary fractional indices.
-pub fn sample_many(signal: &[f32], indices: &[f32], method: InterpMethod) -> Vec<f32> {
-    indices.iter().map(|&i| sample_at(signal, i, method)).collect()
-}
-
 /// Linearly interpolates `y(x)` given monotonically increasing sample positions `xs`.
 ///
 /// Values outside the domain are clamped to the endpoint values. Returns `None` when the
@@ -240,12 +235,5 @@ mod tests {
         assert_eq!(interp1(&xs, &ys, 99.0), Some(30.0));
         assert_eq!(interp1(&[], &[], 1.0), None);
         assert_eq!(interp1(&xs, &ys[..2], 1.0), None);
-    }
-
-    #[test]
-    fn sample_many_maps_each_index() {
-        let x = [0.0, 1.0, 2.0, 3.0];
-        let out = sample_many(&x, &[0.5, 2.5, 9.0], InterpMethod::Linear);
-        assert_eq!(out, vec![0.5, 2.5, 0.0]);
     }
 }

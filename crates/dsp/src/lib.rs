@@ -1,15 +1,13 @@
 //! Signal-processing substrate for the Tiny-VBF ultrasound beamforming reproduction.
 //!
-//! The crate provides the numeric building blocks that the ultrasound simulator,
-//! the classical beamformers (DAS / MVDR) and the IQ demodulation stage rely on:
+//! The crate provides the numeric building blocks that the ultrasound simulator
+//! and the classical beamformers (DAS / MVDR) rely on:
 //!
 //! * [`Complex32`] — a small complex number type (the RF/IQ sample type),
 //! * [`fft`] — an iterative radix-2 FFT / inverse FFT,
 //! * [`hilbert`] — analytic-signal computation used for envelope detection,
 //! * [`window`] — apodization / tapering windows,
-//! * [`filter`] — FIR design and convolution used by the IQ demodulator,
 //! * [`interp`] — fractional-delay interpolation used by time-of-flight correction,
-//! * [`resample`] — up/down-sampling helpers,
 //! * [`stats`] — mean / variance / percentile / histogram helpers used by the
 //!   image-quality metrics.
 //!
@@ -31,10 +29,8 @@
 
 pub mod complex;
 pub mod fft;
-pub mod filter;
 pub mod hilbert;
 pub mod interp;
-pub mod resample;
 pub mod stats;
 pub mod window;
 
@@ -57,13 +53,6 @@ pub enum DspError {
         /// Human-readable constraint description.
         requirement: &'static str,
     },
-    /// A parameter was outside its valid domain (cut-off frequencies, taps, factors …).
-    InvalidParameter {
-        /// Name of the offending parameter.
-        name: &'static str,
-        /// Description of the violated constraint.
-        reason: &'static str,
-    },
 }
 
 impl fmt::Display for DspError {
@@ -72,9 +61,6 @@ impl fmt::Display for DspError {
             DspError::EmptyInput => write!(f, "input signal is empty"),
             DspError::InvalidLength { actual, requirement } => {
                 write!(f, "invalid length {actual}: {requirement}")
-            }
-            DspError::InvalidParameter { name, reason } => {
-                write!(f, "invalid parameter `{name}`: {reason}")
             }
         }
     }
@@ -94,7 +80,6 @@ mod tests {
         let errors = [
             DspError::EmptyInput,
             DspError::InvalidLength { actual: 3, requirement: "must be a power of two" },
-            DspError::InvalidParameter { name: "cutoff", reason: "must be in (0, 0.5)" },
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());

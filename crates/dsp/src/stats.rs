@@ -170,11 +170,6 @@ pub fn amplitude_to_db(value: f32) -> f32 {
     20.0 * value.max(1e-12).log10()
 }
 
-/// Converts a power ratio to decibels (`10 log10`), clamping tiny values.
-pub fn power_to_db(value: f32) -> f32 {
-    10.0 * value.max(1e-12).log10()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,7 +255,6 @@ mod tests {
     fn db_conversions() {
         assert!((amplitude_to_db(1.0)).abs() < 1e-6);
         assert!((amplitude_to_db(10.0) - 20.0).abs() < 1e-5);
-        assert!((power_to_db(100.0) - 20.0).abs() < 1e-5);
         assert!(amplitude_to_db(0.0).is_finite());
     }
 }

@@ -1,8 +1,8 @@
 //! Tapering / apodization windows.
 //!
-//! Receive apodization in the DAS beamformer and FIR filter design both use these
-//! windows. The [`Window`] enum names the supported shapes; [`Window::coefficients`]
-//! samples a window of a given length.
+//! Receive apodization in the DAS beamformer uses these windows. The [`Window`]
+//! enum names the supported shapes; [`Window::coefficients`] samples a window of a
+//! given length.
 
 use std::f32::consts::PI;
 
@@ -72,15 +72,6 @@ impl Window {
             }
             Window::Triangular => 1.0 - (2.0 * u - 1.0).abs(),
         }
-    }
-
-    /// Coherent gain of the window (mean coefficient value) for a given length.
-    pub fn coherent_gain(self, len: usize) -> f32 {
-        if len == 0 {
-            return 0.0;
-        }
-        let coeffs = self.coefficients(len);
-        coeffs.iter().sum::<f32>() / len as f32
     }
 }
 
@@ -153,16 +144,6 @@ mod tests {
     fn degenerate_lengths() {
         assert!(Window::Hann.coefficients(0).is_empty());
         assert_eq!(Window::Hann.coefficients(1), vec![1.0]);
-    }
-
-    #[test]
-    fn coherent_gain_ordering() {
-        // Rectangular has the largest coherent gain, Blackman the smallest of these.
-        let rect = Window::Rectangular.coherent_gain(64);
-        let hann = Window::Hann.coherent_gain(64);
-        let blackman = Window::Blackman.coherent_gain(64);
-        assert!(rect > hann && hann > blackman);
-        assert!((rect - 1.0).abs() < 1e-6);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Lateral point-spread-function profiles (Figures 12 and 14 of the paper).
 
-use beamforming::{BModeImage, ImagingGrid};
+use beamforming::ImagingGrid;
 use serde::{Deserialize, Serialize};
 
 /// A lateral cut through the image at a fixed depth, normalized to its own maximum.
@@ -15,12 +15,6 @@ pub struct LateralPsf {
 }
 
 impl LateralPsf {
-    /// Extracts the lateral PSF at the grid row closest to `depth` metres.
-    pub fn from_bmode(image: &BModeImage, depth: f32) -> Self {
-        let grid = image.grid();
-        let row = grid.nearest_row(depth);
-        Self::from_db_row(&image.lateral_profile(row), grid, row)
-    }
 
     /// Extracts the lateral PSF from an envelope image (row-major linear values).
     pub fn from_envelope(envelope: &[f32], grid: &ImagingGrid, depth: f32) -> Self {
@@ -29,13 +23,6 @@ impl LateralPsf {
         let profile: Vec<f32> = (0..cols).map(|c| envelope[row * cols + c]).collect();
         let peak = profile.iter().cloned().fold(0.0f32, f32::max).max(1e-12);
         let db: Vec<f32> = profile.iter().map(|&v| 20.0 * (v.max(1e-12) / peak).log10()).collect();
-        Self::from_parts(db, grid, row)
-    }
-
-    fn from_db_row(db_row: &[f32], grid: &ImagingGrid, row: usize) -> Self {
-        // Re-normalize so the profile's own peak sits at 0 dB.
-        let peak = db_row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let db = db_row.iter().map(|&v| v - peak).collect();
         Self::from_parts(db, grid, row)
     }
 
@@ -135,19 +122,6 @@ mod tests {
         let wn = narrow.mainlobe_width_mm().unwrap();
         let ww = wide.mainlobe_width_mm().unwrap();
         assert!(ww > wn, "wide {ww} narrow {wn}");
-    }
-
-    #[test]
-    fn from_bmode_matches_from_envelope_shape() {
-        let g = grid();
-        let envelope = blob_envelope(&g, 0.6e-3);
-        let bmode = BModeImage::from_envelope(&envelope, g.clone(), 60.0).unwrap();
-        let a = LateralPsf::from_bmode(&bmode, 0.02);
-        let b = LateralPsf::from_envelope(&envelope, &g, 0.02);
-        assert_eq!(a.positions_mm.len(), b.positions_mm.len());
-        let (ia, _) = a.peak();
-        let (ib, _) = b.peak();
-        assert_eq!(ia, ib);
     }
 
     #[test]

@@ -61,11 +61,6 @@ impl Conv2d {
         self.out_channels
     }
 
-    /// Kernel side length.
-    pub fn kernel_size(&self) -> usize {
-        self.kernel
-    }
-
     #[inline]
     fn weight_at(&self, ky: usize, kx: usize, ci: usize, co: usize) -> f32 {
         let row = (ky * self.kernel + kx) * self.in_channels + ci;
@@ -254,7 +249,6 @@ mod tests {
         assert_eq!(conv.num_weights(), 3 * 3 * 3 * 5 + 5);
         assert_eq!(conv.in_channels(), 3);
         assert_eq!(conv.out_channels(), 5);
-        assert_eq!(conv.kernel_size(), 3);
     }
 
     #[test]

@@ -35,18 +35,6 @@ impl Dense {
         }
     }
 
-    /// Creates a layer from explicit weights (used by tests and the quantizer).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the bias length does not match the weight's output dimension.
-    pub fn from_weights(weight: Tensor, bias: Tensor) -> Self {
-        assert_eq!(weight.shape().len(), 2, "weight must be 2-D");
-        assert_eq!(bias.numel(), weight.shape()[1], "bias length must equal out features");
-        let bias2d = bias.reshape(&[1, weight.shape()[1]]).expect("bias reshape");
-        Self { weight: Param::new(weight), bias: Param::new(bias2d), cached_input: None }
-    }
-
     /// Input feature count.
     pub fn in_features(&self) -> usize {
         self.weight.value.shape()[0]
@@ -107,8 +95,8 @@ mod tests {
     #[test]
     fn forward_matches_manual_computation() {
         let weight = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[3, 2]).unwrap();
-        let bias = Tensor::from_vec(vec![0.5, -0.5], &[2]).unwrap();
-        let mut layer = Dense::from_weights(weight, bias);
+        let bias = Tensor::from_vec(vec![0.5, -0.5], &[1, 2]).unwrap();
+        let mut layer = Dense { weight: Param::new(weight), bias: Param::new(bias), cached_input: None };
         let x = Tensor::from_vec(vec![1.0, 0.0, -1.0], &[1, 3]).unwrap();
         let y = layer.forward(&x);
         // [1*1 + 0*3 + (-1)*5 + 0.5, 1*2 + 0*4 + (-1)*6 - 0.5] = [-3.5, -4.5]

@@ -99,11 +99,6 @@ impl Adam {
             second_moment: Vec::new(),
         }
     }
-
-    /// Number of optimisation steps taken so far.
-    pub fn steps_taken(&self) -> u64 {
-        self.step_count
-    }
 }
 
 impl Optimizer for Adam {
@@ -182,7 +177,6 @@ mod tests {
         let mut adam = Adam::new(0.2);
         let x = minimize(&mut adam, 10.0, 400);
         assert!((x - 3.0).abs() < 1e-2, "x {x}");
-        assert_eq!(adam.steps_taken(), 400);
     }
 
     #[test]

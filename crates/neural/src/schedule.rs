@@ -48,19 +48,6 @@ impl LrSchedule for PolynomialDecay {
     }
 }
 
-/// A constant learning rate (useful for ablations).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ConstantLr(
-    /// The learning rate returned at every step.
-    pub f32,
-);
-
-impl LrSchedule for ConstantLr {
-    fn learning_rate(&self, _step: u64) -> f32 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,13 +90,6 @@ mod tests {
         let linear = PolynomialDecay { power: 1.0, ..PolynomialDecay::paper() };
         let quadratic = PolynomialDecay { power: 2.0, ..PolynomialDecay::paper() };
         assert!(quadratic.learning_rate(500) < linear.learning_rate(500));
-    }
-
-    #[test]
-    fn constant_schedule_is_constant() {
-        let c = ConstantLr(3e-4);
-        assert_eq!(c.learning_rate(0), 3e-4);
-        assert_eq!(c.learning_rate(1_000_000), 3e-4);
     }
 
     #[test]

@@ -55,11 +55,6 @@ impl FixedFormat {
         self.frac_bits
     }
 
-    /// Number of integer bits (excluding the sign bit).
-    pub fn int_bits(&self) -> u32 {
-        self.word_bits - self.frac_bits - 1
-    }
-
     /// Quantization step (resolution).
     #[inline]
     pub fn resolution(&self) -> f32 {
@@ -110,13 +105,6 @@ impl FixedFormat {
         self.from_raw(self.to_raw(value))
     }
 
-    /// Quantizes a slice in place.
-    pub fn quantize_slice(&self, values: &mut [f32]) {
-        for v in values.iter_mut() {
-            *v = self.quantize(*v);
-        }
-    }
-
     /// Worst-case quantization error (half a step) for in-range values.
     pub fn max_rounding_error(&self) -> f32 {
         self.resolution() / 2.0
@@ -139,14 +127,6 @@ impl FixedFormat {
     #[inline]
     pub fn to_code(&self, value: f32) -> i32 {
         self.to_raw(value) as i32
-    }
-
-    /// Value of an `i32` code; exact for every representable code because
-    /// `word_bits <= 24` formats fit in an f32 mantissa (wider formats keep
-    /// the usual f32 rounding of [`Self::from_raw`]).
-    #[inline]
-    pub fn from_code(&self, code: i32) -> f32 {
-        self.from_raw(code as i64)
     }
 
     /// Requantizes an exact integer accumulator from a grid with
@@ -192,7 +172,6 @@ mod tests {
         let f = FixedFormat::new(16, 12);
         assert_eq!(f.word_bits(), 16);
         assert_eq!(f.frac_bits(), 12);
-        assert_eq!(f.int_bits(), 3);
         assert!((f.resolution() - 1.0 / 4096.0).abs() < 1e-12);
         assert!((f.max_value() - (32767.0 / 4096.0)).abs() < 1e-4);
         assert!((f.min_value() + 8.0).abs() < 1e-6);
@@ -262,14 +241,5 @@ mod tests {
         let fine = FixedFormat::new(16, 14);
         let v = 0.123456;
         assert!((fine.quantize(v) - v).abs() < (coarse.quantize(v) - v).abs());
-    }
-
-    #[test]
-    fn quantize_slice_applies_elementwise() {
-        let q = FixedFormat::new(8, 6);
-        let mut values = vec![0.013, -0.013, 5.0];
-        q.quantize_slice(&mut values);
-        assert_eq!(values[0], q.quantize(0.013));
-        assert_eq!(values[2], q.max_value());
     }
 }

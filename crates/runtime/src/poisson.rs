@@ -75,11 +75,6 @@ impl PoissonArrivals {
             })
             .collect()
     }
-
-    /// Mean inter-arrival gap (`1/rate`) this sampler was built with.
-    pub fn mean_gap(&self) -> Duration {
-        Duration::from_secs_f64(self.mean_gap_s)
-    }
 }
 
 impl Iterator for PoissonArrivals {

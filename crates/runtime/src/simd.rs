@@ -1,8 +1,8 @@
 //! Portable SIMD kernels with runtime dispatch.
 //!
 //! Every hot inner loop in the workspace (planned DAS/ToF/MVDR gathers, the
-//! register-tiled matmul, Hilbert/FIR passes, the softmax `exp`, and the
-//! integer fixed-point datapath) funnels through this module. Three dispatch tiers exist:
+//! register-tiled matmul, the softmax `exp`, and the integer fixed-point
+//! datapath) funnels through this module. Three dispatch tiers exist:
 //!
 //! * **Scalar** — straightforward per-element loops. For reductions the
 //!   scalar path is written in the *lane-order* defined below, and is the
@@ -296,13 +296,6 @@ fn exp_lanes(values: &mut [f32]) {
 // f32 kernels: scalar references
 // ---------------------------------------------------------------------------
 
-fn axpy_scalar(acc: &mut [f32], a: f32, x: &[f32]) {
-    debug_assert_eq!(acc.len(), x.len());
-    for (o, &v) in acc.iter_mut().zip(x) {
-        *o += a * v;
-    }
-}
-
 fn scale_scalar(values: &mut [f32], factor: f32) {
     for v in values {
         *v *= factor;
@@ -329,24 +322,6 @@ fn gather_two_tap_scalar(flat: &[f32], tap0: &[u32], tap1: &[u32], w0: &[f32], w
     debug_assert_eq!(out.len(), tap0.len());
     for (j, o) in out.iter_mut().enumerate() {
         *o = flat[tap0[j] as usize] * w0[j] + flat[tap1[j] as usize] * w1[j];
-    }
-}
-
-fn gather_two_tap_interleaved_scalar(
-    flat: &[f32],
-    tap0: &[u32],
-    tap1: &[u32],
-    w0: &[f32],
-    w1: &[f32],
-    out: &mut [f32],
-) {
-    debug_assert!(tap1.len() == tap0.len() && w0.len() == tap0.len() && w1.len() == tap0.len());
-    debug_assert_eq!(out.len(), 2 * tap0.len());
-    for j in 0..tap0.len() {
-        let t0 = 2 * tap0[j] as usize;
-        let t1 = 2 * tap1[j] as usize;
-        out[2 * j] = flat[t0] * w0[j] + flat[t1] * w1[j];
-        out[2 * j + 1] = flat[t0 + 1] * w0[j] + flat[t1 + 1] * w1[j];
     }
 }
 
@@ -380,22 +355,6 @@ fn das_gather_reduce_scalar(
 // ---------------------------------------------------------------------------
 // f32 kernels: portable lane bodies (identical arithmetic order)
 // ---------------------------------------------------------------------------
-
-#[inline(always)]
-fn axpy_lanes(acc: &mut [f32], a: f32, x: &[f32]) {
-    debug_assert_eq!(acc.len(), x.len());
-    let mut oc = acc.chunks_exact_mut(F32_LANES);
-    let mut xc = x.chunks_exact(F32_LANES);
-    for (o, v) in (&mut oc).zip(&mut xc) {
-        let v: &[f32; F32_LANES] = v.try_into().unwrap();
-        for (j, o) in o.iter_mut().enumerate() {
-            *o += a * v[j];
-        }
-    }
-    for (o, &v) in oc.into_remainder().iter_mut().zip(xc.remainder()) {
-        *o += a * v;
-    }
-}
 
 #[inline(always)]
 fn scale_lanes(values: &mut [f32], factor: f32) {
@@ -445,18 +404,6 @@ fn gather_two_tap_lanes(flat: &[f32], tap0: &[u32], tap1: &[u32], w0: &[f32], w1
     for e in blocks * F32_LANES..len {
         out[e] = flat[tap0[e] as usize] * w0[e] + flat[tap1[e] as usize] * w1[e];
     }
-}
-
-#[inline(always)]
-fn gather_two_tap_interleaved_lanes(
-    flat: &[f32],
-    tap0: &[u32],
-    tap1: &[u32],
-    w0: &[f32],
-    w1: &[f32],
-    out: &mut [f32],
-) {
-    gather_two_tap_interleaved_scalar(flat, tap0, tap1, w0, w1, out);
 }
 
 #[inline(always)]
@@ -558,7 +505,8 @@ fn accumulate_i32_into_i64_body(acc: &mut [i64], add: &[i32]) {
 }
 
 /// Pack two i16-range fixed-point codes into the `(lo, hi)` pair layout the
-/// [`madd_pairs`] kernel consumes. Both values must fit in `i16`.
+/// [`madd_block`] and [`madd_dot`] kernels consume. Both values must fit in
+/// `i16`.
 #[inline(always)]
 pub fn pack_i16_pair(lo: i32, hi: i32) -> i32 {
     debug_assert!((-32768..=32767).contains(&lo) && (-32768..=32767).contains(&hi));
@@ -591,13 +539,6 @@ fn quantize_codes_scalar(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i
     }
 }
 
-/// Element-wise with one rounding per element, so the scalar loop is already
-/// the canonical order; the portable tier shares it verbatim.
-#[inline(always)]
-fn quantize_codes_body(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i32, out: &mut [i32]) {
-    quantize_codes_scalar(values, inv_step, max_raw, min_raw, out)
-}
-
 /// Scalar reference for [`codes_to_f32`]: `code as f32 * step`. With `step`
 /// a power of two the multiply is exact, so every tier agrees trivially.
 fn codes_to_f32_scalar(codes: &[i32], step: f32, out: &mut [f32]) {
@@ -605,11 +546,6 @@ fn codes_to_f32_scalar(codes: &[i32], step: f32, out: &mut [f32]) {
     for (o, &c) in out.iter_mut().zip(codes) {
         *o = c as f32 * step;
     }
-}
-
-#[inline(always)]
-fn codes_to_f32_body(codes: &[i32], step: f32, out: &mut [f32]) {
-    codes_to_f32_scalar(codes, step, out)
 }
 
 /// Scalar reference for [`shift_round_saturate_i32`]: drop `shift` fractional
@@ -638,11 +574,6 @@ fn shift_round_saturate_i32_scalar(values: &[i32], shift: u32, min_raw: i32, max
     }
 }
 
-#[inline(always)]
-fn shift_round_saturate_i32_body(values: &[i32], shift: u32, min_raw: i32, max_raw: i32, out: &mut [i32]) {
-    shift_round_saturate_i32_scalar(values, shift, min_raw, max_raw, out)
-}
-
 // ---------------------------------------------------------------------------
 // Native tier
 // ---------------------------------------------------------------------------
@@ -656,11 +587,6 @@ mod native {
     // was detected at runtime. `avx2` deliberately does not imply `fma`, so
     // no multiply-add can be fused and every body stays bitwise identical to
     // its scalar reference.
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn axpy_avx2(acc: &mut [f32], a: f32, x: &[f32]) {
-        axpy_lanes(acc, a, x)
-    }
 
     #[target_feature(enable = "avx2")]
     unsafe fn scale_avx2(values: &mut [f32], factor: f32) {
@@ -685,18 +611,6 @@ mod native {
     }
 
     #[target_feature(enable = "avx2")]
-    unsafe fn gather_two_tap_interleaved_avx2(
-        flat: &[f32],
-        tap0: &[u32],
-        tap1: &[u32],
-        w0: &[f32],
-        w1: &[f32],
-        out: &mut [f32],
-    ) {
-        gather_two_tap_interleaved_lanes(flat, tap0, tap1, w0, w1, out)
-    }
-
-    #[target_feature(enable = "avx2")]
     unsafe fn das_gather_reduce_avx2(
         flat: &[f32],
         tap0: &[u32],
@@ -706,11 +620,6 @@ mod native {
         apod: &[f32],
     ) -> f32 {
         das_gather_reduce_body(flat, tap0, tap1, w0, w1, apod)
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn i64_axpy_avx2(acc: &mut [i64], a: i32, x: &[i32]) {
-        i64_axpy_body(acc, a, x)
     }
 
     /// 16 integer MACs per instruction via `_mm256_madd_epi16`. Exact: the
@@ -846,7 +755,7 @@ mod native {
             codes = _mm256_blendv_epi8(codes, zero, _mm256_castps_si256(nan));
             _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut __m256i, codes);
         }
-        quantize_codes_body(&values[blocks * 8..], inv_step, max_raw, min_raw, &mut out[blocks * 8..]);
+        quantize_codes_scalar(&values[blocks * 8..], inv_step, max_raw, min_raw, &mut out[blocks * 8..]);
     }
 
     /// Vectorized [`codes_to_f32`]: cvtdq2ps rounds to nearest exactly like
@@ -865,7 +774,7 @@ mod native {
             let c = _mm256_loadu_si256(codes.as_ptr().add(i) as *const __m256i);
             _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_mul_ps(_mm256_cvtepi32_ps(c), stepv));
         }
-        codes_to_f32_body(&codes[blocks * 8..], step, &mut out[blocks * 8..]);
+        codes_to_f32_scalar(&codes[blocks * 8..], step, &mut out[blocks * 8..]);
     }
 
     /// 8-wide requantize: pure integer shifts/adds/compares, so every lane
@@ -906,7 +815,7 @@ mod native {
                 _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut __m256i, clamped);
             }
         }
-        shift_round_saturate_i32_body(&values[blocks * 8..], shift, min_raw, max_raw, &mut out[blocks * 8..]);
+        shift_round_saturate_i32_scalar(&values[blocks * 8..], shift, min_raw, max_raw, &mut out[blocks * 8..]);
     }
 
     /// Whole-block madd: one dispatch for an entire packed weight panel.
@@ -930,10 +839,6 @@ mod native {
         exp_lanes(values)
     }
 
-    pub fn axpy(acc: &mut [f32], a: f32, x: &[f32]) {
-        debug_assert!(native_available());
-        unsafe { axpy_avx2(acc, a, x) }
-    }
     pub fn scale(values: &mut [f32], factor: f32) {
         debug_assert!(native_available());
         unsafe { scale_avx2(values, factor) }
@@ -946,17 +851,6 @@ mod native {
         debug_assert!(native_available());
         unsafe { gather_two_tap_avx2(flat, tap0, tap1, w0, w1, out) }
     }
-    pub fn gather_two_tap_interleaved(
-        flat: &[f32],
-        tap0: &[u32],
-        tap1: &[u32],
-        w0: &[f32],
-        w1: &[f32],
-        out: &mut [f32],
-    ) {
-        debug_assert!(native_available());
-        unsafe { gather_two_tap_interleaved_avx2(flat, tap0, tap1, w0, w1, out) }
-    }
     pub fn das_gather_reduce(
         flat: &[f32],
         tap0: &[u32],
@@ -967,14 +861,6 @@ mod native {
     ) -> f32 {
         debug_assert!(native_available());
         unsafe { das_gather_reduce_avx2(flat, tap0, tap1, w0, w1, apod) }
-    }
-    pub fn i64_axpy(acc: &mut [i64], a: i32, x: &[i32]) {
-        debug_assert!(native_available());
-        unsafe { i64_axpy_avx2(acc, a, x) }
-    }
-    pub fn madd_pairs(acc: &mut [i32], a_pair: i32, pairs: &[i32]) {
-        debug_assert!(native_available());
-        unsafe { madd_pairs_avx2(acc, a_pair, pairs) }
     }
     pub fn accumulate_i32_into_i64(acc: &mut [i64], add: &[i32]) {
         debug_assert!(native_available());
@@ -1019,13 +905,6 @@ mod native {
     // only re-enables what the target already guarantees — no rounding
     // behaviour changes, so bitwise identity with the reference holds.
 
-    pub fn axpy(acc: &mut [f32], a: f32, x: &[f32]) {
-        #[target_feature(enable = "neon")]
-        unsafe fn go(acc: &mut [f32], a: f32, x: &[f32]) {
-            axpy_lanes(acc, a, x)
-        }
-        unsafe { go(acc, a, x) }
-    }
     pub fn scale(values: &mut [f32], factor: f32) {
         #[target_feature(enable = "neon")]
         unsafe fn go(values: &mut [f32], factor: f32) {
@@ -1047,20 +926,6 @@ mod native {
         }
         unsafe { go(flat, tap0, tap1, w0, w1, out) }
     }
-    pub fn gather_two_tap_interleaved(
-        flat: &[f32],
-        tap0: &[u32],
-        tap1: &[u32],
-        w0: &[f32],
-        w1: &[f32],
-        out: &mut [f32],
-    ) {
-        #[target_feature(enable = "neon")]
-        unsafe fn go(flat: &[f32], tap0: &[u32], tap1: &[u32], w0: &[f32], w1: &[f32], out: &mut [f32]) {
-            gather_two_tap_interleaved_lanes(flat, tap0, tap1, w0, w1, out)
-        }
-        unsafe { go(flat, tap0, tap1, w0, w1, out) }
-    }
     pub fn das_gather_reduce(
         flat: &[f32],
         tap0: &[u32],
@@ -1074,20 +939,6 @@ mod native {
             das_gather_reduce_body(flat, tap0, tap1, w0, w1, apod)
         }
         unsafe { go(flat, tap0, tap1, w0, w1, apod) }
-    }
-    pub fn i64_axpy(acc: &mut [i64], a: i32, x: &[i32]) {
-        #[target_feature(enable = "neon")]
-        unsafe fn go(acc: &mut [i64], a: i32, x: &[i32]) {
-            i64_axpy_body(acc, a, x)
-        }
-        unsafe { go(acc, a, x) }
-    }
-    pub fn madd_pairs(acc: &mut [i32], a_pair: i32, pairs: &[i32]) {
-        #[target_feature(enable = "neon")]
-        unsafe fn go(acc: &mut [i32], a_pair: i32, pairs: &[i32]) {
-            madd_pairs_body(acc, a_pair, pairs)
-        }
-        unsafe { go(acc, a_pair, pairs) }
     }
     pub fn accumulate_i32_into_i64(acc: &mut [i64], add: &[i32]) {
         #[target_feature(enable = "neon")]
@@ -1113,14 +964,14 @@ mod native {
     pub fn quantize_codes(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i32, out: &mut [i32]) {
         #[target_feature(enable = "neon")]
         unsafe fn go(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i32, out: &mut [i32]) {
-            quantize_codes_body(values, inv_step, max_raw, min_raw, out)
+            quantize_codes_scalar(values, inv_step, max_raw, min_raw, out)
         }
         unsafe { go(values, inv_step, max_raw, min_raw, out) }
     }
     pub fn codes_to_f32(codes: &[i32], step: f32, out: &mut [f32]) {
         #[target_feature(enable = "neon")]
         unsafe fn go(codes: &[i32], step: f32, out: &mut [f32]) {
-            codes_to_f32_body(codes, step, out)
+            codes_to_f32_scalar(codes, step, out)
         }
         unsafe { go(codes, step, out) }
     }
@@ -1134,7 +985,7 @@ mod native {
     pub fn shift_round_saturate_i32(values: &[i32], shift: u32, min_raw: i32, max_raw: i32, out: &mut [i32]) {
         #[target_feature(enable = "neon")]
         unsafe fn go(values: &[i32], shift: u32, min_raw: i32, max_raw: i32, out: &mut [i32]) {
-            shift_round_saturate_i32_body(values, shift, min_raw, max_raw, out)
+            shift_round_saturate_i32_scalar(values, shift, min_raw, max_raw, out)
         }
         unsafe { go(values, shift, min_raw, max_raw, out) }
     }
@@ -1153,9 +1004,6 @@ mod native {
     // through `mode()`; they exist only to keep dispatch uniform.
     use super::*;
 
-    pub fn axpy(acc: &mut [f32], a: f32, x: &[f32]) {
-        axpy_lanes(acc, a, x)
-    }
     pub fn scale(values: &mut [f32], factor: f32) {
         scale_lanes(values, factor)
     }
@@ -1164,16 +1012,6 @@ mod native {
     }
     pub fn gather_two_tap(flat: &[f32], tap0: &[u32], tap1: &[u32], w0: &[f32], w1: &[f32], out: &mut [f32]) {
         gather_two_tap_lanes(flat, tap0, tap1, w0, w1, out)
-    }
-    pub fn gather_two_tap_interleaved(
-        flat: &[f32],
-        tap0: &[u32],
-        tap1: &[u32],
-        w0: &[f32],
-        w1: &[f32],
-        out: &mut [f32],
-    ) {
-        gather_two_tap_interleaved_lanes(flat, tap0, tap1, w0, w1, out)
     }
     pub fn das_gather_reduce(
         flat: &[f32],
@@ -1185,12 +1023,6 @@ mod native {
     ) -> f32 {
         das_gather_reduce_body(flat, tap0, tap1, w0, w1, apod)
     }
-    pub fn i64_axpy(acc: &mut [i64], a: i32, x: &[i32]) {
-        i64_axpy_body(acc, a, x)
-    }
-    pub fn madd_pairs(acc: &mut [i32], a_pair: i32, pairs: &[i32]) {
-        madd_pairs_body(acc, a_pair, pairs)
-    }
     pub fn accumulate_i32_into_i64(acc: &mut [i64], add: &[i32]) {
         accumulate_i32_into_i64_body(acc, add)
     }
@@ -1201,16 +1033,16 @@ mod native {
         i64_mac_row_body(acc, a_row, b)
     }
     pub fn quantize_codes(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i32, out: &mut [i32]) {
-        quantize_codes_body(values, inv_step, max_raw, min_raw, out)
+        quantize_codes_scalar(values, inv_step, max_raw, min_raw, out)
     }
     pub fn codes_to_f32(codes: &[i32], step: f32, out: &mut [f32]) {
-        codes_to_f32_body(codes, step, out)
+        codes_to_f32_scalar(codes, step, out)
     }
     pub fn madd_dot(a_pairs: &[i32], b_pairs: &[i32]) -> i64 {
         madd_dot_body(a_pairs, b_pairs)
     }
     pub fn shift_round_saturate_i32(values: &[i32], shift: u32, min_raw: i32, max_raw: i32, out: &mut [i32]) {
-        shift_round_saturate_i32_body(values, shift, min_raw, max_raw, out)
+        shift_round_saturate_i32_scalar(values, shift, min_raw, max_raw, out)
     }
     pub fn exp(values: &mut [f32]) {
         exp_lanes(values)
@@ -1220,15 +1052,6 @@ mod native {
 // ---------------------------------------------------------------------------
 // Dispatched public kernels
 // ---------------------------------------------------------------------------
-
-/// `acc[i] += a * x[i]`. Element-wise, so every tier is bitwise identical.
-pub fn axpy(acc: &mut [f32], a: f32, x: &[f32]) {
-    match mode() {
-        SimdMode::Scalar => axpy_scalar(acc, a, x),
-        SimdMode::Portable => axpy_lanes(acc, a, x),
-        SimdMode::Native => native::axpy(acc, a, x),
-    }
-}
 
 /// `values[i] *= factor`. Element-wise, so every tier is bitwise identical.
 pub fn scale(values: &mut [f32], factor: f32) {
@@ -1260,8 +1083,8 @@ pub fn gather_two_tap(flat: &[f32], tap0: &[u32], tap1: &[u32], w0: &[f32], w1: 
 }
 
 /// Two-tap gather over interleaved complex data (`flat[2t]`, `flat[2t+1]` are
-/// the re/im of element `t`); writes `2 * tap0.len()` floats. Element-wise,
-/// bitwise identical across tiers.
+/// the re/im of element `t`); writes `2 * tap0.len()` floats. Every tier runs
+/// this one element-wise loop.
 pub fn gather_two_tap_interleaved(
     flat: &[f32],
     tap0: &[u32],
@@ -1270,10 +1093,13 @@ pub fn gather_two_tap_interleaved(
     w1: &[f32],
     out: &mut [f32],
 ) {
-    match mode() {
-        SimdMode::Scalar => gather_two_tap_interleaved_scalar(flat, tap0, tap1, w0, w1, out),
-        SimdMode::Portable => gather_two_tap_interleaved_lanes(flat, tap0, tap1, w0, w1, out),
-        SimdMode::Native => native::gather_two_tap_interleaved(flat, tap0, tap1, w0, w1, out),
+    debug_assert!(tap1.len() == tap0.len() && w0.len() == tap0.len() && w1.len() == tap0.len());
+    debug_assert_eq!(out.len(), 2 * tap0.len());
+    for j in 0..tap0.len() {
+        let t0 = 2 * tap0[j] as usize;
+        let t1 = 2 * tap1[j] as usize;
+        out[2 * j] = flat[t0] * w0[j] + flat[t1] * w1[j];
+        out[2 * j + 1] = flat[t0 + 1] * w0[j] + flat[t1 + 1] * w1[j];
     }
 }
 
@@ -1296,27 +1122,6 @@ pub fn das_gather_reduce(
     }
 }
 
-/// `acc[i] += a * x[i]` in exact 64-bit integer arithmetic. The generic
-/// fixed-point MAC row kernel; identical across tiers by exactness.
-pub fn i64_axpy(acc: &mut [i64], a: i32, x: &[i32]) {
-    match mode() {
-        SimdMode::Scalar | SimdMode::Portable => i64_axpy_body(acc, a, x),
-        SimdMode::Native => native::i64_axpy(acc, a, x),
-    }
-}
-
-/// Dual-MAC over packed i16 pairs: with `a_pair = pack(a0, a1)` and
-/// `pairs[i] = pack(w0_i, w1_i)`, computes `acc[i] += a0*w0_i + a1*w1_i`.
-/// The native tier maps this to `_mm256_madd_epi16` (16 MACs/instruction);
-/// callers must bound `2 * max|a| * max|w|` below `i32::MAX` so the i32
-/// accumulator cannot overflow (see `core::quantized`). Exact across tiers.
-pub fn madd_pairs(acc: &mut [i32], a_pair: i32, pairs: &[i32]) {
-    match mode() {
-        SimdMode::Scalar | SimdMode::Portable => madd_pairs_body(acc, a_pair, pairs),
-        SimdMode::Native => native::madd_pairs(acc, a_pair, pairs),
-    }
-}
-
 /// Spill an i32 accumulator tile into the i64 row accumulator:
 /// `acc[i] += add[i]`. Exact across tiers.
 pub fn accumulate_i32_into_i64(acc: &mut [i64], add: &[i32]) {
@@ -1326,10 +1131,13 @@ pub fn accumulate_i32_into_i64(acc: &mut [i64], add: &[i32]) {
     }
 }
 
-/// [`madd_pairs`] over a whole packed panel in one dispatch: `a_pairs[p]`
-/// against the `p`-th row of `b_pairs` (layout `a_pairs.len() × acc.len()`).
-/// The caller's overflow bound must cover the entire panel. Exact across
-/// tiers.
+/// Dual-MAC over a packed i16-pair panel in one dispatch: with
+/// `a_pairs[p] = pack(a0, a1)` and `b_pairs[p * m + i] = pack(w0, w1)` (layout
+/// `a_pairs.len() × acc.len()`), adds `a0*w0 + a1*w1` into `acc[i]` for every
+/// `p`. The native tier maps each row to `_mm256_madd_epi16` (16 MACs per
+/// instruction); the caller's overflow bound must keep the i32 accumulator
+/// below `i32::MAX` over the entire panel (see `core::quantized`). Exact
+/// across tiers.
 pub fn madd_block(acc: &mut [i32], a_pairs: &[i32], b_pairs: &[i32]) {
     match mode() {
         SimdMode::Scalar | SimdMode::Portable => madd_block_body(acc, a_pairs, b_pairs),
@@ -1337,9 +1145,9 @@ pub fn madd_block(acc: &mut [i32], a_pairs: &[i32], b_pairs: &[i32]) {
     }
 }
 
-/// [`i64_axpy`] over a whole row-major panel in one dispatch: accumulates
-/// `a_row[p] * b[p][..]` for every `p` (layout `a_row.len() × acc.len()`).
-/// Exact across tiers.
+/// Fixed-point MAC over a whole row-major panel in one dispatch: accumulates
+/// `a_row[p] * b[p][..]` into `acc` in exact 64-bit integer arithmetic for
+/// every `p` (layout `a_row.len() × acc.len()`). Exact across tiers.
 pub fn i64_mac_row(acc: &mut [i64], a_row: &[i32], b: &[i32]) {
     match mode() {
         SimdMode::Scalar | SimdMode::Portable => i64_mac_row_body(acc, a_row, b),
@@ -1369,8 +1177,7 @@ pub fn madd_dot(a_pairs: &[i32], b_pairs: &[i32]) -> i64 {
 /// construction is proven bitwise identical in `quantize_codes_avx2`.
 pub fn quantize_codes(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i32, out: &mut [i32]) {
     match mode() {
-        SimdMode::Scalar => quantize_codes_scalar(values, inv_step, max_raw, min_raw, out),
-        SimdMode::Portable => quantize_codes_body(values, inv_step, max_raw, min_raw, out),
+        SimdMode::Scalar | SimdMode::Portable => quantize_codes_scalar(values, inv_step, max_raw, min_raw, out),
         SimdMode::Native => native::quantize_codes(values, inv_step, max_raw, min_raw, out),
     }
 }
@@ -1380,8 +1187,7 @@ pub fn quantize_codes(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i32,
 /// same way in every tier, so the result is bitwise identical.
 pub fn codes_to_f32(codes: &[i32], step: f32, out: &mut [f32]) {
     match mode() {
-        SimdMode::Scalar => codes_to_f32_scalar(codes, step, out),
-        SimdMode::Portable => codes_to_f32_body(codes, step, out),
+        SimdMode::Scalar | SimdMode::Portable => codes_to_f32_scalar(codes, step, out),
         SimdMode::Native => native::codes_to_f32(codes, step, out),
     }
 }
@@ -1393,8 +1199,7 @@ pub fn codes_to_f32(codes: &[i32], step: f32, out: &mut [f32]) {
 /// (the integer-matmul overflow bounds already guarantee this).
 pub fn shift_round_saturate_i32(values: &[i32], shift: u32, min_raw: i32, max_raw: i32, out: &mut [i32]) {
     match mode() {
-        SimdMode::Scalar => shift_round_saturate_i32_scalar(values, shift, min_raw, max_raw, out),
-        SimdMode::Portable => shift_round_saturate_i32_body(values, shift, min_raw, max_raw, out),
+        SimdMode::Scalar | SimdMode::Portable => shift_round_saturate_i32_scalar(values, shift, min_raw, max_raw, out),
         SimdMode::Native => native::shift_round_saturate_i32(values, shift, min_raw, max_raw, out),
     }
 }
@@ -1471,7 +1276,7 @@ mod tests {
         for m in available_modes() {
             force_mode(Some(m));
             let mut acc = acc_init.clone();
-            madd_pairs(&mut acc, a_pair, &pairs);
+            madd_block(&mut acc, &[a_pair], &pairs);
             assert_eq!(acc, expect, "mode {:?}", m);
         }
         force_mode(None);

@@ -72,27 +72,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn axpy_is_bitwise_identical_across_modes(seed in 0u64..1_000_000, n in 0usize..97) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let acc0 = floats(&mut rng, n);
-        let x = floats(&mut rng, n);
-        let a = rng.gen_range(-4.0f32..4.0);
-        let reference = with_mode(SimdMode::Scalar, || {
-            let mut acc = acc0.clone();
-            simd::axpy(&mut acc, a, &x);
-            acc
-        });
-        for mode in alternative_modes() {
-            let got = with_mode(mode, || {
-                let mut acc = acc0.clone();
-                simd::axpy(&mut acc, a, &x);
-                acc
-            });
-            assert_bits_eq(&reference, &got, "axpy", mode);
-        }
-    }
-
-    #[test]
     fn scale_is_bitwise_identical_across_modes(seed in 0u64..1_000_000, n in 0usize..97) {
         let mut rng = StdRng::seed_from_u64(seed);
         let values0 = floats(&mut rng, n);
@@ -195,22 +174,23 @@ proptest! {
     #[test]
     fn integer_kernels_are_exact_across_modes(seed in 0u64..1_000_000, n in 0usize..97) {
         let mut rng = StdRng::seed_from_u64(seed);
-        // i64_axpy: exact integer arithmetic, any tier.
+        // A one-row i64_mac_row panel onto a nonzero accumulator: exact
+        // integer arithmetic, any tier.
         let acc0: Vec<i64> = codes(&mut rng, n, 1 << 20).iter().map(|&c| c as i64).collect();
         let x = codes(&mut rng, n, 1 << 20);
         let a = rng.gen_range(-(1 << 20)..(1 << 20));
         let reference = with_mode(SimdMode::Scalar, || {
             let mut acc = acc0.clone();
-            simd::i64_axpy(&mut acc, a, &x);
+            simd::i64_mac_row(&mut acc, &[a], &x);
             acc
         });
         for mode in alternative_modes() {
             let got = with_mode(mode, || {
                 let mut acc = acc0.clone();
-                simd::i64_axpy(&mut acc, a, &x);
+                simd::i64_mac_row(&mut acc, &[a], &x);
                 acc
             });
-            prop_assert_eq!(&reference, &got, "i64_axpy under {:?}", mode);
+            prop_assert_eq!(&reference, &got, "one-row i64_mac_row under {:?}", mode);
         }
         // accumulate_i32_into_i64.
         let tile = codes(&mut rng, n, i32::MAX - 1);
@@ -230,32 +210,7 @@ proptest! {
     }
 
     #[test]
-    fn madd_pairs_is_exact_across_modes(seed in 0u64..1_000_000, m in 0usize..97) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        // Bounded so one madd step cannot overflow the i32 accumulator:
-        // |acc| + 2 * 1024 * 8192 stays far below i32::MAX.
-        let acc0 = codes(&mut rng, m, 1 << 24);
-        let b_lo = codes(&mut rng, m, 8192);
-        let b_hi = codes(&mut rng, m, 8192);
-        let pairs: Vec<i32> = b_lo.iter().zip(&b_hi).map(|(&lo, &hi)| simd::pack_i16_pair(lo, hi)).collect();
-        let a_pair = simd::pack_i16_pair(rng.gen_range(-1024..1024), rng.gen_range(-1024..1024));
-        let reference = with_mode(SimdMode::Scalar, || {
-            let mut acc = acc0.clone();
-            simd::madd_pairs(&mut acc, a_pair, &pairs);
-            acc
-        });
-        for mode in alternative_modes() {
-            let got = with_mode(mode, || {
-                let mut acc = acc0.clone();
-                simd::madd_pairs(&mut acc, a_pair, &pairs);
-                acc
-            });
-            prop_assert_eq!(&reference, &got, "madd_pairs under {:?}", mode);
-        }
-    }
-
-    #[test]
-    fn block_mac_kernels_are_exact_across_modes(seed in 0u64..1_000_000, m in 1usize..33, k in 1usize..65) {
+    fn block_mac_kernels_are_exact_across_modes(seed in 0u64..1_000_000, m in 0usize..97, k in 1usize..65) {
         let mut rng = StdRng::seed_from_u64(seed);
         // madd_block over an np × m panel with magnitudes that keep the whole
         // panel's accumulation within i32 (2 * np * 512 * 512 << i32::MAX).

@@ -99,8 +99,9 @@ impl BatchConfig {
 ///
 /// `process_batch` receives the coalesced requests in submission order and
 /// must return exactly one result per request, in the same order. The engine
-/// is shared by all workers, so it must be `Sync`; the beamformer engines in
-/// [`crate::service`] satisfy this with plain immutable data.
+/// is shared by all workers, so it must be `Sync`; the router's engine
+/// ([`crate::router::RouterEngine`]) satisfies this with shared immutable
+/// beamformers.
 pub trait BatchEngine: Send + Sync + 'static {
     /// Payload submitted per request (e.g. one `ChannelData` frame).
     type Request: Send + 'static;
@@ -413,13 +414,6 @@ impl<I> fmt::Display for TrySubmitError<I> {
 impl<I: fmt::Debug> std::error::Error for TrySubmitError<I> {}
 
 impl<I> TrySubmitError<I> {
-    /// Recovers the rejected request.
-    pub fn into_request(self) -> I {
-        match self {
-            Self::Full(request) | Self::ShuttingDown(request) => request,
-        }
-    }
-
     /// The equivalent [`ServeError`] (dropping the payload).
     pub fn as_serve_error(&self) -> ServeError {
         match self {
@@ -529,7 +523,7 @@ where
     /// Builds a server whose engine is a plain closure mapping a batch of
     /// requests to one result per request (in order). Convenient for tests
     /// and custom pipelines; beamforming deployments use
-    /// [`crate::service::BeamformEngine`].
+    /// [`crate::router::Router`].
     ///
     /// # Panics
     ///

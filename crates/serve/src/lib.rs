@@ -16,17 +16,16 @@
 //!   budget knobs,
 //! * [`BatchEngine`] — the pluggable batch computation (implement it, or wrap
 //!   a closure with [`Server::from_fn`]),
-//! * [`service`] — ready-made engines for the beamformers:
-//!   [`service::BeamformEngine`] submits [`ultrasound::ChannelData`] frames and
-//!   yields [`beamforming::iq::IqImage`]s through any
-//!   [`beamforming::pipeline::Beamformer`] (DAS, MVDR, Tiny-VBF, …), batching
-//!   frames through `beamform_batch_with_threads` so frames run concurrently
-//!   while each stays internally row-parallel under one bounded thread budget,
-//! * [`router`] — the multi-engine layer on top: a [`router::Router`]
-//!   dispatches *heterogeneous* streams (distinct probes, grids, sound
-//!   speeds, frame formats and backends) from one shared queue to lazily
-//!   spun-up engines, dividing one thread budget across each batch's
-//!   sub-streams and reporting per-engine latency and plan-cache counters.
+//! * [`router`] — the beamforming front end on top: a [`router::Router`]
+//!   submits [`ultrasound::ChannelData`] frames and yields
+//!   [`beamforming::iq::IqImage`]s through any
+//!   [`beamforming::pipeline::Beamformer`] (DAS, MVDR, Tiny-VBF, …). It
+//!   dispatches one stream or many *heterogeneous* ones (distinct probes,
+//!   grids, sound speeds, frame formats and backends) from one shared queue
+//!   to lazily spun-up engines, batching each stream's frames through
+//!   `beamform_batch_results` so frames run concurrently while each stays
+//!   internally row-parallel under one bounded thread budget, and reports
+//!   per-engine latency and plan-cache counters.
 //!
 //! Latency policy: requests may carry **deadlines**
 //! ([`Server::submit_with_deadline`], [`BatchConfig::deadline`]) — the
@@ -46,8 +45,8 @@
 //! ```
 //! use serve::{BatchConfig, Server};
 //!
-//! // A toy engine: double every request. Real deployments use
-//! // `serve::service::BeamformEngine` instead of a closure.
+//! // A toy engine: double every request. Beamforming deployments use
+//! // `serve::router::Router` instead of a closure.
 //! let server = Server::from_fn(BatchConfig::default(), |batch: Vec<i64>| {
 //!     batch.into_iter().map(|v| Ok(v * 2)).collect()
 //! });
@@ -63,7 +62,6 @@ pub mod batcher;
 pub mod chaos;
 pub mod degrade;
 pub mod router;
-pub mod service;
 pub mod wire;
 
 pub use batcher::{BatchConfig, BatchEngine, LatencyHistogram, ResponseHandle, Server, ServerStats, TrySubmitError};

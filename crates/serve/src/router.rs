@@ -1,11 +1,11 @@
 //! Multi-engine serving router: one submission queue, one thread budget,
 //! many heterogeneous beamforming streams — failing *soft*, not hard.
 //!
-//! A [`crate::service::BeamformEngine`] pins one probe, grid, sound speed and
-//! beamformer per server. Production front-ends see *heterogeneous* traffic —
-//! different probes, imaging grids, frame formats and backends (DAS, MVDR,
-//! Tiny-VBF) interleaved on one wire. The [`Router`] serves them all from a
-//! single micro-batching [`Server`]:
+//! Production front-ends see *heterogeneous* traffic — different probes,
+//! imaging grids, frame formats and backends (DAS, MVDR, Tiny-VBF)
+//! interleaved on one wire. The [`Router`] serves them all from a single
+//! micro-batching [`Server`]; a one-stream router is the plain frame-level
+//! server:
 //!
 //! * every request names its [`StreamSpec`] (probe + grid + sound speed +
 //!   backend); requests of *all* streams share one bounded submission queue,
@@ -726,9 +726,9 @@ pub struct Router {
 impl Router {
     /// Spawns a router over the factory with the workspace-default thread
     /// budget split across the batch workers (`default_threads / workers`
-    /// per dispatch, at least 1), like
-    /// [`beamform_server`](crate::service::beamform_server), the default
-    /// [`FaultPolicy`] and no degradation ladder.
+    /// per dispatch, at least 1, so raising [`BatchConfig::workers`]
+    /// overlaps batches without multiplying the total compute-thread
+    /// count), the default [`FaultPolicy`] and no degradation ladder.
     ///
     /// # Panics
     ///

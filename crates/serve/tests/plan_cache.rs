@@ -1,17 +1,31 @@
-//! Plan lifecycle through the serving path: a planned beamformer engine
-//! builds its delay tables once per stream, serves frames bitwise identical
-//! to the direct beamformer, and rebuilds the plan exactly once when the
-//! stream's frame format changes mid-flight.
+//! Plan lifecycle through the serving path: a planned beamformer behind a
+//! one-stream router builds its delay tables once per stream, serves frames
+//! bitwise identical to the direct beamformer, and rebuilds the plan exactly
+//! once when the stream's frame format changes mid-flight.
 
 use beamforming::grid::ImagingGrid;
 use beamforming::iq::IqImage;
 use beamforming::pipeline::{Beamformer, DelayAndSum};
 use beamforming::plan::{FrameFormat, PlannedDas};
-use serve::service::BeamformEngine;
-use serve::{BatchConfig, Server};
+use serve::router::{Router, StreamSpec};
+use serve::{BatchConfig, ServeResult};
 use std::sync::Arc;
 use std::time::Duration;
 use ultrasound::{ChannelData, LinearArray, Medium, Phantom, PlaneWave, PlaneWaveSimulator};
+
+/// A router serving one DAS stream on `planned`, shared with the caller so
+/// the test can read its plan-cache counters.
+fn one_stream_router(
+    config: BatchConfig,
+    planned: &Arc<PlannedDas>,
+    array: &LinearArray,
+    grid: &ImagingGrid,
+) -> (Router, StreamSpec) {
+    let spec = StreamSpec { array: array.clone(), grid: grid.clone(), sound_speed: 1540.0, backend: "das".into() };
+    let engine: Arc<dyn Beamformer + Send + Sync> = Arc::clone(planned) as _;
+    let router = Router::new(config, move |_: &StreamSpec| -> ServeResult<_> { Ok(Arc::clone(&engine)) });
+    (router, spec)
+}
 
 fn frames_with_depth(array: &LinearArray, max_depth: f32, count: usize, seed: u64) -> Vec<ChannelData> {
     let sim = PlaneWaveSimulator::new(array.clone(), Medium::soft_tissue(), max_depth);
@@ -41,9 +55,10 @@ fn served_planned_das_rebuilds_once_on_frame_format_change() {
     );
 
     let planned = Arc::new(PlannedDas::new(DelayAndSum::default()));
-    let engine = BeamformEngine::new(Arc::clone(&planned), array.clone(), grid.clone(), 1540.0);
+    let config = BatchConfig { max_batch: 3, linger: Duration::from_micros(200), ..BatchConfig::default() };
+    let (router, spec) = one_stream_router(config, &planned, &array, &grid);
     // Warm the cache for the first segment: the plan exists before any frame.
-    engine.warm(&FrameFormat::of(&segment_a[0]));
+    router.warm(&spec, &FrameFormat::of(&segment_a[0])).unwrap();
     assert_eq!(planned.plans_built(), 1, "warm must build the first plan");
 
     let das = DelayAndSum::default();
@@ -53,15 +68,13 @@ fn served_planned_das_rebuilds_once_on_frame_format_change() {
         .map(|f| das.beamform(f, &array, &grid, 1540.0).unwrap())
         .collect();
 
-    let config = BatchConfig { max_batch: 3, linger: Duration::from_micros(200), ..BatchConfig::default() };
-    let server = Server::new(config, engine);
     let handles: Vec<_> = segment_a
         .iter()
         .chain(segment_b.iter())
-        .map(|f| server.submit(f.clone()).unwrap())
+        .map(|f| router.submit(&spec, f.clone()).unwrap())
         .collect();
     let served: Vec<IqImage> = handles.into_iter().map(|h| h.wait().unwrap()).collect();
-    let stats = server.shutdown();
+    let stats = router.shutdown().server;
 
     assert_eq!(stats.completed, 8);
     assert_eq!(stats.latency.count(), 8, "one latency sample per served frame");
@@ -88,18 +101,18 @@ fn served_alternating_formats_stay_warm_in_the_multi_slot_cache() {
         segment_a.iter().zip(&segment_b).flat_map(|(a, b)| [a.clone(), b.clone()]).collect();
 
     let planned = Arc::new(PlannedDas::new(DelayAndSum::default()));
-    let engine = BeamformEngine::new(Arc::clone(&planned), array.clone(), grid.clone(), 1540.0);
-    engine.warm(&FrameFormat::of(&segment_a[0]));
-    engine.warm(&FrameFormat::of(&segment_b[0]));
+    let config = BatchConfig { max_batch: 4, ..BatchConfig::default() };
+    let (router, spec) = one_stream_router(config, &planned, &array, &grid);
+    router.warm(&spec, &FrameFormat::of(&segment_a[0])).unwrap();
+    router.warm(&spec, &FrameFormat::of(&segment_b[0])).unwrap();
     assert_eq!(planned.plans_built(), 2, "warm-up must build one plan per format");
 
     let das = DelayAndSum::default();
     let reference: Vec<IqImage> =
         interleaved.iter().map(|f| das.beamform(f, &array, &grid, 1540.0).unwrap()).collect();
-    let server = Server::new(BatchConfig { max_batch: 4, ..BatchConfig::default() }, engine);
-    let handles: Vec<_> = interleaved.iter().map(|f| server.submit(f.clone()).unwrap()).collect();
+    let handles: Vec<_> = interleaved.iter().map(|f| router.submit(&spec, f.clone()).unwrap()).collect();
     let served: Vec<IqImage> = handles.into_iter().map(|h| h.wait().unwrap()).collect();
-    server.shutdown();
+    router.shutdown();
 
     assert_eq!(reference, served, "alternating formats must not change any pixel");
     assert_eq!(planned.plans_built(), 2, "zero plan rebuilds after warm-up");
@@ -117,14 +130,12 @@ fn lru_eviction_order_holds_through_the_serving_path() {
     let array = LinearArray::small_test_array();
     let grid = ImagingGrid::for_array(&array, 0.012, 0.008, 8, 8);
     let planned = Arc::new(PlannedDas::with_cache_capacity(DelayAndSum::default(), 2));
-    let engine = BeamformEngine::new(Arc::clone(&planned), array.clone(), grid, 1540.0);
+    let (router, spec) = one_stream_router(BatchConfig::default(), &planned, &array, &grid);
     let frame = |n: usize| ChannelData::zeros(n, array.num_elements(), array.sampling_frequency());
     let (a, b, c) = (frame(128), frame(160), frame(192));
 
-    let serve_one = |f: &ChannelData| {
-        let results = serve::BatchEngine::process_batch(&engine, vec![f.clone()]);
-        results.into_iter().next().unwrap().unwrap()
-    };
+    // One frame at a time, each waited on: the serving order is the call order.
+    let serve_one = |f: &ChannelData| router.submit(&spec, f.clone()).unwrap().wait().unwrap();
     serve_one(&a); // build A            -> [A]
     serve_one(&b); // build B            -> [B, A]
     serve_one(&a); // hit A (refresh)    -> [A, B]
@@ -144,9 +155,9 @@ fn warm_is_idempotent_and_best_effort() {
     let array = LinearArray::small_test_array();
     let grid = ImagingGrid::for_array(&array, 0.012, 0.008, 8, 8);
     let planned = Arc::new(PlannedDas::new(DelayAndSum::default()));
-    let engine = BeamformEngine::new(Arc::clone(&planned), array.clone(), grid, 1540.0);
+    let (router, spec) = one_stream_router(BatchConfig::default(), &planned, &array, &grid);
     let frame = FrameFormat { num_samples: 256, sampling_frequency: array.sampling_frequency(), start_time: 0.0 };
-    engine.warm(&frame);
-    engine.warm(&frame);
+    router.warm(&spec, &frame).unwrap();
+    router.warm(&spec, &frame).unwrap();
     assert_eq!(planned.plans_built(), 1, "re-warming the same format must hit the cache");
 }

@@ -248,3 +248,29 @@ fn router_try_submit_sheds_load_with_the_frame_returned() {
     let stats = router.shutdown();
     assert_eq!(stats.server.completed + shed, 65);
 }
+
+#[test]
+fn bad_frame_fails_alone_in_a_mixed_batch() {
+    let array = LinearArray::small_test_array();
+    let spec = StreamSpec {
+        array: array.clone(),
+        grid: ImagingGrid::for_array(&array, 0.014, 0.008, 8, 8),
+        sound_speed: 1540.0,
+        backend: "das".into(),
+    };
+    // max_batch 3 under a long linger: the three frames share one batch.
+    let router = Router::new(
+        BatchConfig { max_batch: 3, linger: Duration::from_secs(1), ..BatchConfig::default() },
+        classical_factory(Arc::new(AtomicUsize::new(0))),
+    );
+    let good = ChannelData::zeros(256, array.num_elements(), array.sampling_frequency());
+    let bad = ChannelData::zeros(256, 3, array.sampling_frequency()); // wrong channel count
+    let handles: Vec<_> =
+        [good.clone(), bad, good].into_iter().map(|frame| router.submit(&spec, frame).unwrap()).collect();
+    let results: Vec<_> = handles.into_iter().map(|h| h.wait()).collect();
+    assert!(results[0].is_ok());
+    assert!(matches!(results[1], Err(ServeError::Engine(_))), "{:?}", results[1]);
+    assert!(results[2].is_ok());
+    let stats = router.shutdown();
+    assert_eq!(stats.server.batches, 1, "the bad frame must fail inside a mixed batch");
+}

@@ -134,22 +134,6 @@ impl TrainingSetConfig {
     }
 }
 
-/// Splits frames into a training and validation partition (validation gets
-/// `validation_fraction` of the frames, at least one when possible).
-pub fn train_validation_split(
-    frames: Vec<TrainingFrame>,
-    validation_fraction: f32,
-) -> (Vec<TrainingFrame>, Vec<TrainingFrame>) {
-    let total = frames.len();
-    if total < 2 {
-        return (frames, Vec::new());
-    }
-    let n_val = ((total as f32 * validation_fraction.clamp(0.0, 0.9)).round() as usize).clamp(1, total - 1);
-    let mut train = frames;
-    let val = train.split_off(total - n_val);
-    (train, val)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,20 +164,6 @@ mod tests {
         let p0 = cfg.phantom(0);
         let p1 = cfg.phantom(1);
         assert_ne!(p0, p1);
-    }
-
-    #[test]
-    fn split_respects_fraction_and_degenerate_cases() {
-        let cfg = TrainingSetConfig { speckle_density: 5.0, max_depth: 0.015, max_cysts: 0, max_points: 1, ..TrainingSetConfig::small() };
-        let frames = cfg.generate(5).unwrap();
-        let (train, val) = train_validation_split(frames, 0.4);
-        assert_eq!(train.len() + val.len(), 5);
-        assert_eq!(val.len(), 2);
-
-        let single = cfg.generate(1).unwrap();
-        let (train1, val1) = train_validation_split(single, 0.5);
-        assert_eq!(train1.len(), 1);
-        assert!(val1.is_empty());
     }
 
     #[test]

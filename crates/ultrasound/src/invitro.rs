@@ -56,11 +56,6 @@ impl InVitroDegradation {
         Self { snr_db: 40.0, element_gain_spread: 0.03, timing_jitter_samples: 0.1, clutter_level: 0.05, ..Self::default() }
     }
 
-    /// A harsher degradation (low-end hardware).
-    pub fn severe() -> Self {
-        Self { snr_db: 18.0, element_gain_spread: 0.15, timing_jitter_samples: 0.8, clutter_level: 0.35, ..Self::default() }
-    }
-
     /// Applies the degradation to a channel-data frame in place.
     pub fn apply(&self, data: &mut ChannelData) {
         let mut rng = StdRng::seed_from_u64(self.seed);
@@ -99,13 +94,6 @@ impl InVitroDegradation {
         // Electronic noise last so it is not shaped by the jitter interpolation.
         data.add_white_noise(self.snr_db, self.seed.wrapping_add(1));
     }
-
-    /// Convenience helper returning a degraded copy.
-    pub fn applied_to(&self, data: &ChannelData) -> ChannelData {
-        let mut copy = data.clone();
-        self.apply(&mut copy);
-        copy
-    }
 }
 
 fn standard_normal(rng: &mut StdRng) -> f32 {
@@ -130,10 +118,16 @@ mod tests {
         data
     }
 
+    fn degraded(model: InVitroDegradation, data: &ChannelData) -> ChannelData {
+        let mut copy = data.clone();
+        model.apply(&mut copy);
+        copy
+    }
+
     #[test]
     fn degradation_changes_the_data_but_keeps_shape() {
         let clean = test_frame();
-        let degraded = InVitroDegradation::default().applied_to(&clean);
+        let degraded = degraded(InVitroDegradation::default(), &clean);
         assert_eq!(degraded.num_samples(), clean.num_samples());
         assert_eq!(degraded.num_channels(), clean.num_channels());
         assert_ne!(degraded, clean);
@@ -143,22 +137,29 @@ mod tests {
     fn severe_degradation_adds_more_error_than_mild() {
         let clean = test_frame();
         let err = |model: InVitroDegradation| {
-            let d = model.applied_to(&clean);
+            let d = degraded(model, &clean);
             d.as_slice()
                 .iter()
                 .zip(clean.as_slice())
                 .map(|(a, b)| (a - b) * (a - b))
                 .sum::<f32>()
         };
-        assert!(err(InVitroDegradation::severe()) > 2.0 * err(InVitroDegradation::mild()));
+        let severe = InVitroDegradation {
+            snr_db: 18.0,
+            element_gain_spread: 0.15,
+            timing_jitter_samples: 0.8,
+            clutter_level: 0.35,
+            ..InVitroDegradation::default()
+        };
+        assert!(err(severe) > 2.0 * err(InVitroDegradation::mild()));
     }
 
     #[test]
     fn degradation_is_reproducible_per_seed() {
         let clean = test_frame();
-        let a = InVitroDegradation::default().applied_to(&clean);
-        let b = InVitroDegradation::default().applied_to(&clean);
-        let c = InVitroDegradation { seed: 99, ..InVitroDegradation::default() }.applied_to(&clean);
+        let a = degraded(InVitroDegradation::default(), &clean);
+        let b = degraded(InVitroDegradation::default(), &clean);
+        let c = degraded(InVitroDegradation { seed: 99, ..InVitroDegradation::default() }, &clean);
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
@@ -174,7 +175,7 @@ mod tests {
             }
         }
         let model = InVitroDegradation { snr_db: 80.0, element_gain_spread: 0.0, timing_jitter_samples: 0.0, clutter_level: 1.0, clutter_extent: 0.2, seed: 5 };
-        let degraded = model.applied_to(&faint);
+        let degraded = degraded(model, &faint);
         let diff: Vec<f32> = degraded.as_slice().iter().zip(faint.as_slice()).map(|(a, b)| (a - b).abs()).collect();
         let head: f32 = diff[..4 * 150].iter().sum();
         let tail: f32 = diff[4 * 400..].iter().sum();
@@ -184,7 +185,7 @@ mod tests {
     #[test]
     fn zero_signal_gets_no_noise_added() {
         let clean = ChannelData::zeros(100, 4, 31.25e6);
-        let degraded = InVitroDegradation::default().applied_to(&clean);
+        let degraded = degraded(InVitroDegradation::default(), &clean);
         // rms is zero -> noise and clutter skipped, jitter of zeros stays zero.
         assert_eq!(degraded.rms(), 0.0);
     }

@@ -28,11 +28,6 @@ impl Medium {
         Self { sound_speed: 1540.0, attenuation_db_cm_mhz: 0.5 }
     }
 
-    /// Water-like medium used by calibration phantoms: 1480 m/s, negligible attenuation.
-    pub fn water() -> Self {
-        Self { sound_speed: 1480.0, attenuation_db_cm_mhz: 0.002 }
-    }
-
     /// Lossless medium (useful for validating geometry without amplitude effects).
     pub fn lossless(sound_speed: f32) -> Self {
         Self { sound_speed, attenuation_db_cm_mhz: 0.0 }
@@ -57,12 +52,6 @@ impl Medium {
     /// Attenuation coefficient in dB/cm/MHz.
     pub fn attenuation(&self) -> f32 {
         self.attenuation_db_cm_mhz
-    }
-
-    /// Returns a copy with a perturbed sound speed (used by the in-vitro degradation
-    /// model to emulate sound-speed mismatch between the beamformer and the medium).
-    pub fn with_sound_speed(&self, sound_speed: f32) -> Self {
-        Self { sound_speed, attenuation_db_cm_mhz: self.attenuation_db_cm_mhz }
     }
 
     /// One-way amplitude attenuation factor for a signal at `frequency` Hz travelling
@@ -91,7 +80,6 @@ mod tests {
     #[test]
     fn presets_have_expected_values() {
         assert_eq!(Medium::soft_tissue().sound_speed(), 1540.0);
-        assert_eq!(Medium::water().sound_speed(), 1480.0);
         assert_eq!(Medium::lossless(1500.0).attenuation(), 0.0);
     }
 
@@ -118,13 +106,6 @@ mod tests {
         let m = Medium::soft_tissue();
         let lambda = m.wavelength(7.6e6);
         assert!((lambda - 1540.0 / 7.6e6).abs() < 1e-9);
-    }
-
-    #[test]
-    fn with_sound_speed_overrides_only_speed() {
-        let m = Medium::soft_tissue().with_sound_speed(1480.0);
-        assert_eq!(m.sound_speed(), 1480.0);
-        assert_eq!(m.attenuation(), 0.5);
     }
 
     #[test]

@@ -130,7 +130,6 @@ pub struct PhantomBuilder {
     speckle_amplitude: f32,
     point_targets: Vec<Scatterer>,
     cysts: Vec<CircleRegion>,
-    hyperechoic: Vec<(CircleRegion, f32)>,
     seed: u64,
 }
 
@@ -144,7 +143,6 @@ impl PhantomBuilder {
             speckle_amplitude: 1.0,
             point_targets: Vec::new(),
             cysts: Vec::new(),
-            hyperechoic: Vec::new(),
             seed: 0,
         }
     }
@@ -188,13 +186,6 @@ impl PhantomBuilder {
         self
     }
 
-    /// Adds a hyperechoic circular inclusion whose speckle amplitude is multiplied by
-    /// `gain` (> 1 brightens, < 1 darkens without fully removing scatterers).
-    pub fn add_hyperechoic(mut self, cx: f32, cz: f32, radius: f32, gain: f32) -> Self {
-        self.hyperechoic.push((CircleRegion::new(cx, cz, radius), gain));
-        self
-    }
-
     /// Generates the scatterer map.
     pub fn build(self) -> Phantom {
         let mut rng = StdRng::seed_from_u64(self.seed);
@@ -213,11 +204,6 @@ impl PhantomBuilder {
             let mut amplitude = self.speckle_amplitude * (-2.0 * u.ln()).sqrt() / std::f32::consts::SQRT_2;
             if rng.gen_bool(0.5) {
                 amplitude = -amplitude;
-            }
-            for (region, gain) in &self.hyperechoic {
-                if region.contains(x, z) {
-                    amplitude *= gain;
-                }
             }
             scatterers.push(Scatterer::new(x, z, amplitude));
         }
@@ -296,31 +282,6 @@ mod tests {
         let c = Phantom::builder(0.02, 0.03).seed(43).speckle_density(500.0).build();
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn hyperechoic_region_boosts_amplitude() {
-        let region = CircleRegion::new(0.0, 0.02, 0.005);
-        let p = Phantom::builder(0.02, 0.04)
-            .seed(9)
-            .speckle_density(3000.0)
-            .add_hyperechoic(region.cx, region.cz, region.radius, 8.0)
-            .build();
-        let inside: Vec<f32> = p
-            .scatterers()
-            .iter()
-            .filter(|s| region.contains(s.x, s.z))
-            .map(|s| s.amplitude.abs())
-            .collect();
-        let outside: Vec<f32> = p
-            .scatterers()
-            .iter()
-            .filter(|s| !region.contains(s.x, s.z))
-            .map(|s| s.amplitude.abs())
-            .collect();
-        let mean_in: f32 = inside.iter().sum::<f32>() / inside.len() as f32;
-        let mean_out: f32 = outside.iter().sum::<f32>() / outside.len() as f32;
-        assert!(mean_in > 4.0 * mean_out, "in {mean_in} out {mean_out}");
     }
 
     #[test]

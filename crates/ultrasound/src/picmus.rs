@@ -91,7 +91,6 @@ pub struct PicmusDataset {
     scale: f32,
     speckle_density: f32,
     max_depth: f32,
-    degradation: InVitroDegradation,
 }
 
 impl PicmusDataset {
@@ -103,7 +102,6 @@ impl PicmusDataset {
             scale: 1.0,
             speckle_density: 1200.0,
             max_depth: 45.0e-3,
-            degradation: InVitroDegradation::default(),
         }
     }
 
@@ -115,7 +113,6 @@ impl PicmusDataset {
             scale: 1.0,
             speckle_density: 0.0,
             max_depth: 45.0e-3,
-            degradation: InVitroDegradation::default(),
         }
     }
 
@@ -125,21 +122,9 @@ impl PicmusDataset {
         self
     }
 
-    /// Overrides the speckle density (scatterers per cm²) before scaling.
-    pub fn with_speckle_density(mut self, per_cm2: f32) -> Self {
-        self.speckle_density = per_cm2.max(0.0);
-        self
-    }
-
     /// Overrides the maximum imaging depth in metres.
     pub fn with_max_depth(mut self, depth: f32) -> Self {
         self.max_depth = depth.max(5.0e-3);
-        self
-    }
-
-    /// Overrides the in-vitro degradation model (ignored for in-silico frames).
-    pub fn with_degradation(mut self, model: InVitroDegradation) -> Self {
-        self.degradation = model;
         self
     }
 
@@ -209,7 +194,7 @@ impl PicmusDataset {
         let simulator = PlaneWaveSimulator::new(array.clone(), medium, self.max_depth);
         let mut channel_data = simulator.simulate(&phantom, PlaneWave::zero_angle())?;
         if self.kind == PicmusKind::InVitro {
-            let model = InVitroDegradation { seed: seed ^ 0x5EED, ..self.degradation };
+            let model = InVitroDegradation { seed: seed ^ 0x5EED, ..InVitroDegradation::default() };
             model.apply(&mut channel_data);
         }
         Ok(PicmusFrame {
@@ -295,7 +280,6 @@ mod tests {
     fn builder_knobs_are_respected() {
         let ds = PicmusDataset::contrast(PicmusKind::InSilico)
             .with_scale(0.2)
-            .with_speckle_density(100.0)
             .with_max_depth(0.02);
         // Only the 13 mm cyst fits above 20 mm depth.
         assert_eq!(ds.phantom(0).cysts().len(), 1);

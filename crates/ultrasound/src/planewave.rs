@@ -73,18 +73,6 @@ impl PlaneWaveSimulator {
         Self { array, medium, pulse, config, num_threads: default_threads() }
     }
 
-    /// Overrides the transmit pulse.
-    pub fn with_pulse(mut self, pulse: Pulse) -> Self {
-        self.pulse = pulse;
-        self
-    }
-
-    /// Overrides the acquisition configuration.
-    pub fn with_config(mut self, config: AcquisitionConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Sets the number of worker threads used during simulation (minimum 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.num_threads = threads.max(1);
@@ -180,24 +168,6 @@ impl PlaneWaveSimulator {
         let mut data = ChannelData::from_channel_traces(&traces, fs)?;
         data.set_start_time(self.config.start_time);
         Ok(data)
-    }
-
-    /// Simulates a coherently compounded multi-angle acquisition by summing the channel
-    /// data of several steering angles (used to build the fine-tuning targets that stand
-    /// in for the CUBDL multi-angle data).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation errors; returns [`UltrasoundError::InvalidConfig`] when no
-    /// angles are supplied.
-    pub fn simulate_compounded(&self, phantom: &Phantom, angles_deg: &[f32]) -> UltrasoundResult<Vec<ChannelData>> {
-        if angles_deg.is_empty() {
-            return Err(UltrasoundError::InvalidConfig { field: "angles_deg", reason: "need at least one angle".into() });
-        }
-        angles_deg
-            .iter()
-            .map(|&a| self.simulate(phantom, PlaneWave::from_degrees(a)))
-            .collect()
     }
 }
 
@@ -333,15 +303,6 @@ mod tests {
         let a = sim1.simulate(&phantom, PlaneWave::zero_angle()).unwrap();
         let b = sim4.simulate(&phantom, PlaneWave::zero_angle()).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn compounded_simulation_produces_one_frame_per_angle() {
-        let sim = test_simulator();
-        let phantom = Phantom::builder(0.01, 0.03).add_point_target(0.0, 0.02, 1.0).build();
-        let frames = sim.simulate_compounded(&phantom, &[-5.0, 0.0, 5.0]).unwrap();
-        assert_eq!(frames.len(), 3);
-        assert!(sim.simulate_compounded(&phantom, &[]).is_err());
     }
 
     #[test]

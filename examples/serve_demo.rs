@@ -1,14 +1,15 @@
-//! Streaming serving demo: push 64 plane-wave frames through the micro-batching
-//! [`serve`] front-end with a Tiny-VBF beamformer and verify the served images
-//! are **bitwise identical** to serial per-frame inference.
+//! Streaming serving demo: push 64 plane-wave frames through a one-stream
+//! [`serve::router::Router`] with a Tiny-VBF beamformer and verify the served
+//! images are **bitwise identical** to serial per-frame inference.
 //!
 //! Run with `cargo run --release --example serve_demo`; set `TINY_VBF_THREADS`
 //! to any value — the results must not change (the assertion below holds for
 //! every thread count, batch size and linger).
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tiny_vbf_repro::prelude::*;
-use tiny_vbf_repro::serve::service::beamform_server;
+use tiny_vbf_repro::serve::ServeResult;
 use tiny_vbf_repro::ultrasound::ChannelData;
 
 const FRAMES: usize = 64;
@@ -42,7 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect::<Result<_, _>>()?;
     let serial_seconds = serial_start.elapsed().as_secs_f64();
 
-    // Served: the same frames through the micro-batching server.
+    // Served: the same frames through a router with one stream, whose engine
+    // is the beamformer that produced the serial reference.
     let batch_config = BatchConfig {
         max_batch: 8,
         linger: Duration::from_millis(1),
@@ -54,12 +56,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "serving (max_batch {}, linger {:?}, queue {}, {} worker)…",
         batch_config.max_batch, batch_config.linger, batch_config.queue_capacity, batch_config.workers
     );
-    let server = beamform_server(batch_config, beamformer, array, grid, sound_speed);
+    let spec = StreamSpec { array, grid, sound_speed, backend: "tiny-vbf-fp".into() };
+    let engine: Arc<dyn Beamformer + Send + Sync> = Arc::new(beamformer);
+    let router = Router::new(batch_config, move |_: &StreamSpec| -> ServeResult<_> { Ok(Arc::clone(&engine)) });
     let served_start = Instant::now();
-    let handles: Vec<_> = frames.iter().map(|frame| server.submit(frame.clone())).collect::<Result<_, _>>()?;
+    let handles: Vec<_> =
+        frames.iter().map(|frame| router.submit(&spec, frame.clone())).collect::<Result<_, _>>()?;
     let served: Vec<_> = handles.into_iter().map(|h| h.wait()).collect::<Result<_, _>>()?;
     let served_seconds = served_start.elapsed().as_secs_f64();
-    let stats = server.shutdown();
+    let stats = router.shutdown().server;
 
     // The serving layer is pure scheduling: images must match bit for bit.
     assert_eq!(reference.len(), served.len());

@@ -25,7 +25,6 @@ pub mod prelude {
     pub use beamforming::BModeImage;
     pub use quantize::QuantScheme;
     pub use serve::router::{FaultPolicy, Router, StreamSpec};
-    pub use serve::service::{beamform_server, BeamformEngine, BeamformServer};
     pub use serve::{BatchConfig, ChaosBeamformer, ChaosSchedule, DegradeConfig, Server};
     pub use tiny_vbf::config::TinyVbfConfig;
     pub use tiny_vbf::evaluation::EvaluationConfig;
