@@ -1,6 +1,6 @@
 //! Top-level accelerator model: whole-frame latency and utilization reports.
 
-use crate::resources::{ResourceEstimate, ResourceModel};
+use crate::resources::{self, ResourceEstimate};
 use crate::scheduler::Scheduler;
 use crate::CLOCK_HZ;
 use quantize::QuantScheme;
@@ -66,7 +66,7 @@ impl Accelerator {
             cycles_per_frame,
             latency_seconds,
             frames_per_second: if latency_seconds > 0.0 { 1.0 / latency_seconds } else { 0.0 },
-            resources: ResourceModel::paper_calibrated().estimate(&self.config, &self.scheme),
+            resources: resources::estimate(&self.config, &self.scheme),
         }
     }
 

@@ -35,7 +35,7 @@ pub mod resources;
 pub mod scheduler;
 
 pub use accelerator::{Accelerator, FrameReport};
-pub use resources::{ResourceEstimate, ResourceModel};
+pub use resources::ResourceEstimate;
 
 /// Clock frequency of the paper's implementation (Hz).
 pub const CLOCK_HZ: f64 = 100.0e6;

@@ -1,10 +1,10 @@
 //! FPGA resource and power estimation (Table VI and Fig. 1(b)).
 //!
-//! Two levels are provided:
+//! Two levels are provided, and [`estimate`] combines them:
 //!
-//! * [`ResourceModel::paper_calibrated`] returns the paper's measured ZCU104 utilization
-//!   for the six evaluated schemes verbatim (these are the reference numbers the
-//!   benchmark prints next to the model's estimates), and
+//! * [`paper_table_vi`] returns the paper's measured ZCU104 utilization for the six
+//!   evaluated schemes verbatim (these are the reference numbers the benchmark prints
+//!   next to the model's estimates), and
 //! * [`analytical_estimate`] estimates utilization for *any* scheme from its bit
 //!   widths with a simple per-component model (datapath LUTs/FFs grow with the MAC
 //!   width, weight storage with the weight width, DSP usage depends on whether a
@@ -50,37 +50,11 @@ impl ResourceEstimate {
     }
 }
 
-/// How to produce resource estimates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResourceModel {
-    /// Return the paper's measured Table VI numbers for the six known schemes and fall
-    /// back to the analytical model otherwise.
-    PaperCalibrated,
-    /// Always use the analytical model.
-    Analytical,
-}
-
-impl ResourceModel {
-    /// The calibrated model.
-    pub fn paper_calibrated() -> Self {
-        ResourceModel::PaperCalibrated
-    }
-
-    /// Estimates the utilization of the accelerator for a model configuration and
-    /// quantization scheme.
-    pub fn estimate(&self, config: &TinyVbfConfig, scheme: &QuantScheme) -> ResourceEstimate {
-        match self {
-            ResourceModel::PaperCalibrated => {
-                paper_table_vi(scheme).unwrap_or_else(|| analytical_estimate(config, scheme))
-            }
-            ResourceModel::Analytical => analytical_estimate(config, scheme),
-        }
-    }
-
-    /// Estimates every scheme of the paper, in Table VI order.
-    pub fn table(&self, config: &TinyVbfConfig) -> Vec<ResourceEstimate> {
-        QuantScheme::all().iter().map(|s| self.estimate(config, s)).collect()
-    }
+/// Estimates the utilization of the accelerator for a model configuration and
+/// quantization scheme: the paper's measured Table VI numbers for the six known
+/// schemes, the analytical model for any other.
+pub fn estimate(config: &TinyVbfConfig, scheme: &QuantScheme) -> ResourceEstimate {
+    paper_table_vi(scheme).unwrap_or_else(|| analytical_estimate(config, scheme))
 }
 
 /// The paper's measured ZCU104 utilization (Table VI) for the six evaluated schemes.
@@ -147,23 +121,23 @@ mod tests {
 
     #[test]
     fn calibrated_model_reproduces_table_vi_exactly() {
-        let model = ResourceModel::paper_calibrated();
         let config = TinyVbfConfig::paper();
-        let float = model.estimate(&config, &QuantScheme::float());
+        let float = estimate(&config, &QuantScheme::float());
         assert_eq!(float.lut, 124_935.0);
         assert_eq!(float.dsp, 533.0);
-        let h2 = model.estimate(&config, &QuantScheme::hybrid2());
+        let h2 = estimate(&config, &QuantScheme::hybrid2());
         assert_eq!(h2.ff, 29_105.0);
         assert_eq!(h2.bram, 110.0);
-        assert_eq!(model.table(&config).len(), 6);
+        for scheme in QuantScheme::all() {
+            assert_eq!(Some(estimate(&config, &scheme)), paper_table_vi(&scheme), "{}", scheme.name);
+        }
     }
 
     #[test]
     fn hybrid2_saves_about_half_the_resources_of_float() {
         let config = TinyVbfConfig::paper();
-        let model = ResourceModel::paper_calibrated();
-        let float = model.estimate(&config, &QuantScheme::float());
-        let h2 = model.estimate(&config, &QuantScheme::hybrid2());
+        let float = estimate(&config, &QuantScheme::float());
+        let h2 = estimate(&config, &QuantScheme::hybrid2());
         let relative = h2.relative_utilization(&float);
         assert!(relative < 0.6, "relative utilization {relative}");
         assert!(relative > 0.3, "relative utilization {relative}");
@@ -212,9 +186,7 @@ mod tests {
     fn unknown_scheme_falls_back_to_analytical() {
         let config = TinyVbfConfig::paper();
         let custom = QuantScheme { name: "custom-12", ..QuantScheme::w16() };
-        let model = ResourceModel::paper_calibrated();
-        let estimate = model.estimate(&config, &custom);
-        assert_eq!(estimate.scheme, "custom-12");
-        assert!(estimate.lut > 0.0);
+        assert_eq!(estimate(&config, &custom), analytical_estimate(&config, &custom));
+        assert_eq!(estimate(&config, &custom).scheme, "custom-12");
     }
 }

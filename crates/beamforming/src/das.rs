@@ -1,19 +1,17 @@
 //! Delay-and-Sum (DAS) beamforming.
 //!
 //! DAS is the paper's conventional baseline: sample every channel at the pixel's
-//! round-trip delay and sum with data-independent apodization weights. Its low cost is
-//! why it ships in commercial systems; its data-independence is why single-angle DAS
-//! images have poor contrast and resolution compared to MVDR and the learned
-//! beamformers.
+//! round-trip delay with linear interpolation and sum with data-independent boxcar
+//! (uniform) apodization weights. Its low cost is why it ships in commercial systems;
+//! its data-independence is why single-angle DAS images have poor contrast and
+//! resolution compared to MVDR and the learned beamformers.
 
-use crate::apodization::Apodization;
 use crate::grid::ImagingGrid;
 use crate::iq::{rf_to_iq, IqImage};
-use crate::plan::{BeamformPlan, FrameFormat};
 use crate::tof::TofCube;
 use crate::{BeamformError, BeamformResult};
 use ultrasound::{ChannelData, LinearArray, PlaneWave};
-use usdsp::interp::{sample_at, InterpMethod};
+use usdsp::interp::sample_at;
 
 /// Delay-and-Sum beamformer configuration.
 ///
@@ -35,39 +33,24 @@ use usdsp::interp::{sample_at, InterpMethod};
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct DelayAndSum {
-    /// Receive apodization strategy.
-    pub apodization: Apodization,
     /// Plane-wave transmit description (angle).
     pub transmit: PlaneWave,
-    /// Fractional-delay interpolation method.
-    pub interpolation: InterpMethod,
 }
 
 impl Default for DelayAndSum {
     fn default() -> Self {
-        Self {
-            apodization: Apodization::boxcar(),
-            transmit: PlaneWave::zero_angle(),
-            interpolation: InterpMethod::Linear,
-        }
+        Self { transmit: PlaneWave::zero_angle() }
     }
 }
 
 impl DelayAndSum {
-    /// DAS with a dynamic-aperture Hann apodization (a slightly stronger classical
-    /// baseline than the boxcar used in the paper's tables).
-    pub fn with_hann_aperture() -> Self {
-        Self { apodization: Apodization::hann_dynamic(), ..Self::default() }
-    }
-
     /// Beamforms a real RF image (row-major, one value per grid pixel) using the
     /// workspace-default worker threads (see [`runtime::default_threads`]).
     ///
     /// # Errors
     ///
     /// Returns [`BeamformError::ShapeMismatch`] when the channel count differs from the
-    /// probe and [`BeamformError::InvalidParameter`] for invalid apodization or sound
-    /// speed.
+    /// probe and [`BeamformError::InvalidParameter`] for a non-positive sound speed.
     pub fn beamform_rf(
         &self,
         data: &ChannelData,
@@ -82,9 +65,7 @@ impl DelayAndSum {
     ///
     /// Image rows are distributed over disjoint chunks; every pixel depends only
     /// on its own coordinates, so the output is bitwise identical for every
-    /// `num_threads`. Pixel-independent (fixed) apodization weights are computed
-    /// once per frame instead of once per pixel, and each worker reuses a single
-    /// weight buffer for the dynamic-aperture case.
+    /// `num_threads`.
     ///
     /// # Errors
     ///
@@ -97,7 +78,6 @@ impl DelayAndSum {
         sound_speed: f32,
         num_threads: usize,
     ) -> BeamformResult<Vec<f32>> {
-        self.apodization.validate()?;
         if sound_speed <= 0.0 {
             return Err(BeamformError::InvalidParameter { name: "sound_speed", reason: "must be positive".into() });
         }
@@ -113,15 +93,11 @@ impl DelayAndSum {
         let start_time = data.start_time();
         let traces = data.to_channel_traces();
         let element_xs = array.element_positions();
-        let fixed_weights =
-            if self.apodization.is_pixel_independent() { Some(self.apodization.weights(array, 0.0, 0.0)) } else { None };
+        // Boxcar apodization: uniform weights that sum to one.
+        let weight = 1.0 / element_xs.len() as f32;
 
         let mut rf = vec![0.0f32; rows * cols];
         runtime::par_map_rows(&mut rf, cols, num_threads, |first_row, block| {
-            // Sized for a full weight vector up front so the pixel-dependent
-            // apodization path allocates once per block, not incrementally
-            // across the block's first pixels.
-            let mut scratch: Vec<f32> = Vec::with_capacity(element_xs.len());
             // Per-channel contributions, gathered first and then reduced in
             // `runtime::simd`'s lane order — the same reduction the planned
             // gather kernel uses, which keeps the two paths bitwise identical.
@@ -130,23 +106,13 @@ impl DelayAndSum {
                 let z = grid.z(first_row + local);
                 for (col, out) in rf_row.iter_mut().enumerate() {
                     let x = grid.x(col);
-                    let weights = match &fixed_weights {
-                        Some(w) => w.as_slice(),
-                        None => {
-                            self.apodization.weights_into(array, x, z, &mut scratch);
-                            scratch.as_slice()
-                        }
-                    };
                     let t_tx = self.transmit.transmit_delay(x, z, sound_speed);
                     contrib.clear();
-                    for (ch, &w) in weights.iter().enumerate() {
-                        if w == 0.0 {
-                            continue;
-                        }
-                        let dx = x - element_xs[ch];
+                    for (trace, &xe) in traces.iter().zip(&element_xs) {
+                        let dx = x - xe;
                         let t_rx = (dx * dx + z * z).sqrt() / sound_speed;
                         let idx = (t_tx + t_rx - start_time) * fs;
-                        contrib.push(w * sample_at(&traces[ch], idx, self.interpolation));
+                        contrib.push(weight * sample_at(trace, idx));
                     }
                     *out = runtime::simd::reduce_lanes(&contrib);
                 }
@@ -187,90 +153,6 @@ impl DelayAndSum {
     ) -> BeamformResult<IqImage> {
         let rf = self.beamform_rf(data, array, grid, sound_speed)?;
         rf_to_iq(&rf, grid)
-    }
-
-    /// Precomputes a [`BeamformPlan`] for this configuration: one-time
-    /// delay/apodization tables that every matching frame can replay through
-    /// [`DelayAndSum::beamform_rf_planned`], skipping the per-sample geometry.
-    ///
-    /// # Errors
-    ///
-    /// Same validation as [`DelayAndSum::beamform_rf`].
-    pub fn plan(
-        &self,
-        array: &LinearArray,
-        grid: &ImagingGrid,
-        sound_speed: f32,
-        frame: FrameFormat,
-    ) -> BeamformResult<BeamformPlan> {
-        BeamformPlan::for_das(self, array, grid, sound_speed, frame)
-    }
-
-    /// [`DelayAndSum::beamform_rf`] through a precomputed plan, using the
-    /// workspace-default worker threads. Bitwise identical to the direct path
-    /// for every thread count; the inner loop is reduced to two multiply-adds
-    /// per retained channel over the plan's tables.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BeamformError::InvalidParameter`] when the plan was built for
-    /// a different DAS configuration and the planned kernels' own validation
-    /// errors (see [`BeamformPlan::beamform_rf`]).
-    pub fn beamform_rf_planned(&self, data: &ChannelData, plan: &BeamformPlan) -> BeamformResult<Vec<f32>> {
-        self.beamform_rf_planned_with_threads(data, plan, runtime::default_threads())
-    }
-
-    /// [`DelayAndSum::beamform_rf_planned`] with an explicit worker-thread
-    /// count.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DelayAndSum::beamform_rf_planned`].
-    pub fn beamform_rf_planned_with_threads(
-        &self,
-        data: &ChannelData,
-        plan: &BeamformPlan,
-        num_threads: usize,
-    ) -> BeamformResult<Vec<f32>> {
-        self.check_plan(plan)?;
-        plan.beamform_rf_with_threads(data, num_threads)
-    }
-
-    /// [`DelayAndSum::beamform_iq`] through a precomputed plan (planned RF
-    /// gather + per-column analytic signal), bitwise identical to the direct
-    /// path.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DelayAndSum::beamform_rf_planned`].
-    pub fn beamform_iq_planned(&self, data: &ChannelData, plan: &BeamformPlan) -> BeamformResult<IqImage> {
-        self.beamform_iq_planned_with_threads(data, plan, runtime::default_threads())
-    }
-
-    /// [`DelayAndSum::beamform_iq_planned`] with an explicit worker-thread
-    /// count.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DelayAndSum::beamform_rf_planned`].
-    pub fn beamform_iq_planned_with_threads(
-        &self,
-        data: &ChannelData,
-        plan: &BeamformPlan,
-        num_threads: usize,
-    ) -> BeamformResult<IqImage> {
-        self.check_plan(plan)?;
-        plan.beamform_iq_with_threads(data, num_threads)
-    }
-
-    fn check_plan(&self, plan: &BeamformPlan) -> BeamformResult<()> {
-        match plan.das_config() {
-            Some(config) if config == self => Ok(()),
-            _ => Err(BeamformError::InvalidParameter {
-                name: "plan",
-                reason: "plan was built for a different DAS configuration".into(),
-            }),
-        }
     }
 }
 
@@ -319,32 +201,6 @@ mod tests {
         // Pixel far from the target should be at least 25 dB down.
         let far_db = bmode.db(grid.nearest_row(0.026), grid.nearest_col(-0.004));
         assert!(far_db < -25.0, "far pixel at {far_db} dB");
-    }
-
-    #[test]
-    fn hann_aperture_widens_the_mainlobe() {
-        // The classical windowing trade-off: tapered (Hann) receive apodization trades
-        // sidelobe level for a mainlobe that is at least as wide as the boxcar one.
-        let (rf, array) = point_target_frame(0.02);
-        let grid = ImagingGrid::for_array(&array, 0.018, 0.004, 17, 48);
-        let boxcar = DelayAndSum::default().beamform_iq(&rf, &array, &grid, 1540.0).unwrap();
-        let hann = DelayAndSum::with_hann_aperture().beamform_iq(&rf, &array, &grid, 1540.0).unwrap();
-        let row = grid.nearest_row(0.02);
-        let mainlobe_width = |img: &IqImage| {
-            let profile: Vec<f32> = (0..grid.num_cols()).map(|c| img.value(row, c).abs()).collect();
-            let peak = profile.iter().cloned().fold(0.0f32, f32::max).max(1e-12);
-            profile.iter().filter(|&&v| v > 0.5 * peak).count()
-        };
-        let boxcar_width = mainlobe_width(&boxcar);
-        let hann_width = mainlobe_width(&hann);
-        assert!(hann_width >= boxcar_width, "hann {hann_width} boxcar {boxcar_width}");
-        // Both remain focused on the correct column.
-        let peak_col = |img: &IqImage| {
-            (0..grid.num_cols())
-                .max_by(|&a, &b| img.value(row, a).abs().partial_cmp(&img.value(row, b).abs()).unwrap())
-                .unwrap()
-        };
-        assert!((peak_col(&hann) as i64 - grid.nearest_col(0.0) as i64).abs() <= 1);
     }
 
     #[test]

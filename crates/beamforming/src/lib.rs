@@ -6,16 +6,16 @@
 //! * [`tof`] — plane-wave transmit/receive time-of-flight and the **ToF-corrected data
 //!   cube** that is both the classical beamformers' working set and the Tiny-VBF /
 //!   Tiny-CNN network input,
-//! * [`apodization`] — receive apodization (boxcar, Hann, dynamic f-number aperture),
-//! * [`das`] — the Delay-and-Sum baseline,
+//! * [`das`] — the boxcar Delay-and-Sum baseline,
 //! * [`mvdr`] — the Minimum Variance Distortionless Response beamformer used as the
 //!   training target (subaperture smoothing, diagonal loading, complex Cholesky solve),
 //! * [`linalg`] — the small complex-Hermitian linear algebra MVDR needs,
 //! * [`iq`] — IQ conversion of beamformed RF columns,
 //! * [`bmode`] — envelope detection, log compression and the B-mode image container,
 //! * [`pipeline`] — a uniform [`pipeline::Beamformer`] trait plus end-to-end helpers,
-//! * [`plan`] — precomputed delay/apodization tables ([`plan::BeamformPlan`]) and the
-//!   plan-driven gather kernels that amortise the per-frame geometry across a stream,
+//! * [`plan`] — precomputed per-pixel×channel delay tables ([`plan::BeamformPlan`])
+//!   and the gather kernels that replay them for ToF correction, DAS and MVDR, so
+//!   the per-frame geometry is amortised across a stream,
 //! * [`flops`] — GOPs/frame accounting for the classical beamformers.
 //!
 //! # Example
@@ -36,7 +36,6 @@
 
 #![deny(missing_docs)]
 
-pub mod apodization;
 pub mod bmode;
 pub mod das;
 pub mod flops;

@@ -18,7 +18,7 @@ use crate::plan::BeamformPlan;
 use crate::{BeamformError, BeamformResult};
 use ultrasound::{ChannelData, LinearArray, PlaneWave};
 use usdsp::hilbert::analytic_signal_batch;
-use usdsp::interp::{sample_at_complex, InterpMethod};
+use usdsp::interp::sample_at_complex;
 use usdsp::Complex32;
 
 /// MVDR beamformer configuration.
@@ -34,8 +34,6 @@ pub struct Mvdr {
     pub forward_backward: bool,
     /// Plane-wave transmit description.
     pub transmit: PlaneWave,
-    /// Fractional-delay interpolation used when sampling the analytic channel signals.
-    pub interpolation: InterpMethod,
 }
 
 impl Default for Mvdr {
@@ -45,7 +43,6 @@ impl Default for Mvdr {
             diagonal_loading: 0.05,
             forward_backward: true,
             transmit: PlaneWave::zero_angle(),
-            interpolation: InterpMethod::Linear,
         }
     }
 }
@@ -130,15 +127,15 @@ impl Mvdr {
                 let dx = x - element_xs[ch];
                 let t_rx = (dx * dx + z * z).sqrt() / sound_speed;
                 let idx = (t_tx + t_rx - start_time) * fs;
-                *slot = sample_at_complex(&analytic[ch], idx, self.interpolation);
+                *slot = sample_at_complex(&analytic[ch], idx);
             }
         })?;
         IqImage::from_data(pixels, grid.clone())
     }
 
-    /// [`Mvdr::beamform_iq`] through a precomputed dense [`BeamformPlan`]
-    /// (see [`BeamformPlan::for_mvdr`]), using the workspace-default worker
-    /// threads.
+    /// [`Mvdr::beamform_iq_with_threads`] through a precomputed
+    /// [`BeamformPlan`] built by [`BeamformPlan::for_tof`] for this
+    /// configuration's transmit.
     ///
     /// The channel-alignment step replays the plan's delay/interpolation
     /// tables instead of recomputing the round-trip geometry per pixel; the
@@ -147,18 +144,9 @@ impl Mvdr {
     ///
     /// # Errors
     ///
-    /// Returns [`BeamformError::InvalidParameter`] when the plan does not
-    /// match this configuration, [`BeamformError::ShapeMismatch`] on a frame
+    /// Returns [`BeamformError::InvalidParameter`] when the plan was built for
+    /// another transmit, [`BeamformError::ShapeMismatch`] on a frame
     /// mismatch, plus the direct path's numerical errors.
-    pub fn beamform_iq_planned(&self, data: &ChannelData, plan: &BeamformPlan) -> BeamformResult<IqImage> {
-        self.beamform_iq_planned_with_threads(data, plan, runtime::default_threads())
-    }
-
-    /// [`Mvdr::beamform_iq_planned`] with an explicit worker-thread count.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Mvdr::beamform_iq_planned`].
     pub fn beamform_iq_planned_with_threads(
         &self,
         data: &ChannelData,
@@ -168,10 +156,10 @@ impl Mvdr {
         if self.diagonal_loading < 0.0 {
             return Err(BeamformError::InvalidParameter { name: "diagonal_loading", reason: "must be non-negative".into() });
         }
-        if !plan.is_dense() || plan.method() != self.interpolation || plan.transmit() != self.transmit {
+        if plan.transmit() != self.transmit {
             return Err(BeamformError::InvalidParameter {
                 name: "plan",
-                reason: "plan does not match this MVDR configuration (build it with BeamformPlan::for_mvdr)".into(),
+                reason: "plan was built for another transmit".into(),
             });
         }
         plan.check_frame(data)?;

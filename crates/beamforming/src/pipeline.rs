@@ -54,7 +54,7 @@ impl QuantQualityStats {
 ///
 /// The `tiny-vbf` crate implements this trait for its learned beamformers so the
 /// evaluation harness can score DAS, MVDR, Tiny-CNN and Tiny-VBF through one interface,
-/// and the `serve` crate batches frames through [`Beamformer::beamform_batch`].
+/// and the `serve` crate batches frames through [`Beamformer::beamform_batch_results`].
 ///
 /// `Sync` is a supertrait so the default batch implementation can fan frames out
 /// across worker threads; beamformer configurations are plain data, so this costs
@@ -77,65 +77,19 @@ pub trait Beamformer: Sync {
         sound_speed: f32,
     ) -> BeamformResult<IqImage>;
 
-    /// Beamforms a batch of acquisitions sharing one probe and grid, running
-    /// frames concurrently under the workspace-default thread budget (see
-    /// [`runtime::default_threads`]).
+    /// Frame-parallel batch beamforming of acquisitions sharing one probe and
+    /// grid, with one [`BeamformResult`] per frame (in frame order) — the
+    /// primitive behind the `serve` crate's per-request error reporting, where
+    /// one malformed frame must fail alone rather than poisoning (or forcing a
+    /// recompute of) its whole batch.
     ///
-    /// The default implementation delegates to
-    /// [`Beamformer::beamform_batch_with_threads`]; implementations that can
-    /// amortise per-frame setup (model clones, precomputed tables) may
-    /// override either method. Multi-frame workloads should prefer this entry
-    /// point so those optimisations apply transparently.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first per-frame error encountered, in frame order.
-    fn beamform_batch(
-        &self,
-        frames: &[ChannelData],
-        array: &LinearArray,
-        grid: &ImagingGrid,
-        sound_speed: f32,
-    ) -> BeamformResult<Vec<IqImage>> {
-        self.beamform_batch_with_threads(frames, array, grid, sound_speed, runtime::default_threads())
-    }
-
-    /// [`Beamformer::beamform_batch`] with an explicit *total* thread budget.
-    ///
-    /// The budget is split two ways via [`runtime::split_budget`]: frames of
-    /// the batch run concurrently across `outer` workers, and each frame's own
-    /// [`Beamformer::beamform`] keeps its internal row parallelism capped at
-    /// `inner` threads (enforced by the runtime's nested-budget mechanism), so
-    /// the total live worker count never exceeds `num_threads`. Each frame's
-    /// image depends only on that frame's data, so the results are bitwise
-    /// identical for every budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first per-frame error encountered, in frame order. Note
-    /// that all frames are still computed when one fails (they run
-    /// concurrently); callers that want the per-frame outcomes should use
-    /// [`Beamformer::beamform_batch_results`] instead.
-    fn beamform_batch_with_threads(
-        &self,
-        frames: &[ChannelData],
-        array: &LinearArray,
-        grid: &ImagingGrid,
-        sound_speed: f32,
-        num_threads: usize,
-    ) -> BeamformResult<Vec<IqImage>> {
-        self.beamform_batch_results(frames, array, grid, sound_speed, num_threads).into_iter().collect()
-    }
-
-    /// Frame-parallel batch beamforming with one [`BeamformResult`] per frame
-    /// (in frame order) instead of an all-or-nothing result — the primitive
-    /// behind both [`Beamformer::beamform_batch_with_threads`] and the `serve`
-    /// crate's per-request error reporting, where one malformed frame must
-    /// fail alone rather than poisoning (or forcing a recompute of) its whole
-    /// batch.
-    ///
-    /// Thread budgeting and determinism are as in
-    /// [`Beamformer::beamform_batch_with_threads`].
+    /// The *total* thread budget is split two ways via
+    /// [`runtime::split_budget`]: frames of the batch run concurrently across
+    /// `outer` workers, and each frame's own [`Beamformer::beamform`] keeps its
+    /// internal row parallelism capped at `inner` threads (enforced by the
+    /// runtime's nested-budget mechanism), so the total live worker count never
+    /// exceeds `num_threads`. Each frame's image depends only on that frame's
+    /// data, so the results are bitwise identical for every budget.
     fn beamform_batch_results(
         &self,
         frames: &[ChannelData],

@@ -1,16 +1,19 @@
-//! Precomputed beamforming plans: per-pixel×channel delay / apodization tables
-//! and the gather kernels that consume them.
+//! Precomputed beamforming plans: per-pixel×channel delay tables and the
+//! gather kernels that consume them.
 //!
 //! The direct DAS / ToF / MVDR hot loops recompute the same `sqrt`-heavy
 //! round-trip geometry for *every frame* of a stream, even though probe, grid,
 //! transmit and sound speed are fixed per stream. A [`BeamformPlan`] hoists
 //! that work out of the frame loop: one precomputation per
-//! `(array, grid, transmit, sound_speed, apodization, interpolation, frame
-//! format)` stores, in flat cache-friendly arrays, each pixel×channel's
-//! integer base sample index, fractional interpolation weight(s) and
-//! apodization weight — with zero-weight channels compacted out — so every
-//! subsequent frame reduces the inner loop to two fused multiply-adds over
-//! precomputed tables.
+//! `(array, grid, transmit, sound_speed, frame format)` stores, in flat
+//! cache-friendly arrays, each pixel×channel's two linear-interpolation taps
+//! and their weights, so every subsequent frame reduces the inner loop to two
+//! multiply-adds over precomputed tables.
+//!
+//! There is one layout: dense, `channels` entries per pixel in channel order.
+//! ToF correction ([`BeamformPlan::tof_correct`]), boxcar DAS
+//! ([`BeamformPlan::beamform_rf`]) and the MVDR channel alignment
+//! ([`BeamformPlan::align_pixel_into`]) all replay it.
 //!
 //! # Bitwise identity
 //!
@@ -19,22 +22,16 @@
 //! [`crate::tof::tof_correct_with_threads`],
 //! [`Mvdr::beamform_iq_with_threads`]): the builder evaluates exactly the same
 //! f32 expressions for delays and interpolation weights the direct loops
-//! evaluate per frame, and the gathers reproduce the interpolators'
-//! arithmetic operation-for-operation (see `two_taps` and the Catmull-Rom
-//! kernel shared with [`usdsp::interp`]). The equivalence tests in
-//! `tests/plan_equivalence.rs` assert equality at the bit level across thread
-//! counts, interpolation methods and apodization modes.
+//! evaluate per frame, and the gathers reproduce the interpolator's
+//! arithmetic operation-for-operation (see `two_taps`). The equivalence tests
+//! in `tests/plan_equivalence.rs` assert equality at the bit level across
+//! thread counts and SIMD tiers.
 //!
 //! # Memory footprint
 //!
-//! A plan stores per retained pixel×channel entry: two `u32` tap indices and
-//! two `f32` weights (Nearest/Linear), plus one `f32` apodization weight for
-//! DAS plans, plus one `u32` channel id for compacted Cubic plans; and one
-//! `u32` offset per pixel. For the paper's 368 × 128 grid with 128 channels
-//! and full-aperture (boxcar) linear DAS that is
-//! `368·128·128 · (2·4 + 2·4 + 4) B ≈ 121 MB` — see
-//! [`BeamformPlan::memory_bytes`]. Dynamic-aperture apodizations shrink this
-//! roughly by the mean fraction of active channels.
+//! A plan stores per pixel×channel entry two `u32` tap indices and two `f32`
+//! weights. For the paper's 368 × 128 grid with 128 channels that is
+//! `368·128·128 · (2·4 + 2·4) B ≈ 96 MB` — see [`BeamformPlan::memory_bytes`].
 //!
 //! # Lifecycle
 //!
@@ -55,16 +52,16 @@ use crate::iq::{rf_to_iq_with_threads, IqImage};
 use crate::mvdr::Mvdr;
 use crate::tof::TofCube;
 use crate::{BeamformError, BeamformResult};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use ultrasound::{ChannelData, LinearArray, PlaneWave};
-use usdsp::interp::{catmull_rom, InterpMethod};
 use usdsp::Complex32;
 
 /// The per-stream frame layout a [`BeamformPlan`] is specialised to.
 ///
 /// Sample indices depend on the sampling frequency and acquisition start time,
-/// and tap compaction depends on the trace length, so a plan is only valid for
+/// and tap clamping depends on the trace length, so a plan is only valid for
 /// frames that match this format exactly (checked on every planned call).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameFormat {
@@ -87,29 +84,15 @@ impl FrameFormat {
     }
 }
 
-/// What a plan was built for (used to validate planned calls).
-#[derive(Debug, Clone, PartialEq)]
-enum PlanKind {
-    /// DAS plan: compacted entries carrying apodization weights; the full
-    /// source configuration is kept for validation.
-    Das(DelayAndSum),
-    /// Dense per-channel sampling plan (ToF correction / MVDR alignment):
-    /// every pixel has exactly `channels` entries in channel order, no
-    /// apodization.
-    Dense {
-        /// Plane-wave transmit the delays were computed for.
-        transmit: PlaneWave,
-    },
-}
-
-/// A precomputed delay/interpolation/apodization table for one
-/// `(array, grid, transmit, sound_speed, apodization, interpolation, frame
-/// format)` tuple, plus the gather kernels that replay it per frame.
+/// A precomputed delay/interpolation table for one
+/// `(array, grid, transmit, sound_speed, frame format)` tuple, plus the
+/// gather kernels that replay it per frame.
 ///
-/// Tap indices are absolute offsets into a channel-major flat trace buffer
-/// (`flat[ch * num_samples + k]`), so the gather inner loop is pure
-/// load-multiply-accumulate with no per-sample geometry, branching or index
-/// arithmetic.
+/// Pixel `p` owns entries `p·channels .. (p+1)·channels`, one per channel in
+/// channel order. Tap indices are absolute offsets into a channel-major flat
+/// trace buffer (`flat[ch * num_samples + k]`), so the gather inner loop is
+/// pure load-multiply-accumulate with no per-sample geometry, branching or
+/// index arithmetic.
 ///
 /// ```
 /// use beamforming::das::DelayAndSum;
@@ -131,79 +114,55 @@ enum PlanKind {
 pub struct BeamformPlan {
     grid: ImagingGrid,
     channels: usize,
-    method: InterpMethod,
     frame: FrameFormat,
     sound_speed: f32,
-    kind: PlanKind,
-    /// Per-pixel entry ranges: pixel `p` owns entries `offsets[p]..offsets[p+1]`.
-    offsets: Vec<u32>,
-    /// First tap, absolute into the channel-major flat buffer. For Cubic this
-    /// is the interpolation base index `i1` (`u32::MAX` marks an out-of-window
-    /// sample that must gather exactly `0.0`).
+    transmit: PlaneWave,
+    /// First tap, absolute into the channel-major flat buffer.
     tap0: Vec<u32>,
-    /// Second tap (Nearest/Linear only; empty for Cubic).
+    /// Second tap.
     tap1: Vec<u32>,
-    /// First tap weight; for Cubic the fractional position `t`.
+    /// First tap weight.
     w0: Vec<f32>,
-    /// Second tap weight (Nearest/Linear only; empty for Cubic).
+    /// Second tap weight.
     w1: Vec<f32>,
-    /// Entry channel ids — only needed (and only populated) for compacted
-    /// Cubic plans, whose bounds checks need the channel segment; dense plans
-    /// infer the channel from the entry position.
-    channel: Vec<u32>,
-    /// Per-entry apodization weight (DAS plans only; empty for dense plans).
-    apod: Vec<f32>,
 }
 
 /// Per-row builder output, concatenated (in row order) into the final plan.
 #[derive(Default)]
 struct RowEntries {
-    counts: Vec<u32>,
     tap0: Vec<u32>,
     tap1: Vec<u32>,
     w0: Vec<f32>,
     w1: Vec<f32>,
-    channel: Vec<u32>,
-    apod: Vec<f32>,
 }
 
-/// Two-tap gather coefficients reproducing `usdsp::interp::sample_at` for
-/// Nearest/Linear at fractional index `idx` over an `n`-sample trace:
+/// Two-tap gather coefficients reproducing `usdsp::interp::sample_at` at
+/// fractional index `idx` over an `n`-sample trace:
 /// `flat[tap0]*w0 + flat[tap1]*w1` is bitwise identical to the direct call.
 ///
 /// Out-of-window samples use weights `(0.0, -0.0)`, which sum to exactly
 /// `+0.0` for every finite sample value — matching the direct path's literal
 /// `0.0` contribution.
-fn two_taps(idx: f32, n: usize, method: InterpMethod) -> (usize, usize, f32, f32) {
+fn two_taps(idx: f32, n: usize) -> (usize, usize, f32, f32) {
     if !idx.is_finite() || idx < 0.0 || idx > (n - 1) as f32 {
         return (0, 0, 0.0, -0.0);
     }
-    match method {
-        InterpMethod::Nearest => {
-            let i = (idx.round() as usize).min(n - 1);
-            (i, i, 1.0, 0.0)
-        }
-        InterpMethod::Linear => {
-            let i0 = idx.floor() as usize;
-            let frac = idx - i0 as f32;
-            if i0 + 1 >= n {
-                (n - 1, n - 1, 1.0, 0.0)
-            } else {
-                (i0, i0 + 1, 1.0 - frac, frac)
-            }
-        }
-        InterpMethod::Cubic => unreachable!("cubic uses the base+t representation"),
+    let i0 = idx.floor() as usize;
+    let frac = idx - i0 as f32;
+    if i0 + 1 >= n {
+        (n - 1, n - 1, 1.0, 0.0)
+    } else {
+        (i0, i0 + 1, 1.0 - frac, frac)
     }
 }
 
 impl BeamformPlan {
-    /// Builds a DAS plan using the workspace-default worker threads.
+    /// Builds the plan a DAS configuration replays: the ToF plan for its
+    /// transmit (see [`BeamformPlan::for_tof`]).
     ///
     /// # Errors
     ///
-    /// Returns [`BeamformError::InvalidParameter`] for an invalid apodization
-    /// or non-positive sound speed (the same validation as
-    /// [`DelayAndSum::beamform_rf`]).
+    /// Same as [`BeamformPlan::for_tof`].
     pub fn for_das(
         das: &DelayAndSum,
         array: &LinearArray,
@@ -211,44 +170,17 @@ impl BeamformPlan {
         sound_speed: f32,
         frame: FrameFormat,
     ) -> BeamformResult<Self> {
-        Self::for_das_with_threads(das, array, grid, sound_speed, frame, runtime::default_threads())
+        Self::for_tof(array, grid, das.transmit, sound_speed, frame)
     }
 
-    /// [`BeamformPlan::for_das`] with an explicit worker-thread count for the
-    /// (row-parallel) construction. The resulting plan is identical for every
-    /// thread count.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`BeamformPlan::for_das`].
-    pub fn for_das_with_threads(
-        das: &DelayAndSum,
-        array: &LinearArray,
-        grid: &ImagingGrid,
-        sound_speed: f32,
-        frame: FrameFormat,
-        num_threads: usize,
-    ) -> BeamformResult<Self> {
-        das.apodization.validate()?;
-        Self::build(
-            array,
-            grid,
-            das.transmit,
-            sound_speed,
-            frame,
-            das.interpolation,
-            Some(das),
-            num_threads,
-        )
-    }
-
-    /// Builds a dense ToF-correction plan (linear interpolation, one entry per
-    /// pixel×channel) using the workspace-default worker threads.
+    /// Builds a plan (one entry per pixel×channel) using the
+    /// workspace-default worker threads.
     ///
     /// # Errors
     ///
     /// Returns [`BeamformError::InvalidParameter`] for a non-positive sound
-    /// speed.
+    /// speed, or when `channels × num_samples` overflows the plan's `u32` tap
+    /// indices.
     pub fn for_tof(
         array: &LinearArray,
         grid: &ImagingGrid,
@@ -259,7 +191,9 @@ impl BeamformPlan {
         Self::for_tof_with_threads(array, grid, tx, sound_speed, frame, runtime::default_threads())
     }
 
-    /// [`BeamformPlan::for_tof`] with an explicit worker-thread count.
+    /// [`BeamformPlan::for_tof`] with an explicit worker-thread count for the
+    /// (row-parallel) construction. The resulting plan is identical for every
+    /// thread count.
     ///
     /// # Errors
     ///
@@ -272,184 +206,74 @@ impl BeamformPlan {
         frame: FrameFormat,
         num_threads: usize,
     ) -> BeamformResult<Self> {
-        Self::build(array, grid, tx, sound_speed, frame, InterpMethod::Linear, None, num_threads)
-    }
-
-    /// Builds a dense channel-alignment plan for an MVDR configuration
-    /// (its transmit + interpolation method) using the workspace-default
-    /// worker threads.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BeamformError::InvalidParameter`] for a non-positive sound
-    /// speed.
-    pub fn for_mvdr(
-        mvdr: &Mvdr,
-        array: &LinearArray,
-        grid: &ImagingGrid,
-        sound_speed: f32,
-        frame: FrameFormat,
-    ) -> BeamformResult<Self> {
-        Self::for_mvdr_with_threads(mvdr, array, grid, sound_speed, frame, runtime::default_threads())
-    }
-
-    /// [`BeamformPlan::for_mvdr`] with an explicit worker-thread count.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`BeamformPlan::for_mvdr`].
-    pub fn for_mvdr_with_threads(
-        mvdr: &Mvdr,
-        array: &LinearArray,
-        grid: &ImagingGrid,
-        sound_speed: f32,
-        frame: FrameFormat,
-        num_threads: usize,
-    ) -> BeamformResult<Self> {
-        Self::build(array, grid, mvdr.transmit, sound_speed, frame, mvdr.interpolation, None, num_threads)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        array: &LinearArray,
-        grid: &ImagingGrid,
-        tx: PlaneWave,
-        sound_speed: f32,
-        frame: FrameFormat,
-        method: InterpMethod,
-        das: Option<&DelayAndSum>,
-        num_threads: usize,
-    ) -> BeamformResult<Self> {
         if sound_speed <= 0.0 {
             return Err(BeamformError::InvalidParameter { name: "sound_speed", reason: "must be positive".into() });
         }
         let rows = grid.num_rows();
         let cols = grid.num_cols();
         let channels = array.num_elements();
-        let element_xs = array.element_positions().to_vec();
         let n = frame.num_samples;
+        if channels.checked_mul(n).is_none_or(|taps| taps > u32::MAX as usize) {
+            return Err(BeamformError::InvalidParameter {
+                name: "frame",
+                reason: format!("{channels} channels × {n} samples overflow the plan's u32 tap indices"),
+            });
+        }
+        let element_xs = array.element_positions();
         let fs = frame.sampling_frequency;
         let start_time = frame.start_time;
-        // Same hoisting as the direct DAS path: pixel-independent weights are
-        // computed once, so their values (and the zero-compaction they imply)
-        // match the direct loop's exactly.
-        let fixed_weights = das.and_then(|d| {
-            if d.apodization.is_pixel_independent() {
-                Some(d.apodization.weights(array, 0.0, 0.0))
-            } else {
-                None
-            }
-        });
-        let cubic = method == InterpMethod::Cubic;
-        let compacted = das.is_some();
 
         let row_entries: Vec<RowEntries> = runtime::par_collect(rows, num_threads, |row| {
-            let mut out = RowEntries { counts: Vec::with_capacity(cols), ..RowEntries::default() };
-            let mut scratch: Vec<f32> = Vec::with_capacity(channels);
+            if n == 0 {
+                // Degenerate zero-sample frames have nothing to tap; the
+                // gathers special-case the empty plan instead.
+                return RowEntries::default();
+            }
+            // Sized exactly: growing each row by doubling costs about 10 MB
+            // of extra peak RSS while building the paper-grid plan.
+            let entries = cols * channels;
+            let mut out = RowEntries {
+                tap0: Vec::with_capacity(entries),
+                tap1: Vec::with_capacity(entries),
+                w0: Vec::with_capacity(entries),
+                w1: Vec::with_capacity(entries),
+            };
             let z = grid.z(row);
             for col in 0..cols {
                 let x = grid.x(col);
-                let weights: Option<&[f32]> = match (das, &fixed_weights) {
-                    (None, _) => None,
-                    (Some(_), Some(fixed)) => Some(fixed.as_slice()),
-                    (Some(d), None) => {
-                        d.apodization.weights_into(array, x, z, &mut scratch);
-                        Some(scratch.as_slice())
-                    }
-                };
                 let t_tx = tx.transmit_delay(x, z, sound_speed);
-                let mut count = 0u32;
-                for ch in 0..channels {
-                    let w = match weights {
-                        Some(w) => {
-                            if w[ch] == 0.0 {
-                                // Mirrors the direct loop's `continue`: the
-                                // channel contributes nothing, compact it out.
-                                continue;
-                            }
-                            w[ch]
-                        }
-                        None => 1.0,
-                    };
-                    if n == 0 {
-                        // Degenerate zero-sample frames have nothing to tap;
-                        // the gathers special-case the empty plan instead.
-                        continue;
-                    }
-                    let dx = x - element_xs[ch];
+                for (ch, &xe) in element_xs.iter().enumerate() {
+                    let dx = x - xe;
                     let t_rx = (dx * dx + z * z).sqrt() / sound_speed;
                     let idx = (t_tx + t_rx - start_time) * fs;
-                    let base = ch * n;
-                    if cubic {
-                        if !idx.is_finite() || idx < 0.0 || idx > (n - 1) as f32 {
-                            out.tap0.push(u32::MAX);
-                            out.w0.push(0.0);
-                        } else {
-                            let i1 = idx.floor() as usize;
-                            out.tap0.push((base + i1) as u32);
-                            out.w0.push(idx - i1 as f32);
-                        }
-                        if compacted {
-                            out.channel.push(ch as u32);
-                        }
-                    } else {
-                        let (t0, t1, w0, w1) = two_taps(idx, n, method);
-                        out.tap0.push((base + t0) as u32);
-                        out.tap1.push((base + t1) as u32);
-                        out.w0.push(w0);
-                        out.w1.push(w1);
-                    }
-                    if compacted {
-                        out.apod.push(w);
-                    }
-                    count += 1;
+                    let (t0, t1, w0, w1) = two_taps(idx, n);
+                    out.tap0.push((ch * n + t0) as u32);
+                    out.tap1.push((ch * n + t1) as u32);
+                    out.w0.push(w0);
+                    out.w1.push(w1);
                 }
-                out.counts.push(count);
             }
             out
         });
 
         let total: usize = row_entries.iter().map(|r| r.tap0.len()).sum();
-        if total >= u32::MAX as usize {
-            return Err(BeamformError::InvalidParameter {
-                name: "grid",
-                reason: format!("plan would hold {total} entries, overflowing its u32 offset tables"),
-            });
-        }
         let mut plan = Self {
             grid: grid.clone(),
             channels,
-            method,
             frame,
             sound_speed,
-            kind: match das {
-                Some(d) => PlanKind::Das(d.clone()),
-                None => PlanKind::Dense { transmit: tx },
-            },
-            offsets: Vec::with_capacity(rows * cols + 1),
+            transmit: tx,
             tap0: Vec::with_capacity(total),
-            tap1: Vec::with_capacity(if cubic { 0 } else { total }),
+            tap1: Vec::with_capacity(total),
             w0: Vec::with_capacity(total),
-            w1: Vec::with_capacity(if cubic { 0 } else { total }),
-            channel: Vec::with_capacity(if cubic && compacted { total } else { 0 }),
-            apod: Vec::with_capacity(if compacted { total } else { 0 }),
+            w1: Vec::with_capacity(total),
         };
-        plan.offsets.push(0);
-        let mut running = 0u32;
         for row in row_entries {
-            for count in row.counts {
-                running += count;
-                plan.offsets.push(running);
-            }
             plan.tap0.extend_from_slice(&row.tap0);
             plan.tap1.extend_from_slice(&row.tap1);
             plan.w0.extend_from_slice(&row.w0);
             plan.w1.extend_from_slice(&row.w1);
-            plan.channel.extend_from_slice(&row.channel);
-            plan.apod.extend_from_slice(&row.apod);
         }
-        debug_assert_eq!(plan.offsets.len(), rows * cols + 1);
-        debug_assert_eq!(running as usize, total);
         Ok(plan)
     }
 
@@ -463,11 +287,6 @@ impl BeamformPlan {
         self.channels
     }
 
-    /// Interpolation method baked into the tap weights.
-    pub fn method(&self) -> InterpMethod {
-        self.method
-    }
-
     /// The frame format the plan is specialised to.
     pub fn frame(&self) -> FrameFormat {
         self.frame
@@ -478,34 +297,20 @@ impl BeamformPlan {
         self.sound_speed
     }
 
-    /// The DAS configuration a [`BeamformPlan::for_das`] plan was built from
-    /// (`None` for dense ToF/MVDR plans).
-    pub fn das_config(&self) -> Option<&DelayAndSum> {
-        match &self.kind {
-            PlanKind::Das(das) => Some(das),
-            PlanKind::Dense { .. } => None,
-        }
-    }
-
     /// The plane-wave transmit the delays were computed for.
     pub fn transmit(&self) -> PlaneWave {
-        match &self.kind {
-            PlanKind::Das(das) => das.transmit,
-            PlanKind::Dense { transmit } => *transmit,
-        }
-    }
-
-    /// Whether the plan is dense (exactly one entry per pixel×channel, in
-    /// channel order — the ToF/MVDR layout) rather than apodization-compacted.
-    pub fn is_dense(&self) -> bool {
-        matches!(self.kind, PlanKind::Dense { .. })
+        self.transmit
     }
 
     /// Approximate heap footprint of the tables in bytes
-    /// (`entries · (taps + weights [+ apod] [+ channel]) + offsets`).
+    /// (`entries · (2 taps + 2 weights) · 4 B`).
     pub fn memory_bytes(&self) -> usize {
-        4 * (self.offsets.len() + self.tap0.len() + self.tap1.len() + self.channel.len())
-            + 4 * (self.w0.len() + self.w1.len() + self.apod.len())
+        4 * (self.tap0.len() + self.tap1.len() + self.w0.len() + self.w1.len())
+    }
+
+    /// The entries of one pixel.
+    fn entries(&self, pixel: usize) -> Range<usize> {
+        pixel * self.channels..(pixel + 1) * self.channels
     }
 
     /// Validates that one acquisition matches the planned frame format.
@@ -537,14 +342,13 @@ impl BeamformPlan {
         Ok(())
     }
 
-    /// Beamforms one RF image through the plan using the workspace-default
-    /// worker threads. Bitwise identical to
-    /// [`DelayAndSum::beamform_rf`] with the plan's source configuration.
+    /// Beamforms one boxcar-DAS RF image through the plan using the
+    /// workspace-default worker threads. Bitwise identical to
+    /// [`DelayAndSum::beamform_rf`] with the plan's transmit.
     ///
     /// # Errors
     ///
-    /// Returns [`BeamformError::InvalidParameter`] when the plan is not a DAS
-    /// plan and [`BeamformError::ShapeMismatch`] when the frame does not match
+    /// Returns [`BeamformError::ShapeMismatch`] when the frame does not match
     /// the planned format.
     pub fn beamform_rf(&self, data: &ChannelData) -> BeamformResult<Vec<f32>> {
         self.beamform_rf_with_threads(data, runtime::default_threads())
@@ -556,46 +360,28 @@ impl BeamformPlan {
     ///
     /// Same as [`BeamformPlan::beamform_rf`].
     pub fn beamform_rf_with_threads(&self, data: &ChannelData, num_threads: usize) -> BeamformResult<Vec<f32>> {
-        if self.das_config().is_none() {
-            return Err(BeamformError::InvalidParameter {
-                name: "plan",
-                reason: "plan was not built for DAS (use BeamformPlan::for_das)".into(),
-            });
-        }
         self.check_frame(data)?;
         let cols = self.grid.num_cols();
-        let flat = flatten_traces(data);
-        let n = self.frame.num_samples;
         let mut rf = vec![0.0f32; self.grid.num_pixels()];
+        if self.tap0.is_empty() {
+            // Zero-sample frames: every tap is out of window, the image stays 0.
+            return Ok(rf);
+        }
+        let flat = flatten_traces(data);
+        // Boxcar apodization: the same uniform weight the direct loop applies.
+        let boxcar = vec![1.0 / self.channels as f32; self.channels];
         runtime::par_map_rows(&mut rf, cols, num_threads, |first_row, block| {
             let first_pixel = first_row * cols;
-            // Cubic contributions land here before the lane-order reduce;
-            // sized once per block for the widest possible tap run so the
-            // per-pixel hot path never grows a Vec.
-            let mut contrib: Vec<f32> = Vec::with_capacity(self.channels);
             for (i, out) in block.iter_mut().enumerate() {
-                let pixel = first_pixel + i;
-                let lo = self.offsets[pixel] as usize;
-                let hi = self.offsets[pixel + 1] as usize;
-                debug_assert!(
-                    lo <= hi && hi <= self.tap0.len() && hi - lo <= self.channels,
-                    "tap run {lo}..{hi} escapes the CSR row bounds"
+                let e = self.entries(first_pixel + i);
+                *out = runtime::simd::das_gather_reduce(
+                    &flat,
+                    &self.tap0[e.clone()],
+                    &self.tap1[e.clone()],
+                    &self.w0[e.clone()],
+                    &self.w1[e],
+                    &boxcar,
                 );
-                *out = match self.method {
-                    InterpMethod::Nearest | InterpMethod::Linear => runtime::simd::das_gather_reduce(
-                        &flat,
-                        &self.tap0[lo..hi],
-                        &self.tap1[lo..hi],
-                        &self.w0[lo..hi],
-                        &self.w1[lo..hi],
-                        &self.apod[lo..hi],
-                    ),
-                    InterpMethod::Cubic => {
-                        contrib.clear();
-                        contrib.extend((lo..hi).map(|e| self.apod[e] * self.cubic_real(&flat, e, n)));
-                        runtime::simd::reduce_lanes(&contrib)
-                    }
-                };
             }
         });
         Ok(rf)
@@ -622,15 +408,13 @@ impl BeamformPlan {
         rf_to_iq_with_threads(&rf, &self.grid, num_threads)
     }
 
-    /// Computes the ToF-corrected cube through a dense plan using the
+    /// Computes the ToF-corrected cube through the plan using the
     /// workspace-default worker threads. Bitwise identical to
-    /// [`crate::tof::tof_correct`] for a plan built with
-    /// [`BeamformPlan::for_tof`].
+    /// [`crate::tof::tof_correct`] with the plan's transmit.
     ///
     /// # Errors
     ///
-    /// Returns [`BeamformError::InvalidParameter`] when the plan is not dense
-    /// and [`BeamformError::ShapeMismatch`] on a frame-format mismatch.
+    /// Returns [`BeamformError::ShapeMismatch`] on a frame-format mismatch.
     pub fn tof_correct(&self, data: &ChannelData) -> BeamformResult<TofCube> {
         self.tof_correct_with_threads(data, runtime::default_threads())
     }
@@ -641,151 +425,65 @@ impl BeamformPlan {
     ///
     /// Same as [`BeamformPlan::tof_correct`].
     pub fn tof_correct_with_threads(&self, data: &ChannelData, num_threads: usize) -> BeamformResult<TofCube> {
-        if !self.is_dense() {
-            return Err(BeamformError::InvalidParameter {
-                name: "plan",
-                reason: "ToF correction needs a dense plan (use BeamformPlan::for_tof)".into(),
-            });
-        }
         self.check_frame(data)?;
-        let rows = self.grid.num_rows();
         let cols = self.grid.num_cols();
         let channels = self.channels;
-        let n = self.frame.num_samples;
-        let flat = flatten_traces(data);
-        let mut cube = TofCube::zeros(rows, cols, channels);
+        let mut cube = TofCube::zeros(self.grid.num_rows(), cols, channels);
         if self.tap0.is_empty() {
             // Zero-sample frames: every tap is out of window, the cube stays 0.
             return Ok(cube);
         }
+        let flat = flatten_traces(data);
         let row_stride = cols * channels;
         runtime::par_map_rows(cube.as_mut_slice(), row_stride, num_threads, |first_row, block| {
             for (local, row_data) in block.chunks_mut(row_stride).enumerate() {
-                let row = first_row + local;
-                for col in 0..cols {
-                    let lo = self.offsets[row * cols + col] as usize;
-                    let hi = lo + channels;
-                    debug_assert!(hi <= self.tap0.len(), "tap run {lo}..{hi} escapes the CSR row bounds");
-                    let pixel = &mut row_data[col * channels..(col + 1) * channels];
-                    match self.method {
-                        InterpMethod::Nearest | InterpMethod::Linear => runtime::simd::gather_two_tap(
-                            &flat,
-                            &self.tap0[lo..hi],
-                            &self.tap1[lo..hi],
-                            &self.w0[lo..hi],
-                            &self.w1[lo..hi],
-                            pixel,
-                        ),
-                        InterpMethod::Cubic => {
-                            for (j, out) in pixel.iter_mut().enumerate() {
-                                *out = self.cubic_real(&flat, lo + j, n);
-                            }
-                        }
-                    }
+                let first_pixel = (first_row + local) * cols;
+                for (col, pixel) in row_data.chunks_mut(channels).enumerate() {
+                    let e = self.entries(first_pixel + col);
+                    runtime::simd::gather_two_tap(
+                        &flat,
+                        &self.tap0[e.clone()],
+                        &self.tap1[e.clone()],
+                        &self.w0[e.clone()],
+                        &self.w1[e],
+                        pixel,
+                    );
                 }
             }
         });
         Ok(cube)
     }
 
-    /// Gathers one pixel's aligned complex channel vector from a dense plan
-    /// (the MVDR alignment step). `analytic_flat` is the channel-major flat
-    /// analytic-signal buffer (`analytic_flat[ch * num_samples + k]`);
-    /// `aligned` must hold exactly [`BeamformPlan::channels`] slots.
+    /// Gathers one pixel's aligned complex channel vector (the MVDR alignment
+    /// step). `analytic_flat` is the channel-major flat analytic-signal buffer
+    /// (`analytic_flat[ch * num_samples + k]`); `aligned` must hold exactly
+    /// [`BeamformPlan::channels`] slots.
     ///
     /// Bitwise identical to sampling each channel with
     /// `usdsp::interp::sample_at_complex` at the pixel's round-trip delay.
     ///
     /// # Panics
     ///
-    /// Panics when the plan is not dense, `aligned` has the wrong length or
-    /// `pixel` is out of range.
+    /// Panics when `aligned` has the wrong length or `pixel` is out of range.
     pub fn align_pixel_into(&self, pixel: usize, analytic_flat: &[Complex32], aligned: &mut [Complex32]) {
-        assert!(self.is_dense(), "align_pixel_into needs a dense plan");
         assert_eq!(aligned.len(), self.channels, "aligned buffer must have one slot per channel");
-        let lo = self.offsets[pixel] as usize;
-        let hi = self.offsets[pixel + 1] as usize;
-        if hi == lo {
+        if self.tap0.is_empty() {
             // Zero-sample frames: every channel samples outside the window.
             aligned.fill(Complex32::ZERO);
             return;
         }
-        let n = self.frame.num_samples;
-        debug_assert!(hi <= self.tap0.len(), "tap run {lo}..{hi} escapes the CSR row bounds");
-        match self.method {
-            InterpMethod::Nearest | InterpMethod::Linear => {
-                // Component-wise complex two-tap blend as interleaved float
-                // lanes: out.re/out.im each get flat*w0 + flat*w1, exactly the
-                // `scale`+`add` expression the scalar path evaluates.
-                runtime::simd::gather_two_tap_interleaved(
-                    usdsp::complex::as_float_slice(analytic_flat),
-                    &self.tap0[lo..hi],
-                    &self.tap1[lo..hi],
-                    &self.w0[lo..hi],
-                    &self.w1[lo..hi],
-                    usdsp::complex::as_float_slice_mut(aligned),
-                );
-            }
-            InterpMethod::Cubic => {
-                for (j, out) in aligned.iter_mut().enumerate() {
-                    let e = lo + j;
-                    let base = self.tap0[e];
-                    if base == u32::MAX {
-                        *out = Complex32::ZERO;
-                        continue;
-                    }
-                    let t = self.w0[e];
-                    let seg_lo = (self.entry_channel(e) * n) as isize;
-                    let seg_hi = seg_lo + n as isize;
-                    let get = |i: isize| -> Complex32 {
-                        if i < seg_lo || i >= seg_hi {
-                            Complex32::ZERO
-                        } else {
-                            analytic_flat[i as usize]
-                        }
-                    };
-                    let i1 = base as isize;
-                    let (p0, p1, p2, p3) = (get(i1 - 1), get(i1), get(i1 + 1), get(i1 + 2));
-                    *out = Complex32::new(
-                        catmull_rom(p0.re, p1.re, p2.re, p3.re, t),
-                        catmull_rom(p0.im, p1.im, p2.im, p3.im, t),
-                    );
-                }
-            }
-        }
-    }
-
-    /// Channel of entry `e` (explicit for compacted cubic plans, positional
-    /// for dense plans).
-    #[inline]
-    fn entry_channel(&self, e: usize) -> usize {
-        if self.channel.is_empty() {
-            e % self.channels
-        } else {
-            self.channel[e] as usize
-        }
-    }
-
-    /// Cubic gather for one real entry, reproducing `sample_at`'s Catmull-Rom
-    /// path (zero-padded outside the entry's channel segment).
-    #[inline]
-    fn cubic_real(&self, flat: &[f32], e: usize, n: usize) -> f32 {
-        let base = self.tap0[e];
-        if base == u32::MAX {
-            return 0.0;
-        }
-        let t = self.w0[e];
-        let seg_lo = (self.entry_channel(e) * n) as isize;
-        let seg_hi = seg_lo + n as isize;
-        let get = |i: isize| -> f32 {
-            if i < seg_lo || i >= seg_hi {
-                0.0
-            } else {
-                flat[i as usize]
-            }
-        };
-        let i1 = base as isize;
-        catmull_rom(get(i1 - 1), get(i1), get(i1 + 1), get(i1 + 2), t)
+        let e = self.entries(pixel);
+        // Component-wise complex two-tap blend as interleaved float lanes:
+        // out.re/out.im each get flat*w0 + flat*w1, exactly the `scale`+`add`
+        // expression the scalar path evaluates.
+        runtime::simd::gather_two_tap_interleaved(
+            usdsp::complex::as_float_slice(analytic_flat),
+            &self.tap0[e.clone()],
+            &self.tap1[e.clone()],
+            &self.w0[e.clone()],
+            &self.w1[e],
+            usdsp::complex::as_float_slice_mut(aligned),
+        );
     }
 }
 
@@ -1072,7 +770,7 @@ impl crate::pipeline::Beamformer for PlannedDas {
 }
 
 /// An [`Mvdr`] beamformer that gathers its aligned channel vectors through a
-/// cached dense [`BeamformPlan`] (see [`PlannedDas`] for the caching
+/// cached [`BeamformPlan`] (see [`PlannedDas`] for the caching
 /// contract). The per-pixel covariance solve is unchanged; only the
 /// per-frame delay/interpolation math is amortised.
 pub struct PlannedMvdr {
@@ -1116,7 +814,7 @@ impl PlannedMvdr {
         frame: &FrameFormat,
     ) -> BeamformResult<Arc<BeamformPlan>> {
         self.cache.get_or_build(array, grid, sound_speed, frame, || {
-            BeamformPlan::for_mvdr(&self.mvdr, array, grid, sound_speed, *frame)
+            BeamformPlan::for_tof(array, grid, self.mvdr.transmit, sound_speed, *frame)
         })
     }
 }
@@ -1155,13 +853,11 @@ mod tests {
     #[test]
     fn two_taps_matches_sample_at_semantics() {
         let signal = [1.0f32, -2.0, 3.0, -4.0];
-        for method in [InterpMethod::Nearest, InterpMethod::Linear] {
-            for idx in [-0.5f32, 0.0, 0.4, 1.5, 2.9, 3.0, 3.5, f32::NAN] {
-                let (t0, t1, w0, w1) = two_taps(idx, signal.len(), method);
-                let gathered = signal[t0] * w0 + signal[t1] * w1;
-                let direct = usdsp::interp::sample_at(&signal, idx, method);
-                assert_eq!(gathered.to_bits(), direct.to_bits(), "{method:?} idx {idx}");
-            }
+        for idx in [-0.5f32, 0.0, 0.4, 1.5, 2.9, 3.0, 3.5, f32::NAN] {
+            let (t0, t1, w0, w1) = two_taps(idx, signal.len());
+            let gathered = signal[t0] * w0 + signal[t1] * w1;
+            let direct = usdsp::interp::sample_at(&signal, idx);
+            assert_eq!(gathered.to_bits(), direct.to_bits(), "idx {idx}");
         }
     }
 
@@ -1170,10 +866,10 @@ mod tests {
         let array = LinearArray::small_test_array();
         let grid = ImagingGrid::for_array(&array, 0.01, 0.008, 13, 7);
         let frame = FrameFormat { num_samples: 300, sampling_frequency: array.sampling_frequency(), start_time: 0.0 };
-        let das = DelayAndSum::with_hann_aperture();
-        let reference = BeamformPlan::for_das_with_threads(&das, &array, &grid, 1540.0, frame, 1).unwrap();
+        let tx = PlaneWave::from_degrees(5.0);
+        let reference = BeamformPlan::for_tof_with_threads(&array, &grid, tx, 1540.0, frame, 1).unwrap();
         for threads in [2, 3, 5, 16] {
-            let plan = BeamformPlan::for_das_with_threads(&das, &array, &grid, 1540.0, frame, threads).unwrap();
+            let plan = BeamformPlan::for_tof_with_threads(&array, &grid, tx, 1540.0, frame, threads).unwrap();
             assert_eq!(plan, reference, "threads {threads}");
         }
     }
@@ -1184,14 +880,16 @@ mod tests {
         let grid = ImagingGrid::for_array(&array, 0.01, 0.008, 6, 4);
         let frame = FrameFormat { num_samples: 128, sampling_frequency: array.sampling_frequency(), start_time: 0.0 };
         let plan = BeamformPlan::for_tof(&array, &grid, PlaneWave::zero_angle(), 1540.0, frame).unwrap();
-        assert!(plan.is_dense());
-        assert_eq!(plan.tap0.len(), grid.num_pixels() * array.num_elements());
-        assert!(plan.memory_bytes() > 0);
+        let entries = grid.num_pixels() * array.num_elements();
+        assert_eq!(plan.tap0.len(), entries);
+        assert_eq!(plan.memory_bytes(), 16 * entries);
         assert_eq!(plan.channels(), array.num_elements());
-        assert_eq!(plan.method(), InterpMethod::Linear);
         assert_eq!(plan.frame(), frame);
         assert_eq!(plan.sound_speed(), 1540.0);
-        assert!(plan.das_config().is_none());
+        assert_eq!(plan.transmit(), PlaneWave::zero_angle());
+        // DAS replays the ToF plan of its transmit.
+        let das = BeamformPlan::for_das(&DelayAndSum::default(), &array, &grid, 1540.0, frame).unwrap();
+        assert_eq!(das, plan);
     }
 
     #[test]
@@ -1203,25 +901,27 @@ mod tests {
             BeamformPlan::for_das(&DelayAndSum::default(), &array, &grid, -1.0, frame),
             Err(BeamformError::InvalidParameter { .. })
         ));
+        // Taps are u32 offsets into the channel-major buffer: 32 channels of
+        // 2^27 samples span 2^32 of them, one past the largest tap.
+        let huge = FrameFormat { num_samples: 1 << 27, ..frame };
+        assert!(matches!(
+            BeamformPlan::for_tof(&array, &grid, PlaneWave::zero_angle(), 1540.0, huge),
+            Err(BeamformError::InvalidParameter { name: "frame", .. })
+        ));
         let plan = BeamformPlan::for_das(&DelayAndSum::default(), &array, &grid, 1540.0, frame).unwrap();
         // Wrong channel count.
         let wrong = ChannelData::zeros(64, 8, array.sampling_frequency());
         assert!(matches!(plan.beamform_rf(&wrong), Err(BeamformError::ShapeMismatch { .. })));
+        assert!(matches!(plan.tof_correct(&wrong), Err(BeamformError::ShapeMismatch { .. })));
         // Wrong sample count.
         let wrong = ChannelData::zeros(65, array.num_elements(), array.sampling_frequency());
         assert!(matches!(plan.beamform_rf(&wrong), Err(BeamformError::ShapeMismatch { .. })));
-        // Dense kernels reject DAS plans and vice versa.
-        let ok = ChannelData::zeros(64, array.num_elements(), array.sampling_frequency());
-        assert!(matches!(plan.tof_correct(&ok), Err(BeamformError::InvalidParameter { .. })));
-        let dense = BeamformPlan::for_tof(&array, &grid, PlaneWave::zero_angle(), 1540.0, frame).unwrap();
-        assert!(matches!(dense.beamform_rf(&ok), Err(BeamformError::InvalidParameter { .. })));
     }
 
     #[test]
     fn zero_sample_format_builds_an_empty_plan_and_rejects_real_frames() {
-        // `ChannelData` guarantees at least one sample, so a `num_samples: 0`
-        // format can only come from a hand-built `FrameFormat`: the plan is
-        // empty and every real acquisition fails the frame check.
+        // A `num_samples: 0` format builds an empty plan, and every
+        // acquisition with samples fails its frame check.
         let array = LinearArray::small_test_array();
         let grid = ImagingGrid::for_array(&array, 0.01, 0.008, 4, 4);
         let frame = FrameFormat { num_samples: 0, sampling_frequency: array.sampling_frequency(), start_time: 0.0 };

@@ -15,7 +15,7 @@ use crate::grid::ImagingGrid;
 use crate::plan::BeamformPlan;
 use crate::{BeamformError, BeamformResult};
 use ultrasound::{ChannelData, LinearArray, PlaneWave};
-use usdsp::interp::{sample_at, InterpMethod};
+use usdsp::interp::sample_at;
 
 /// Per-pixel, per-channel time-of-flight corrected samples.
 ///
@@ -212,7 +212,7 @@ pub fn tof_correct_with_threads(
                     let dx = x - element_xs[ch];
                     let t_rx = (dx * dx + z * z).sqrt() / sound_speed;
                     let sample_index = (t_tx + t_rx - start_time) * fs;
-                    *out = sample_at(&traces[ch], sample_index, InterpMethod::Linear);
+                    *out = sample_at(&traces[ch], sample_index);
                 }
             }
         }
@@ -220,7 +220,7 @@ pub fn tof_correct_with_threads(
     Ok(cube)
 }
 
-/// [`tof_correct`] through a precomputed dense [`BeamformPlan`] (see
+/// [`tof_correct`] through a precomputed [`BeamformPlan`] (see
 /// [`BeamformPlan::for_tof`]), using the workspace-default worker threads.
 ///
 /// The per-sample delay geometry is replayed from the plan's tables instead of
@@ -229,24 +229,10 @@ pub fn tof_correct_with_threads(
 ///
 /// # Errors
 ///
-/// Returns [`BeamformError::InvalidParameter`] when the plan is not dense and
-/// [`BeamformError::ShapeMismatch`] when the frame does not match the planned
-/// format.
+/// Returns [`BeamformError::ShapeMismatch`] when the frame does not match the
+/// planned format.
 pub fn tof_correct_planned(data: &ChannelData, plan: &BeamformPlan) -> BeamformResult<TofCube> {
     plan.tof_correct(data)
-}
-
-/// [`tof_correct_planned`] with an explicit worker-thread count.
-///
-/// # Errors
-///
-/// Same as [`tof_correct_planned`].
-pub fn tof_correct_planned_with_threads(
-    data: &ChannelData,
-    plan: &BeamformPlan,
-    num_threads: usize,
-) -> BeamformResult<TofCube> {
-    plan.tof_correct_with_threads(data, num_threads)
 }
 
 #[cfg(test)]

@@ -38,7 +38,7 @@ fn tof_correction_is_identical_across_thread_counts() {
 fn das_rf_is_identical_across_thread_counts() {
     let (rf, array) = speckle_frame();
     let grid = ImagingGrid::for_array(&array, 0.012, 0.015, 41, 23);
-    for das in [DelayAndSum::default(), DelayAndSum::with_hann_aperture()] {
+    for das in [DelayAndSum::default(), DelayAndSum { transmit: PlaneWave::from_degrees(4.0) }] {
         let serial = das.beamform_rf_with_threads(&rf, &array, &grid, 1540.0, 1).unwrap();
         for threads in [2, 5, 16] {
             let parallel = das.beamform_rf_with_threads(&rf, &array, &grid, 1540.0, threads).unwrap();
@@ -58,11 +58,11 @@ fn beamform_batch_matches_per_frame_beamforming() {
         .collect();
     let grid = ImagingGrid::for_array(&array, 0.015, 0.01, 24, 12);
     let das = DelayAndSum::default();
-    let batch = das.beamform_batch(&frames, &array, &grid, 1540.0).unwrap();
+    let batch = das.beamform_batch_results(&frames, &array, &grid, 1540.0, runtime::default_threads());
     assert_eq!(batch.len(), frames.len());
-    for (frame, image) in frames.iter().zip(batch.iter()) {
+    for (frame, image) in frames.iter().zip(batch) {
         let single = das.beamform(frame, &array, &grid, 1540.0).unwrap();
-        assert_eq!(&single, image);
+        assert_eq!(single, image.unwrap());
     }
 }
 
@@ -79,9 +79,9 @@ fn frame_parallel_batch_is_identical_across_thread_budgets() {
         .collect();
     let grid = ImagingGrid::for_array(&array, 0.015, 0.01, 20, 10);
     for beamformer in [&DelayAndSum::default() as &dyn Beamformer, &beamforming::mvdr::Mvdr::fast()] {
-        let serial = beamformer.beamform_batch_with_threads(&frames, &array, &grid, 1540.0, 1).unwrap();
+        let serial = beamformer.beamform_batch_results(&frames, &array, &grid, 1540.0, 1);
         for budget in [2, 4, 7, 16] {
-            let parallel = beamformer.beamform_batch_with_threads(&frames, &array, &grid, 1540.0, budget).unwrap();
+            let parallel = beamformer.beamform_batch_results(&frames, &array, &grid, 1540.0, budget);
             assert_eq!(serial, parallel, "{} budget {budget}", beamformer.name());
         }
     }
@@ -91,8 +91,11 @@ fn frame_parallel_batch_is_identical_across_thread_budgets() {
 fn beamform_batch_propagates_frame_errors() {
     let array = LinearArray::small_test_array();
     let grid = ImagingGrid::small(&array);
-    let bad = vec![ChannelData::zeros(64, 16, 31.25e6)];
-    assert!(DelayAndSum::default().beamform_batch(&bad, &array, &grid, 1540.0).is_err());
+    let good = ChannelData::zeros(64, array.num_elements(), 31.25e6);
+    let frames = vec![good.clone(), ChannelData::zeros(64, 16, 31.25e6), good];
+    let results = DelayAndSum::default().beamform_batch_results(&frames, &array, &grid, 1540.0, 2);
+    assert!(results[0].is_ok() && results[2].is_ok(), "good frames must not fail with the bad one");
+    assert!(results[1].is_err());
 }
 
 /// Largest relative difference between two equally long buffers.
@@ -106,21 +109,22 @@ fn das_and_tof_match_plain_serial_loops() {
     // Reference: textbook per-pixel loops, serial, with every delay
     // recomputed per sample. The production paths hoist delays, run rows in
     // parallel and reduce in SIMD lane order, so they agree to rounding.
-    use usdsp::interp::{sample_at, InterpMethod};
+    use usdsp::interp::sample_at;
     let array = LinearArray::l11_5v().with_num_elements(64);
     let sim = PlaneWaveSimulator::new(array.clone(), Medium::soft_tissue(), 0.035);
     let phantom =
         Phantom::builder(0.015, 0.035).seed(11).speckle_density(30.0).add_point_target(0.0, 0.02, 5.0).build();
     let rf = sim.simulate(&phantom, PlaneWave::zero_angle()).unwrap();
     let grid = ImagingGrid::for_array(&array, 0.010, 0.020, 64, 32);
-    let das = DelayAndSum::with_hann_aperture();
+    let das = DelayAndSum::default();
     let (c, fs, t0) = (1540.0, rf.sampling_frequency(), rf.start_time());
     let traces = rf.to_channel_traces();
     let xs = array.element_positions();
-    let sample = |ch: usize, x: f32, z: f32, method: InterpMethod| {
+    let sample = |ch: usize, x: f32, z: f32| {
         let t_rx = ((x - xs[ch]) * (x - xs[ch]) + z * z).sqrt() / c;
-        sample_at(&traces[ch], (das.transmit.transmit_delay(x, z, c) + t_rx - t0) * fs, method)
+        sample_at(&traces[ch], (das.transmit.transmit_delay(x, z, c) + t_rx - t0) * fs)
     };
+    let boxcar = 1.0 / xs.len() as f32;
 
     let mut das_reference = Vec::with_capacity(grid.num_pixels());
     let mut tof_reference = Vec::with_capacity(grid.num_pixels() * xs.len());
@@ -128,9 +132,8 @@ fn das_and_tof_match_plain_serial_loops() {
         let z = grid.z(row);
         for col in 0..grid.num_cols() {
             let x = grid.x(col);
-            let weights = das.apodization.weights(&array, x, z);
-            das_reference.push((0..xs.len()).map(|ch| weights[ch] * sample(ch, x, z, das.interpolation)).sum::<f32>());
-            tof_reference.extend((0..xs.len()).map(|ch| sample(ch, x, z, InterpMethod::Linear)));
+            das_reference.push((0..xs.len()).map(|ch| boxcar * sample(ch, x, z)).sum::<f32>());
+            tof_reference.extend((0..xs.len()).map(|ch| sample(ch, x, z)));
         }
     }
 

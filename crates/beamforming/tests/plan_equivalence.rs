@@ -1,18 +1,15 @@
 //! Bitwise equivalence of the planned gather kernels against the direct
-//! DAS / ToF / MVDR paths, across thread counts, interpolation methods and
-//! apodization modes — the correctness contract of the `plan` subsystem.
+//! DAS / ToF / MVDR paths, across transmits, thread counts and SIMD tiers —
+//! the correctness contract of the `plan` subsystem.
 
-use beamforming::apodization::Apodization;
 use beamforming::das::DelayAndSum;
 use beamforming::grid::ImagingGrid;
 use beamforming::iq::IqImage;
 use beamforming::mvdr::Mvdr;
 use beamforming::pipeline::Beamformer;
 use beamforming::plan::{BeamformPlan, FrameFormat, PlannedDas, PlannedMvdr};
-use beamforming::tof::{tof_correct_planned_with_threads, tof_correct_with_threads};
+use beamforming::tof::tof_correct_with_threads;
 use ultrasound::{ChannelData, LinearArray, Medium, Phantom, PlaneWave, PlaneWaveSimulator};
-use usdsp::interp::InterpMethod;
-use usdsp::Window;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 5];
 
@@ -40,25 +37,17 @@ fn assert_iq_bits_eq(direct: &IqImage, planned: &IqImage, context: &str) {
 }
 
 #[test]
-fn planned_das_rf_is_bitwise_identical_across_methods_apodizations_and_threads() {
+fn planned_das_rf_is_bitwise_identical_across_transmits_and_threads() {
     let (data, array) = test_frame();
     let grid = ImagingGrid::for_array(&array, 0.012, 0.014, 21, 13);
     let frame = FrameFormat::of(&data);
-    let apodizations = [
-        ("boxcar", Apodization::boxcar()),
-        ("fixed-hann", Apodization::Fixed(Window::Hann)),
-        ("dynamic-hann", Apodization::hann_dynamic()),
-    ];
-    let methods = [InterpMethod::Nearest, InterpMethod::Linear, InterpMethod::Cubic];
-    for (apo_name, apodization) in apodizations {
-        for method in methods {
-            let das = DelayAndSum { apodization, interpolation: method, ..DelayAndSum::default() };
-            let plan = das.plan(&array, &grid, 1540.0, frame).unwrap();
-            for threads in THREAD_COUNTS {
-                let direct = das.beamform_rf_with_threads(&data, &array, &grid, 1540.0, threads).unwrap();
-                let planned = das.beamform_rf_planned_with_threads(&data, &plan, threads).unwrap();
-                assert_bits_eq(&direct, &planned, &format!("{apo_name}/{method:?}/threads {threads}"));
-            }
+    for degrees in [0.0, 4.0] {
+        let das = DelayAndSum { transmit: PlaneWave::from_degrees(degrees) };
+        let plan = BeamformPlan::for_das(&das, &array, &grid, 1540.0, frame).unwrap();
+        for threads in THREAD_COUNTS {
+            let direct = das.beamform_rf_with_threads(&data, &array, &grid, 1540.0, threads).unwrap();
+            let planned = plan.beamform_rf_with_threads(&data, threads).unwrap();
+            assert_bits_eq(&direct, &planned, &format!("{degrees}°/threads {threads}"));
         }
     }
 }
@@ -67,11 +56,11 @@ fn planned_das_rf_is_bitwise_identical_across_methods_apodizations_and_threads()
 fn planned_das_iq_is_bitwise_identical() {
     let (data, array) = test_frame();
     let grid = ImagingGrid::for_array(&array, 0.012, 0.014, 24, 10);
-    let das = DelayAndSum::with_hann_aperture();
-    let plan = das.plan(&array, &grid, 1540.0, FrameFormat::of(&data)).unwrap();
+    let das = DelayAndSum::default();
+    let plan = BeamformPlan::for_das(&das, &array, &grid, 1540.0, FrameFormat::of(&data)).unwrap();
     let direct = das.beamform_iq(&data, &array, &grid, 1540.0).unwrap();
     for threads in THREAD_COUNTS {
-        let planned = das.beamform_iq_planned_with_threads(&data, &plan, threads).unwrap();
+        let planned = plan.beamform_iq_with_threads(&data, threads).unwrap();
         assert_iq_bits_eq(&direct, &planned, &format!("iq threads {threads}"));
     }
 }
@@ -86,7 +75,7 @@ fn planned_tof_cube_is_bitwise_identical_across_threads() {
     for threads in THREAD_COUNTS {
         let reference =
             tof_correct_with_threads(&data, &array, &grid, PlaneWave::zero_angle(), 1540.0, threads).unwrap();
-        let planned = tof_correct_planned_with_threads(&data, &plan, threads).unwrap();
+        let planned = plan.tof_correct_with_threads(&data, threads).unwrap();
         assert_bits_eq(direct.as_slice(), reference.as_slice(), &format!("direct determinism, threads {threads}"));
         assert_bits_eq(direct.as_slice(), planned.as_slice(), &format!("tof threads {threads}"));
     }
@@ -104,18 +93,19 @@ fn planned_tof_handles_steered_transmit() {
 }
 
 #[test]
-fn planned_mvdr_is_bitwise_identical_across_methods_and_threads() {
+fn planned_mvdr_is_bitwise_identical_across_transmits_and_threads() {
     let (data, array) = test_frame();
     let grid = ImagingGrid::for_array(&array, 0.014, 0.01, 12, 8);
-    for method in [InterpMethod::Nearest, InterpMethod::Linear, InterpMethod::Cubic] {
-        let mvdr = Mvdr { interpolation: method, ..Mvdr::fast() };
-        let plan = BeamformPlan::for_mvdr(&mvdr, &array, &grid, 1540.0, FrameFormat::of(&data)).unwrap();
+    for degrees in [0.0, 4.0] {
+        let tx = PlaneWave::from_degrees(degrees);
+        let mvdr = Mvdr { transmit: tx, ..Mvdr::fast() };
+        let plan = BeamformPlan::for_tof(&array, &grid, tx, 1540.0, FrameFormat::of(&data)).unwrap();
         let direct = mvdr.beamform_iq_with_threads(&data, &array, &grid, 1540.0, 1).unwrap();
         for threads in THREAD_COUNTS {
             let reference = mvdr.beamform_iq_with_threads(&data, &array, &grid, 1540.0, threads).unwrap();
             let planned = mvdr.beamform_iq_planned_with_threads(&data, &plan, threads).unwrap();
-            assert_iq_bits_eq(&direct, &reference, &format!("mvdr direct determinism {method:?}/{threads}"));
-            assert_iq_bits_eq(&direct, &planned, &format!("mvdr {method:?}/threads {threads}"));
+            assert_iq_bits_eq(&direct, &reference, &format!("mvdr direct determinism {degrees}°/{threads}"));
+            assert_iq_bits_eq(&direct, &planned, &format!("mvdr {degrees}°/threads {threads}"));
         }
     }
 }
@@ -142,12 +132,13 @@ fn planned_batch_matches_direct_batch() {
     let (data, array) = test_frame();
     let grid = ImagingGrid::for_array(&array, 0.014, 0.01, 10, 6);
     let frames = vec![data.clone(), data.clone(), data];
-    let direct = DelayAndSum::default().beamform_batch_with_threads(&frames, &array, &grid, 1540.0, 4).unwrap();
+    let direct = DelayAndSum::default().beamform_batch_results(&frames, &array, &grid, 1540.0, 4);
     let planned = PlannedDas::new(DelayAndSum::default());
-    let planned_imgs = planned.beamform_batch_with_threads(&frames, &array, &grid, 1540.0, 4).unwrap();
+    let planned_imgs = planned.beamform_batch_results(&frames, &array, &grid, 1540.0, 4);
     assert_eq!(planned.plans_built(), 1, "one plan must serve the whole batch");
+    assert_eq!(direct.len(), frames.len());
     for (i, (a, b)) in direct.iter().zip(planned_imgs.iter()).enumerate() {
-        assert_iq_bits_eq(a, b, &format!("batch frame {i}"));
+        assert_iq_bits_eq(a.as_ref().unwrap(), b.as_ref().unwrap(), &format!("batch frame {i}"));
     }
 }
 
@@ -165,17 +156,16 @@ fn planned_and_direct_outputs_are_bitwise_identical_across_simd_modes() {
 
     let (data, array) = test_frame();
     let grid = ImagingGrid::for_array(&array, 0.012, 0.014, 18, 9);
-    let das = DelayAndSum::with_hann_aperture();
-    let frame = FrameFormat::of(&data);
-    let plan = das.plan(&array, &grid, 1540.0, frame).unwrap();
-    let tof_plan =
-        BeamformPlan::for_tof(&array, &grid, PlaneWave::zero_angle(), 1540.0, frame).unwrap();
+    let das = DelayAndSum::default();
+    let mvdr = Mvdr::fast();
+    let plan = BeamformPlan::for_das(&das, &array, &grid, 1540.0, FrameFormat::of(&data)).unwrap();
 
     // The asserted reference: the scalar tier, single-threaded.
     simd::force_mode(Some(SimdMode::Scalar));
     let rf_ref = das.beamform_rf_with_threads(&data, &array, &grid, 1540.0, 1).unwrap();
-    let iq_ref = das.beamform_iq_planned_with_threads(&data, &plan, 1).unwrap();
-    let tof_ref = tof_correct_planned_with_threads(&data, &tof_plan, 1).unwrap();
+    let iq_ref = plan.beamform_iq_with_threads(&data, 1).unwrap();
+    let tof_ref = plan.tof_correct_with_threads(&data, 1).unwrap();
+    let mvdr_ref = mvdr.beamform_iq_with_threads(&data, &array, &grid, 1540.0, 1).unwrap();
 
     for mode in simd::available_modes() {
         simd::force_mode(Some(mode));
@@ -183,12 +173,14 @@ fn planned_and_direct_outputs_are_bitwise_identical_across_simd_modes() {
             let ctx = format!("{mode:?}/threads {threads}");
             let direct = das.beamform_rf_with_threads(&data, &array, &grid, 1540.0, threads).unwrap();
             assert_bits_eq(&rf_ref, &direct, &format!("direct rf {ctx}"));
-            let planned = das.beamform_rf_planned_with_threads(&data, &plan, threads).unwrap();
+            let planned = plan.beamform_rf_with_threads(&data, threads).unwrap();
             assert_bits_eq(&rf_ref, &planned, &format!("planned rf {ctx}"));
-            let iq = das.beamform_iq_planned_with_threads(&data, &plan, threads).unwrap();
+            let iq = plan.beamform_iq_with_threads(&data, threads).unwrap();
             assert_iq_bits_eq(&iq_ref, &iq, &format!("planned iq {ctx}"));
-            let tof = tof_correct_planned_with_threads(&data, &tof_plan, threads).unwrap();
+            let tof = plan.tof_correct_with_threads(&data, threads).unwrap();
             assert_bits_eq(tof_ref.as_slice(), tof.as_slice(), &format!("planned tof {ctx}"));
+            let aligned = mvdr.beamform_iq_planned_with_threads(&data, &plan, threads).unwrap();
+            assert_iq_bits_eq(&mvdr_ref, &aligned, &format!("planned mvdr {ctx}"));
         }
     }
 }
@@ -198,25 +190,15 @@ fn plan_rejects_mismatched_configurations() {
     let (data, array) = test_frame();
     let grid = ImagingGrid::for_array(&array, 0.014, 0.01, 8, 6);
     let frame = FrameFormat::of(&data);
-    let das = DelayAndSum::default();
-    let plan = das.plan(&array, &grid, 1540.0, frame).unwrap();
-    // A different DAS configuration must not accept this plan.
-    let other = DelayAndSum::with_hann_aperture();
-    assert!(other.beamform_rf_planned(&data, &plan).is_err());
-    // MVDR must reject a DAS plan and a method-mismatched dense plan.
-    let mvdr = Mvdr::fast();
-    assert!(mvdr.beamform_iq_planned(&data, &plan).is_err());
-    let cubic_plan = BeamformPlan::for_mvdr(
-        &Mvdr { interpolation: InterpMethod::Cubic, ..Mvdr::fast() },
-        &array,
-        &grid,
-        1540.0,
-        frame,
-    )
-    .unwrap();
-    assert!(mvdr.beamform_iq_planned(&data, &cubic_plan).is_err());
+    let plan = BeamformPlan::for_tof(&array, &grid, PlaneWave::zero_angle(), 1540.0, frame).unwrap();
+    // MVDR must reject a plan built for another transmit.
+    let steered = Mvdr { transmit: PlaneWave::from_degrees(4.0), ..Mvdr::fast() };
+    assert!(steered.beamform_iq_planned_with_threads(&data, &plan, 2).is_err());
+    assert!(Mvdr::fast().beamform_iq_planned_with_threads(&data, &plan, 2).is_ok());
     // A frame with a different start time must be rejected.
     let mut shifted = data.clone();
     shifted.set_start_time(1e-6);
-    assert!(das.beamform_rf_planned(&shifted, &plan).is_err());
+    assert!(plan.beamform_rf(&shifted).is_err());
+    assert!(plan.tof_correct(&shifted).is_err());
+    assert!(Mvdr::fast().beamform_iq_planned_with_threads(&shifted, &plan, 2).is_err());
 }

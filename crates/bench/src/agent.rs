@@ -106,7 +106,7 @@ pub fn build_backend(
                 schedule.delay_one_in(chaos.delay_one_in, Duration::from_millis(chaos.delay_ms));
         }
         let inner = build_backend(inner, spec, &None, shared_tof)?;
-        return Ok(Arc::new(ChaosBeamformer::new(ArcBeamformer(inner), schedule)));
+        return Ok(Arc::new(ChaosBeamformer::new(inner, schedule)));
     }
     match label {
         "das" => Ok(Arc::new(DelayAndSum::default())),
@@ -124,36 +124,6 @@ pub fn build_backend(
             }
             None => Err(ServeError::Engine(format!("unknown backend `{label}`"))),
         },
-    }
-}
-
-/// Adapter: [`ChaosBeamformer`] wraps a concrete `Beamformer` by value;
-/// this lets it wrap the `Arc<dyn Beamformer>` the factory produces.
-struct ArcBeamformer(Arc<dyn Beamformer + Send + Sync>);
-
-impl Beamformer for ArcBeamformer {
-    fn beamform(
-        &self,
-        frame: &ChannelData,
-        array: &ultrasound::LinearArray,
-        grid: &ImagingGrid,
-        sound_speed: f32,
-    ) -> beamforming::BeamformResult<IqImage> {
-        self.0.beamform(frame, array, grid, sound_speed)
-    }
-
-    fn prepare(
-        &self,
-        array: &ultrasound::LinearArray,
-        grid: &ImagingGrid,
-        sound_speed: f32,
-        frame: &FrameFormat,
-    ) {
-        self.0.prepare(array, grid, sound_speed, frame);
-    }
-
-    fn name(&self) -> &str {
-        self.0.name()
     }
 }
 

@@ -79,8 +79,9 @@ impl Profile {
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamLoad {
     /// Backend label the stream submits under. Labels the serve agent
-    /// understands: `"das"`, `"das-planned"`, `"mvdr-planned"`,
-    /// `"tiny-vbf"`, the quantized `"tiny-vbf-*"` scheme labels, and
+    /// understands (see [`crate::agent::build_backend`]): `"das"`,
+    /// `"das-planned"`, the six Tiny-VBF scheme labels `"tiny-vbf-fp"`,
+    /// `"-fx24"`, `"-fx20"`, `"-fx16"`, `"-w8a20"` and `"-w8a16"`, and
     /// `"chaos:<inner>"` which wraps `<inner>` in a
     /// [`serve::ChaosBeamformer`] driven by [`ScenarioConfig::chaos`].
     pub backend: String,

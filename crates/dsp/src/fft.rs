@@ -1,8 +1,7 @@
 //! Radix-2 fast Fourier transform.
 //!
 //! The transforms here are used by the [Hilbert transform](crate::hilbert) (envelope
-//! detection of beamformed RF). Signals whose length is not a power of two are handled
-//! by zero-padding helpers ([`next_pow2`], [`fft_padded`]).
+//! detection of beamformed RF), which zero-pads signals to [`next_pow2`].
 
 use crate::complex::Complex32;
 use crate::{DspError, DspResult};
@@ -98,8 +97,7 @@ pub fn fft_in_place(data: &mut [Complex32], inverse: bool) -> DspResult<()> {
 ///
 /// # Panics
 ///
-/// Panics when the input length is zero or not a power of two; use [`fft_padded`] for
-/// arbitrary lengths.
+/// Panics when the input length is zero or not a power of two.
 pub fn fft(input: &[Complex32]) -> Vec<Complex32> {
     let mut data = input.to_vec();
     fft_in_place(&mut data, false).expect("fft: input length must be a nonzero power of two");
@@ -115,43 +113,6 @@ pub fn ifft(input: &[Complex32]) -> Vec<Complex32> {
     let mut data = input.to_vec();
     fft_in_place(&mut data, true).expect("ifft: input length must be a nonzero power of two");
     data
-}
-
-/// Forward FFT of an arbitrary-length signal, zero-padded to the next power of two.
-///
-/// Returns the padded spectrum together with the padded length.
-pub fn fft_padded(input: &[Complex32]) -> DspResult<Vec<Complex32>> {
-    if input.is_empty() {
-        return Err(DspError::EmptyInput);
-    }
-    let n = next_pow2(input.len());
-    let mut data = Vec::with_capacity(n);
-    data.extend_from_slice(input);
-    data.resize(n, Complex32::ZERO);
-    fft_in_place(&mut data, false)?;
-    Ok(data)
-}
-
-/// Forward FFT of a real signal (converted to complex, zero-padded to a power of two).
-pub fn rfft(input: &[f32]) -> DspResult<Vec<Complex32>> {
-    if input.is_empty() {
-        return Err(DspError::EmptyInput);
-    }
-    let complex: Vec<Complex32> = input.iter().map(|&x| Complex32::from_real(x)).collect();
-    fft_padded(&complex)
-}
-
-/// Frequency (in cycles/sample) associated with FFT bin `k` of an `n`-point transform.
-///
-/// Bins above `n/2` map to negative frequencies, matching the usual `fftfreq` layout.
-pub fn bin_frequency(k: usize, n: usize) -> f32 {
-    assert!(n > 0, "bin_frequency: n must be nonzero");
-    let k = k % n;
-    if k <= n / 2 {
-        k as f32 / n as f32
-    } else {
-        (k as f32 - n as f32) / n as f32
-    }
 }
 
 #[cfg(test)]
@@ -242,22 +203,5 @@ mod tests {
     fn rejects_empty() {
         let mut x: Vec<Complex32> = vec![];
         assert_eq!(fft_in_place(&mut x, false).unwrap_err(), DspError::EmptyInput);
-        assert_eq!(rfft(&[]).unwrap_err(), DspError::EmptyInput);
-    }
-
-    #[test]
-    fn padded_fft_handles_arbitrary_length() {
-        let x: Vec<Complex32> = (0..100).map(|i| Complex32::from_real(i as f32)).collect();
-        let spec = fft_padded(&x).unwrap();
-        assert_eq!(spec.len(), 128);
-    }
-
-    #[test]
-    fn bin_frequency_layout() {
-        assert_eq!(bin_frequency(0, 8), 0.0);
-        assert_eq!(bin_frequency(1, 8), 0.125);
-        assert_eq!(bin_frequency(4, 8), 0.5);
-        assert_eq!(bin_frequency(5, 8), -0.375);
-        assert_eq!(bin_frequency(7, 8), -0.125);
     }
 }

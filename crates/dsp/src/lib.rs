@@ -6,8 +6,8 @@
 //! * [`Complex32`] — a small complex number type (the RF/IQ sample type),
 //! * [`fft`] — an iterative radix-2 FFT / inverse FFT,
 //! * [`hilbert`] — analytic-signal computation used for envelope detection,
-//! * [`window`] — apodization / tapering windows,
-//! * [`interp`] — fractional-delay interpolation used by time-of-flight correction,
+//! * [`interp`] — linear fractional-delay interpolation used by time-of-flight
+//!   correction,
 //! * [`stats`] — mean / variance / percentile / histogram helpers used by the
 //!   image-quality metrics.
 //!
@@ -32,10 +32,8 @@ pub mod fft;
 pub mod hilbert;
 pub mod interp;
 pub mod stats;
-pub mod window;
 
 pub use complex::Complex32;
-pub use window::Window;
 
 use std::error::Error;
 use std::fmt;

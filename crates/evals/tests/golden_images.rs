@@ -5,13 +5,17 @@
 //! the raw interleaved IQ pixels must match the committed goldens bit for
 //! bit. Any change to the integer inference path (requantization order,
 //! rounding mode, accumulator width) shows up here before it shows up as a
-//! drifting quality metric.
+//! drifting quality metric. The classical beamformers are pinned the same
+//! way: planned boxcar DAS (`das-planned.hex`) and the MVDR training target
+//! (`mvdr.hex`), so a change that the planned and direct paths share still
+//! shows up.
 //!
 //! To bless new goldens after an *intentional* numerics change:
 //! `BLESS_GOLDENS=1 cargo test -p evals --test golden_images`.
 
 use beamforming::pipeline::Beamformer;
-use beamforming::plan::PlanCache;
+use beamforming::das::DelayAndSum;
+use beamforming::plan::{PlanCache, PlannedDas};
 use quantize::QuantScheme;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -51,24 +55,33 @@ fn rendered_frames_match_committed_goldens_bit_for_bit() {
     let model_config = TinyVbfConfig::paper().for_frame(array.num_elements(), grid.num_cols());
     let model = TinyVbf::new(&model_config).expect("seeded model");
 
-    let bless = std::env::var_os("BLESS_GOLDENS").is_some();
     let tof_plans = Arc::new(PlanCache::new(8));
+    let mut backends: Vec<(String, Box<dyn Beamformer>)> = QuantScheme::all()
+        .into_iter()
+        .map(|scheme| {
+            let backend = QuantizedTinyVbfBeamformer::with_tof_cache(
+                QuantizedTinyVbf::from_model(&model, scheme),
+                Arc::clone(&tof_plans),
+            );
+            (scheme.backend_label().to_string(), Box::new(backend) as Box<dyn Beamformer>)
+        })
+        .collect();
+    backends.push(("das-planned".into(), Box::new(PlannedDas::new(DelayAndSum::default()))));
+    backends.push(("mvdr".into(), Box::new(eval.mvdr.clone())));
+
+    let bless = std::env::var_os("BLESS_GOLDENS").is_some();
     let mut blessed = Vec::new();
-    for scheme in QuantScheme::all() {
-        let backend = QuantizedTinyVbfBeamformer::with_tof_cache(
-            QuantizedTinyVbf::from_model(&model, scheme),
-            Arc::clone(&tof_plans),
-        );
+    for (label, backend) in &backends {
         let iq = backend
             .beamform(&frame.channel_data, &frame.array, &grid, eval.sound_speed)
             .expect("beamform");
         let rendered = encode(&iq.to_interleaved());
 
-        let path = goldens_dir().join(format!("{}.hex", scheme.backend_label()));
+        let path = goldens_dir().join(format!("{label}.hex"));
         if bless {
             std::fs::create_dir_all(goldens_dir()).expect("goldens dir");
             std::fs::write(&path, &rendered).expect("write golden");
-            blessed.push(scheme.backend_label());
+            blessed.push(label.as_str());
             continue;
         }
         let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -80,9 +93,8 @@ fn rendered_frames_match_committed_goldens_bit_for_bit() {
         assert_eq!(
             rendered,
             golden,
-            "rung {} drifted from its golden image — if the numerics change \
-             is intentional, re-bless with BLESS_GOLDENS=1",
-            scheme.backend_label()
+            "{label} drifted from its golden image — if the numerics change \
+             is intentional, re-bless with BLESS_GOLDENS=1"
         );
     }
     assert!(!bless, "goldens blessed for {blessed:?} — rerun without BLESS_GOLDENS to verify");

@@ -14,10 +14,10 @@
 //!
 //! # Thread budgets (two-level parallelism)
 //!
-//! Multi-frame entry points (`Beamformer::beamform_batch`, the `serve`
-//! micro-batcher) want frames of a batch to run *concurrently* while each
-//! frame stays *internally* row-parallel, without the product of the two
-//! levels oversubscribing the machine. The budgeted variants make that split
+//! Multi-frame entry points (`Beamformer::beamform_batch_results`, which the
+//! `serve` micro-batcher dispatches through) want frames of a batch to run
+//! *concurrently* while each frame stays *internally* row-parallel, without
+//! the product of the two levels oversubscribing the machine. The budgeted variants make that split
 //! explicit:
 //!
 //! * [`split_budget`] — divide a total thread budget into

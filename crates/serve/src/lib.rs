@@ -4,8 +4,8 @@
 //! plane-wave imaging: frames arrive continuously from the scanner and must be
 //! reconstructed at acquisition rate. The deep-learning beamforming literature
 //! frames models like Tiny-VBF as components of a streaming
-//! acquisition→reconstruction pipeline, and `Beamformer::beamform_batch` is
-//! the per-frame batch primitive. This crate turns that per-call primitive
+//! acquisition→reconstruction pipeline, and `Beamformer::beamform_batch_results`
+//! is the per-frame batch primitive. This crate turns that per-call primitive
 //! into a throughput-oriented service:
 //!
 //! * [`Server`] — the generic micro-batching server: a **bounded submission

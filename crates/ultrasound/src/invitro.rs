@@ -12,7 +12,7 @@ use crate::acquisition::ChannelData;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use usdsp::interp::{sample_at, InterpMethod};
+use usdsp::interp::sample_at;
 
 /// Parameters of the in-vitro degradation model.
 ///
@@ -69,7 +69,7 @@ impl InVitroDegradation {
             let jitter = self.timing_jitter_samples * standard_normal(&mut rng);
             let original = data.channel(ch);
             for k in 0..num_samples {
-                let shifted = sample_at(&original, k as f32 + jitter, InterpMethod::Linear);
+                let shifted = sample_at(&original, k as f32 + jitter);
                 *data.sample_mut(k, ch) = gain * shifted;
             }
         }
