@@ -663,6 +663,121 @@ mod tests {
         }
     }
 
+    /// The integer forward of one row written out as plain per-element
+    /// loops: i64 accumulators, `to_code`/`requantize_i64` for every grid
+    /// change, the float boundaries through `layer_norm_f32` and
+    /// `softmax_rows`, and `f64::round` for a score scale that is not a power
+    /// of two. Independent of the engine's kernels, tiers and lane types.
+    fn oracle_row(q: &crate::quantized::QuantizedTinyVbf, row: &Tensor) -> Vec<f32> {
+        let (w, scheme, tokens) = (q.weights(), q.scheme(), row.rows());
+        let wf = scheme.format_for(TensorRole::Weight).unwrap();
+        let act = scheme.format_for(TensorRole::MacResult).unwrap();
+        let soft = scheme.format_for(TensorRole::Softmax).unwrap();
+        let fa = act.frac_bits();
+        let dense = |x: &[i64], weight: &Tensor, bias: Option<&Tensor>| {
+            let (k, m) = (weight.rows(), weight.cols());
+            let mut out = vec![0i64; tokens * m];
+            for r in 0..tokens {
+                for j in 0..m {
+                    let mut acc = bias.map_or(0, |b| (wf.to_code(b.as_slice()[j]) as i64) << fa);
+                    for p in 0..k {
+                        acc += x[r * k + p] * wf.to_code(weight.at(p, j)) as i64;
+                    }
+                    out[r * m + j] = act.requantize_i64(acc, fa + wf.frac_bits()) as i64;
+                }
+            }
+            out
+        };
+        let codes = |values: &[f32]| values.iter().map(|&v| act.to_code(v) as i64).collect::<Vec<_>>();
+        let layer_norm = |x: &[i64], gamma: &Tensor, beta: &Tensor| {
+            let values: Vec<f32> = x.iter().map(|&c| act.from_raw(c)).collect();
+            let mut out = vec![0.0f32; x.len()];
+            crate::quantized::layer_norm_f32(&values, gamma, beta, &mut out);
+            codes(&out)
+        };
+        let add = |x: &[i64], y: &[i64]| x.iter().zip(y).map(|(&a, &b)| act.requantize_i64(a + b, fa) as i64).collect();
+        let relu = |x: Vec<i64>| x.into_iter().map(|c| c.max(0)).collect::<Vec<_>>();
+        let mut x = dense(&codes(row.as_slice()), &w.encoder_weight, Some(&w.encoder_bias));
+        if let Some(pos) = &w.positional {
+            let common = fa.max(wf.frac_bits());
+            for (i, c) in x.iter_mut().enumerate() {
+                let p = wf.to_code(pos.at((i / pos.cols()).min(pos.rows() - 1), i % pos.cols())) as i64;
+                *c = act.requantize_i64((*c << (common - fa)) + (p << (common - wf.frac_bits())), common) as i64;
+            }
+        }
+        let dim = w.config.model_dim;
+        let head_dim = dim / w.config.num_heads;
+        let scale = 1.0 / (head_dim as f32).sqrt();
+        for b in &w.blocks {
+            let normed = layer_norm(&x, &b.norm1_gamma, &b.norm1_beta);
+            let (qm, km, vm) = (dense(&normed, &b.wq, None), dense(&normed, &b.wk, None), dense(&normed, &b.wv, None));
+            let mut concat = vec![0i64; tokens * dim];
+            for h in (0..dim).step_by(head_dim) {
+                let mut scores = Tensor::zeros(&[tokens, tokens]);
+                for i in 0..tokens {
+                    for j in 0..tokens {
+                        let acc: i64 = (h..h + head_dim).map(|c| qm[i * dim + c] * km[j * dim + c]).sum();
+                        let code = if scale.to_bits() & 0x007F_FFFF == 0 {
+                            act.requantize_i64(acc, 2 * fa + (-scale.log2()) as u32) as i64
+                        } else {
+                            ((acc as f64 * f64::from(scale) * (-(fa as f64)).exp2()).round() as i64)
+                                .clamp(act.min_raw(), act.max_raw())
+                        };
+                        *scores.at_mut(i, j) = act.from_raw(code);
+                    }
+                }
+                let probs = softmax_rows(&scores);
+                for i in 0..tokens {
+                    for d in h..h + head_dim {
+                        let acc: i64 = (0..tokens).map(|j| soft.to_code(probs.at(i, j)) as i64 * vm[j * dim + d]).sum();
+                        concat[i * dim + d] = act.requantize_i64(acc, soft.frac_bits() + fa) as i64;
+                    }
+                }
+            }
+            x = add(&x, &dense(&concat, &b.wo, None));
+            let hidden = relu(dense(&layer_norm(&x, &b.norm2_gamma, &b.norm2_beta), &b.mlp_in_weight, Some(&b.mlp_in_bias)));
+            x = add(&x, &dense(&hidden, &b.mlp_out_weight, Some(&b.mlp_out_bias)));
+        }
+        let hidden = relu(dense(&x, &w.decoder_in_weight, Some(&w.decoder_in_bias)));
+        let out = dense(&hidden, &w.decoder_out_weight, Some(&w.decoder_out_bias));
+        out.iter().map(|&c| act.quantize(act.from_raw(c).tanh())).collect()
+    }
+
+    #[test]
+    fn integer_forward_matches_the_plain_loop_oracle_bit_for_bit() {
+        use crate::config::TinyVbfConfig;
+        use crate::model::TinyVbf;
+        use crate::quantized::QuantizedTinyVbf;
+        // tiny_test: head_dim 2, the 1/√2 score scale. The served shape:
+        // head_dim 4 and the score shift. Rows of 6, 16, 37 and 130 tokens
+        // cover short last query blocks and rows longer than the positional
+        // table; inputs ×64 saturate the activation grids.
+        for config in [TinyVbfConfig::tiny_test(), TinyVbfConfig::small().for_frame(128, 128)] {
+            let model = TinyVbf::new(&config).unwrap();
+            for scheme in QuantScheme::all().into_iter().filter(|s| !s.is_float()) {
+                let engine = QuantizedTinyVbf::from_model(&model, scheme);
+                for (seed, tokens) in [6usize, 16, 37, 130].into_iter().enumerate() {
+                    for gain in [1.0f32, 64.0] {
+                        let row = neural::init::normal(&[tokens, config.channels], 0.4, 40 + seed as u64)
+                            .map(|v| v.clamp(-1.0, 1.0) * gain);
+                        let expect = oracle_row(&engine, &row);
+                        let got = engine.infer_row(&row);
+                        for (i, (a, b)) in expect.iter().zip(got.as_slice()).enumerate() {
+                            assert_eq!(
+                                a.to_bits(),
+                                b.to_bits(),
+                                "{} channels, {}, {tokens} tokens, gain {gain}, value {i}: {a} vs {b}",
+                                config.channels,
+                                scheme.name
+                            );
+                        }
+                        assert_eq!(expect.len(), got.as_slice().len());
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn requantize_matches_f32_rounding_on_grid_values() {
         let act = FixedFormat::new(16, 10);
