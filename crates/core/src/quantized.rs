@@ -6,12 +6,12 @@
 //! * [`QuantizedTinyVbf`] — the one inference engine. It takes the scheme as a
 //!   parameter. The float scheme is the identity quantizer and runs a plain
 //!   `f32` datapath, bitwise equal to [`TinyVbf::forward_row`]. Every
-//!   fixed-point scheme runs **real integer kernels** (`quantized_int`):
-//!   weights become integer codes once up front, dense layers run exact
-//!   i16/i32/i64 multiply-accumulates, and every MAC result, softmax and
-//!   intermediate activation is requantized onto its scheme-assigned grid by
-//!   an integer rounding shift. Comparing its images against float
-//!   reproduces Tables IV and V and Fig. 15.
+//!   fixed-point scheme runs **exact integer kernels** (`quantized_int`):
+//!   weights become integer codes once up front, every multiply-accumulate
+//!   sums integer codes exactly in `f64` lanes, and every MAC result, softmax
+//!   and intermediate activation is requantized onto its scheme-assigned grid
+//!   by a rounding shift. Comparing its images against float reproduces
+//!   Tables IV and V and Fig. 15.
 //! * [`QuantizedTinyVbfBeamformer`] — the one Tiny-VBF [`Beamformer`]:
 //!   planned ToF through a shareable [`PlanCache`], row-parallel sweeps, and
 //!   per-stream SQNR accuracy-proxy counters surfaced through
@@ -190,9 +190,7 @@ impl QuantizedTinyVbf {
             return self.infer_row_float(row, scratch);
         }
         let int = self.int.as_ref().expect("fixed-point scheme requires the integer model from from_model()");
-        let out = int.infer_row(&self.weights, row, row.len() / channels);
-        scratch.out.clear();
-        scratch.out.extend_from_slice(out.as_slice());
+        int.infer_row(&self.weights, row, &mut scratch.codes, &mut scratch.out);
         &scratch.out
     }
 
@@ -212,12 +210,12 @@ impl QuantizedTinyVbf {
     }
 }
 
-/// Query rows per block of the float attention kernel: one lane each of an
-/// 8-wide register.
-const QUERY_BLOCK: usize = 8;
+/// Query rows per block of the float and integer attention kernels: one lane
+/// each of an 8-wide register.
+pub(crate) const QUERY_BLOCK: usize = 8;
 
-/// Per-worker buffers of the float forward, reused row after row so a warm
-/// worker allocates nothing per depth row.
+/// Per-worker buffers of the float and integer forwards, reused row after row
+/// so a warm worker allocates nothing per depth row.
 #[derive(Debug, Default)]
 pub(crate) struct RowScratch {
     /// Residual stream, `tokens × model_dim`.
@@ -242,6 +240,8 @@ pub(crate) struct RowScratch {
     scores: Vec<[f32; QUERY_BLOCK]>,
     /// The `(tokens, 2)` output.
     out: Vec<f32>,
+    /// The integer datapath's buffers.
+    codes: crate::quantized_int::CodeScratch,
 }
 
 /// `out = input · weight + bias`, row by row.

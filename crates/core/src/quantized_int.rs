@@ -1,298 +1,114 @@
-//! Real integer kernels for fixed-point Tiny-VBF inference.
+//! The integer datapath of fixed-point Tiny-VBF inference.
 //!
-//! [`crate::quantized`] historically *simulated* fixed point: every value
-//! stayed `f32` and was rounded onto its grid after each op, which made a
-//! quantized rung cost **more** than float. This module is the shipped
-//! datapath instead: activations live as `i32` codes on the scheme's
-//! mac/intermediate grid, weights are pre-converted to integer codes (and,
-//! when they fit `i16`, pre-packed into the pair layout of
-//! `runtime::simd::madd_block`), and every dense layer runs an **exact**
-//! integer matrix multiply:
+//! Activations live as fixed-point codes on the scheme's mac/intermediate
+//! grid and weights as codes on its weight grid, both held as exact integers
+//! in `f64`. Every multiply-accumulate — the encoder, the fused q/k/v
+//! projection, the attention scores, the probabilities times V, `wo`, the MLP
+//! and the decoder — runs on one kernel, [`simd::exact_matmul`]. Its products
+//! and sums are integers below 2^53, so `f64` lanes compute them exactly, and
+//! one epilogue (round half away from zero, then saturate) lands each result
+//! on its grid as [`FixedFormat::requantize_i64`] would. The lane type of
+//! every stage is fixed by the scheme's formats: nothing inspects code
+//! magnitudes at run time.
 //!
-//! * products accumulate in `i64` (or chunked `i32` via the 16-lane i16 madd
-//!   kernel when the runtime magnitudes allow it — the chunk bound
-//!   `2 · pairs · max|a| · max|w| ≤ i32::MAX` guarantees the i32 tile cannot
-//!   overflow, and the tile spills into `i64` between chunks),
-//! * the bias is pre-shifted onto the product grid exactly,
-//! * one round-half-away-from-zero shift + saturate
-//!   ([`FixedFormat::requantize_i64`]) lands the result back on the
-//!   activation grid — the integer equivalent of the old `q_mac`.
+//! **The exactness bound, per scheme.** Every code satisfies |code| ≤
+//! 2^(bits−1), and a softmax probability lies in [0, 1], so its code is at most
+//! 2^soft_frac. At the served shape (128 channels, 128 tokens, `head_dim` 4)
+//! the largest sums are:
+//!
+//! | Scheme | dense `k·2^(a−1)·2^(w−1)` | scores `head_dim·2^(2a−2)` | A·V `tokens·2^soft_frac·2^(a−1)` |
+//! |--------|------|------|------|
+//! | fx24   | 2^47 | 2^48 | 2^48 |
+//! | fx20   | 2^43 | 2^40 | 2^40 |
+//! | fx16   | 2^37 | 2^32 | 2^32 |
+//! | w8a20  | 2^33 | 2^40 | 2^46 |
+//! | w8a16  | 2^29 | 2^32 | 2^42 |
+//!
+//! A dense bias adds less than 2^35. So `f64` holds every sum of every Table
+//! III scheme exactly with at least 32× headroom: `head_dim` up to 128, tokens
+//! up to 4,096 and channels up to 8,192 at fx24. [`IntModel::build`] asserts
+//! the dense and score bounds of the actual config, and
+//! [`IntModel::infer_row`] the A·V bound of each row.
+//!
+//! Attention runs each head [`QUERY_BLOCK`] query rows at a time and reads the
+//! q/k/v codes in place. A block computes its scores as exact dot products
+//! with the score shift (or, for a `head_dim` that is not a power of four, the
+//! `f64`-rounded `1/√head_dim` multiply), then its softmax — the `exp` lookup
+//! table on 16-bit grids, [`simd::exp`] otherwise, the denominators summed in
+//! ascending key order — with each probability quantized onto the softmax
+//! grid in the divide pass, then the exact A·V and its rounding shift back
+//! onto the activation grid. Per element these are the operations of the
+//! plain-loop oracle in the tests, so the bits are those of the `i64`
+//! datapath this replaced.
 //!
 //! Nonlinear boundaries (layer norm, softmax, tanh) convert codes to `f32`
 //! (exact: every code of a ≤24-bit format fits the f32 mantissa), run the
-//! float op, and round back onto the destination grid — exactly where an
-//! FPGA datapath would place its lookup/normalization units. ReLU and the
-//! residual adds stay integer (`max(code, 0)` and saturating code addition).
-//! The attention score scale (`1/sqrt(head_dim)`, irrational) requantizes
-//! through `f64`, which represents every ≤2^53 accumulator exactly, so the
-//! result is deterministic on every platform.
-//!
-//! Everything here is pure integer (or exact-float) arithmetic, so outputs
-//! are bitwise identical across thread counts and `runtime::simd` dispatch
-//! tiers by construction.
+//! float op, and round back onto the destination grid — exactly where an FPGA
+//! datapath would place its lookup/normalization units. ReLU and the residual
+//! adds stay on codes. Every buffer lives in the per-worker [`CodeScratch`],
+//! so a warm worker allocates nothing per depth row, and the outputs are
+//! bitwise identical across thread counts and `runtime::simd` dispatch tiers.
 
 use crate::model::TinyVbfWeights;
-use neural::activation::softmax_rows;
+use crate::quantized::{layer_norm_f32, QUERY_BLOCK};
 use neural::tensor::Tensor;
 use quantize::{FixedFormat, QuantScheme, TensorRole};
-use runtime::simd;
+use runtime::simd::{self, Requantize};
 
-/// A row-major matrix of fixed-point codes on some [`FixedFormat`] grid.
-#[derive(Debug, Clone)]
-pub(crate) struct IntTensor {
-    codes: Vec<i32>,
-    rows: usize,
-    cols: usize,
+/// 2^53: every integer below it is exact in `f64`.
+const EXACT_LIMIT: f64 = 9_007_199_254_740_992.0;
+
+/// `2^e`, exactly.
+fn pow2(e: i32) -> f64 {
+    2.0f64.powi(e)
 }
 
-impl IntTensor {
-    fn zeros(rows: usize, cols: usize) -> Self {
-        Self { codes: vec![0; rows * cols], rows, cols }
-    }
-
-    /// Quantizes an `f32` tensor onto `fmt` (round-to-nearest, saturating) —
-    /// the integer form of `quantize_for_role`. Bitwise identical to
-    /// [`FixedFormat::to_code`] per element: the step is a power of two, so
-    /// dividing by `resolution()` and multiplying by its exact reciprocal are
-    /// the same correctly-rounded operation, and `simd::quantize_codes`
-    /// asserts identity with that scalar form across its dispatch tiers.
-    fn from_f32(t: &Tensor, fmt: FixedFormat) -> Self {
-        Self::from_slice(t.as_slice(), t.rows(), fmt)
-    }
-
-    /// [`IntTensor::from_f32`] of a row-major `rows × (len / rows)` slice.
-    fn from_slice(values: &[f32], rows: usize, fmt: FixedFormat) -> Self {
-        let mut codes = vec![0i32; values.len()];
-        simd::quantize_codes(values, 1.0 / fmt.resolution(), fmt.max_raw() as i32, fmt.min_raw() as i32, &mut codes);
-        Self { codes, rows, cols: values.len() / rows }
-    }
-
-    /// The exact `f32` values of the codes (every code of a ≤24-bit format is
-    /// exactly representable). One multiply per element by the hoisted step.
-    fn to_f32(&self, fmt: FixedFormat) -> Tensor {
-        let mut out = Tensor::zeros(&[self.rows, self.cols]);
-        simd::codes_to_f32(&self.codes, fmt.resolution(), out.as_mut_slice());
-        out
-    }
-
-    fn slice_cols(&self, start: usize, width: usize) -> Self {
-        let mut out = Self::zeros(self.rows, width);
-        for r in 0..self.rows {
-            let src = &self.codes[r * self.cols + start..r * self.cols + start + width];
-            out.codes[r * width..(r + 1) * width].copy_from_slice(src);
-        }
-        out
-    }
-
-    fn transpose(&self) -> Self {
-        let mut out = Self::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.codes[c * self.rows + r] = self.codes[r * self.cols + c];
-            }
-        }
-        out
-    }
-
-    fn set_cols(&mut self, start: usize, src: &Self) {
-        debug_assert_eq!(self.rows, src.rows);
-        for r in 0..self.rows {
-            let dst = &mut self.codes[r * self.cols + start..r * self.cols + start + src.cols];
-            dst.copy_from_slice(&src.codes[r * src.cols..(r + 1) * src.cols]);
-        }
-    }
-
-    fn relu(mut self) -> Self {
-        for c in self.codes.iter_mut() {
-            *c = (*c).max(0);
-        }
-        self
-    }
+/// The largest code magnitude of `fmt`, `2^(bits−1)`.
+fn magnitude(fmt: FixedFormat) -> f64 {
+    pow2(fmt.word_bits() as i32 - 1)
 }
 
-fn max_abs(codes: &[i32]) -> u32 {
-    codes.iter().map(|c| c.unsigned_abs()).max().unwrap_or(0)
+/// The epilogue onto `fmt`'s codes from an accumulator scaled by `factor`.
+fn onto(fmt: FixedFormat, factor: f64) -> Requantize {
+    Requantize { factor, lo: fmt.min_raw() as f64, hi: fmt.max_raw() as f64 }
 }
 
-/// Packs a `k × m` code matrix into the `(k+1)/2 × m` i16-pair panel the madd
-/// kernel consumes. Caller guarantees every |code| < 32768.
-fn pack_pairs(codes: &[i32], k: usize, m: usize) -> Vec<i32> {
-    let np = k.div_ceil(2);
-    let mut pairs = vec![0i32; np * m];
-    for p in 0..np {
-        for j in 0..m {
-            let lo = codes[(2 * p) * m + j];
-            let hi = if 2 * p + 1 < k { codes[(2 * p + 1) * m + j] } else { 0 };
-            pairs[p * m + j] = simd::pack_i16_pair(lo, hi);
-        }
-    }
-    pairs
-}
-
-/// Exact integer matmul: `a` is `n × k`, `b` is `k × m`, both as codes; the
-/// result is the exact `i64` product-sum matrix (on the *product* grid — the
-/// caller requantizes). Picks the i16-madd fast path when the runtime
-/// magnitudes fit, with chunking so the i32 tile provably cannot overflow.
-fn int_matmul(a: &[i32], n: usize, k: usize, b: &[i32], m: usize, b_max: u32, b_pairs: Option<&[i32]>) -> Vec<i64> {
-    let mut acc = vec![0i64; n * m];
-    if k == 0 || m == 0 {
-        return acc;
-    }
-    let a_max = max_abs(a);
-    let prod = a_max as i64 * b_max as i64;
-    // One madd step adds two products to a lane, so `chunk` pair-rows add at
-    // most `2 * chunk * prod` — keep that under i32::MAX. This bound also
-    // excludes the lone wrapping case of the AVX2 madd (both products equal
-    // to (-32768)^2), since max|a| = 32768 already fails `< 32768`.
-    let chunk = if prod > 0 { (i32::MAX as i64 / (2 * prod)) as usize } else { usize::MAX };
-    let np = k.div_ceil(2);
-    // Narrow outputs (attention heads, the model_dim-wide encoder): the
-    // panel kernel would round-trip its tiny accumulator tile through memory
-    // on every pair-row, so run register-resident dot products against the
-    // transposed pair layout instead. `madd_dot`'s per-lane bound: each of
-    // the 8 lanes absorbs ceil(np/8) dual-products.
-    let dot_ok = 2 * (np.div_ceil(8) as i64).saturating_mul(prod) < i32::MAX as i64;
-    if m <= 8 && np >= 8 && a_max < 32768 && b_max < 32768 && dot_ok {
-        let mut bt_pairs = vec![0i32; m * np];
-        for j in 0..m {
-            for p in 0..np {
-                let lo = b[(2 * p) * m + j];
-                let hi = if 2 * p + 1 < k { b[(2 * p + 1) * m + j] } else { 0 };
-                bt_pairs[j * np + p] = simd::pack_i16_pair(lo, hi);
-            }
-        }
-        let mut a_pairs = vec![0i32; np];
-        for r in 0..n {
-            let arow = &a[r * k..(r + 1) * k];
-            for (p, ap) in a_pairs.iter_mut().enumerate() {
-                let lo = arow[2 * p];
-                let hi = if 2 * p + 1 < k { arow[2 * p + 1] } else { 0 };
-                *ap = simd::pack_i16_pair(lo, hi);
-            }
-            for j in 0..m {
-                acc[r * m + j] = simd::madd_dot(&a_pairs, &bt_pairs[j * np..(j + 1) * np]);
-            }
-        }
-    } else if a_max < 32768 && b_max < 32768 && chunk > 0 {
-        let packed;
-        let pairs = match b_pairs {
-            Some(p) => p,
-            None => {
-                packed = pack_pairs(b, k, m);
-                &packed
-            }
-        };
-        let mut a_pairs = vec![0i32; np];
-        let mut tile = vec![0i32; m];
-        for r in 0..n {
-            let arow = &a[r * k..(r + 1) * k];
-            for (p, ap) in a_pairs.iter_mut().enumerate() {
-                let lo = arow[2 * p];
-                let hi = if 2 * p + 1 < k { arow[2 * p + 1] } else { 0 };
-                *ap = simd::pack_i16_pair(lo, hi);
-            }
-            let out_row = &mut acc[r * m..(r + 1) * m];
-            let mut p0 = 0;
-            while p0 < np {
-                let p1 = (p0 + chunk).min(np);
-                tile.fill(0);
-                simd::madd_block(&mut tile, &a_pairs[p0..p1], &pairs[p0 * m..p1 * m]);
-                simd::accumulate_i32_into_i64(out_row, &tile);
-                p0 = p1;
-            }
-        }
-    } else {
-        for r in 0..n {
-            simd::i64_mac_row(&mut acc[r * m..(r + 1) * m], &a[r * k..(r + 1) * k], b);
-        }
-    }
-    acc
-}
-
-/// A dense layer with integer weights: codes on the weight grid, the optional
-/// i16-pair panel, and the bias pre-shifted onto the product grid.
+/// A dense layer on codes: the `k × m` weight codes, the bias lifted onto the
+/// product grid, and the rounding shift back onto the activation grid.
 #[derive(Debug, Clone)]
 struct IntDense {
-    codes: Vec<i32>,
-    pairs: Option<Vec<i32>>,
-    w_max: u32,
-    w_frac: u32,
-    k: usize,
+    weight: Vec<f64>,
+    bias: Vec<f64>,
     m: usize,
-    bias_prod: Vec<i64>,
-    /// Product-grid bias as i32 when every code fits — enables the fused
-    /// i32-tile forward that skips the i64 accumulator entirely.
-    bias_i32: Option<Vec<i32>>,
-    /// Largest |bias_prod| code, part of the i32-tile overflow bound.
-    bias_abs: i64,
+    requant: Requantize,
 }
 
 impl IntDense {
     fn build(weight: &Tensor, bias: Option<&Tensor>, wf: FixedFormat, act: FixedFormat) -> Self {
-        let (k, m) = (weight.rows(), weight.cols());
-        let codes: Vec<i32> = weight.as_slice().iter().map(|&v| wf.to_code(v)).collect();
-        let w_max = max_abs(&codes);
-        let pairs = (w_max < 32768).then(|| pack_pairs(&codes, k, m));
-        // Bias codes live on the weight grid (frac wf); the product grid has
-        // frac act+wf, so the exact lift is a left shift by act's frac bits.
-        let bias_prod: Vec<i64> = match bias {
-            Some(b) => b.as_slice().iter().map(|&v| wf.to_raw(v) << act.frac_bits()).collect(),
-            None => vec![0i64; m],
-        };
-        let bias_abs = bias_prod.iter().map(|b| b.abs()).max().unwrap_or(0);
-        let bias_i32 = (bias_abs <= i32::MAX as i64).then(|| bias_prod.iter().map(|&b| b as i32).collect());
-        Self { codes, pairs, w_max, w_frac: wf.frac_bits(), k, m, bias_prod, bias_i32, bias_abs }
+        let k = weight.rows() as f64;
+        // Bias codes live on the weight grid; the product grid has act's frac
+        // bits more, so the exact lift is a left shift by them.
+        let bias_max = magnitude(wf) * pow2(act.frac_bits() as i32);
+        assert!(
+            k * magnitude(act) * magnitude(wf) + bias_max < EXACT_LIMIT,
+            "integer datapath: a {k}-deep dense layer on {act:?} × {wf:?} codes exceeds the exact f64 bound"
+        );
+        let m = weight.cols();
+        Self {
+            weight: weight.as_slice().iter().map(|&v| f64::from(wf.to_code(v))).collect(),
+            bias: match bias {
+                Some(b) => b.as_slice().iter().map(|&v| (wf.to_raw(v) << act.frac_bits()) as f64).collect(),
+                None => vec![0.0; m],
+            },
+            m,
+            requant: onto(act, pow2(-(wf.frac_bits() as i32))),
+        }
     }
 
-    /// `requantize(a × W + bias)`: exact integer MAC, bias add on the product
-    /// grid, one rounding shift back to the activation grid.
-    ///
-    /// Fast path: when the worst-case partial sum `|bias| + 2·np·prod` fits in
-    /// i32, the madd tile seeded with the bias holds the exact product-grid
-    /// value, and the whole epilogue (bias add, rounding shift, saturation)
-    /// runs 8-wide straight off the tile — no i64 accumulator is ever
-    /// materialized. Bitwise identical to the i64 route because both compute
-    /// the same exact integer before the same round-half-away + clamp.
-    fn forward(&self, a: &IntTensor, act: FixedFormat) -> IntTensor {
-        debug_assert_eq!(a.cols, self.k);
-        let mut out = IntTensor::zeros(a.rows, self.m);
-        let np = self.k.div_ceil(2);
-        if let (Some(pairs), Some(bias)) = (self.pairs.as_deref(), self.bias_i32.as_deref()) {
-            let a_max = max_abs(&a.codes);
-            let prod = a_max as i64 * self.w_max as i64;
-            if a_max < 32768 && 2 * np as i64 * prod + self.bias_abs < i32::MAX as i64 {
-                let (min_raw, max_raw) = (act.min_raw() as i32, act.max_raw() as i32);
-                let mut a_pairs = vec![0i32; np];
-                let mut tile = vec![0i32; self.m];
-                for r in 0..a.rows {
-                    let arow = &a.codes[r * self.k..(r + 1) * self.k];
-                    for (p, ap) in a_pairs.iter_mut().enumerate() {
-                        let lo = arow[2 * p];
-                        let hi = if 2 * p + 1 < self.k { arow[2 * p + 1] } else { 0 };
-                        *ap = simd::pack_i16_pair(lo, hi);
-                    }
-                    tile.copy_from_slice(bias);
-                    simd::madd_block(&mut tile, &a_pairs, pairs);
-                    simd::shift_round_saturate_i32(
-                        &tile,
-                        self.w_frac,
-                        min_raw,
-                        max_raw,
-                        &mut out.codes[r * self.m..(r + 1) * self.m],
-                    );
-                }
-                return out;
-            }
-        }
-        let acc = int_matmul(&a.codes, a.rows, self.k, &self.codes, self.m, self.w_max, self.pairs.as_deref());
-        let from_frac = act.frac_bits() + self.w_frac;
-        for r in 0..a.rows {
-            for j in 0..self.m {
-                let v = acc[r * self.m + j] + self.bias_prod[j];
-                out.codes[r * self.m + j] = act.requantize_i64(v, from_frac);
-            }
-        }
-        out
+    /// `out = requantize(x · W + bias)` over the rows of `x`.
+    fn forward(&self, x: &[f64], out: &mut [f64]) {
+        let k = self.weight.len() / self.m;
+        simd::exact_matmul(x, [k, 1], &self.weight, self.m, Some(&self.bias), self.requant, out);
     }
 }
 
@@ -312,40 +128,46 @@ struct IntBlock {
 }
 
 /// The integer-datapath model: every dense layer's weights as codes, plus the
-/// grid/geometry constants the kernels need.
+/// grids, epilogues and geometry the kernels need.
 #[derive(Debug, Clone)]
 pub(crate) struct IntModel {
     act: FixedFormat,
     soft: FixedFormat,
-    /// Positional codes on the weight grid with that grid's frac bits.
-    pos: Option<(Vec<i32>, u32, usize, usize)>,
+    /// Positional codes moved onto the activation grid — `code · 2^(fa −
+    /// weight frac)`, exact, fractional when the weight grid is finer — and
+    /// the table's row count; `model_dim` columns.
+    pos: Option<(Vec<f64>, usize)>,
     encoder: IntDense,
     blocks: Vec<IntBlock>,
     decoder_in: IntDense,
     decoder_out: IntDense,
-    num_heads: usize,
+    channels: usize,
+    model_dim: usize,
     head_dim: usize,
-    /// `1/sqrt(head_dim)` exactly as the float path computes it.
-    scale: f32,
-    /// When `scale` is exactly `2^-k` (head_dim a power of four), the score
-    /// scaling is a pure extra right-shift of `k` — the integer fast path
-    /// that covers the paper config (`head_dim = 4`, shift 1).
-    score_shift: Option<u32>,
+    /// Exact sums onto the activation grid unscaled: residual and positional
+    /// adds (round, then saturate).
+    residual: Requantize,
+    /// Scores from the `2·fa` product grid onto the activation grid:
+    /// `2^−(fa + k)` when `1/√head_dim = 2^−k` (head_dim a power of four, the
+    /// served config's shift of 1), else `f64(1/√head_dim) · 2^−fa`, whose
+    /// product rounds once in `f64` before the round half away.
+    scores: Requantize,
+    /// A·V from the `soft_frac + fa` product grid onto the activation grid.
+    attend: Requantize,
+    /// A probability `p ∈ [0, 1]` onto its softmax-grid code.
+    prob: Requantize,
     /// `exp` lookup over score-code deltas: `exp_lut[d] = exp(-d · step)` for
     /// every possible non-negative code delta on the activation grid — the
     /// softmax exponentials an FPGA datapath would serve from a lookup unit.
-    /// Built with [`simd::exp`], the kernel `softmax_rows` uses, so it is
-    /// bitwise identical to the float boundary on every host: `x - row_max`
-    /// on exact code values is exactly `(c - cmax) · step` (the difference of
-    /// exactly representable values is representable, hence the f32
-    /// subtraction is exact). Built only when the table stays cache-friendly
-    /// (coarse grids like the deployment rungs fx16/w8a16); finer grids run
-    /// `softmax_rows` on the dequantized scores.
+    /// Built with [`simd::exp`], so it is bitwise identical to `exp` of the
+    /// exact shifted score `(c − cmax) · step` on every host. Built only when
+    /// the table stays cache-friendly (16-bit grids like fx16 and w8a16);
+    /// finer grids run [`simd::exp`] on the block.
     exp_lut: Option<Vec<f32>>,
 }
 
 /// Cap on the exp-LUT length: 2^17 entries (512 KiB) covers every 16-bit
-/// activation grid; wider grids would need megabytes and fall back to `exp`.
+/// activation grid; wider grids would need megabytes and run `exp` instead.
 const EXP_LUT_MAX_LEN: usize = 1 << 17;
 
 /// `Some(k)` when `scale == 2^-k` exactly (positive power-of-two reciprocal).
@@ -359,6 +181,11 @@ fn power_of_two_shift(scale: f32) -> Option<u32> {
 impl IntModel {
     /// Builds the integer model from already weight-quantized f32 weights.
     /// Returns `None` for the float scheme (no grids to run on).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a dense layer or the attention scores of this config could
+    /// sum past 2^53 (see the module docs); no Table III scheme comes near.
     pub(crate) fn build(weights: &TinyVbfWeights, scheme: &QuantScheme) -> Option<Self> {
         let wf = scheme.format_for(TensorRole::Weight)?;
         let act = scheme.format_for(TensorRole::MacResult)?;
@@ -369,13 +196,20 @@ impl IntModel {
         debug_assert_eq!(act, inter, "integer datapath assumes mac grid == intermediate grid");
         let config = &weights.config;
         let head_dim = config.model_dim / config.num_heads;
+        assert!(
+            head_dim as f64 * magnitude(act) * magnitude(act) < EXACT_LIMIT,
+            "integer datapath: head_dim {head_dim} on {act:?} codes exceeds the exact f64 bound"
+        );
+        let fa = act.frac_bits() as i32;
+        let scale = 1.0 / (head_dim as f32).sqrt();
         let dense = |w: &Tensor, b: Option<&Tensor>| IntDense::build(w, b, wf, act);
         Some(Self {
             act,
             soft,
             pos: weights.positional.as_ref().map(|p| {
-                let codes = p.as_slice().iter().map(|&v| wf.to_code(v)).collect();
-                (codes, wf.frac_bits(), p.rows(), p.cols())
+                assert_eq!(p.cols(), config.model_dim, "positional table width");
+                let lift = pow2(fa - wf.frac_bits() as i32);
+                (p.as_slice().iter().map(|&v| f64::from(wf.to_code(v)) * lift).collect(), p.rows())
             }),
             encoder: dense(&weights.encoder_weight, Some(&weights.encoder_bias)),
             blocks: weights
@@ -401,10 +235,19 @@ impl IntModel {
                 .collect(),
             decoder_in: dense(&weights.decoder_in_weight, Some(&weights.decoder_in_bias)),
             decoder_out: dense(&weights.decoder_out_weight, Some(&weights.decoder_out_bias)),
-            num_heads: config.num_heads,
+            channels: config.channels,
+            model_dim: config.model_dim,
             head_dim,
-            scale: 1.0 / (head_dim as f32).sqrt(),
-            score_shift: power_of_two_shift(1.0 / (head_dim as f32).sqrt()),
+            residual: onto(act, 1.0),
+            scores: onto(
+                act,
+                match power_of_two_shift(scale) {
+                    Some(k) => pow2(-fa - k as i32),
+                    None => f64::from(scale) * pow2(-fa),
+                },
+            ),
+            attend: onto(act, pow2(-(soft.frac_bits() as i32))),
+            prob: onto(soft, pow2(soft.frac_bits() as i32)),
             exp_lut: {
                 let span = (act.max_raw() - act.min_raw()) as usize + 1;
                 (span <= EXP_LUT_MAX_LEN).then(|| {
@@ -417,248 +260,264 @@ impl IntModel {
         })
     }
 
-    /// Saturating residual add of two code matrices on the activation grid
-    /// (the integer `q_inter(x.add(y))`: code sums that stay on-grid round to
-    /// themselves, so only the clamp remains).
-    fn add_saturating(&self, x: &IntTensor, y: &IntTensor) -> IntTensor {
-        debug_assert!(x.rows == y.rows && x.cols == y.cols);
-        let mut out = IntTensor::zeros(x.rows, x.cols);
-        for ((o, &a), &b) in out.codes.iter_mut().zip(&x.codes).zip(&y.codes) {
-            *o = self.act.requantize_i64(a as i64 + b as i64, self.act.frac_bits());
+    /// Float-boundary layer norm of `x` into `out`: exact codes → f32, the
+    /// float engine's layer norm, then back onto the activation grid.
+    fn layer_norm(&self, x: &[f64], gamma: &Tensor, beta: &Tensor, floats: &mut [Vec<f32>; 2], out: &mut [f64]) {
+        let [values, normed] = floats;
+        for buf in [&mut *values, &mut *normed] {
+            buf.resize(x.len(), 0.0);
         }
-        out
+        simd::codes_to_f32(x, self.act.resolution(), values);
+        layer_norm_f32(values, gamma, beta, normed);
+        self.quantize(normed, out);
     }
 
-    /// Float-boundary layer norm: exact codes → f32, the float engine's
-    /// layer norm, then back onto the activation grid.
-    fn layer_norm(&self, x: &IntTensor, gamma: &Tensor, beta: &Tensor) -> IntTensor {
-        let input = x.to_f32(self.act);
-        let mut out = vec![0.0f32; input.numel()];
-        crate::quantized::layer_norm_f32(input.as_slice(), gamma, beta, &mut out);
-        IntTensor::from_slice(&out, x.rows, self.act)
-    }
-
-    /// Score codes on the activation grid: `round(q·kᵀ · scale)` per element.
-    ///
-    /// With a power-of-two scale the rounding is one integer shift, and when
-    /// the runtime magnitudes bound the head MAC inside i32 the whole stage
-    /// runs fused off the madd tile — matmul and requantize 8-wide with no
-    /// i64 accumulator. Falls back to the exact i64 accumulator plus either
-    /// the same rounding shift or the f64 rounded multiply (the accumulator
-    /// is exact on the 2·fa product grid and ≤ 2^53, so f64 holds it
-    /// exactly). All routes produce identical codes.
-    fn score_codes(&self, qh: &IntTensor, kh_t: &IntTensor, tokens: usize, fa: u32, factor: f64) -> Vec<i32> {
-        let mut codes = vec![0i32; tokens * tokens];
-        let (min_raw, max_raw) = (self.act.min_raw(), self.act.max_raw());
-        let k_max = max_abs(&kh_t.codes);
-        if let Some(extra) = self.score_shift {
-            let np = self.head_dim.div_ceil(2);
-            let q_max = max_abs(&qh.codes);
-            let prod = q_max as i64 * k_max as i64;
-            if q_max < 32768 && k_max < 32768 && 2 * np as i64 * prod < i32::MAX as i64 {
-                let bt = pack_pairs(&kh_t.codes, self.head_dim, tokens);
-                let mut a_pairs = vec![0i32; np];
-                let mut tile = vec![0i32; tokens];
-                for r in 0..tokens {
-                    let arow = &qh.codes[r * self.head_dim..(r + 1) * self.head_dim];
-                    for (p, ap) in a_pairs.iter_mut().enumerate() {
-                        let lo = arow[2 * p];
-                        let hi = if 2 * p + 1 < self.head_dim { arow[2 * p + 1] } else { 0 };
-                        *ap = simd::pack_i16_pair(lo, hi);
-                    }
-                    tile.fill(0);
-                    simd::madd_block(&mut tile, &a_pairs, &bt);
-                    simd::shift_round_saturate_i32(
-                        &tile,
-                        fa + extra,
-                        min_raw as i32,
-                        max_raw as i32,
-                        &mut codes[r * tokens..(r + 1) * tokens],
-                    );
-                }
-                return codes;
-            }
-            let acc = int_matmul(&qh.codes, tokens, self.head_dim, &kh_t.codes, tokens, k_max, None);
-            for (o, &a) in codes.iter_mut().zip(&acc) {
-                *o = self.act.requantize_i64(a, 2 * fa + extra);
-            }
-        } else {
-            let acc = int_matmul(&qh.codes, tokens, self.head_dim, &kh_t.codes, tokens, k_max, None);
-            for (o, &a) in codes.iter_mut().zip(&acc) {
-                let code = (a as f64 * factor).round() as i64;
-                *o = code.clamp(min_raw, max_raw) as i32;
-            }
-        }
-        codes
-    }
-
-    fn attention(&self, input: &IntTensor, ib: &IntBlock) -> IntTensor {
-        let tokens = input.rows;
-        let model_dim = ib.wqkv.m / 3;
-        let qkv = ib.wqkv.forward(input, self.act);
-        let mut concat = IntTensor::zeros(tokens, model_dim);
-        let fa = self.act.frac_bits();
-        // score code = round(acc · scale · 2^(fa − 2fa)): the accumulator is
-        // exact on the 2fa product grid, f64 holds it exactly (≤ 2^53), and
-        // one rounded multiply lands it on the activation grid.
-        let factor = f64::from(self.scale) * (-(fa as f64)).exp2();
-        let step = self.act.resolution();
-        for h in 0..self.num_heads {
-            let start = h * self.head_dim;
-            let qh = qkv.slice_cols(start, self.head_dim);
-            let kh_t = qkv.slice_cols(model_dim + start, self.head_dim).transpose();
-            let vh = qkv.slice_cols(2 * model_dim + start, self.head_dim);
-            let codes = self.score_codes(&qh, &kh_t, tokens, fa, factor);
-            // Softmax is a float-boundary op; its output lands on the softmax
-            // grid (wider than the activation grid for the hybrid schemes).
-            let att = if let Some(lut) = &self.exp_lut {
-                // Integer score codes feed the LUT softmax: `exp(x - max)`
-                // becomes `exp_lut[cmax - c]`, with the sum and divide in
-                // `softmax_rows`' exact element order — bitwise identical to
-                // the float boundary (see the `exp_lut` field docs).
-                let mut soft_f = Tensor::zeros(&[tokens, tokens]);
-                for (row_codes, out_row) in
-                    codes.chunks_exact(tokens).zip(soft_f.as_mut_slice().chunks_exact_mut(tokens))
-                {
-                    let cmax = row_codes.iter().copied().max().unwrap_or(0);
-                    let mut denom = 0.0f32;
-                    for (o, &c) in out_row.iter_mut().zip(row_codes) {
-                        let e = lut.get((cmax - c) as usize).copied().unwrap_or(0.0);
-                        *o = e;
-                        denom += e;
-                    }
-                    for o in out_row.iter_mut() {
-                        *o /= denom;
-                    }
-                }
-                IntTensor::from_f32(&soft_f, self.soft)
-            } else {
-                // The score codes are consumed only by the softmax boundary,
-                // so dequantize to their exact f32 values (code · step) and
-                // run the float softmax.
-                let mut scores = Tensor::zeros(&[tokens, tokens]);
-                simd::codes_to_f32(&codes, step, scores.as_mut_slice());
-                IntTensor::from_f32(&softmax_rows(&scores), self.soft)
-            };
-            let acc = int_matmul(&att.codes, tokens, tokens, &vh.codes, self.head_dim, max_abs(&vh.codes), None);
-            let mut oh = IntTensor::zeros(tokens, self.head_dim);
-            let from_frac = self.soft.frac_bits() + fa;
-            for (o, &a) in oh.codes.iter_mut().zip(&acc) {
-                *o = self.act.requantize_i64(a, from_frac);
-            }
-            concat.set_cols(start, &oh);
-        }
-        ib.wo.forward(&concat, self.act)
-    }
-
-    /// Integer-datapath inference over one `(tokens, channels)` row, given
-    /// row-major. The op sequence mirrors the float path exactly; only the
-    /// arithmetic domain changes.
-    pub(crate) fn infer_row(&self, weights: &TinyVbfWeights, row: &[f32], tokens: usize) -> Tensor {
+    /// `values` onto the activation grid.
+    fn quantize(&self, values: &[f32], out: &mut [f64]) {
         let act = self.act;
-        let mut x = self.encoder.forward(&IntTensor::from_slice(row, tokens, act), act);
-        if let Some((pos_codes, pos_frac, pos_rows, pos_cols)) = &self.pos {
-            // Positional codes live on the (possibly finer) weight grid:
-            // lift both operands to the common grid, add exactly, round back.
-            let common = act.frac_bits().max(*pos_frac);
-            let xs = common - act.frac_bits();
-            let ps = common - pos_frac;
-            for r in 0..x.rows {
-                let pr = r.min(pos_rows - 1);
-                for c in 0..x.cols.min(*pos_cols) {
-                    let a = (x.codes[r * x.cols + c] as i64) << xs;
-                    let b = (pos_codes[pr * pos_cols + c] as i64) << ps;
-                    x.codes[r * x.cols + c] = act.requantize_i64(a + b, common);
+        simd::quantize_codes(values, 1.0 / act.resolution(), act.max_raw() as i32, act.min_raw() as i32, out);
+    }
+
+    /// The saturating residual add `x += y` on codes (the integer
+    /// `q_inter(x.add(y))`: code sums that stay on the grid round to
+    /// themselves, so only the clamp remains).
+    fn add_residual(&self, x: &mut [f64], y: &[f64]) {
+        for (x, &y) in x.iter_mut().zip(y) {
+            *x = self.residual.apply(*x + y);
+        }
+    }
+
+    /// Multi-head self-attention of one depth row, from `s.qkv` into
+    /// `s.concat`, [`QUERY_BLOCK`] query rows at a time per head. A short last
+    /// block runs zero queries in its unused lanes and drops their results.
+    fn attention(&self, s: &mut CodeScratch, tokens: usize) {
+        let (dim, head_dim) = (self.model_dim, self.head_dim);
+        let stride = 3 * dim;
+        s.queries.resize(head_dim, [0.0; QUERY_BLOCK]);
+        s.head_out.resize(head_dim, [0.0; QUERY_BLOCK]);
+        s.block.resize(tokens, [0.0; QUERY_BLOCK]);
+        s.exps.resize(tokens, [0.0; QUERY_BLOCK]);
+        for head in (0..dim).step_by(head_dim) {
+            for i0 in (0..tokens).step_by(QUERY_BLOCK) {
+                let lanes = QUERY_BLOCK.min(tokens - i0);
+                for (p, column) in s.queries.iter_mut().enumerate() {
+                    for (lane, q) in column.iter_mut().enumerate() {
+                        *q = if lane < lanes { s.qkv[(i0 + lane) * stride + head + p] } else { 0.0 };
+                    }
                 }
+                // Scores `[key][query lane]`: key rows read in place.
+                let keys = &s.qkv[dim + head..];
+                simd::exact_matmul(keys, [stride, 1], s.queries.as_flattened(), QUERY_BLOCK, None, self.scores, s.block.as_flattened_mut());
+                self.block_softmax(&mut s.block, &mut s.exps);
+                // `[head column][query lane]`: the value columns read in place.
+                let values = &s.qkv[2 * dim + head..];
+                simd::exact_matmul(values, [1, stride], s.block.as_flattened(), QUERY_BLOCK, None, self.attend, s.head_out.as_flattened_mut());
+                for (d, column) in s.head_out.iter().enumerate() {
+                    for (lane, &o) in column[..lanes].iter().enumerate() {
+                        s.concat[(i0 + lane) * dim + head + d] = o;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Softmax of one query block's score codes over the keys, in place, to
+    /// probability codes on the softmax grid. Per lane: the max code; `exp` of
+    /// `(code − max) · step` (exact in `f32`), from the lookup table or
+    /// [`simd::exp`]; the denominator summed in ascending key order from
+    /// `0.0`; one divide per element, and its quotient rounded onto the
+    /// softmax grid in the same pass.
+    fn block_softmax(&self, block: &mut [[f64; QUERY_BLOCK]], exps: &mut [[f32; QUERY_BLOCK]]) {
+        // Four independent running maxima break the compare's latency chain;
+        // a max is exact, so the grouping cannot change it.
+        let mut maxima = [[f64::NEG_INFINITY; QUERY_BLOCK]; 4];
+        let mut quads = block.chunks_exact(4);
+        for quad in &mut quads {
+            for (max, codes) in maxima.iter_mut().zip(quad) {
+                for l in 0..QUERY_BLOCK {
+                    max[l] = if codes[l] > max[l] { codes[l] } else { max[l] };
+                }
+            }
+        }
+        for codes in quads.remainder() {
+            for l in 0..QUERY_BLOCK {
+                maxima[0][l] = if codes[l] > maxima[0][l] { codes[l] } else { maxima[0][l] };
+            }
+        }
+        let mut row_max = maxima[0];
+        for max in &maxima[1..] {
+            for l in 0..QUERY_BLOCK {
+                row_max[l] = if max[l] > row_max[l] { max[l] } else { row_max[l] };
+            }
+        }
+        let mut denom = [0.0f32; QUERY_BLOCK];
+        match &self.exp_lut {
+            Some(lut) => {
+                let last = lut.len() - 1;
+                for (e, codes) in exps.iter_mut().zip(block.iter()) {
+                    for l in 0..QUERY_BLOCK {
+                        // Deltas are exact integers in [0, lut.len()).
+                        e[l] = lut[((row_max[l] - codes[l]) as i32 as usize).min(last)];
+                        denom[l] += e[l];
+                    }
+                }
+            }
+            None => {
+                let step = f64::from(self.act.resolution());
+                for (e, codes) in exps.iter_mut().zip(block.iter()) {
+                    for l in 0..QUERY_BLOCK {
+                        e[l] = ((codes[l] - row_max[l]) * step) as f32;
+                    }
+                }
+                simd::exp(exps.as_flattened_mut());
+                for e in exps.iter() {
+                    for l in 0..QUERY_BLOCK {
+                        denom[l] += e[l];
+                    }
+                }
+            }
+        }
+        let (inv_step, lo, hi) = (self.prob.factor as f32, self.prob.lo as f32, self.prob.hi as f32);
+        for (codes, e) in block.iter_mut().zip(exps.iter()) {
+            for l in 0..QUERY_BLOCK {
+                // `p · 2^soft_frac` is exact in f32, and so is its rounding.
+                codes[l] = f64::from(simd::round_half_away_f32(e[l] / denom[l] * inv_step).max(lo).min(hi));
+            }
+        }
+    }
+
+    /// Integer-datapath inference over one row-major `(tokens, channels)`
+    /// row into `out`, the `(tokens, 2)` output. The op sequence mirrors the
+    /// float path exactly; only the arithmetic domain changes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the row is too long for the A·V sums to stay exact (more
+    /// than 4,096 tokens at fx24; see the module docs).
+    pub(crate) fn infer_row(&self, weights: &TinyVbfWeights, row: &[f32], s: &mut CodeScratch, out: &mut Vec<f32>) {
+        let tokens = row.len() / self.channels;
+        assert!(
+            tokens as f64 * pow2(self.soft.frac_bits() as i32) * magnitude(self.act) < EXACT_LIMIT,
+            "integer datapath: {tokens} tokens exceed the exact f64 bound of the A·V sums"
+        );
+        let dim = self.model_dim;
+        let config = &weights.config;
+        s.input.resize(row.len(), 0.0);
+        for buf in [&mut s.x, &mut s.normed, &mut s.concat, &mut s.branch] {
+            buf.resize(tokens * dim, 0.0);
+        }
+        s.qkv.resize(tokens * 3 * dim, 0.0);
+        self.quantize(row, &mut s.input);
+        self.encoder.forward(&s.input, &mut s.x);
+        if let Some((pos, pos_rows)) = &self.pos {
+            for (r, x) in s.x.chunks_exact_mut(dim).enumerate() {
+                let p = &pos[r.min(pos_rows - 1) * dim..][..dim];
+                self.add_residual(x, p);
             }
         }
         for (block, ib) in weights.blocks.iter().zip(&self.blocks) {
-            let normed = self.layer_norm(&x, &block.norm1_gamma, &block.norm1_beta);
-            let attended = self.attention(&normed, ib);
-            let after_attention = self.add_saturating(&x, &attended);
-            let normed2 = self.layer_norm(&after_attention, &block.norm2_gamma, &block.norm2_beta);
-            let hidden = ib.mlp_in.forward(&normed2, act).relu();
-            let mlp = ib.mlp_out.forward(&hidden, act);
-            x = self.add_saturating(&after_attention, &mlp);
+            self.layer_norm(&s.x, &block.norm1_gamma, &block.norm1_beta, &mut s.floats, &mut s.normed);
+            ib.wqkv.forward(&s.normed, &mut s.qkv);
+            self.attention(s, tokens);
+            ib.wo.forward(&s.concat, &mut s.branch);
+            self.add_residual(&mut s.x, &s.branch);
+            self.layer_norm(&s.x, &block.norm2_gamma, &block.norm2_beta, &mut s.floats, &mut s.normed);
+            s.hidden.resize(tokens * config.mlp_dim, 0.0);
+            ib.mlp_in.forward(&s.normed, &mut s.hidden);
+            relu(&mut s.hidden);
+            ib.mlp_out.forward(&s.hidden, &mut s.branch);
+            self.add_residual(&mut s.x, &s.branch);
         }
-        let hidden = self.decoder_in.forward(&x, act).relu();
-        let out = self.decoder_out.forward(&hidden, act);
-        // Float-boundary tanh, then the final intermediate-grid rounding:
-        // quantize + dequantize through the vectorized boundary kernels
-        // (bitwise `act.quantize` per element).
-        let mut out = out.to_f32(act).map(f32::tanh);
-        let mut codes = vec![0i32; out.as_slice().len()];
-        simd::quantize_codes(out.as_slice(), 1.0 / act.resolution(), act.max_raw() as i32, act.min_raw() as i32, &mut codes);
-        simd::codes_to_f32(&codes, act.resolution(), out.as_mut_slice());
-        out
+        s.hidden.resize(tokens * config.decoder_dim, 0.0);
+        self.decoder_in.forward(&s.x, &mut s.hidden);
+        relu(&mut s.hidden);
+        s.branch.resize(tokens * 2, 0.0);
+        self.decoder_out.forward(&s.hidden, &mut s.branch);
+        // Float-boundary tanh, then the final intermediate-grid rounding.
+        let step = self.act.resolution();
+        out.resize(tokens * 2, 0.0);
+        simd::codes_to_f32(&s.branch, step, out);
+        simd::tanh(out);
+        self.quantize(out, &mut s.branch);
+        simd::codes_to_f32(&s.branch, step, out);
     }
+}
+
+/// ReLU on codes (never `−0.0`, so `max` is exact).
+fn relu(codes: &mut [f64]) {
+    for c in codes {
+        *c = c.max(0.0);
+    }
+}
+
+/// Per-worker buffers of the integer forward, reused row after row so a warm
+/// worker allocates nothing per depth row. Codes are exact integers in `f64`.
+#[derive(Debug, Default)]
+pub(crate) struct CodeScratch {
+    /// The input row on the activation grid, `tokens × channels`.
+    input: Vec<f64>,
+    /// Residual stream, `tokens × model_dim`.
+    x: Vec<f64>,
+    /// LayerNorm output, `tokens × model_dim`.
+    normed: Vec<f64>,
+    /// Fused q/k/v projection, `tokens × 3·model_dim`.
+    qkv: Vec<f64>,
+    /// Head outputs side by side, `tokens × model_dim`.
+    concat: Vec<f64>,
+    /// Attention or MLP output before its residual add, `tokens ×
+    /// model_dim`; last, the decoder output, `tokens × 2`.
+    branch: Vec<f64>,
+    /// MLP or decoder hidden layer, `tokens × mlp_dim` / `decoder_dim`.
+    hidden: Vec<f64>,
+    /// One query block's queries of one head, `[head column][query lane]`.
+    queries: Vec<[f64; QUERY_BLOCK]>,
+    /// One query block's score codes, then its probability codes, `[key][query
+    /// lane]`.
+    block: Vec<[f64; QUERY_BLOCK]>,
+    /// One query block's `exp` values, `[key][query lane]`.
+    exps: Vec<[f32; QUERY_BLOCK]>,
+    /// One query block's head output, `[head column][query lane]`.
+    head_out: Vec<[f64; QUERY_BLOCK]>,
+    /// The layer-norm boundary's float input and output.
+    floats: [Vec<f32>; 2],
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use neural::activation::softmax_rows;
 
     #[test]
-    fn dense_forward_fused_tile_and_i64_paths_match_the_exact_reference() {
-        let wf = FixedFormat::new(16, 14);
-        let act = FixedFormat::new(16, 10);
-        let mut w = Tensor::zeros(&[6, 9]);
-        for (i, v) in w.as_mut_slice().iter_mut().enumerate() {
-            *v = ((i as i32 % 17) - 8) as f32 * 0.07;
-        }
-        let mut bias = Tensor::zeros(&[1, 9]);
-        for (i, v) in bias.as_mut_slice().iter_mut().enumerate() {
-            *v = ((i as i32 % 5) - 2) as f32 * 0.31;
-        }
-        let dense = IntDense::build(&w, Some(&bias), wf, act);
-        // Small activations take the fused i32-tile path; activations at the
-        // i16 limit force the i64 fallback. Both must equal the exact
-        // accumulate-then-requantize reference.
-        for &scale in &[5i32, 31000] {
-            let mut a = IntTensor::zeros(4, 6);
-            for (i, c) in a.codes.iter_mut().enumerate() {
-                *c = (((i as i32 * 7) % 11) - 5) * scale;
+    fn dense_layer_matches_the_exact_i64_reference() {
+        // A 16-bit grid and the widest Table III pair (24-bit activations,
+        // 18-bit weights), with activation codes up to the grid's limit; 9
+        // columns and 5 rows leave a ragged column and a ragged row tile.
+        for (wf, act) in [(FixedFormat::new(16, 14), FixedFormat::new(16, 10)), (FixedFormat::new(18, 16), FixedFormat::new(24, 18))] {
+            let mut w = Tensor::zeros(&[6, 9]);
+            for (i, v) in w.as_mut_slice().iter_mut().enumerate() {
+                *v = ((i as i32 % 17) - 8) as f32 * 0.07;
             }
-            let out = dense.forward(&a, act);
-            let from_frac = act.frac_bits() + wf.frac_bits();
-            for r in 0..4 {
-                for j in 0..9 {
-                    let mut acc = dense.bias_prod[j];
-                    for p in 0..6 {
-                        acc += a.codes[r * 6 + p] as i64 * dense.codes[p * 9 + j] as i64;
-                    }
-                    assert_eq!(
-                        out.codes[r * 9 + j],
-                        act.requantize_i64(acc, from_frac),
-                        "scale {scale} element ({r},{j})"
-                    );
-                }
+            let mut bias = Tensor::zeros(&[1, 9]);
+            for (i, v) in bias.as_mut_slice().iter_mut().enumerate() {
+                *v = ((i as i32 % 5) - 2) as f32 * 0.31;
             }
-        }
-    }
-
-    #[test]
-    fn int_matmul_matches_exact_reference_on_all_paths() {
-        // Magnitudes straddling the madd eligibility threshold exercise both
-        // the packed i16 path (with chunking) and the i64 fallback.
-        for &scale in &[3i32, 1000, 40000] {
-            let (n, k, m) = (3usize, 7usize, 5usize);
-            let a: Vec<i32> = (0..n * k).map(|i| ((i as i32 % 11) - 5) * scale).collect();
-            let b: Vec<i32> = (0..k * m).map(|i| ((i as i32 % 13) - 6) * scale).collect();
-            let mut expect = vec![0i64; n * m];
-            for r in 0..n {
-                for j in 0..m {
-                    for p in 0..k {
-                        expect[r * m + j] += a[r * k + p] as i64 * b[p * m + j] as i64;
+            let dense = IntDense::build(&w, Some(&bias), wf, act);
+            let limit = act.max_raw();
+            for scale in [5, limit / 6] {
+                let a: Vec<i64> = (0..5 * 6).map(|i| (((i * 7) % 11) - 5) * scale).collect();
+                let mut out = vec![0.0f64; 5 * 9];
+                dense.forward(&a.iter().map(|&c| c as f64).collect::<Vec<_>>(), &mut out);
+                let from_frac = act.frac_bits() + wf.frac_bits();
+                for r in 0..5 {
+                    for j in 0..9 {
+                        let mut acc = (wf.to_raw(bias.as_slice()[j])) << act.frac_bits();
+                        for p in 0..6 {
+                            acc += a[r * 6 + p] * wf.to_code(w.at(p, j)) as i64;
+                        }
+                        let expect = act.requantize_i64(acc, from_frac) as f64;
+                        assert_eq!(out[r * 9 + j].to_bits(), expect.to_bits(), "{act:?} scale {scale} element ({r},{j})");
                     }
                 }
-            }
-            let got = int_matmul(&a, n, k, &b, m, max_abs(&b), None);
-            assert_eq!(got, expect, "scale {scale}");
-            // Pre-packed panel (when it fits i16) must agree too.
-            if max_abs(&b) < 32768 && max_abs(&a) < 32768 {
-                let pairs = pack_pairs(&b, k, m);
-                assert_eq!(int_matmul(&a, n, k, &b, m, max_abs(&b), Some(&pairs)), expect);
             }
         }
     }

@@ -482,35 +482,157 @@ fn i64_mac_row_body(acc: &mut [i64], a_row: &[i32], b: &[i32]) {
     }
 }
 
-#[inline(always)]
-fn madd_dot_body(a_pairs: &[i32], b_pairs: &[i32]) -> i64 {
-    debug_assert_eq!(a_pairs.len(), b_pairs.len());
-    let mut acc = 0i64;
-    for (&a, &b) in a_pairs.iter().zip(b_pairs) {
-        let a0 = a as i16 as i32;
-        let a1 = (a >> 16) as i16 as i32;
-        let b0 = b as i16 as i32;
-        let b1 = (b >> 16) as i16 as i32;
-        acc += (a0 * b0 + a1 * b1) as i64;
-    }
-    acc
-}
-
-#[inline(always)]
-fn accumulate_i32_into_i64_body(acc: &mut [i64], add: &[i32]) {
-    debug_assert_eq!(acc.len(), add.len());
-    for (o, &v) in acc.iter_mut().zip(add) {
-        *o += v as i64;
-    }
-}
-
 /// Pack two i16-range fixed-point codes into the `(lo, hi)` pair layout the
-/// [`madd_block`] and [`madd_dot`] kernels consume. Both values must fit in
-/// `i16`.
+/// [`madd_block`] kernel consumes. Both values must fit in `i16`.
 #[inline(always)]
 pub fn pack_i16_pair(lo: i32, hi: i32) -> i32 {
     debug_assert!((-32768..=32767).contains(&lo) && (-32768..=32767).contains(&hi));
     (((hi as u16 as u32) << 16) | (lo as u16 as u32)) as i32
+}
+
+// ---------------------------------------------------------------------------
+// Exact code kernels: fixed-point codes held as integers in f64 lanes. Every
+// product and partial sum is an integer below 2^53, so each operation is
+// exact, and sums in any order, fused or not, give the same bits.
+// ---------------------------------------------------------------------------
+
+/// `f64::round` — half away from zero — built from `trunc`, which every
+/// vector unit has. `y − trunc(y)` is exact, so comparing it with 0.5 decides
+/// a tie without the double rounding of `trunc(y + copysign(0.5, y))`, which
+/// takes `0.5 − 2⁻⁵⁴` up to 1. A zero result is `+0.0`, never `−0.0`.
+#[inline(always)]
+pub fn round_half_away(y: f64) -> f64 {
+    let t = y.trunc();
+    t + if (y - t).abs() >= 0.5 { 1.0f64.copysign(y) } else { 0.0 }
+}
+
+/// [`round_half_away`] in `f32`: equals `f32::round` for every input.
+#[inline(always)]
+pub fn round_half_away_f32(y: f32) -> f32 {
+    let t = y.trunc();
+    t + if (y - t).abs() >= 0.5 { 1.0f32.copysign(y) } else { 0.0 }
+}
+
+/// The rounding epilogue of [`exact_matmul`]: an exact accumulator goes onto
+/// the output grid as `clamp(round_half_away(acc · factor), lo, hi)`.
+///
+/// With `factor = 2^−shift` the multiply is exact, so this is
+/// `FixedFormat::requantize_i64`'s rounding shift and saturation. Any other
+/// factor rounds `acc · factor` once in `f64` first, which is what a score
+/// scale of `1/√head_dim` that is not a power of two asks for.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Requantize {
+    /// Multiplier from the accumulator's grid onto the output grid.
+    pub factor: f64,
+    /// Smallest output code.
+    pub lo: f64,
+    /// Largest output code.
+    pub hi: f64,
+}
+
+impl Requantize {
+    /// One accumulator onto the output grid.
+    #[inline(always)]
+    pub fn apply(&self, acc: f64) -> f64 {
+        // Selects rather than `f64::max`/`min`, whose NaN rules cost two more
+        // instructions a lane: codes are never NaN.
+        let code = round_half_away(acc * self.factor);
+        let code = if code > self.lo { code } else { self.lo };
+        if code < self.hi {
+            code
+        } else {
+            self.hi
+        }
+    }
+}
+
+/// `acc + x·y`, fused when the build targets FMA. The operands of the exact
+/// kernels are integers whose products and sums are exact, so the fused and
+/// the unfused forms give the same bits.
+#[inline(always)]
+fn exact_mac(acc: f64, x: f64, y: f64) -> f64 {
+    if cfg!(target_feature = "fma") {
+        x.mul_add(y, acc)
+    } else {
+        acc + x * y
+    }
+}
+
+/// Rows of one [`exact_matmul`] register tile.
+const TILE_ROWS: usize = 4;
+/// Columns of one [`exact_matmul`] register tile.
+const TILE_COLS: usize = 8;
+
+/// The exact accumulator of output `(r, c)`: `bias[c]` plus the products in
+/// ascending `p`.
+#[inline(always)]
+fn exact_dot(a: &[f64], [rs, cs]: [usize; 2], w: &[f64], m: usize, bias: Option<&[f64]>, r: usize, c: usize) -> f64 {
+    let mut acc = bias.map_or(0.0, |b| b[c]);
+    for p in 0..w.len() / m {
+        acc += a[r * rs + p * cs] * w[p * m + c];
+    }
+    acc
+}
+
+fn exact_matmul_scalar(a: &[f64], strides: [usize; 2], w: &[f64], m: usize, bias: Option<&[f64]>, rq: Requantize, out: &mut [f64]) {
+    for (i, o) in out.iter_mut().enumerate() {
+        *o = rq.apply(exact_dot(a, strides, w, m, bias, i / m, i % m));
+    }
+}
+
+/// One `R × TILE_COLS` tile of output rows `r0..` and columns `c0..`, its
+/// accumulators held in registers across the whole reduction.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn exact_tile<const R: usize>(
+    a: &[f64],
+    [rs, cs]: [usize; 2],
+    w: &[f64],
+    m: usize,
+    init: [f64; TILE_COLS],
+    rq: Requantize,
+    (r0, c0): (usize, usize),
+    out: &mut [f64],
+) {
+    let mut acc = [init; R];
+    for (p, w_row) in w.chunks_exact(m).enumerate() {
+        let w_row: &[f64; TILE_COLS] = w_row[c0..c0 + TILE_COLS].try_into().unwrap();
+        for (i, acc_row) in acc.iter_mut().enumerate() {
+            let x = a[(r0 + i) * rs + p * cs];
+            for (o, &y) in acc_row.iter_mut().zip(w_row) {
+                *o = exact_mac(*o, x, y);
+            }
+        }
+    }
+    for (i, acc_row) in acc.iter().enumerate() {
+        let dst = &mut out[(r0 + i) * m + c0..][..TILE_COLS];
+        for (o, &v) in dst.iter_mut().zip(acc_row) {
+            *o = rq.apply(v);
+        }
+    }
+}
+
+#[inline(always)]
+fn exact_matmul_lanes(a: &[f64], strides: [usize; 2], w: &[f64], m: usize, bias: Option<&[f64]>, rq: Requantize, out: &mut [f64]) {
+    let n = out.len() / m;
+    let mut c0 = 0;
+    while c0 + TILE_COLS <= m {
+        let init = bias.map_or([0.0; TILE_COLS], |b| b[c0..c0 + TILE_COLS].try_into().unwrap());
+        let mut r0 = 0;
+        while r0 + TILE_ROWS <= n {
+            exact_tile::<TILE_ROWS>(a, strides, w, m, init, rq, (r0, c0), out);
+            r0 += TILE_ROWS;
+        }
+        for r in r0..n {
+            exact_tile::<1>(a, strides, w, m, init, rq, (r, c0), out);
+        }
+        c0 += TILE_COLS;
+    }
+    for r in 0..n {
+        for c in c0..m {
+            out[r * m + c] = rq.apply(exact_dot(a, strides, w, m, bias, r, c));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -521,56 +643,53 @@ pub fn pack_i16_pair(lo: i32, hi: i32) -> i32 {
 /// from zero, saturated to `[min_raw, max_raw]`, NaN to code 0. `inv_step`
 /// must be the exact power of two `2^frac` so the multiply equals the
 /// division bit-for-bit.
-fn quantize_codes_scalar(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i32, out: &mut [i32]) {
+fn quantize_codes_scalar(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i32, out: &mut [f64]) {
     debug_assert_eq!(values.len(), out.len());
-    let max_f = max_raw as f32;
-    let min_f = min_raw as f32;
     for (o, &v) in out.iter_mut().zip(values) {
         let scaled = (v * inv_step).round();
         *o = if scaled.is_nan() {
-            0
-        } else if scaled >= max_f {
-            max_raw
-        } else if scaled <= min_f {
-            min_raw
+            0.0
+        } else if scaled >= max_raw as f32 {
+            f64::from(max_raw)
+        } else if scaled <= min_raw as f32 {
+            f64::from(min_raw)
         } else {
-            scaled as i32
+            f64::from(scaled as i32)
         };
     }
 }
 
-/// Scalar reference for [`codes_to_f32`]: `code as f32 * step`. With `step`
-/// a power of two the multiply is exact, so every tier agrees trivially.
-fn codes_to_f32_scalar(codes: &[i32], step: f32, out: &mut [f32]) {
-    debug_assert_eq!(codes.len(), out.len());
-    for (o, &c) in out.iter_mut().zip(codes) {
-        *o = c as f32 * step;
-    }
-}
-
-/// Scalar reference for [`shift_round_saturate_i32`]: drop `shift` fractional
-/// bits from exact i32 accumulators — round half away from zero — then clamp
-/// to `[min_raw, max_raw]`. Matches `FixedFormat::requantize_i64` on every
-/// input except `i32::MIN` (the magnitude fold would wrap), which callers
-/// must exclude through their accumulator bound.
-fn shift_round_saturate_i32_scalar(values: &[i32], shift: u32, min_raw: i32, max_raw: i32, out: &mut [i32]) {
+/// The lane body of [`quantize_codes`]: branch-free selects around
+/// [`round_half_away_f32`], so it vectorizes on every target.
+#[inline(always)]
+fn quantize_codes_lanes(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i32, out: &mut [f64]) {
     debug_assert_eq!(values.len(), out.len());
-    debug_assert!(shift < 32);
-    if shift == 0 {
-        for (o, &v) in out.iter_mut().zip(values) {
-            *o = v.clamp(min_raw, max_raw);
+    let (max_f, min_f) = (max_raw as f32, min_raw as f32);
+    let code = |v: f32| {
+        let scaled = round_half_away_f32(v * inv_step);
+        // NaN fails every compare, landing on code 0.
+        let code = if scaled < max_f { scaled } else { max_f };
+        let code = if code > min_f { code } else { min_f };
+        if scaled == scaled {
+            code
+        } else {
+            0.0
         }
-        return;
+    };
+    // Eight `f32` codes, then their widening: one 8-wide register each way.
+    let mut blocks = out.chunks_exact_mut(F32_LANES);
+    for (o, v) in (&mut blocks).zip(values.chunks_exact(F32_LANES)) {
+        let mut codes = [0.0f32; F32_LANES];
+        for (c, &v) in codes.iter_mut().zip(v) {
+            *c = code(v);
+        }
+        for (o, &c) in o.iter_mut().zip(&codes) {
+            *o = f64::from(c);
+        }
     }
-    for (o, &v) in out.iter_mut().zip(values) {
-        debug_assert!(v != i32::MIN);
-        let sign = v >> 31;
-        let mag = (v ^ sign) - sign;
-        // `(mag + half) >> shift` without the overflowing add: the rounding
-        // carry out of the discarded bits is exactly bit `shift - 1` of the
-        // magnitude.
-        let rounded = (mag >> shift) + ((mag >> (shift - 1)) & 1);
-        *o = ((rounded ^ sign) - sign).clamp(min_raw, max_raw);
+    let tail = values.len() - blocks.into_remainder().len();
+    for (o, &v) in out[tail..].iter_mut().zip(&values[tail..]) {
+        *o = f64::from(code(v));
     }
 }
 
@@ -655,167 +774,16 @@ mod native {
         madd_pairs_body(&mut acc[i..], a_pair, &pairs[i..]);
     }
 
-    /// Register-resident dot product over packed i16 pairs: the i32 lane
-    /// accumulator never touches memory, so narrow output panels avoid the
-    /// store-to-load chain of [`madd_pairs_avx2`]. Exact under the caller's
-    /// per-lane bound `2 * ceil(len/8) * max|a| * max|w| < i32::MAX`; the
-    /// ragged tail accumulates directly in i64 and needs no bound.
+    /// Branch-free [`quantize_codes`]: LLVM vectorizes the lane body's
+    /// `trunc` and selects under AVX2.
     #[target_feature(enable = "avx2")]
-    unsafe fn madd_dot_avx2(a_pairs: &[i32], b_pairs: &[i32]) -> i64 {
-        use std::arch::x86_64::*;
-        debug_assert_eq!(a_pairs.len(), b_pairs.len());
-        let n = a_pairs.len();
-        let blocks = n / 8;
-        let mut acc = 0i64;
-        if blocks > 0 {
-            let mut lanes = _mm256_setzero_si256();
-            for b in 0..blocks {
-                let i = b * 8;
-                // SAFETY: i + 8 <= n for both slices; loads are unaligned.
-                let a = _mm256_loadu_si256(a_pairs.as_ptr().add(i) as *const __m256i);
-                let w = _mm256_loadu_si256(b_pairs.as_ptr().add(i) as *const __m256i);
-                lanes = _mm256_add_epi32(lanes, _mm256_madd_epi16(a, w));
-            }
-            let lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(lanes));
-            let hi = _mm256_cvtepi32_epi64(_mm256_extracti128_si256::<1>(lanes));
-            let sum = _mm256_add_epi64(lo, hi);
-            let s128 = _mm_add_epi64(_mm256_castsi256_si128(sum), _mm256_extracti128_si256::<1>(sum));
-            let s = _mm_add_epi64(s128, _mm_unpackhi_epi64(s128, s128));
-            acc = _mm_cvtsi128_si64(s);
-        }
-        acc + madd_dot_body(&a_pairs[blocks * 8..], &b_pairs[blocks * 8..])
+    unsafe fn quantize_codes_avx2(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i32, out: &mut [f64]) {
+        quantize_codes_lanes(values, inv_step, max_raw, min_raw, out)
     }
 
-    /// Widen four i32 lanes to i64 and add — exact sign extension, so the
-    /// result is identical to the per-element reference.
     #[target_feature(enable = "avx2")]
-    unsafe fn accumulate_i32_into_i64_avx2(acc: &mut [i64], add: &[i32]) {
-        use std::arch::x86_64::*;
-        debug_assert_eq!(acc.len(), add.len());
-        let n = acc.len();
-        let blocks = n / 4;
-        for b in 0..blocks {
-            let i = b * 4;
-            // SAFETY: i + 4 <= n for both slices; loads/stores are unaligned.
-            let a = _mm_loadu_si128(add.as_ptr().add(i) as *const __m128i);
-            let o = _mm256_loadu_si256(acc.as_ptr().add(i) as *const __m256i);
-            let r = _mm256_add_epi64(o, _mm256_cvtepi32_epi64(a));
-            _mm256_storeu_si256(acc.as_mut_ptr().add(i) as *mut __m256i, r);
-        }
-        accumulate_i32_into_i64_body(&mut acc[blocks * 4..], &add[blocks * 4..]);
-    }
-
-    /// Vectorized [`quantize_codes`]. Bitwise identity with the scalar
-    /// reference:
-    ///
-    /// * round half away from zero is computed as `trunc(x + copysign(0.5,
-    ///   x))`, which equals `f32::round` for every `|x| < 2^23` (0.5 divides
-    ///   the ulp there, so the add is exact); any `|x| >= 2^23` is integral,
-    ///   lies outside the 24-bit code range, and saturates to the same bound
-    ///   in both paths, so the zone where the two roundings could differ is
-    ///   unobservable.
-    /// * saturation compares the rounded value against `max_raw as f32` /
-    ///   `min_raw as f32` exactly like the reference (ordered compares, so
-    ///   NaN lanes fall through and are blended to code 0 afterwards).
-    /// * the final cvt sees an integral value clamped into `[min_raw,
-    ///   max_raw]`, hence exact under any rounding mode.
-    #[target_feature(enable = "avx2")]
-    unsafe fn quantize_codes_avx2(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i32, out: &mut [i32]) {
-        use std::arch::x86_64::*;
-        debug_assert_eq!(values.len(), out.len());
-        let inv = _mm256_set1_ps(inv_step);
-        let max_f = _mm256_set1_ps(max_raw as f32);
-        let min_f = _mm256_set1_ps(min_raw as f32);
-        let max_i = _mm256_set1_epi32(max_raw);
-        let min_i = _mm256_set1_epi32(min_raw);
-        let half = _mm256_set1_ps(0.5);
-        let sign_bit = _mm256_set1_ps(-0.0);
-        let zero = _mm256_setzero_si256();
-        let n = values.len();
-        let blocks = n / 8;
-        for b in 0..blocks {
-            let i = b * 8;
-            // SAFETY: i + 8 <= n for both slices; loads/stores are unaligned.
-            let v = _mm256_loadu_ps(values.as_ptr().add(i));
-            let scaled = _mm256_mul_ps(v, inv);
-            let signed_half = _mm256_or_ps(half, _mm256_and_ps(scaled, sign_bit));
-            let rounded = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(
-                _mm256_add_ps(scaled, signed_half),
-            );
-            let sat_hi = _mm256_cmp_ps::<_CMP_GE_OQ>(rounded, max_f);
-            let sat_lo = _mm256_cmp_ps::<_CMP_LE_OQ>(rounded, min_f);
-            let nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(scaled, scaled);
-            // Clamp before the cvt so every lane converts exactly (a NaN lane
-            // becomes `min_f` under max_ps's second-operand rule and is then
-            // blended to zero).
-            let clamped = _mm256_min_ps(_mm256_max_ps(rounded, min_f), max_f);
-            let mut codes = _mm256_cvtps_epi32(clamped);
-            codes = _mm256_blendv_epi8(codes, max_i, _mm256_castps_si256(sat_hi));
-            codes = _mm256_blendv_epi8(codes, min_i, _mm256_castps_si256(sat_lo));
-            codes = _mm256_blendv_epi8(codes, zero, _mm256_castps_si256(nan));
-            _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut __m256i, codes);
-        }
-        quantize_codes_scalar(&values[blocks * 8..], inv_step, max_raw, min_raw, &mut out[blocks * 8..]);
-    }
-
-    /// Vectorized [`codes_to_f32`]: cvtdq2ps rounds to nearest exactly like
-    /// `c as f32`, and the power-of-two multiply is exact, so the result is
-    /// bitwise identical by construction.
-    #[target_feature(enable = "avx2")]
-    unsafe fn codes_to_f32_avx2(codes: &[i32], step: f32, out: &mut [f32]) {
-        use std::arch::x86_64::*;
-        debug_assert_eq!(codes.len(), out.len());
-        let stepv = _mm256_set1_ps(step);
-        let n = codes.len();
-        let blocks = n / 8;
-        for b in 0..blocks {
-            let i = b * 8;
-            // SAFETY: i + 8 <= n for both slices; loads/stores are unaligned.
-            let c = _mm256_loadu_si256(codes.as_ptr().add(i) as *const __m256i);
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_mul_ps(_mm256_cvtepi32_ps(c), stepv));
-        }
-        codes_to_f32_scalar(&codes[blocks * 8..], step, &mut out[blocks * 8..]);
-    }
-
-    /// 8-wide requantize: pure integer shifts/adds/compares, so every lane
-    /// computes exactly the scalar reference's value — bitwise identical by
-    /// construction. The rounding carry is recovered from bit `shift − 1` of
-    /// the magnitude, mirroring the scalar overflow-free formulation.
-    #[target_feature(enable = "avx2")]
-    unsafe fn shift_round_saturate_i32_avx2(values: &[i32], shift: u32, min_raw: i32, max_raw: i32, out: &mut [i32]) {
-        use std::arch::x86_64::*;
-        debug_assert_eq!(values.len(), out.len());
-        let minv = _mm256_set1_epi32(min_raw);
-        let maxv = _mm256_set1_epi32(max_raw);
-        let n = values.len();
-        let blocks = n / 8;
-        if shift == 0 {
-            for b in 0..blocks {
-                let i = b * 8;
-                // SAFETY: i + 8 <= n for both slices; loads/stores unaligned.
-                let v = _mm256_loadu_si256(values.as_ptr().add(i) as *const __m256i);
-                let clamped = _mm256_min_epi32(_mm256_max_epi32(v, minv), maxv);
-                _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut __m256i, clamped);
-            }
-        } else {
-            let cnt = _mm_cvtsi32_si128(shift as i32);
-            let cnt1 = _mm_cvtsi32_si128(shift as i32 - 1);
-            let one = _mm256_set1_epi32(1);
-            for b in 0..blocks {
-                let i = b * 8;
-                // SAFETY: i + 8 <= n for both slices; loads/stores unaligned.
-                let v = _mm256_loadu_si256(values.as_ptr().add(i) as *const __m256i);
-                let sign = _mm256_srai_epi32::<31>(v);
-                let mag = _mm256_sub_epi32(_mm256_xor_si256(v, sign), sign);
-                let q = _mm256_sra_epi32(mag, cnt);
-                let carry = _mm256_and_si256(_mm256_sra_epi32(mag, cnt1), one);
-                let r = _mm256_add_epi32(q, carry);
-                let res = _mm256_sub_epi32(_mm256_xor_si256(r, sign), sign);
-                let clamped = _mm256_min_epi32(_mm256_max_epi32(res, minv), maxv);
-                _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut __m256i, clamped);
-            }
-        }
-        shift_round_saturate_i32_scalar(&values[blocks * 8..], shift, min_raw, max_raw, &mut out[blocks * 8..]);
+    unsafe fn exact_matmul_avx2(a: &[f64], strides: [usize; 2], w: &[f64], m: usize, bias: Option<&[f64]>, rq: Requantize, out: &mut [f64]) {
+        exact_matmul_lanes(a, strides, w, m, bias, rq, out)
     }
 
     /// Whole-block madd: one dispatch for an entire packed weight panel.
@@ -837,6 +805,17 @@ mod native {
     #[target_feature(enable = "avx2")]
     unsafe fn exp_avx2(values: &mut [f32]) {
         exp_lanes(values)
+    }
+
+    /// `vzeroupper`: marks the upper halves of the vector registers clean.
+    #[target_feature(enable = "avx")]
+    unsafe fn zero_upper_avx() {
+        std::arch::x86_64::_mm256_zeroupper()
+    }
+
+    pub fn zero_upper() {
+        debug_assert!(native_available());
+        unsafe { zero_upper_avx() }
     }
 
     pub fn scale(values: &mut [f32], factor: f32) {
@@ -862,10 +841,6 @@ mod native {
         debug_assert!(native_available());
         unsafe { das_gather_reduce_avx2(flat, tap0, tap1, w0, w1, apod) }
     }
-    pub fn accumulate_i32_into_i64(acc: &mut [i64], add: &[i32]) {
-        debug_assert!(native_available());
-        unsafe { accumulate_i32_into_i64_avx2(acc, add) }
-    }
     pub fn madd_block(acc: &mut [i32], a_pairs: &[i32], b_pairs: &[i32]) {
         debug_assert!(native_available());
         unsafe { madd_block_avx2(acc, a_pairs, b_pairs) }
@@ -874,21 +849,13 @@ mod native {
         debug_assert!(native_available());
         unsafe { i64_mac_row_avx2(acc, a_row, b) }
     }
-    pub fn quantize_codes(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i32, out: &mut [i32]) {
+    pub fn quantize_codes(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i32, out: &mut [f64]) {
         debug_assert!(native_available());
         unsafe { quantize_codes_avx2(values, inv_step, max_raw, min_raw, out) }
     }
-    pub fn codes_to_f32(codes: &[i32], step: f32, out: &mut [f32]) {
+    pub fn exact_matmul(a: &[f64], strides: [usize; 2], w: &[f64], m: usize, bias: Option<&[f64]>, rq: Requantize, out: &mut [f64]) {
         debug_assert!(native_available());
-        unsafe { codes_to_f32_avx2(codes, step, out) }
-    }
-    pub fn madd_dot(a_pairs: &[i32], b_pairs: &[i32]) -> i64 {
-        debug_assert!(native_available());
-        unsafe { madd_dot_avx2(a_pairs, b_pairs) }
-    }
-    pub fn shift_round_saturate_i32(values: &[i32], shift: u32, min_raw: i32, max_raw: i32, out: &mut [i32]) {
-        debug_assert!(native_available());
-        unsafe { shift_round_saturate_i32_avx2(values, shift, min_raw, max_raw, out) }
+        unsafe { exact_matmul_avx2(a, strides, w, m, bias, rq, out) }
     }
     pub fn exp(values: &mut [f32]) {
         debug_assert!(native_available());
@@ -940,13 +907,6 @@ mod native {
         }
         unsafe { go(flat, tap0, tap1, w0, w1, apod) }
     }
-    pub fn accumulate_i32_into_i64(acc: &mut [i64], add: &[i32]) {
-        #[target_feature(enable = "neon")]
-        unsafe fn go(acc: &mut [i64], add: &[i32]) {
-            accumulate_i32_into_i64_body(acc, add)
-        }
-        unsafe { go(acc, add) }
-    }
     pub fn madd_block(acc: &mut [i32], a_pairs: &[i32], b_pairs: &[i32]) {
         #[target_feature(enable = "neon")]
         unsafe fn go(acc: &mut [i32], a_pairs: &[i32], b_pairs: &[i32]) {
@@ -961,33 +921,19 @@ mod native {
         }
         unsafe { go(acc, a_row, b) }
     }
-    pub fn quantize_codes(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i32, out: &mut [i32]) {
+    pub fn quantize_codes(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i32, out: &mut [f64]) {
         #[target_feature(enable = "neon")]
-        unsafe fn go(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i32, out: &mut [i32]) {
-            quantize_codes_scalar(values, inv_step, max_raw, min_raw, out)
+        unsafe fn go(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i32, out: &mut [f64]) {
+            quantize_codes_lanes(values, inv_step, max_raw, min_raw, out)
         }
         unsafe { go(values, inv_step, max_raw, min_raw, out) }
     }
-    pub fn codes_to_f32(codes: &[i32], step: f32, out: &mut [f32]) {
+    pub fn exact_matmul(a: &[f64], strides: [usize; 2], w: &[f64], m: usize, bias: Option<&[f64]>, rq: Requantize, out: &mut [f64]) {
         #[target_feature(enable = "neon")]
-        unsafe fn go(codes: &[i32], step: f32, out: &mut [f32]) {
-            codes_to_f32_scalar(codes, step, out)
+        unsafe fn go(a: &[f64], strides: [usize; 2], w: &[f64], m: usize, bias: Option<&[f64]>, rq: Requantize, out: &mut [f64]) {
+            exact_matmul_lanes(a, strides, w, m, bias, rq, out)
         }
-        unsafe { go(codes, step, out) }
-    }
-    pub fn madd_dot(a_pairs: &[i32], b_pairs: &[i32]) -> i64 {
-        #[target_feature(enable = "neon")]
-        unsafe fn go(a_pairs: &[i32], b_pairs: &[i32]) -> i64 {
-            madd_dot_body(a_pairs, b_pairs)
-        }
-        unsafe { go(a_pairs, b_pairs) }
-    }
-    pub fn shift_round_saturate_i32(values: &[i32], shift: u32, min_raw: i32, max_raw: i32, out: &mut [i32]) {
-        #[target_feature(enable = "neon")]
-        unsafe fn go(values: &[i32], shift: u32, min_raw: i32, max_raw: i32, out: &mut [i32]) {
-            shift_round_saturate_i32_scalar(values, shift, min_raw, max_raw, out)
-        }
-        unsafe { go(values, shift, min_raw, max_raw, out) }
+        unsafe { go(a, strides, w, m, bias, rq, out) }
     }
     pub fn exp(values: &mut [f32]) {
         #[target_feature(enable = "neon")]
@@ -1023,26 +969,17 @@ mod native {
     ) -> f32 {
         das_gather_reduce_body(flat, tap0, tap1, w0, w1, apod)
     }
-    pub fn accumulate_i32_into_i64(acc: &mut [i64], add: &[i32]) {
-        accumulate_i32_into_i64_body(acc, add)
-    }
     pub fn madd_block(acc: &mut [i32], a_pairs: &[i32], b_pairs: &[i32]) {
         madd_block_body(acc, a_pairs, b_pairs)
     }
     pub fn i64_mac_row(acc: &mut [i64], a_row: &[i32], b: &[i32]) {
         i64_mac_row_body(acc, a_row, b)
     }
-    pub fn quantize_codes(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i32, out: &mut [i32]) {
-        quantize_codes_scalar(values, inv_step, max_raw, min_raw, out)
+    pub fn quantize_codes(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i32, out: &mut [f64]) {
+        quantize_codes_lanes(values, inv_step, max_raw, min_raw, out)
     }
-    pub fn codes_to_f32(codes: &[i32], step: f32, out: &mut [f32]) {
-        codes_to_f32_scalar(codes, step, out)
-    }
-    pub fn madd_dot(a_pairs: &[i32], b_pairs: &[i32]) -> i64 {
-        madd_dot_body(a_pairs, b_pairs)
-    }
-    pub fn shift_round_saturate_i32(values: &[i32], shift: u32, min_raw: i32, max_raw: i32, out: &mut [i32]) {
-        shift_round_saturate_i32_scalar(values, shift, min_raw, max_raw, out)
+    pub fn exact_matmul(a: &[f64], strides: [usize; 2], w: &[f64], m: usize, bias: Option<&[f64]>, rq: Requantize, out: &mut [f64]) {
+        exact_matmul_lanes(a, strides, w, m, bias, rq, out)
     }
     pub fn exp(values: &mut [f32]) {
         exp_lanes(values)
@@ -1122,15 +1059,6 @@ pub fn das_gather_reduce(
     }
 }
 
-/// Spill an i32 accumulator tile into the i64 row accumulator:
-/// `acc[i] += add[i]`. Exact across tiers.
-pub fn accumulate_i32_into_i64(acc: &mut [i64], add: &[i32]) {
-    match mode() {
-        SimdMode::Scalar | SimdMode::Portable => accumulate_i32_into_i64_body(acc, add),
-        SimdMode::Native => native::accumulate_i32_into_i64(acc, add),
-    }
-}
-
 /// Dual-MAC over a packed i16-pair panel in one dispatch: with
 /// `a_pairs[p] = pack(a0, a1)` and `b_pairs[p * m + i] = pack(w0, w1)` (layout
 /// `a_pairs.len() × acc.len()`), adds `a0*w0 + a1*w1` into `acc[i]` for every
@@ -1155,52 +1083,79 @@ pub fn i64_mac_row(acc: &mut [i64], a_row: &[i32], b: &[i32]) {
     }
 }
 
-/// Dot product over packed i16 pairs: with `a_pairs[i] = pack(a0_i, a1_i)`
-/// and `b_pairs[i] = pack(w0_i, w1_i)`, returns `Σ a0_i*w0_i + a1_i*w1_i` as
-/// exact `i64`. The native tier keeps its i32 lane accumulator in a register
-/// (no memory round-trip), so callers must bound
-/// `2 * ceil(len/8) * max|a| * max|w| < i32::MAX` — each of the eight lanes
-/// absorbs `ceil(len/8)` dual-products. Exact across tiers (integer sums in
-/// any order are identical when no intermediate overflows).
-pub fn madd_dot(a_pairs: &[i32], b_pairs: &[i32]) -> i64 {
+/// Exact matrix product of fixed-point codes held as integers in `f64`,
+/// requantized onto the output grid:
+///
+/// `out[r·m + c] = rq.apply(bias[c] + Σ_p a[r·strides[0] + p·strides[1]] · w[p·m + c])`
+///
+/// for the `n = out.len() / m` output rows and `k = w.len() / m` reduction
+/// steps; `bias` defaults to zero. The strides let one kernel take row-major
+/// activations (`[k, 1]`), key rows of a fused q/k/v matrix, or value columns
+/// read in place (`[1, stride]`). The portable and native tiers hold 4 × 8
+/// output tiles in registers.
+///
+/// **Exactness.** The caller keeps every code an integer and
+/// `|bias| + Σ_p |a·w| < 2^53`, so every product and partial sum is exact and
+/// the tiers agree bit for bit whatever their order. For Tiny-VBF the largest
+/// sums come from fx24 (24-bit activations, 18-bit weights) at 128 channels,
+/// 128 tokens and `head_dim` 4: dense `128·2^23·2^17 = 2^47` (plus a bias
+/// below 2^35), scores `4·2^46 = 2^48`, and A·V `128·2^18·2^23 = 2^48`. fx20
+/// and w8a20 stay below 2^41 and fx16 and w8a16 below 2^43 on every stage.
+pub fn exact_matmul(a: &[f64], strides: [usize; 2], w: &[f64], m: usize, bias: Option<&[f64]>, rq: Requantize, out: &mut [f64]) {
+    assert!(m > 0 && w.len() % m == 0 && out.len() % m == 0, "exact_matmul: shape mismatch");
+    let (n, k) = (out.len() / m, w.len() / m);
+    if n > 0 && k > 0 {
+        assert!((n - 1) * strides[0] + (k - 1) * strides[1] < a.len(), "exact_matmul: `a` too short");
+    }
+    assert!(bias.is_none_or(|b| b.len() == m), "exact_matmul: bias length");
     match mode() {
-        SimdMode::Scalar | SimdMode::Portable => madd_dot_body(a_pairs, b_pairs),
-        SimdMode::Native => native::madd_dot(a_pairs, b_pairs),
+        SimdMode::Scalar => exact_matmul_scalar(a, strides, w, m, bias, rq, out),
+        SimdMode::Portable => exact_matmul_lanes(a, strides, w, m, bias, rq, out),
+        SimdMode::Native => native::exact_matmul(a, strides, w, m, bias, rq, out),
     }
 }
 
 /// Quantize a float slice onto a fixed-point grid:
 /// `out[i] = clamp(round(values[i] * inv_step))` with round half away from
-/// zero, saturation to `[min_raw, max_raw]` and NaN mapping to code 0.
-/// `inv_step` must be the exact power of two `2^frac` of the target grid.
-/// Element-wise with one rounding per element; the native tier's rounding
-/// construction is proven bitwise identical in `quantize_codes_avx2`.
-pub fn quantize_codes(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i32, out: &mut [i32]) {
+/// zero, saturation to `[min_raw, max_raw]` and NaN mapping to code 0; the
+/// codes are written as exact integers in `f64`, `+0.0` for zero.
+/// `inv_step` must be the exact power of two `2^frac` of the target grid,
+/// and the code range must fit `f32` exactly (`|code| ≤ 2^24`).
+/// Element-wise with one exact rounding per element ([`round_half_away`]'s
+/// construction on the vector tiers), so every tier equals
+/// `FixedFormat::to_code`.
+pub fn quantize_codes(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i32, out: &mut [f64]) {
+    assert!(max_raw <= 1 << 24 && min_raw >= -(1 << 24), "quantize_codes: the code range must fit f32 exactly");
     match mode() {
-        SimdMode::Scalar | SimdMode::Portable => quantize_codes_scalar(values, inv_step, max_raw, min_raw, out),
+        SimdMode::Scalar => quantize_codes_scalar(values, inv_step, max_raw, min_raw, out),
+        SimdMode::Portable => quantize_codes_lanes(values, inv_step, max_raw, min_raw, out),
         SimdMode::Native => native::quantize_codes(values, inv_step, max_raw, min_raw, out),
     }
 }
 
 /// Dequantize fixed-point codes back to floats: `out[i] = codes[i] as f32 *
-/// step`. With `step` a power of two both operations are exactly rounded the
-/// same way in every tier, so the result is bitwise identical.
-pub fn codes_to_f32(codes: &[i32], step: f32, out: &mut [f32]) {
-    match mode() {
-        SimdMode::Scalar | SimdMode::Portable => codes_to_f32_scalar(codes, step, out),
-        SimdMode::Native => native::codes_to_f32(codes, step, out),
+/// step`. With `|code| < 2^24` and `step` a power of two both operations are
+/// exact, so every tier runs this one element-wise loop.
+pub fn codes_to_f32(codes: &[f64], step: f32, out: &mut [f32]) {
+    debug_assert_eq!(codes.len(), out.len());
+    for (o, &c) in out.iter_mut().zip(codes) {
+        *o = c as f32 * step;
     }
 }
 
-/// Requantize exact i32 accumulators onto a narrower fixed-point grid:
-/// `out[i] = clamp(round_half_away(values[i] / 2^shift))`, saturating to
-/// `[min_raw, max_raw]`. Pure integer arithmetic, so every tier is bitwise
-/// identical. Callers must keep accumulators strictly above `i32::MIN`
-/// (the integer-matmul overflow bounds already guarantee this).
-pub fn shift_round_saturate_i32(values: &[i32], shift: u32, min_raw: i32, max_raw: i32, out: &mut [i32]) {
-    match mode() {
-        SimdMode::Scalar | SimdMode::Portable => shift_round_saturate_i32_scalar(values, shift, min_raw, max_raw, out),
-        SimdMode::Native => native::shift_round_saturate_i32(values, shift, min_raw, max_raw, out),
+/// `values[i] = values[i].tanh()` through the platform libm — the float
+/// boundary the integer datapath shares with the float one. Every tier runs
+/// this one element-wise loop. On x86-64 hosts with AVX2 it first marks the
+/// upper halves of the vector registers clean (`vzeroupper`): the libm is
+/// SSE code, and right after the exact kernels' AVX lanes it otherwise ran
+/// about 10× slower on an AVX-512 host, serialized on the dirty upper state.
+pub fn tanh(values: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if native_available() {
+        native::zero_upper();
+    }
+    for v in values {
+        *v = v.tanh();
     }
 }
 
