@@ -17,8 +17,10 @@
 //!   the quantized rung finally pays for itself in this reproduction.
 //!
 //! Writes `BENCH_pr9.json` into the current directory. Run with
-//! `cargo run --release -p bench --bin bench_pr9`; set `BENCH_PR9_FAST=1`
-//! (or the `BENCH_FAST=1` umbrella) for fewer repetitions.
+//! `cargo run --release -p bench --bin bench_pr9` from the repository root,
+//! so that `.cargo/config.toml`'s `-C target-cpu=native` applies; the report
+//! records the compile-time target features it was built with. Set
+//! `BENCH_PR9_FAST=1` (or the `BENCH_FAST=1` umbrella) for fewer repetitions.
 
 use beamforming::tof::TofCube;
 use neural::tensor::Tensor;
@@ -201,11 +203,17 @@ fn main() {
         .iter()
         .map(|(name, us)| format!("    \"{name}\": {{ \"us_per_frame\": {us:.1}, \"speedup_vs_float\": {:.3} }}", float_us / us))
         .collect();
+    // The build's target features: a build without `target-cpu=native`
+    // runs the float forward several times slower.
+    let features = [("avx2", cfg!(target_feature = "avx2")), ("fma", cfg!(target_feature = "fma")), ("avx512f", cfg!(target_feature = "avx512f"))]
+        .map(|(name, on)| format!("\"{name}\": {on}"))
+        .join(", ");
     let json = format!
 (
-        "{{\n  \"schema_version\": 1,\n  \"pr\": 9,\n  \"profile\": \"{}\",\n  \"native_tier\": \"{}\",\n  \"kernels\": {{\n{}\n  }},\n  \"inference_368x128\": {{\n{}\n  }},\n  \"gate\": {{ \"fx16_faster_than_float\": {}, \"fx16_speedup_vs_float\": {:.3} }}\n}}\n",
+        "{{\n  \"schema_version\": 1,\n  \"pr\": 9,\n  \"profile\": \"{}\",\n  \"native_tier\": \"{}\",\n  \"target_features\": {{ {} }},\n  \"kernels\": {{\n{}\n  }},\n  \"inference_368x128\": {{\n{}\n  }},\n  \"gate\": {{ \"fx16_faster_than_float\": {}, \"fx16_speedup_vs_float\": {:.3} }}\n}}\n",
         if fast { "fast" } else { "full" },
         if simd::native_available() { SimdMode::Native.label() } else { "unavailable" },
+        features,
         kernels_json.join(",\n"),
         inference_json.join(",\n"),
         fx16_us < float_us,

@@ -1,7 +1,7 @@
 //! Portable SIMD kernels with runtime dispatch.
 //!
 //! Every hot inner loop in the workspace (planned DAS/ToF/MVDR gathers, the
-//! register-tiled matmul, the softmax `exp`, and the integer fixed-point
+//! register-tiled matmul, the softmax `exp`, and the exact fixed-point
 //! datapath) funnels through this module. Three dispatch tiers exist:
 //!
 //! * **Scalar** — straightforward per-element loops. For reductions the
@@ -17,6 +17,8 @@
 //!   would change rounding and break bitwise identity with the reference.
 //!   [`exp`] fuses on purpose: its multiply-adds are explicit `mul_add`
 //!   steps of the scalar reference itself, rounded once on every tier.
+//!   [`exact_matmul`] fuses where the build targets FMA: its products and
+//!   sums are exact integers, so fused and unfused give the same bits.
 //!
 //! The active tier is picked once from the [`SIMD_ENV`] environment variable
 //! (`scalar`, `portable` or `native`) falling back to auto-detection, and can
@@ -40,7 +42,8 @@
 //!    per-element / per-lane arithmetic order.
 //! 3. Add a `#[target_feature]` wrapper in the `native` module (usually just
 //!    calling the portable body; intrinsics only when required — and never
-//!    FMA or reassociating ones).
+//!    FMA or reassociating ones, unless every operation is exact, as in
+//!    [`exact_matmul`]).
 //! 4. Dispatch through [`mode`] and extend the proptest suite in
 //!    `tests/simd_equivalence.rs` with the new kernel.
 
@@ -440,7 +443,8 @@ fn das_gather_reduce_body(
 
 // ---------------------------------------------------------------------------
 // Integer kernels (exact arithmetic — every tier is trivially identical, the
-// native tier just executes more of it per instruction)
+// native tier just executes more of it per instruction). `perfbench` times
+// `madd_block` and `i64_mac_row`; the integer datapath runs `exact_matmul`.
 // ---------------------------------------------------------------------------
 
 #[inline(always)]

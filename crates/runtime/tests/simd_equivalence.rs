@@ -192,21 +192,6 @@ proptest! {
             });
             prop_assert_eq!(&reference, &got, "one-row i64_mac_row under {:?}", mode);
         }
-        // accumulate_i32_into_i64.
-        let tile = codes(&mut rng, n, i32::MAX - 1);
-        let spill_ref = with_mode(SimdMode::Scalar, || {
-            let mut acc = acc0.clone();
-            simd::accumulate_i32_into_i64(&mut acc, &tile);
-            acc
-        });
-        for mode in alternative_modes() {
-            let got = with_mode(mode, || {
-                let mut acc = acc0.clone();
-                simd::accumulate_i32_into_i64(&mut acc, &tile);
-                acc
-            });
-            prop_assert_eq!(&spill_ref, &got, "accumulate_i32_into_i64 under {:?}", mode);
-        }
     }
 
     #[test]
@@ -253,24 +238,6 @@ proptest! {
     }
 
     #[test]
-    fn madd_dot_is_exact_across_modes(seed in 0u64..1_000_000, np in 0usize..97) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        // |codes| < 4096 keeps every i32 lane within the documented bound:
-        // 2 * ceil(np/8) * 4096 * 4096 < i32::MAX for np < 97.
-        let a_pairs: Vec<i32> = (0..np)
-            .map(|_| simd::pack_i16_pair(rng.gen_range(-4096..4096), rng.gen_range(-4096..4096)))
-            .collect();
-        let b_pairs: Vec<i32> = (0..np)
-            .map(|_| simd::pack_i16_pair(rng.gen_range(-4096..4096), rng.gen_range(-4096..4096)))
-            .collect();
-        let reference = with_mode(SimdMode::Scalar, || simd::madd_dot(&a_pairs, &b_pairs));
-        for mode in alternative_modes() {
-            let got = with_mode(mode, || simd::madd_dot(&a_pairs, &b_pairs));
-            prop_assert_eq!(reference, got, "madd_dot under {:?}", mode);
-        }
-    }
-
-    #[test]
     fn boundary_conversion_kernels_are_bitwise_identical_across_modes(
         seed in 0u64..1_000_000,
         n in 0usize..97,
@@ -291,64 +258,99 @@ proptest! {
                 _ => {}
             }
         }
-        let reference = with_mode(SimdMode::Scalar, || {
-            let mut out = vec![0i32; n];
-            simd::quantize_codes(&values, inv_step, max_raw, min_raw, &mut out);
-            out
-        });
-        for mode in alternative_modes() {
-            let got = with_mode(mode, || {
-                let mut out = vec![0i32; n];
+        let quantize = |mode| {
+            with_mode(mode, || {
+                let mut out = vec![0.0f64; n];
                 simd::quantize_codes(&values, inv_step, max_raw, min_raw, &mut out);
-                out
-            });
-            prop_assert_eq!(&reference, &got, "quantize_codes under {:?}", mode);
-        }
-        let code_vals = codes(&mut rng, n, 32768);
-        let deq_ref = with_mode(SimdMode::Scalar, || {
-            let mut out = vec![0.0f32; n];
-            simd::codes_to_f32(&code_vals, step, &mut out);
-            out
-        });
+                out.iter().map(|c| c.to_bits()).collect::<Vec<_>>()
+            })
+        };
+        let reference = quantize(SimdMode::Scalar);
         for mode in alternative_modes() {
-            let got = with_mode(mode, || {
-                let mut out = vec![0.0f32; n];
-                simd::codes_to_f32(&code_vals, step, &mut out);
-                out
-            });
-            assert_bits_eq(&deq_ref, &got, "codes_to_f32", mode);
+            prop_assert_eq!(&reference, &quantize(mode), "quantize_codes under {:?}", mode);
+        }
+        let code_vals: Vec<f64> = codes(&mut rng, n, 32768).into_iter().map(f64::from).collect();
+        let mut deq = vec![0.0f32; n];
+        simd::codes_to_f32(&code_vals, step, &mut deq);
+        for (c, d) in code_vals.iter().zip(&deq) {
+            prop_assert_eq!(d.to_bits(), (*c as f32 * step).to_bits());
         }
     }
 
     #[test]
-    fn shift_round_saturate_is_exact_across_modes(
+    fn exact_matmul_is_exact_across_modes(
         seed in 0u64..1_000_000,
-        n in 0usize..97,
-        shift in 0u32..22,
+        n in 0usize..11,
+        k in 1usize..41,
+        m in 1usize..27,
+        bits in 8u32..25,
+        shift in 0u32..24,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        // Full i32 span except i32::MIN (excluded by the kernel contract).
-        let values: Vec<i32> = (0..n).map(|_| rng.gen_range(i32::MIN + 1..=i32::MAX)).collect();
-        let (min_raw, max_raw) = (-32768i32, 32767i32);
-        let reference = with_mode(SimdMode::Scalar, || {
-            let mut out = vec![0i32; n];
-            simd::shift_round_saturate_i32(&values, shift, min_raw, max_raw, &mut out);
-            out
-        });
-        // The scalar tier must itself agree with the i64 rounding reference.
-        for (i, (&v, &r)) in values.iter().zip(&reference).enumerate() {
-            let half = if shift == 0 { 0 } else { 1i64 << (shift - 1) };
-            let v64 = v as i64;
-            let rounded = if v64 >= 0 { (v64 + half) >> shift } else { -((-v64 + half) >> shift) };
-            prop_assert_eq!(r as i64, rounded.clamp(min_raw as i64, max_raw as i64), "element {}", i);
+        // Codes at the full magnitude of a `bits`-wide grid — fx24's 2^23
+        // at the top — so products reach 2^46 and, with k ≤ 40, the sums
+        // approach 2^52: the bound the kernel documents. The row and column
+        // strides exercise both operand layouts the attention reads in place.
+        let limit = 1i32 << (bits - 1);
+        let transposed = rng.gen_bool(0.5);
+        let (rows, cols) = if transposed { (k, n.max(1)) } else { (n.max(1), k) };
+        let a: Vec<f64> = codes(&mut rng, rows * cols + 3, limit).into_iter().map(f64::from).collect();
+        let strides = if transposed { [1, cols] } else { [k, 1] };
+        let w: Vec<f64> = codes(&mut rng, k * m, limit).into_iter().map(f64::from).collect();
+        let bias: Vec<f64> = codes(&mut rng, m, limit).into_iter().map(|b| f64::from(b) * 1024.0).collect();
+        let bias = rng.gen_bool(0.7).then_some(bias);
+        let factor = if rng.gen_bool(0.8) { (-(shift as f64)).exp2() } else { rng.gen_range(1e-9..1.0) };
+        let rq = simd::Requantize { factor, lo: -f64::from(limit), hi: f64::from(limit - 1) };
+        let run = |mode| {
+            with_mode(mode, || {
+                let mut out = vec![0.0f64; n * m];
+                simd::exact_matmul(&a, strides, &w, m, bias.as_deref(), rq, &mut out);
+                out.iter().map(|c| c.to_bits()).collect::<Vec<_>>()
+            })
+        };
+        let reference = run(SimdMode::Scalar);
+        // The scalar tier against i64 arithmetic and `f64::round`.
+        for (i, &got) in reference.iter().enumerate() {
+            let (r, c) = (i / m, i % m);
+            let mut acc = bias.as_ref().map_or(0i64, |b| b[c] as i64);
+            for p in 0..k {
+                acc += a[r * strides[0] + p * strides[1]] as i64 * w[p * m + c] as i64;
+            }
+            let expect = (acc as f64 * factor).round().clamp(rq.lo, rq.hi) + 0.0;
+            prop_assert_eq!(got, expect.to_bits(), "element ({}, {}): acc {}", r, c, acc);
         }
         for mode in alternative_modes() {
-            let got = with_mode(mode, || {
-                let mut out = vec![0i32; n];
-                simd::shift_round_saturate_i32(&values, shift, min_raw, max_raw, &mut out);
-                out
-            });
-            prop_assert_eq!(&reference, &got, "shift_round_saturate_i32 under {:?}", mode);
+            prop_assert_eq!(&reference, &run(mode), "exact_matmul under {:?}", mode);
+        }
+    }
+}
+
+/// `quantize_codes` on the inputs where a rounding of `x + copysign(0.5, x)`
+/// goes wrong: ±(0.5 − 2⁻²⁵), whose sum with 0.5 rounds up to 1, plus the
+/// ties ±0.5, ±1.5 and ±(2²² + 0.5), each at every lane position of a
+/// 16-element slice (vector blocks and tail alike). Every tier must equal
+/// `FixedFormat::to_code`'s `f32::round`.
+#[test]
+fn quantize_codes_rounds_half_away_exactly_on_every_tier() {
+    let (max_raw, min_raw) = (8_388_607i32, -8_388_608i32);
+    for frac in [0u32, 10, 14, 18, 20] {
+        let step = (-(frac as f32)).exp2();
+        let inv_step = (frac as f32).exp2();
+        for magnitude in [0.5 - 2f32.powi(-25), 0.5, 1.5, 4_194_304.5] {
+            for sign in [1.0f32, -1.0] {
+                let x = sign * magnitude * step;
+                let expect = ((x * inv_step).round() as i32).clamp(min_raw, max_raw);
+                for lane in 0..16 {
+                    let mut values = vec![0.25 * step; 16];
+                    values[lane] = x;
+                    for mode in simd::available_modes() {
+                        let mut out = vec![0.0f64; 16];
+                        with_mode(mode, || simd::quantize_codes(&values, inv_step, max_raw, min_raw, &mut out));
+                        assert_eq!(out[lane], f64::from(expect), "{x:e} (frac {frac}) at lane {lane} under {mode:?}");
+                        assert_eq!(out[(lane + 1) % 16].to_bits(), 0.0f64.to_bits(), "0.25 steps round to +0 under {mode:?}");
+                    }
+                }
+            }
         }
     }
 }
