@@ -377,11 +377,13 @@ impl IntModel {
                 }
             }
         }
-        let (inv_step, lo, hi) = (self.prob.factor as f32, self.prob.lo as f32, self.prob.hi as f32);
+        let (inv_step, hi) = (self.prob.factor as f32, self.prob.hi as f32);
         for (codes, e) in block.iter_mut().zip(exps.iter()) {
             for l in 0..QUERY_BLOCK {
-                // `p · 2^soft_frac` is exact in f32, and so is its rounding.
-                codes[l] = f64::from(simd::round_half_away_f32(e[l] / denom[l] * inv_step).max(lo).min(hi));
+                // `p · 2^soft_frac` is exact in f32, and `p ≥ 0` rounds to
+                // `+0.0` or above.
+                let code = (e[l] / denom[l] * inv_step).round();
+                codes[l] = f64::from(if code < hi { code } else { hi });
             }
         }
     }

@@ -500,21 +500,15 @@ pub fn pack_i16_pair(lo: i32, hi: i32) -> i32 {
 // exact, and sums in any order, fused or not, give the same bits.
 // ---------------------------------------------------------------------------
 
-/// `f64::round` — half away from zero — built from `trunc`, which every
-/// vector unit has. `y − trunc(y)` is exact, so comparing it with 0.5 decides
-/// a tie without the double rounding of `trunc(y + copysign(0.5, y))`, which
-/// takes `0.5 − 2⁻⁵⁴` up to 1. A zero result is `+0.0`, never `−0.0`.
+/// Rounds half away from zero — `f64::round`, exact by definition — with a
+/// zero result as `+0.0`, never `−0.0`, so a code reads back like its
+/// integer. With SSE4.1 LLVM lowers `round`, scalar and vector alike, to
+/// `trunc(y + copysign(0.5 − 2⁻⁵⁴, y))`: adding the predecessor of one half
+/// keeps `y = 0.5 − 2⁻⁵⁴` below 1 and still carries a tie up, where
+/// `trunc(y + copysign(0.5, y))` rounds `0.5 − 2⁻⁵⁴` up to 1.
 #[inline(always)]
 pub fn round_half_away(y: f64) -> f64 {
-    let t = y.trunc();
-    t + if (y - t).abs() >= 0.5 { 1.0f64.copysign(y) } else { 0.0 }
-}
-
-/// [`round_half_away`] in `f32`: equals `f32::round` for every input.
-#[inline(always)]
-pub fn round_half_away_f32(y: f32) -> f32 {
-    let t = y.trunc();
-    t + if (y - t).abs() >= 0.5 { 1.0f32.copysign(y) } else { 0.0 }
+    y.round() + 0.0
 }
 
 /// The rounding epilogue of [`exact_matmul`]: an exact accumulator goes onto
@@ -664,13 +658,14 @@ fn quantize_codes_scalar(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i
 }
 
 /// The lane body of [`quantize_codes`]: branch-free selects around
-/// [`round_half_away_f32`], so it vectorizes on every target.
+/// `f32::round` (see [`round_half_away`] for its exact lowering), so it
+/// vectorizes on every target.
 #[inline(always)]
 fn quantize_codes_lanes(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i32, out: &mut [f64]) {
     debug_assert_eq!(values.len(), out.len());
     let (max_f, min_f) = (max_raw as f32, min_raw as f32);
     let code = |v: f32| {
-        let scaled = round_half_away_f32(v * inv_step);
+        let scaled = (v * inv_step).round() + 0.0;
         // NaN fails every compare, landing on code 0.
         let code = if scaled < max_f { scaled } else { max_f };
         let code = if code > min_f { code } else { min_f };
