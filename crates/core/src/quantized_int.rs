@@ -154,8 +154,6 @@ pub(crate) struct IntModel {
     scores: Requantize,
     /// A·V from the `soft_frac + fa` product grid onto the activation grid.
     attend: Requantize,
-    /// A probability `p ∈ [0, 1]` onto its softmax-grid code.
-    prob: Requantize,
     /// `exp` lookup over score-code deltas: `exp_lut[d] = exp(-d · step)` for
     /// every possible non-negative code delta on the activation grid — the
     /// softmax exponentials an FPGA datapath would serve from a lookup unit.
@@ -247,7 +245,6 @@ impl IntModel {
                 },
             ),
             attend: onto(act, pow2(-(soft.frac_bits() as i32))),
-            prob: onto(soft, pow2(soft.frac_bits() as i32)),
             exp_lut: {
                 let span = (act.max_raw() - act.min_raw()) as usize + 1;
                 (span <= EXP_LUT_MAX_LEN).then(|| {
@@ -306,12 +303,12 @@ impl IntModel {
                     }
                 }
                 // Scores `[key][query lane]`: key rows read in place.
-                let keys = &s.qkv[dim + head..];
-                simd::exact_matmul(keys, [stride, 1], s.queries.as_flattened(), QUERY_BLOCK, None, self.scores, s.block.as_flattened_mut());
+                let (keys, scores) = (&s.qkv[dim + head..], s.block.as_flattened_mut());
+                simd::exact_matmul(keys, [stride, 1], s.queries.as_flattened(), QUERY_BLOCK, None, self.scores, scores);
                 self.block_softmax(&mut s.block, &mut s.exps);
                 // `[head column][query lane]`: the value columns read in place.
-                let values = &s.qkv[2 * dim + head..];
-                simd::exact_matmul(values, [1, stride], s.block.as_flattened(), QUERY_BLOCK, None, self.attend, s.head_out.as_flattened_mut());
+                let (values, out) = (&s.qkv[2 * dim + head..], s.head_out.as_flattened_mut());
+                simd::exact_matmul(values, [1, stride], s.block.as_flattened(), QUERY_BLOCK, None, self.attend, out);
                 for (d, column) in s.head_out.iter().enumerate() {
                     for (lane, &o) in column[..lanes].iter().enumerate() {
                         s.concat[(i0 + lane) * dim + head + d] = o;
@@ -356,7 +353,8 @@ impl IntModel {
                 let last = lut.len() - 1;
                 for (e, codes) in exps.iter_mut().zip(block.iter()) {
                     for l in 0..QUERY_BLOCK {
-                        // Deltas are exact integers in [0, lut.len()).
+                        // Deltas are exact integers below `lut.len()`; the
+                        // `min` only lets the compiler drop the bounds check.
                         e[l] = lut[((row_max[l] - codes[l]) as i32 as usize).min(last)];
                         denom[l] += e[l];
                     }
@@ -377,7 +375,7 @@ impl IntModel {
                 }
             }
         }
-        let (inv_step, hi) = (self.prob.factor as f32, self.prob.hi as f32);
+        let (inv_step, hi) = (1.0 / self.soft.resolution(), self.soft.max_raw() as f32);
         for (codes, e) in block.iter_mut().zip(exps.iter()) {
             for l in 0..QUERY_BLOCK {
                 // `p · 2^soft_frac` is exact in f32, and `p ≥ 0` rounds to
@@ -494,7 +492,9 @@ mod tests {
         // A 16-bit grid and the widest Table III pair (24-bit activations,
         // 18-bit weights), with activation codes up to the grid's limit; 9
         // columns and 5 rows leave a ragged column and a ragged row tile.
-        for (wf, act) in [(FixedFormat::new(16, 14), FixedFormat::new(16, 10)), (FixedFormat::new(18, 16), FixedFormat::new(24, 18))] {
+        for (wf, act) in
+            [(FixedFormat::new(16, 14), FixedFormat::new(16, 10)), (FixedFormat::new(18, 16), FixedFormat::new(24, 18))]
+        {
             let mut w = Tensor::zeros(&[6, 9]);
             for (i, v) in w.as_mut_slice().iter_mut().enumerate() {
                 *v = ((i as i32 % 17) - 8) as f32 * 0.07;
@@ -517,7 +517,11 @@ mod tests {
                             acc += a[r * 6 + p] * wf.to_code(w.at(p, j)) as i64;
                         }
                         let expect = act.requantize_i64(acc, from_frac) as f64;
-                        assert_eq!(out[r * 9 + j].to_bits(), expect.to_bits(), "{act:?} scale {scale} element ({r},{j})");
+                        assert_eq!(
+                            out[r * 9 + j].to_bits(),
+                            expect.to_bits(),
+                            "{act:?} scale {scale} element ({r},{j})"
+                        );
                     }
                 }
             }
@@ -596,7 +600,8 @@ mod tests {
                 }
             }
             x = add(&x, &dense(&concat, &b.wo, None));
-            let hidden = relu(dense(&layer_norm(&x, &b.norm2_gamma, &b.norm2_beta), &b.mlp_in_weight, Some(&b.mlp_in_bias)));
+            let hidden =
+                relu(dense(&layer_norm(&x, &b.norm2_gamma, &b.norm2_beta), &b.mlp_in_weight, Some(&b.mlp_in_bias)));
             x = add(&x, &dense(&hidden, &b.mlp_out_weight, Some(&b.mlp_out_bias)));
         }
         let hidden = relu(dense(&x, &w.decoder_in_weight, Some(&w.decoder_in_bias)));

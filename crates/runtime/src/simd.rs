@@ -507,7 +507,7 @@ pub fn pack_i16_pair(lo: i32, hi: i32) -> i32 {
 /// keeps `y = 0.5 − 2⁻⁵⁴` below 1 and still carries a tie up, where
 /// `trunc(y + copysign(0.5, y))` rounds `0.5 − 2⁻⁵⁴` up to 1.
 #[inline(always)]
-pub fn round_half_away(y: f64) -> f64 {
+fn round_half_away(y: f64) -> f64 {
     y.round() + 0.0
 }
 
@@ -572,7 +572,16 @@ fn exact_dot(a: &[f64], [rs, cs]: [usize; 2], w: &[f64], m: usize, bias: Option<
     acc
 }
 
-fn exact_matmul_scalar(a: &[f64], strides: [usize; 2], w: &[f64], m: usize, bias: Option<&[f64]>, rq: Requantize, out: &mut [f64]) {
+/// Scalar reference for [`exact_matmul`]: one [`exact_dot`] per output.
+fn exact_matmul_scalar(
+    a: &[f64],
+    strides: [usize; 2],
+    w: &[f64],
+    m: usize,
+    bias: Option<&[f64]>,
+    rq: Requantize,
+    out: &mut [f64],
+) {
     for (i, o) in out.iter_mut().enumerate() {
         *o = rq.apply(exact_dot(a, strides, w, m, bias, i / m, i % m));
     }
@@ -611,7 +620,15 @@ fn exact_tile<const R: usize>(
 }
 
 #[inline(always)]
-fn exact_matmul_lanes(a: &[f64], strides: [usize; 2], w: &[f64], m: usize, bias: Option<&[f64]>, rq: Requantize, out: &mut [f64]) {
+fn exact_matmul_lanes(
+    a: &[f64],
+    strides: [usize; 2],
+    w: &[f64],
+    m: usize,
+    bias: Option<&[f64]>,
+    rq: Requantize,
+    out: &mut [f64],
+) {
     let n = out.len() / m;
     let mut c0 = 0;
     while c0 + TILE_COLS <= m {
@@ -666,28 +683,16 @@ fn quantize_codes_lanes(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i3
     let (max_f, min_f) = (max_raw as f32, min_raw as f32);
     let code = |v: f32| {
         let scaled = (v * inv_step).round() + 0.0;
-        // NaN fails every compare, landing on code 0.
+        // Saturate with selects (one instruction a lane), then send NaN to 0.
         let code = if scaled < max_f { scaled } else { max_f };
         let code = if code > min_f { code } else { min_f };
-        if scaled == scaled {
-            code
-        } else {
+        if scaled.is_nan() {
             0.0
+        } else {
+            code
         }
     };
-    // Eight `f32` codes, then their widening: one 8-wide register each way.
-    let mut blocks = out.chunks_exact_mut(F32_LANES);
-    for (o, v) in (&mut blocks).zip(values.chunks_exact(F32_LANES)) {
-        let mut codes = [0.0f32; F32_LANES];
-        for (c, &v) in codes.iter_mut().zip(v) {
-            *c = code(v);
-        }
-        for (o, &c) in o.iter_mut().zip(&codes) {
-            *o = f64::from(c);
-        }
-    }
-    let tail = values.len() - blocks.into_remainder().len();
-    for (o, &v) in out[tail..].iter_mut().zip(&values[tail..]) {
+    for (o, &v) in out.iter_mut().zip(values) {
         *o = f64::from(code(v));
     }
 }
@@ -781,7 +786,15 @@ mod native {
     }
 
     #[target_feature(enable = "avx2")]
-    unsafe fn exact_matmul_avx2(a: &[f64], strides: [usize; 2], w: &[f64], m: usize, bias: Option<&[f64]>, rq: Requantize, out: &mut [f64]) {
+    unsafe fn exact_matmul_avx2(
+        a: &[f64],
+        strides: [usize; 2],
+        w: &[f64],
+        m: usize,
+        bias: Option<&[f64]>,
+        rq: Requantize,
+        out: &mut [f64],
+    ) {
         exact_matmul_lanes(a, strides, w, m, bias, rq, out)
     }
 
@@ -852,7 +865,15 @@ mod native {
         debug_assert!(native_available());
         unsafe { quantize_codes_avx2(values, inv_step, max_raw, min_raw, out) }
     }
-    pub fn exact_matmul(a: &[f64], strides: [usize; 2], w: &[f64], m: usize, bias: Option<&[f64]>, rq: Requantize, out: &mut [f64]) {
+    pub fn exact_matmul(
+        a: &[f64],
+        strides: [usize; 2],
+        w: &[f64],
+        m: usize,
+        bias: Option<&[f64]>,
+        rq: Requantize,
+        out: &mut [f64],
+    ) {
         debug_assert!(native_available());
         unsafe { exact_matmul_avx2(a, strides, w, m, bias, rq, out) }
     }
@@ -927,9 +948,25 @@ mod native {
         }
         unsafe { go(values, inv_step, max_raw, min_raw, out) }
     }
-    pub fn exact_matmul(a: &[f64], strides: [usize; 2], w: &[f64], m: usize, bias: Option<&[f64]>, rq: Requantize, out: &mut [f64]) {
+    pub fn exact_matmul(
+        a: &[f64],
+        strides: [usize; 2],
+        w: &[f64],
+        m: usize,
+        bias: Option<&[f64]>,
+        rq: Requantize,
+        out: &mut [f64],
+    ) {
         #[target_feature(enable = "neon")]
-        unsafe fn go(a: &[f64], strides: [usize; 2], w: &[f64], m: usize, bias: Option<&[f64]>, rq: Requantize, out: &mut [f64]) {
+        unsafe fn go(
+            a: &[f64],
+            strides: [usize; 2],
+            w: &[f64],
+            m: usize,
+            bias: Option<&[f64]>,
+            rq: Requantize,
+            out: &mut [f64],
+        ) {
             exact_matmul_lanes(a, strides, w, m, bias, rq, out)
         }
         unsafe { go(a, strides, w, m, bias, rq, out) }
@@ -977,7 +1014,15 @@ mod native {
     pub fn quantize_codes(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i32, out: &mut [f64]) {
         quantize_codes_lanes(values, inv_step, max_raw, min_raw, out)
     }
-    pub fn exact_matmul(a: &[f64], strides: [usize; 2], w: &[f64], m: usize, bias: Option<&[f64]>, rq: Requantize, out: &mut [f64]) {
+    pub fn exact_matmul(
+        a: &[f64],
+        strides: [usize; 2],
+        w: &[f64],
+        m: usize,
+        bias: Option<&[f64]>,
+        rq: Requantize,
+        out: &mut [f64],
+    ) {
         exact_matmul_lanes(a, strides, w, m, bias, rq, out)
     }
     pub fn exp(values: &mut [f32]) {
@@ -1095,13 +1140,29 @@ pub fn i64_mac_row(acc: &mut [i64], a_row: &[i32], b: &[i32]) {
 ///
 /// **Exactness.** The caller keeps every code an integer and
 /// `|bias| + Σ_p |a·w| < 2^53`, so every product and partial sum is exact and
-/// the tiers agree bit for bit whatever their order. For Tiny-VBF the largest
-/// sums come from fx24 (24-bit activations, 18-bit weights) at 128 channels,
-/// 128 tokens and `head_dim` 4: dense `128·2^23·2^17 = 2^47` (plus a bias
-/// below 2^35), scores `4·2^46 = 2^48`, and A·V `128·2^18·2^23 = 2^48`. fx20
-/// and w8a20 stay below 2^41 and fx16 and w8a16 below 2^43 on every stage.
-pub fn exact_matmul(a: &[f64], strides: [usize; 2], w: &[f64], m: usize, bias: Option<&[f64]>, rq: Requantize, out: &mut [f64]) {
-    assert!(m > 0 && w.len() % m == 0 && out.len() % m == 0, "exact_matmul: shape mismatch");
+/// the tiers agree bit for bit whatever their order, fused or not. With
+/// |code| ≤ 2^(bits−1) and softmax probability codes ≤ 2^soft_frac, the
+/// Tiny-VBF sums at 128 channels, 128 tokens and `head_dim` 4 peak at:
+///
+/// | Scheme | dense `k·2^(a−1)·2^(w−1)` | scores `head_dim·2^(2a−2)` | A·V `tokens·2^soft_frac·2^(a−1)` |
+/// |--------|------|------|------|
+/// | fx24   | 2^47 | 2^48 | 2^48 |
+/// | fx20   | 2^43 | 2^40 | 2^40 |
+/// | fx16   | 2^37 | 2^32 | 2^32 |
+/// | w8a20  | 2^33 | 2^40 | 2^46 |
+/// | w8a16  | 2^29 | 2^32 | 2^42 |
+///
+/// plus a dense bias below 2^35: at least 32× headroom on every stage.
+pub fn exact_matmul(
+    a: &[f64],
+    strides: [usize; 2],
+    w: &[f64],
+    m: usize,
+    bias: Option<&[f64]>,
+    rq: Requantize,
+    out: &mut [f64],
+) {
+    assert!(m > 0 && w.len().is_multiple_of(m) && out.len().is_multiple_of(m), "exact_matmul: shape mismatch");
     let (n, k) = (out.len() / m, w.len() / m);
     if n > 0 && k > 0 {
         assert!((n - 1) * strides[0] + (k - 1) * strides[1] < a.len(), "exact_matmul: `a` too short");

@@ -347,7 +347,11 @@ fn quantize_codes_rounds_half_away_exactly_on_every_tier() {
                         let mut out = vec![0.0f64; 16];
                         with_mode(mode, || simd::quantize_codes(&values, inv_step, max_raw, min_raw, &mut out));
                         assert_eq!(out[lane], f64::from(expect), "{x:e} (frac {frac}) at lane {lane} under {mode:?}");
-                        assert_eq!(out[(lane + 1) % 16].to_bits(), 0.0f64.to_bits(), "0.25 steps round to +0 under {mode:?}");
+                        assert_eq!(
+                            out[(lane + 1) % 16].to_bits(),
+                            0.0f64.to_bits(),
+                            "0.25 steps round to +0 under {mode:?}"
+                        );
                     }
                 }
             }
