@@ -38,8 +38,7 @@
 //! ascending key order — with each probability quantized onto the softmax
 //! grid in the divide pass, then the exact A·V and its rounding shift back
 //! onto the activation grid. Per element these are the operations of the
-//! plain-loop oracle in the tests, so the bits are those of the `i64`
-//! datapath this replaced.
+//! plain-loop `i64` oracle in the tests, so the bits are the oracle's.
 //!
 //! Nonlinear boundaries (layer norm, softmax, tanh) convert codes to `f32`
 //! (exact: every code of a ≤24-bit format fits the f32 mantissa), run the
