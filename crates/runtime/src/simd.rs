@@ -1181,9 +1181,9 @@ pub fn exact_matmul(
 /// codes are written as exact integers in `f64`, `+0.0` for zero.
 /// `inv_step` must be the exact power of two `2^frac` of the target grid,
 /// and the code range must fit `f32` exactly (`|code| ≤ 2^24`).
-/// Element-wise with one exact rounding per element ([`round_half_away`]'s
-/// construction on the vector tiers), so every tier equals
-/// `FixedFormat::to_code`.
+/// Element-wise with one rounding per element, `f32::round` on every tier
+/// (exact in its vector lowering too, see `round_half_away`), so every tier
+/// equals `FixedFormat::to_code`.
 pub fn quantize_codes(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i32, out: &mut [f64]) {
     assert!(max_raw <= 1 << 24 && min_raw >= -(1 << 24), "quantize_codes: the code range must fit f32 exactly");
     match mode() {
