@@ -25,9 +25,9 @@
 //! | w8a16  | 2^29 | 2^32 | 2^42 |
 //!
 //! A dense bias adds less than 2^35. So `f64` holds every sum of every Table
-//! III scheme exactly with at least 32× headroom: `head_dim` up to 128, tokens
-//! up to 4,096 and channels up to 8,192 at fx24. [`IntModel::build`] asserts
-//! the dense and score bounds of the actual config, and
+//! III scheme exactly with at least 32× headroom: at fx24, `head_dim` below
+//! 128, tokens below 4,096 and channels below 8,192. [`IntModel::build`]
+//! asserts the dense and score bounds of the actual config, and
 //! [`IntModel::infer_row`] the A·V bound of each row.
 //!
 //! Attention runs each head [`QUERY_BLOCK`] query rows at a time and reads the
@@ -391,8 +391,8 @@ impl IntModel {
     ///
     /// # Panics
     ///
-    /// Panics when the row is too long for the A·V sums to stay exact (more
-    /// than 4,096 tokens at fx24; see the module docs).
+    /// Panics when the row is too long for the A·V sums to stay exact (4,096
+    /// tokens or more at fx24; see the module docs).
     pub(crate) fn infer_row(&self, weights: &TinyVbfWeights, row: &[f32], s: &mut CodeScratch, out: &mut Vec<f32>) {
         let tokens = row.len() / self.channels;
         assert!(
