@@ -196,7 +196,7 @@ pub fn build_router(config: &ScenarioConfig) -> Result<Router, String> {
         queue_capacity: config.queue_capacity.unwrap_or(1024),
         ..BatchConfig::default()
     };
-    let threads = (runtime::default_threads() / batch_config.workers.max(1)).max(1);
+    let threads = Router::dispatch_threads(&batch_config);
     let policy = FaultPolicy {
         engine_ttl: config.engine_ttl_ms.map(Duration::from_millis),
         ..FaultPolicy::default()

@@ -1,7 +1,7 @@
 //! Regenerates Tables IV and V: resolution and contrast of the quantized Tiny-VBF under
 //! every scheme (Float / 24 / 20 / 16 bits / Hybrid-1 / Hybrid-2), for both datasets.
 
-use bench::{evaluation_config_from_env, format_quantized_quality};
+use bench::{evaluation_config_from_env, format_quantized_quality, paper_tables4_5_phantom, paper_tables4_5_simulation};
 use tiny_vbf::evaluation::{quantized_quality_table, train_models};
 use ultrasound::picmus::PicmusKind;
 
@@ -10,12 +10,13 @@ fn main() {
     eprintln!("training Tiny-VBF…");
     let models = train_models(&config).expect("training failed");
 
-    let simulation = quantized_quality_table(&models.tiny_vbf, &config, PicmusKind::InSilico).expect("in-silico evaluation failed");
-    println!("{}", format_quantized_quality("Tables IV & V — Simulation (in-silico), quality vs quantization", &simulation));
-
-    let phantom = quantized_quality_table(&models.tiny_vbf, &config, PicmusKind::InVitro).expect("in-vitro evaluation failed");
-    println!("{}", format_quantized_quality("Tables IV & V — Phantom (in-vitro), quality vs quantization", &phantom));
-
-    println!("Paper reference (Table IV, simulation): Float/24-bit 0.303/0.45 mm; 20-bit 0.310/0.45; hybrids 0.309/0.45");
-    println!("Paper reference (Table V, simulation): Float 14.89/1.75/0.74; Hybrid-2 13.26/1.75/0.72");
+    let datasets = [
+        (PicmusKind::InSilico, "Simulation (in-silico)", paper_tables4_5_simulation()),
+        (PicmusKind::InVitro, "Phantom (in-vitro)", paper_tables4_5_phantom()),
+    ];
+    for (kind, dataset, reference) in datasets {
+        let rows = quantized_quality_table(&models.tiny_vbf, &config, kind).expect("quantized evaluation failed");
+        let title = format!("Tables IV & V — {dataset}, quality vs quantization [measured | paper]");
+        println!("{}", format_quantized_quality(&title, &rows, &reference));
+    }
 }

@@ -111,25 +111,29 @@ pub fn format_resolution_table(title: &str, rows: &[ResolutionTableRow], referen
     out
 }
 
-/// Renders the combined quantized-quality rows (Tables IV and V).
-pub fn format_quantized_quality(title: &str, rows: &[QuantizedQualityRow]) -> String {
+/// Renders the combined quantized-quality rows (Tables IV and V) with the paper's
+/// reference alongside: `(scheme, axial, lateral, CR, CNR, GCNR)`, keyed by
+/// [`QuantScheme::name`](quantize::QuantScheme::name).
+pub fn format_quantized_quality(
+    title: &str,
+    rows: &[QuantizedQualityRow],
+    reference: &[(&str, f32, f32, f32, f32, f32)],
+) -> String {
     let mut out = String::new();
     out.push_str(&format!("{title}\n"));
     out.push_str(&format!(
-        "{:<10} | {:>10} {:>11} | {:>8} {:>8} {:>8}\n",
-        "Scheme", "Axial(mm)", "Lateral(mm)", "CR(dB)", "CNR", "GCNR"
+        "{:<10} | {:>10} {:>11} | {:>8} {:>8} {:>8} | {:>10} {:>11} | {:>8} {:>8} {:>8}\n",
+        "Scheme", "Axial(mm)", "Lateral(mm)", "CR(dB)", "CNR", "GCNR", "ref Axial", "ref Lateral", "ref CR", "ref CNR", "ref GCNR"
     ));
-    out.push_str(&"-".repeat(66));
+    out.push_str(&"-".repeat(120));
     out.push('\n');
     for row in rows {
+        let reference_row = reference.iter().find(|(name, ..)| *name == row.scheme);
+        let [ra, rl, rc, rn, rg] = reference_row.map_or([f32::NAN; 5], |r| [r.1, r.2, r.3, r.4, r.5]);
+        let (res, con) = (&row.resolution, &row.contrast);
         out.push_str(&format!(
-            "{:<10} | {:>10.3} {:>11.3} | {:>8.2} {:>8.2} {:>8.2}\n",
-            row.scheme,
-            row.resolution.axial_mm,
-            row.resolution.lateral_mm,
-            row.contrast.cr_db,
-            row.contrast.cnr,
-            row.contrast.gcnr
+            "{:<10} | {:>10.3} {:>11.3} | {:>8.2} {:>8.2} {:>8.2} | {:>10.3} {:>11.3} | {:>8.2} {:>8.2} {:>8.2}\n",
+            row.scheme, res.axial_mm, res.lateral_mm, con.cr_db, con.cnr, con.gcnr, ra, rl, rc, rn, rg
         ));
     }
     out
@@ -155,6 +159,16 @@ pub fn paper_table2_phantom() -> Vec<(&'static str, f32, f32)> {
     PAPER_TABLE2.iter().map(|r| (r.0, r.3, r.4)).collect()
 }
 
+/// Tables IV and V reference columns for the simulation dataset.
+pub fn paper_tables4_5_simulation() -> Vec<(&'static str, f32, f32, f32, f32, f32)> {
+    PAPER_TABLE4.iter().zip(&PAPER_TABLE5).map(|(r, c)| (r.0, r.1, r.2, c.1, c.2, c.3)).collect()
+}
+
+/// Tables IV and V reference columns for the phantom dataset.
+pub fn paper_tables4_5_phantom() -> Vec<(&'static str, f32, f32, f32, f32, f32)> {
+    PAPER_TABLE4.iter().zip(&PAPER_TABLE5).map(|(r, c)| (r.0, r.3, r.4, c.4, c.5, c.6)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,6 +182,12 @@ mod tests {
         assert_eq!(PAPER_TABLE5.len(), 5);
         assert_eq!(paper_table1_simulation().len(), 4);
         assert_eq!(paper_table2_phantom().len(), 4);
+        // Tables IV and V list the same schemes in the same order, each a
+        // Table III scheme name.
+        for (resolution, contrast) in PAPER_TABLE4.iter().zip(&PAPER_TABLE5) {
+            assert_eq!(resolution.0, contrast.0);
+            assert!(quantize::QuantScheme::all().iter().any(|s| s.name == resolution.0), "{}", resolution.0);
+        }
     }
 
     #[test]
@@ -188,6 +208,18 @@ mod tests {
         let rtext = format_resolution_table("Table II", &rrows, &paper_table2_simulation());
         assert!(rtext.contains("MVDR"));
         assert!(rtext.contains("0.450"));
+
+        let qrows = vec![QuantizedQualityRow {
+            scheme: "Hybrid-2".into(),
+            resolution: ResolutionMetrics { axial_mm: 0.25, lateral_mm: 0.5 },
+            contrast: ContrastMetrics { cr_db: 12.0, cnr: 1.5, gcnr: 0.8 },
+        }];
+        let simulation = format_quantized_quality("Tables IV-V", &qrows, &paper_tables4_5_simulation());
+        assert!(simulation.contains("Hybrid-2"));
+        assert!(simulation.contains("0.250") && simulation.contains("12.00"));
+        assert!(simulation.contains("0.309") && simulation.contains("13.26"));
+        let phantom = format_quantized_quality("Tables IV-V", &qrows, &paper_tables4_5_phantom());
+        assert!(phantom.contains("0.429") && phantom.contains("12.62"));
     }
 
     #[test]

@@ -40,12 +40,22 @@ pub struct QuantizedTinyVbf {
     weights: TinyVbfWeights,
     scheme: QuantScheme,
     /// The integer-code model driving fixed-point inference; `None` for the
-    /// float scheme (which runs the plain `f32` datapath).
+    /// float scheme, which runs the plain `f32` datapath.
     int: Option<Arc<crate::quantized_int::IntModel>>,
 }
 
 impl QuantizedTinyVbf {
-    /// Quantizes a trained model's weights according to `scheme`.
+    /// Quantizes a trained model's weights according to `scheme`, and picks
+    /// the datapath once: the plain `f32` one for the float scheme, the
+    /// integer one for every other.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the role, when a scheme that is not float is one the
+    /// integer datapath cannot run: a role left float, MAC results and
+    /// intermediate activations on different grids, or activation codes past
+    /// ±2^24. Also panics when this config's sums could pass 2^53 (see
+    /// `quantized_int`). Every Table III scheme builds.
     pub fn from_model(model: &TinyVbf, scheme: QuantScheme) -> Self {
         let mut weights = model.export_weights();
         let q = |t: &Tensor| quantize_for_role(t, &scheme, TensorRole::Weight);
@@ -74,7 +84,7 @@ impl QuantizedTinyVbf {
         weights.decoder_in_bias = q(&weights.decoder_in_bias);
         weights.decoder_out_weight = q(&weights.decoder_out_weight);
         weights.decoder_out_bias = q(&weights.decoder_out_bias);
-        let int = crate::quantized_int::IntModel::build(&weights, &scheme).map(Arc::new);
+        let int = (!scheme.is_float()).then(|| Arc::new(crate::quantized_int::IntModel::build(&weights, &scheme)));
         Self { weights, scheme, int }
     }
 
@@ -184,14 +194,13 @@ impl QuantizedTinyVbf {
     pub(crate) fn infer_row_into<'s>(&self, row: &[f32], scratch: &'s mut RowScratch) -> &'s [f32] {
         let channels = self.weights.config.channels;
         assert_eq!(row.len() % channels, 0, "quantized inference: channel mismatch");
-        // Scheme first: struct-update construction can pair a float scheme
-        // with a stale integer model, and the scheme is authoritative.
-        if self.scheme.is_float() {
-            return self.infer_row_float(row, scratch);
+        match &self.int {
+            Some(int) => {
+                int.infer_row(&self.weights, row, &mut scratch.codes, &mut scratch.out);
+                &scratch.out
+            }
+            None => self.infer_row_float(row, scratch),
         }
-        let int = self.int.as_ref().expect("fixed-point scheme requires the integer model from from_model()");
-        int.infer_row(&self.weights, row, &mut scratch.codes, &mut scratch.out);
-        &scratch.out
     }
 
     /// Runs inference on one `(tokens, channels)` depth row — through the
@@ -200,9 +209,7 @@ impl QuantizedTinyVbf {
     ///
     /// # Panics
     ///
-    /// Panics when the row width does not match the configured channel count,
-    /// or when a fixed-point scheme was attached to a model without its
-    /// integer weights (only reachable by hand-assembling the struct).
+    /// Panics when the row width does not match the configured channel count.
     pub fn infer_row(&self, row: &Tensor) -> Tensor {
         assert_eq!(row.cols(), self.weights.config.channels, "quantized inference: channel mismatch");
         let out = self.infer_row_into(row.as_slice(), &mut RowScratch::default()).to_vec();
@@ -375,9 +382,9 @@ fn attend_values<const D: usize>(
 /// * the row sweep is parallel via `runtime` (bitwise identical for every
 ///   thread count), and batches inherit the frame-concurrent × row-parallel
 ///   default of [`Beamformer::beamform_batch_results`],
-/// * every served frame accumulates an SQNR **accuracy proxy** — one probe
-///   row of the frame is inferred through both the integer datapath and the
-///   `f32` reference, and the output signal/noise energies accumulate —
+/// * every served frame accumulates an SQNR **accuracy proxy** — the served
+///   image's middle depth row against the `f32` reference forward of that
+///   row, the output signal/noise energies accumulated —
 ///   surfaced through [`Beamformer::quant_quality_stats`] so `RouterStats`
 ///   can report per-backend degradation under load.
 ///
@@ -487,16 +494,14 @@ impl QuantizedTinyVbfBeamformer {
     }
 
     /// Accumulates the SQNR proxy for one served frame from the integer
-    /// datapath's **actual outputs**: one deterministic probe row (the middle
-    /// depth row) is inferred through both the integer path and the `f32`
-    /// reference path, and the reference's energy versus the output
-    /// difference energy feed the counters. This measures the degradation
-    /// the scheme really delivers end to end — MAC requantization, softmax
-    /// grids, saturations — not merely the input rounding error of the old
-    /// f32 simulation. Float backends run one datapath, so only their frame
-    /// counter advances (SQNR stays infinite) and their signal energy never
-    /// dilutes an aggregated lossy SQNR.
-    fn record_output_quality(&self, cube: &TofCube) {
+    /// datapath's **actual outputs**: the served image's middle depth row
+    /// against the `f32` reference forward of the same cube row, the
+    /// reference's energy versus the difference energy. This measures the
+    /// degradation the scheme really delivers end to end — MAC
+    /// requantization, softmax grids, saturations. Float backends run one
+    /// datapath, so only their frame counter advances (SQNR stays infinite)
+    /// and their signal energy never dilutes an aggregated lossy SQNR.
+    fn record_output_quality(&self, cube: &TofCube, image: &IqImage) {
         let quality_for = |signal: f64, noise: f64| {
             let mut quality = self.quality.lock().expect("quantized quality mutex poisoned");
             quality.frames += 1;
@@ -507,15 +512,14 @@ impl QuantizedTinyVbfBeamformer {
             quality_for(0.0, 0.0);
             return;
         }
-        let row_len = cube.cols() * cube.channels();
-        let start = cube.rows() / 2 * row_len;
-        let input = &cube.as_slice()[start..start + row_len];
+        let (row, cols) = (cube.rows() / 2, cube.cols());
+        let row_len = cols * cube.channels();
         let mut scratch = RowScratch::default();
-        let reference = self.model.infer_row_float(input, &mut scratch).to_vec();
-        let quantized = self.model.infer_row_into(input, &mut scratch);
+        let reference = self.model.infer_row_float(&cube.as_slice()[row * row_len..][..row_len], &mut scratch);
+        let served = image.as_slice()[row * cols..][..cols].iter().flat_map(|px| [px.re, px.im]);
         let mut signal = 0.0f64;
         let mut noise = 0.0f64;
-        for (&a, &b) in reference.iter().zip(quantized) {
+        for (&a, b) in reference.iter().zip(served) {
             signal += f64::from(a) * f64::from(a);
             let error = f64::from(a) - f64::from(b);
             noise += error * error;
@@ -588,7 +592,7 @@ impl Beamformer for QuantizedTinyVbfBeamformer {
             .map_err(|e| BeamformError::InvalidParameter { name: "quantized_tiny_vbf", reason: e.to_string() })?;
         // Count quality only for frames that actually served: the counters
         // mean "served frames", so a failing stream must not inflate them.
-        self.record_output_quality(&cube);
+        self.record_output_quality(&cube, &image);
         Ok(image)
     }
 
@@ -714,17 +718,17 @@ mod tests {
         (rf, array, grid)
     }
 
-    fn small_quantized(scheme: QuantScheme) -> (QuantizedTinyVbf, ChannelData, LinearArray, ImagingGrid) {
+    fn small_model() -> (TinyVbf, ChannelData, LinearArray, ImagingGrid) {
         let (rf, array, grid) = small_frame();
-        let config = crate::config::TinyVbfConfig::small().for_frame(array.num_elements(), grid.num_cols());
-        let model = TinyVbf::new(&config).unwrap();
-        (QuantizedTinyVbf::from_model(&model, scheme), rf, array, grid)
+        let config = TinyVbfConfig::small().for_frame(array.num_elements(), grid.num_cols());
+        (TinyVbf::new(&config).unwrap(), rf, array, grid)
     }
 
     #[test]
     fn serving_adapter_is_bitwise_identical_to_direct_quantized_inference() {
+        let (model, rf, array, grid) = small_model();
         for scheme in [QuantScheme::float(), QuantScheme::hybrid1()] {
-            let (quantized, rf, array, grid) = small_quantized(scheme);
+            let quantized = QuantizedTinyVbf::from_model(&model, scheme);
             // Reference: direct ToF, normalize, then the engine row by row.
             let mut cube = tof_correct(&rf, &array, &grid, PlaneWave::zero_angle(), 1540.0).unwrap();
             cube.normalize();
@@ -757,11 +761,12 @@ mod tests {
 
     #[test]
     fn serving_adapter_accumulates_quality_and_shares_caches() {
-        let (quantized, rf, array, grid) = small_quantized(QuantScheme::w16());
+        let (model, rf, array, grid) = small_model();
+        let quantized = QuantizedTinyVbf::from_model(&model, QuantScheme::w16());
         let shared = Arc::new(PlanCache::new(2));
         let fixed = QuantizedTinyVbfBeamformer::with_tof_cache(quantized.clone(), Arc::clone(&shared));
         let float =
-            QuantizedTinyVbfBeamformer::with_tof_cache(QuantizedTinyVbf { scheme: QuantScheme::float(), ..quantized }, shared);
+            QuantizedTinyVbfBeamformer::with_tof_cache(QuantizedTinyVbf::from_model(&model, QuantScheme::float()), shared);
 
         fixed.beamform(&rf, &array, &grid, 1540.0).unwrap();
         fixed.beamform(&rf, &array, &grid, 1540.0).unwrap();
@@ -777,6 +782,18 @@ mod tests {
         let q = fixed.quality_stats();
         assert_eq!(q.frames, 2);
         assert!(q.noise_energy > 0.0 && q.signal_energy > 0.0);
+        // Each frame adds the planned cube's middle row: the float forward's
+        // energy and its difference from the fixed-point forward.
+        let cube = fixed.planned_cube(&rf, &array, &grid, 1540.0).unwrap();
+        let middle = cube_row(&cube, cube.rows() / 2);
+        let reference = quantized.infer_row_float(middle.as_slice(), &mut RowScratch::default()).to_vec();
+        let (mut signal, mut noise) = (0.0f64, 0.0f64);
+        for (&a, &b) in reference.iter().zip(quantized.infer_row(&middle).as_slice()) {
+            signal += f64::from(a) * f64::from(a);
+            let error = f64::from(a) - f64::from(b);
+            noise += error * error;
+        }
+        assert_eq!((q.signal_energy, q.noise_energy), (signal + signal, noise + noise));
         assert!(q.sqnr_db().is_finite() && q.sqnr_db() > 0.0, "sqnr {}", q.sqnr_db());
         let f = float.quality_stats();
         assert_eq!(f.frames, 1);
@@ -787,6 +804,29 @@ mod tests {
         // Clones (serving workers) feed the same counters.
         fixed.clone().beamform(&rf, &array, &grid, 1540.0).unwrap();
         assert_eq!(fixed.quality_stats().frames, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "keeps the MacResult role float")]
+    fn a_scheme_mixing_float_and_fixed_roles_is_rejected_at_build() {
+        let (model, _) = model_and_row();
+        QuantizedTinyVbf::from_model(&model, QuantScheme { mac: None, ..QuantScheme::hybrid1() });
+    }
+
+    #[test]
+    #[should_panic(expected = "puts MacResult and Intermediate on different grids")]
+    fn a_scheme_with_split_activation_grids_is_rejected_at_build() {
+        let (model, _) = model_and_row();
+        let intermediate = Some(quantize::FixedFormat::new(16, 10));
+        QuantizedTinyVbf::from_model(&model, QuantScheme { intermediate, ..QuantScheme::hybrid1() });
+    }
+
+    #[test]
+    #[should_panic(expected = "has MacResult codes past ±2^24")]
+    fn a_scheme_with_activation_codes_past_f32_is_rejected_at_build() {
+        let (model, _) = model_and_row();
+        let wide = Some(quantize::FixedFormat::new(26, 20));
+        QuantizedTinyVbf::from_model(&model, QuantScheme { mac: wide, intermediate: wide, ..QuantScheme::hybrid1() });
     }
 
     #[test]

@@ -177,20 +177,21 @@ fn power_of_two_shift(scale: f32) -> Option<u32> {
 
 impl IntModel {
     /// Builds the integer model from already weight-quantized f32 weights.
-    /// Returns `None` for the float scheme (no grids to run on).
     ///
     /// # Panics
     ///
-    /// Panics when a dense layer or the attention scores of this config could
-    /// sum past 2^53 (see the module docs); no Table III scheme comes near.
-    pub(crate) fn build(weights: &TinyVbfWeights, scheme: &QuantScheme) -> Option<Self> {
-        let wf = scheme.format_for(TensorRole::Weight)?;
-        let act = scheme.format_for(TensorRole::MacResult)?;
-        let inter = scheme.format_for(TensorRole::Intermediate)?;
-        let soft = scheme.format_for(TensorRole::Softmax)?;
-        // The integer datapath keeps activations on one grid between ops;
-        // every Table III scheme satisfies this (mac == intermediate).
-        debug_assert_eq!(act, inter, "integer datapath assumes mac grid == intermediate grid");
+    /// As `QuantizedTinyVbf::from_model`: activations stay on one grid
+    /// between ops, and [`simd::quantize_codes`] converts codes up to ±2^24.
+    pub(crate) fn build(weights: &TinyVbfWeights, scheme: &QuantScheme) -> Self {
+        let name = scheme.name;
+        let fixed = |role: TensorRole| {
+            scheme.format_for(role).unwrap_or_else(|| panic!("integer datapath: scheme `{name}` keeps the {role:?} role float"))
+        };
+        let [wf, act, inter, soft] =
+            [TensorRole::Weight, TensorRole::MacResult, TensorRole::Intermediate, TensorRole::Softmax].map(fixed);
+        assert_eq!(act, inter, "integer datapath: scheme `{name}` puts MacResult and Intermediate on different grids");
+        let codes_fit_f32 = act.max_raw() <= 1 << 24 && act.min_raw() >= -(1 << 24);
+        assert!(codes_fit_f32, "integer datapath: scheme `{name}` has MacResult codes past ±2^24");
         let config = &weights.config;
         let head_dim = config.model_dim / config.num_heads;
         assert!(
@@ -200,7 +201,7 @@ impl IntModel {
         let fa = act.frac_bits() as i32;
         let scale = 1.0 / (head_dim as f32).sqrt();
         let dense = |w: &Tensor, b: Option<&Tensor>| IntDense::build(w, b, wf, act);
-        Some(Self {
+        Self {
             act,
             soft,
             pos: weights.positional.as_ref().map(|p| {
@@ -253,7 +254,7 @@ impl IntModel {
                     lut
                 })
             },
-        })
+        }
     }
 
     /// Float-boundary layer norm of `x` into `out`: exact codes → f32, the

@@ -1107,9 +1107,8 @@ pub fn das_gather_reduce(
 /// `a_pairs[p] = pack(a0, a1)` and `b_pairs[p * m + i] = pack(w0, w1)` (layout
 /// `a_pairs.len() × acc.len()`), adds `a0*w0 + a1*w1` into `acc[i]` for every
 /// `p`. The native tier maps each row to `_mm256_madd_epi16` (16 MACs per
-/// instruction); the caller's overflow bound must keep the i32 accumulator
-/// below `i32::MAX` over the entire panel (see `core::quantized`). Exact
-/// across tiers.
+/// instruction); the caller must keep every i32 accumulator below
+/// `i32::MAX` in magnitude over the entire panel. Exact across tiers.
 pub fn madd_block(acc: &mut [i32], a_pairs: &[i32], b_pairs: &[i32]) {
     match mode() {
         SimdMode::Scalar | SimdMode::Portable => madd_block_body(acc, a_pairs, b_pairs),

@@ -725,28 +725,15 @@ pub struct Router {
 
 impl Router {
     /// Spawns a router over the factory with the workspace-default thread
-    /// budget split across the batch workers (`default_threads / workers`
-    /// per dispatch, at least 1, so raising [`BatchConfig::workers`]
-    /// overlaps batches without multiplying the total compute-thread
-    /// count), the default [`FaultPolicy`] and no degradation ladder.
+    /// budget split across the batch workers ([`Router::dispatch_threads`]),
+    /// the default [`FaultPolicy`] and no degradation ladder.
     ///
     /// # Panics
     ///
     /// Panics on an invalid [`BatchConfig`] (zero `max_batch`, capacity or
     /// workers).
     pub fn new(config: BatchConfig, factory: impl EngineFactory) -> Self {
-        let per_dispatch = (runtime::default_threads() / config.workers.max(1)).max(1);
-        Self::with_threads(config, factory, per_dispatch)
-    }
-
-    /// [`Router::new`] with an explicit total thread budget per dispatched
-    /// batch (shared by that batch's sub-batches via
-    /// [`runtime::fair_shares`]).
-    ///
-    /// # Panics
-    ///
-    /// Same as [`Router::new`].
-    pub fn with_threads(config: BatchConfig, factory: impl EngineFactory, threads: usize) -> Self {
+        let threads = Self::dispatch_threads(&config);
         Self::with_policies(config, factory, threads, FaultPolicy::default(), None)
             .expect("no degrade config to validate")
     }
@@ -764,11 +751,20 @@ impl Router {
     ///
     /// Same as [`Router::new`] (invalid [`BatchConfig`]).
     pub fn with_degrade(config: BatchConfig, factory: impl EngineFactory, degrade: DegradeConfig) -> ServeResult<Self> {
-        let per_dispatch = (runtime::default_threads() / config.workers.max(1)).max(1);
-        Self::with_policies(config, factory, per_dispatch, FaultPolicy::default(), Some(degrade))
+        let threads = Self::dispatch_threads(&config);
+        Self::with_policies(config, factory, threads, FaultPolicy::default(), Some(degrade))
     }
 
-    /// Full-control constructor: explicit thread budget, [`FaultPolicy`] and
+    /// The default thread budget of one dispatched batch:
+    /// `default_threads / workers`, at least 1, so raising
+    /// [`BatchConfig::workers`] overlaps batches without multiplying the
+    /// total compute-thread count.
+    pub fn dispatch_threads(config: &BatchConfig) -> usize {
+        (runtime::default_threads() / config.workers.max(1)).max(1)
+    }
+
+    /// Full-control constructor: explicit per-dispatch thread budget
+    /// ([`Router::dispatch_threads`] is the default one), [`FaultPolicy`] and
     /// optional [`DegradeConfig`].
     ///
     /// # Errors

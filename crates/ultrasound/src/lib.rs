@@ -2,8 +2,7 @@
 //!
 //! The Tiny-VBF paper trains and evaluates on raw radio-frequency (RF) channel data from
 //! a Verasonics research scanner and on the PICMUS 2016 challenge datasets. Neither is
-//! available here, so this crate provides the physics-based substitute described in
-//! `DESIGN.md`:
+//! available here, so this crate provides a physics-based substitute:
 //!
 //! * [`transducer`] — linear-array geometry (an L11-5v-like 128-element probe preset),
 //! * [`pulse`] — Gaussian-modulated transmit pulse / two-way waveform,
