@@ -12,8 +12,9 @@
 //! Writes `BENCH_pr9.json` into the current directory. Run with
 //! `cargo run --release -p bench --bin bench_pr9` from the repository root,
 //! so that `.cargo/config.toml`'s `-C target-cpu=native` applies; the report
-//! records the compile-time target features it was built with. Set
-//! `BENCH_PR9_FAST=1` (or the `BENCH_FAST=1` umbrella) for fewer repetitions.
+//! records the compile-time target features it was built with. Each rung's
+//! time is the median of `REPS` frames, taken as `REPS` passes over all six
+//! rungs so that a slow stretch of the host touches every rung alike.
 
 use beamforming::tof::TofCube;
 use neural::tensor::Tensor;
@@ -28,29 +29,21 @@ use tiny_vbf::training::cube_row;
 
 /// Paper imaging grid: 368 depth rows × 128 lateral pixels.
 const GRID_ROWS: usize = 368;
+/// Timed frames per rung; the gate compares their medians.
+const REPS: usize = 5;
 
 fn lcg(state: &mut u64) -> f32 {
     *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
     ((*state >> 40) as f32 / (1u64 << 24) as f32) - 0.5
 }
 
-/// Median wall time of `reps` calls of `f`, in µs.
-fn time_us<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
+/// Median of `samples`.
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
     samples[samples.len() / 2]
 }
 
 fn main() {
-    let fast = bench::report::fast_mode(9);
-    let reps = if fast { 1 } else { 3 };
-
     // ---- inference: 368×128 paper grid, all Table III schemes -------------
     let config = TinyVbfConfig::paper();
     eprintln!(
@@ -66,16 +59,23 @@ fn main() {
     cube.normalize();
     let rows: Vec<Tensor> = (0..cube.rows()).map(|r| cube_row(&cube, r)).collect();
 
-    let mut inference = Vec::new();
-    for scheme in QuantScheme::all() {
-        let engine = QuantizedTinyVbf::from_model(&model, scheme.clone());
-        let us = time_us(reps, || {
+    let engines: Vec<QuantizedTinyVbf> =
+        QuantScheme::all().into_iter().map(|scheme| QuantizedTinyVbf::from_model(&model, scheme)).collect();
+    let mut samples = vec![Vec::with_capacity(REPS); engines.len()];
+    for _ in 0..REPS {
+        for (engine, samples) in engines.iter().zip(&mut samples) {
+            let start = Instant::now();
             for row in &rows {
                 black_box(engine.infer_row(row));
             }
-        });
-        eprintln!("  {:>14}: {:9.0} µs/frame", scheme.backend_label(), us);
-        inference.push((scheme.backend_label().to_string(), us));
+            samples.push(start.elapsed().as_secs_f64() * 1e6);
+        }
+    }
+    let mut inference = Vec::new();
+    for (engine, samples) in engines.iter().zip(samples) {
+        let us = median(samples);
+        eprintln!("  {:>14}: {:9.0} µs/frame", engine.scheme().backend_label(), us);
+        inference.push((engine.scheme().backend_label().to_string(), us));
     }
 
     let float_us = inference.iter().find(|(n, _)| n == "tiny-vbf-fp").map(|&(_, t)| t).expect("float entry");
@@ -98,8 +98,8 @@ fn main() {
     .map(|(name, on)| format!("\"{name}\": {on}"))
     .join(", ");
     let json = format!(
-        "{{\n  \"schema_version\": 1,\n  \"pr\": 9,\n  \"profile\": \"{}\",\n  \"native_tier\": \"{}\",\n  \"target_features\": {{ {} }},\n  \"inference_368x128\": {{\n{}\n  }},\n  \"gate\": {{ \"fx16_faster_than_float\": {}, \"fx16_speedup_vs_float\": {:.3} }}\n}}\n",
-        if fast { "fast" } else { "full" },
+        "{{\n  \"schema_version\": 1,\n  \"pr\": 9,\n  \"reps\": {},\n  \"native_tier\": \"{}\",\n  \"target_features\": {{ {} }},\n  \"inference_368x128\": {{\n{}\n  }},\n  \"gate\": {{ \"fx16_faster_than_float\": {}, \"fx16_speedup_vs_float\": {:.3} }}\n}}\n",
+        REPS,
         if simd::native_available() { SimdMode::Native.label() } else { "unavailable" },
         features,
         inference_json.join(",\n"),

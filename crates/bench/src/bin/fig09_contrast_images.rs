@@ -2,7 +2,7 @@
 //! for every beamformer, rendered as ASCII intensity maps plus per-cyst contrast values.
 
 use bench::evaluation_config_from_env;
-use tiny_vbf::evaluation::{beamformer_suite, bmode_gallery, contrast_table, train_models};
+use tiny_vbf::evaluation::{beamformer_suite, bmode_gallery, measure, train_models, SceneSet};
 use ultrasound::picmus::PicmusKind;
 
 fn main() {
@@ -13,14 +13,16 @@ fn main() {
 
     for (kind, label) in [(PicmusKind::InSilico, "Fig. 9(a) — in-silico cysts (13/25/37 mm)"), (PicmusKind::InVitro, "Fig. 10 — in-vitro cysts (15/35 mm)")] {
         println!("=== {label} ===");
-        let gallery = bmode_gallery(&beamformers, &config, kind, true).expect("gallery failed");
+        let frame = config.contrast_frame(kind).expect("frame");
+        let gallery = bmode_gallery(&beamformers, &config, &frame).expect("gallery failed");
         for (name, bmode) in &gallery {
             println!("--- {name} ({} dB dynamic range) ---", bmode.dynamic_range());
             println!("{}", bmode.to_ascii(64));
         }
-        let table = contrast_table(&beamformers, &config, kind).expect("metrics failed");
-        for row in table {
-            println!("{:<10} CR {:.2} dB  CNR {:.2}  GCNR {:.2}", row.beamformer, row.metrics.cr_db, row.metrics.cnr, row.metrics.gcnr);
+        let scenes = SceneSet::new(&config, &[kind], kind).expect("evaluation scenes");
+        for beamformer in &beamformers {
+            let row = measure(beamformer.as_ref(), &scenes).expect("metrics failed");
+            println!("{:<10} CR {:.2} dB  CNR {:.2}  GCNR {:.2}", row.name, row.contrast.cr_db, row.contrast.cnr, row.contrast.gcnr);
         }
         println!();
     }

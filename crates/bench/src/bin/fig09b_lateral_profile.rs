@@ -2,9 +2,8 @@
 //! in-silico cyst (37 mm) for every beamformer.
 
 use bench::evaluation_config_from_env;
-use tiny_vbf::evaluation::{beamformer_suite, train_models};
+use tiny_vbf::evaluation::{beamformer_suite, lateral_psfs, train_models};
 use ultrasound::picmus::{PicmusKind, IN_SILICO_CYST_DEPTHS};
-use usmetrics::psf::LateralPsf;
 
 fn main() {
     let config = evaluation_config_from_env();
@@ -14,13 +13,9 @@ fn main() {
 
     let depth = IN_SILICO_CYST_DEPTHS[IN_SILICO_CYST_DEPTHS.len() - 1].min(config.max_depth - 2e-3);
     let frame = config.contrast_frame(PicmusKind::InSilico).expect("frame");
-    let grid = config.grid();
     println!("Fig. 9(b) — lateral variation at {:.1} mm depth (dB relative to profile peak)", depth * 1e3);
-    for beamformer in &beamformers {
-        let iq = beamformer
-            .beamform(&frame.channel_data, &frame.array, &grid, config.sound_speed)
-            .expect("beamform");
-        let psf = LateralPsf::from_envelope(&iq.envelope(), &grid, depth);
+    for (name, psfs) in lateral_psfs(&beamformers, &config, &frame, &[depth]).expect("psf failed") {
+        let psf = &psfs[0];
         let series: Vec<String> = psf
             .positions_mm
             .iter()
@@ -28,6 +23,6 @@ fn main() {
             .step_by((psf.positions_mm.len() / 16).max(1))
             .map(|(x, db)| format!("{x:+.1}mm:{db:.0}dB"))
             .collect();
-        println!("{:<10} {}", beamformer.name(), series.join("  "));
+        println!("{:<10} {}", name, series.join("  "));
     }
 }

@@ -2,7 +2,7 @@
 //! (point targets at two depths) for every beamformer.
 
 use bench::evaluation_config_from_env;
-use tiny_vbf::evaluation::{beamformer_suite, bmode_gallery, resolution_table, train_models};
+use tiny_vbf::evaluation::{beamformer_suite, bmode_gallery, measure, train_models, SceneSet};
 use ultrasound::picmus::PicmusKind;
 
 fn main() {
@@ -16,14 +16,16 @@ fn main() {
         (PicmusKind::InVitro, "Fig. 13 — in-vitro point targets (14.01 / 32.79 mm)"),
     ] {
         println!("=== {label} ===");
-        let gallery = bmode_gallery(&beamformers, &config, kind, false).expect("gallery failed");
+        let frame = config.resolution_frame(kind).expect("frame");
+        let gallery = bmode_gallery(&beamformers, &config, &frame).expect("gallery failed");
         for (name, bmode) in &gallery {
             println!("--- {name} ---");
             println!("{}", bmode.to_ascii(64));
         }
-        let table = resolution_table(&beamformers, &config, kind).expect("metrics failed");
-        for row in table {
-            println!("{:<10} axial {:.3} mm   lateral {:.3} mm", row.beamformer, row.metrics.axial_mm, row.metrics.lateral_mm);
+        let scenes = SceneSet::new(&config, &[kind], kind).expect("evaluation scenes");
+        for beamformer in &beamformers {
+            let row = measure(beamformer.as_ref(), &scenes).expect("metrics failed");
+            println!("{:<10} axial {:.3} mm   lateral {:.3} mm", row.name, row.resolution.axial_mm, row.resolution.lateral_mm);
         }
         println!();
     }

@@ -12,7 +12,8 @@ fn main() {
     let beamformers = beamformer_suite(&models, &config);
 
     let depths: Vec<f32> = IN_VITRO_POINT_DEPTHS.iter().copied().filter(|&d| d < config.max_depth - 2e-3).collect();
-    let psfs = lateral_psfs(&beamformers, &config, PicmusKind::InVitro, &depths).expect("psf failed");
+    let frame = config.resolution_frame(PicmusKind::InVitro).expect("frame");
+    let psfs = lateral_psfs(&beamformers, &config, &frame, &depths).expect("psf failed");
     for (i, depth) in depths.iter().enumerate() {
         println!("Fig. 14({}) — lateral PSF at {:.2} mm (in-vitro)", if i == 0 { 'a' } else { 'b' }, depth * 1e3);
         for (name, profiles) in &psfs {

@@ -5,8 +5,7 @@
 //!
 //! | Binary | Paper artefact |
 //! |---|---|
-//! | `table1_contrast` | Table I (contrast, simulation + phantom) |
-//! | `table2_resolution` | Table II (axial/lateral resolution) |
+//! | `table1_2_quality` | Tables I and II (contrast and axial/lateral resolution, simulation + phantom) |
 //! | `table3_schemes` | Table III (hybrid quantization bit widths) |
 //! | `table4_5_quantized_quality` | Tables IV and V (quality vs quantization) |
 //! | `table6_resources` | Table VI + Fig. 1(b) (FPGA resource utilization) |

@@ -9,7 +9,7 @@
 //! 8×32 register-tiled kernel. Parallel outputs are bitwise identical to the
 //! serial ones, so table values never depend on the host's core count.
 
-use tiny_vbf::evaluation::{ContrastTableRow, EvaluationConfig, QuantizedQualityRow, ResolutionTableRow};
+use tiny_vbf::evaluation::{EvaluationConfig, QualityRow};
 
 /// Paper Table I reference values: `(beamformer, sim CR, sim CNR, sim GCNR, phantom CR,
 /// phantom CNR, phantom GCNR)`. Rows are keyed by
@@ -61,16 +61,8 @@ pub fn evaluation_config_from_env() -> EvaluationConfig {
     }
 }
 
-/// Whether a per-PR bench binary should run its reduced fast configuration.
-///
-/// True when either the binary's own `BENCH_PR<n>_FAST` variable or the
-/// `BENCH_FAST` umbrella is set (any value).
-pub fn fast_mode(pr: u32) -> bool {
-    std::env::var("BENCH_FAST").is_ok() || std::env::var(format!("BENCH_PR{pr}_FAST")).is_ok()
-}
-
 /// Renders a contrast table (our measured values) with the paper's reference alongside.
-pub fn format_contrast_table(title: &str, rows: &[ContrastTableRow], reference: &[(&str, f32, f32, f32)]) -> String {
+pub fn format_contrast_table(title: &str, rows: &[QualityRow], reference: &[(&str, f32, f32, f32)]) -> String {
     let mut out = String::new();
     out.push_str(&format!("{title}\n"));
     out.push_str(&format!(
@@ -80,18 +72,19 @@ pub fn format_contrast_table(title: &str, rows: &[ContrastTableRow], reference: 
     out.push_str(&"-".repeat(77));
     out.push('\n');
     for row in rows {
-        let reference_row = reference.iter().find(|(name, ..)| *name == row.beamformer);
+        let reference_row = reference.iter().find(|(name, ..)| *name == row.name);
         let (rc, rn, rg) = reference_row.map_or((f32::NAN, f32::NAN, f32::NAN), |r| (r.1, r.2, r.3));
+        let con = &row.contrast;
         out.push_str(&format!(
             "{:<11} | {:>8.2} {:>8.2} {:>8.2} | {:>8.2} {:>8.2} {:>8.2}\n",
-            row.beamformer, row.metrics.cr_db, row.metrics.cnr, row.metrics.gcnr, rc, rn, rg
+            row.name, con.cr_db, con.cnr, con.gcnr, rc, rn, rg
         ));
     }
     out
 }
 
 /// Renders a resolution table with the paper's reference alongside.
-pub fn format_resolution_table(title: &str, rows: &[ResolutionTableRow], reference: &[(&str, f32, f32)]) -> String {
+pub fn format_resolution_table(title: &str, rows: &[QualityRow], reference: &[(&str, f32, f32)]) -> String {
     let mut out = String::new();
     out.push_str(&format!("{title}\n"));
     out.push_str(&format!(
@@ -101,11 +94,11 @@ pub fn format_resolution_table(title: &str, rows: &[ResolutionTableRow], referen
     out.push_str(&"-".repeat(63));
     out.push('\n');
     for row in rows {
-        let reference_row = reference.iter().find(|(name, ..)| *name == row.beamformer);
+        let reference_row = reference.iter().find(|(name, ..)| *name == row.name);
         let (ra, rl) = reference_row.map_or((f32::NAN, f32::NAN), |r| (r.1, r.2));
         out.push_str(&format!(
             "{:<11} | {:>10.3} {:>11.3} | {:>10.3} {:>11.3}\n",
-            row.beamformer, row.metrics.axial_mm, row.metrics.lateral_mm, ra, rl
+            row.name, row.resolution.axial_mm, row.resolution.lateral_mm, ra, rl
         ));
     }
     out
@@ -116,7 +109,7 @@ pub fn format_resolution_table(title: &str, rows: &[ResolutionTableRow], referen
 /// [`QuantScheme::name`](quantize::QuantScheme::name).
 pub fn format_quantized_quality(
     title: &str,
-    rows: &[QuantizedQualityRow],
+    rows: &[QualityRow],
     reference: &[(&str, f32, f32, f32, f32, f32)],
 ) -> String {
     let mut out = String::new();
@@ -128,12 +121,12 @@ pub fn format_quantized_quality(
     out.push_str(&"-".repeat(120));
     out.push('\n');
     for row in rows {
-        let reference_row = reference.iter().find(|(name, ..)| *name == row.scheme);
+        let reference_row = reference.iter().find(|(name, ..)| *name == row.name);
         let [ra, rl, rc, rn, rg] = reference_row.map_or([f32::NAN; 5], |r| [r.1, r.2, r.3, r.4, r.5]);
         let (res, con) = (&row.resolution, &row.contrast);
         out.push_str(&format!(
             "{:<10} | {:>10.3} {:>11.3} | {:>8.2} {:>8.2} {:>8.2} | {:>10.3} {:>11.3} | {:>8.2} {:>8.2} {:>8.2}\n",
-            row.scheme, res.axial_mm, res.lateral_mm, con.cr_db, con.cnr, con.gcnr, ra, rl, rc, rn, rg
+            row.name, res.axial_mm, res.lateral_mm, con.cr_db, con.cnr, con.gcnr, ra, rl, rc, rn, rg
         ));
     }
     out
@@ -192,28 +185,21 @@ mod tests {
 
     #[test]
     fn formatting_includes_every_row() {
-        let rows = vec![ContrastTableRow {
-            beamformer: "DAS".into(),
-            metrics: ContrastMetrics { cr_db: 12.0, cnr: 1.5, gcnr: 0.8 },
-        }];
-        let text = format_contrast_table("Table I (simulation)", &rows, &paper_table1_simulation());
+        let row = |name: &str| QualityRow {
+            name: name.into(),
+            contrast: ContrastMetrics { cr_db: 12.0, cnr: 1.5, gcnr: 0.8 },
+            resolution: ResolutionMetrics { axial_mm: 0.25, lateral_mm: 0.5 },
+        };
+        let text = format_contrast_table("Table I (simulation)", &[row("DAS")], &paper_table1_simulation());
         assert!(text.contains("DAS"));
         assert!(text.contains("12.00"));
         assert!(text.contains("13.78"));
 
-        let rrows = vec![ResolutionTableRow {
-            beamformer: "MVDR".into(),
-            metrics: ResolutionMetrics { axial_mm: 0.3, lateral_mm: 0.5 },
-        }];
-        let rtext = format_resolution_table("Table II", &rrows, &paper_table2_simulation());
+        let rtext = format_resolution_table("Table II", &[row("MVDR")], &paper_table2_simulation());
         assert!(rtext.contains("MVDR"));
-        assert!(rtext.contains("0.450"));
+        assert!(rtext.contains("0.250") && rtext.contains("0.450"));
 
-        let qrows = vec![QuantizedQualityRow {
-            scheme: "Hybrid-2".into(),
-            resolution: ResolutionMetrics { axial_mm: 0.25, lateral_mm: 0.5 },
-            contrast: ContrastMetrics { cr_db: 12.0, cnr: 1.5, gcnr: 0.8 },
-        }];
+        let qrows = [row("Hybrid-2")];
         let simulation = format_quantized_quality("Tables IV-V", &qrows, &paper_tables4_5_simulation());
         assert!(simulation.contains("Hybrid-2"));
         assert!(simulation.contains("0.250") && simulation.contains("12.00"));

@@ -14,6 +14,7 @@
 //! Both produce a beamformed RF row; the envelope is obtained afterwards through the
 //! Hilbert transform, exactly as in the originals.
 
+use crate::training::{TargetKind, Trainable};
 use crate::{TinyVbfError, TinyVbfResult};
 use neural::activation::Relu;
 use neural::conv::Conv2d;
@@ -29,7 +30,6 @@ pub struct Fcnn {
     act: Relu,
     output: Dense,
     cached_input: Option<Tensor>,
-    cached_weights: Option<Tensor>,
 }
 
 impl Fcnn {
@@ -49,7 +49,6 @@ impl Fcnn {
             act: Relu::new(),
             output: Dense::new(hidden_dim, channels, seed.wrapping_add(3)),
             cached_input: None,
-            cached_weights: None,
         })
     }
 
@@ -63,58 +62,44 @@ impl Fcnn {
         self.hidden.num_weights() + self.output.num_weights()
     }
 
-    /// Mutable parameter access for the optimizer.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.hidden.params_mut();
-        p.extend(self.output.params_mut());
-        p
-    }
-
-    /// Predicts apodization weights and the beamformed RF value for every pixel of a
-    /// `(tokens, channels)` row. Returns the `(tokens, 1)` RF column.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TinyVbfError::ShapeMismatch`] on a row width mismatch.
-    pub fn forward_row(&mut self, row: &Tensor) -> TinyVbfResult<Tensor> {
-        if row.shape().len() != 2 || row.cols() != self.channels {
-            return Err(TinyVbfError::ShapeMismatch {
-                expected: format!("(tokens, {})", self.channels),
-                actual: format!("{:?}", row.shape()),
-            });
-        }
-        let weights = self.output.forward(&self.act.forward(&self.hidden.forward(row)));
-        let rf = weighted_sum(row, &weights);
-        self.cached_input = Some(row.clone());
-        self.cached_weights = Some(weights);
-        Ok(rf)
-    }
-
     /// Inference-only forward (no caches kept for backward).
     ///
     /// # Errors
     ///
     /// Returns [`TinyVbfError::ShapeMismatch`] on a row width mismatch.
     pub fn infer_row(&mut self, row: &Tensor) -> TinyVbfResult<Tensor> {
-        if row.shape().len() != 2 || row.cols() != self.channels {
-            return Err(TinyVbfError::ShapeMismatch {
-                expected: format!("(tokens, {})", self.channels),
-                actual: format!("{:?}", row.shape()),
-            });
-        }
+        check_row(row, self.channels)?;
         let weights = self.output.infer(&self.act.infer(&self.hidden.infer(row)));
         Ok(weighted_sum(row, &weights))
     }
+}
 
-    /// Backward pass for the most recent [`forward_row`](Self::forward_row), given
-    /// `dL/dRF` of shape `(tokens, 1)`.
-    pub fn backward_row(&mut self, grad_rf: &Tensor) {
+impl Trainable for Fcnn {
+    const TARGET: TargetKind = TargetKind::Rf;
+
+    /// Predicts apodization weights and the beamformed RF value for every pixel of a
+    /// `(tokens, channels)` row. Returns the `(tokens, 1)` RF column.
+    fn forward_row(&mut self, row: &Tensor) -> TinyVbfResult<Tensor> {
+        check_row(row, self.channels)?;
+        let weights = self.output.forward(&self.act.forward(&self.hidden.forward(row)));
+        self.cached_input = Some(row.clone());
+        Ok(weighted_sum(row, &weights))
+    }
+
+    /// `grad_rf` is `dL/dRF`, of shape `(tokens, 1)`.
+    fn backward_row(&mut self, grad_rf: &Tensor) {
         let input = self.cached_input.as_ref().expect("Fcnn::backward_row before forward").clone();
         // RF_t = Σ_c w_tc · x_tc / C  =>  dL/dw_tc = dL/dRF_t · x_tc / C
         let grad_weights = weighted_sum_backward(&input, grad_rf);
         let grad_hidden = self.output.backward(&grad_weights);
         let grad_act = self.act.backward(&grad_hidden);
         let _ = self.hidden.backward(&grad_act);
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        let mut p = self.hidden.params_mut();
+        p.extend(self.output.params_mut());
+        p
     }
 }
 
@@ -162,14 +147,6 @@ impl TinyCnn {
         self.conv1.num_weights() + self.conv2.num_weights() + self.conv3.num_weights()
     }
 
-    /// Mutable parameter access for the optimizer.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.conv1.params_mut();
-        p.extend(self.conv2.params_mut());
-        p.extend(self.conv3.params_mut());
-        p
-    }
-
     fn weights_volume(&mut self, row: &Tensor, train: bool) -> Tensor {
         // Treat the (tokens, channels) row as a single-channel image.
         let volume = row.reshape(&[row.rows(), row.cols(), 1]).expect("row reshape");
@@ -184,43 +161,32 @@ impl TinyCnn {
         }
     }
 
-    /// Predicts apodization weights and returns the beamformed `(tokens, 1)` RF column.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TinyVbfError::ShapeMismatch`] on a row width mismatch.
-    pub fn forward_row(&mut self, row: &Tensor) -> TinyVbfResult<Tensor> {
-        if row.shape().len() != 2 || row.cols() != self.channels {
-            return Err(TinyVbfError::ShapeMismatch {
-                expected: format!("(tokens, {})", self.channels),
-                actual: format!("{:?}", row.shape()),
-            });
-        }
-        let weights_volume = self.weights_volume(row, true);
-        let weights = weights_volume.reshape(&[row.rows(), row.cols()]).expect("weights reshape");
-        self.cached_input = Some(row.clone());
-        Ok(weighted_sum(row, &weights))
-    }
-
     /// Inference-only forward pass.
     ///
     /// # Errors
     ///
     /// Returns [`TinyVbfError::ShapeMismatch`] on a row width mismatch.
     pub fn infer_row(&mut self, row: &Tensor) -> TinyVbfResult<Tensor> {
-        if row.shape().len() != 2 || row.cols() != self.channels {
-            return Err(TinyVbfError::ShapeMismatch {
-                expected: format!("(tokens, {})", self.channels),
-                actual: format!("{:?}", row.shape()),
-            });
-        }
+        check_row(row, self.channels)?;
         let weights_volume = self.weights_volume(row, false);
         let weights = weights_volume.reshape(&[row.rows(), row.cols()]).expect("weights reshape");
         Ok(weighted_sum(row, &weights))
     }
+}
 
-    /// Backward pass for the most recent [`forward_row`](Self::forward_row).
-    pub fn backward_row(&mut self, grad_rf: &Tensor) {
+impl Trainable for TinyCnn {
+    const TARGET: TargetKind = TargetKind::Rf;
+
+    /// Predicts apodization weights and returns the beamformed `(tokens, 1)` RF column.
+    fn forward_row(&mut self, row: &Tensor) -> TinyVbfResult<Tensor> {
+        check_row(row, self.channels)?;
+        let weights_volume = self.weights_volume(row, true);
+        let weights = weights_volume.reshape(&[row.rows(), row.cols()]).expect("weights reshape");
+        self.cached_input = Some(row.clone());
+        Ok(weighted_sum(row, &weights))
+    }
+
+    fn backward_row(&mut self, grad_rf: &Tensor) {
         let input = self.cached_input.as_ref().expect("TinyCnn::backward_row before forward").clone();
         let grad_weights = weighted_sum_backward(&input, grad_rf);
         let grad_volume = grad_weights
@@ -230,6 +196,24 @@ impl TinyCnn {
         let g2 = self.conv2.backward(&self.act2.backward(&g3));
         let _ = self.conv1.backward(&self.act1.backward(&g2));
     }
+
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        let mut p = self.conv1.params_mut();
+        p.extend(self.conv2.params_mut());
+        p.extend(self.conv3.params_mut());
+        p
+    }
+}
+
+/// Rejects a row that is not `(tokens, channels)`.
+fn check_row(row: &Tensor, channels: usize) -> TinyVbfResult<()> {
+    if row.shape().len() != 2 || row.cols() != channels {
+        return Err(TinyVbfError::ShapeMismatch {
+            expected: format!("(tokens, {channels})"),
+            actual: format!("{:?}", row.shape()),
+        });
+    }
+    Ok(())
 }
 
 /// Adaptive-DAS output: `RF_t = (1/C) Σ_c w_tc · x_tc` for every token `t`.
@@ -266,7 +250,7 @@ mod tests {
     use super::*;
     use neural::init::normal;
     use neural::loss::mse;
-    use neural::optimizer::{Adam, Optimizer};
+    use neural::optimizer::Adam;
 
     #[test]
     fn fcnn_shapes_and_validation() {

@@ -2,22 +2,23 @@
 //!
 //! Everything the benchmark binaries need to regenerate the paper's tables and figures
 //! lives here: dataset construction, (reduced-scale) training of Tiny-VBF and the
-//! learned baselines, beamforming every method over the PICMUS-like evaluation frames,
-//! and reducing the images to the paper's metrics.
+//! learned baselines, and beamforming every method over the PICMUS-like evaluation
+//! frames. One measurement, [`measure`], reduces a beamformer's images over a
+//! [`SceneSet`] to the paper's metrics, for Tables I–II and IV–V and for the
+//! per-rung quality profile of the `evals` crate alike.
 
 use crate::baselines::{Fcnn, TinyCnn};
 use crate::config::TinyVbfConfig;
 use crate::inference::{FcnnBeamformer, TinyCnnBeamformer};
 use crate::model::TinyVbf;
 use crate::quantized::QuantizedTinyVbfBeamformer;
-use crate::training::{build_training_set, train_fcnn, train_tiny_cnn, train_tiny_vbf, TrainerConfig, TrainingHistory};
-use crate::TinyVbfResult;
+use crate::training::{build_training_set, train, TrainerConfig, TrainingExample, TrainingHistory};
+use crate::{TinyVbfError, TinyVbfResult};
 use beamforming::bmode::BModeImage;
 use beamforming::grid::ImagingGrid;
 use beamforming::mvdr::Mvdr;
 use beamforming::pipeline::{Beamformer, DelayAndSum};
 use quantize::QuantScheme;
-use serde::{Deserialize, Serialize};
 use ultrasound::dataset::TrainingSetConfig;
 use ultrasound::picmus::{PicmusDataset, PicmusFrame, PicmusKind};
 use ultrasound::LinearArray;
@@ -140,6 +141,43 @@ impl EvaluationConfig {
     pub fn resolution_frame(&self, kind: PicmusKind) -> TinyVbfResult<PicmusFrame> {
         Ok(self.picmus(PicmusDataset::resolution(kind)).build(self.seed ^ 0xE5)?)
     }
+
+    /// Simulates the random training frames at this scale and builds their examples:
+    /// normalized ToF cubes against normalized MVDR targets.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator and beamforming errors.
+    pub fn training_set(&self) -> TinyVbfResult<Vec<TrainingExample>> {
+        let array = self.array();
+        let frames = TrainingSetConfig {
+            array: array.clone(),
+            max_depth: self.max_depth,
+            speckle_density: 300.0 * self.scale,
+            max_cysts: 2,
+            max_points: 3,
+            degradation_probability: 0.25,
+            seed: self.seed,
+            ..TrainingSetConfig::default()
+        }
+        .generate(self.training_frames)?;
+        build_training_set(&frames, &array, &self.grid(), self.sound_speed, &self.mvdr)
+    }
+
+    /// The training schedule: [`TrainerConfig::quick`] over `epochs`.
+    pub fn trainer(&self) -> TrainerConfig {
+        TrainerConfig::quick(self.epochs)
+    }
+
+    /// An untrained Tiny-VBF of the paper's architecture, sized for this probe and grid.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TinyVbfError::InvalidConfig`] when the sized configuration is
+    /// inconsistent.
+    pub fn tiny_vbf(&self) -> TinyVbfResult<TinyVbf> {
+        TinyVbf::new(&TinyVbfConfig::paper().for_frame(self.array().num_elements(), self.grid().num_cols()))
+    }
 }
 
 /// The three learned models after (reduced-scale) training, plus their loss histories.
@@ -159,38 +197,25 @@ pub struct TrainedModels {
     pub fcnn_history: TrainingHistory,
 }
 
-/// Simulates a random training set and trains Tiny-VBF, Tiny-CNN and FCNN on MVDR
-/// targets, all at the scale given by `config`.
+/// Trains Tiny-VBF, Tiny-CNN and FCNN on `config`'s training set, all at the scale
+/// given by `config`.
 ///
 /// # Errors
 ///
-/// Propagates simulator and beamforming errors.
+/// Propagates simulator, beamforming and training errors.
 pub fn train_models(config: &EvaluationConfig) -> TinyVbfResult<TrainedModels> {
-    let array = config.array();
-    let grid = config.grid();
-    let frames = TrainingSetConfig {
-        array: array.clone(),
-        max_depth: config.max_depth,
-        speckle_density: 300.0 * config.scale,
-        max_cysts: 2,
-        max_points: 3,
-        degradation_probability: 0.25,
-        seed: config.seed,
-        ..TrainingSetConfig::default()
-    }
-    .generate(config.training_frames)?;
-    let examples = build_training_set(&frames, &array, &grid, config.sound_speed, &config.mvdr)?;
+    let examples = config.training_set()?;
+    let trainer = config.trainer();
+    let channels = config.array().num_elements();
 
-    let trainer = TrainerConfig::quick(config.epochs);
-    let model_config = TinyVbfConfig::paper().for_frame(array.num_elements(), grid.num_cols());
-    let mut tiny_vbf = TinyVbf::new(&model_config)?;
-    let tiny_vbf_history = train_tiny_vbf(&mut tiny_vbf, &examples, &trainer);
+    let mut tiny_vbf = config.tiny_vbf()?;
+    let tiny_vbf_history = train(&mut tiny_vbf, &examples, &trainer)?;
 
-    let mut tiny_cnn = TinyCnn::new(array.num_elements(), 4, config.seed)?;
-    let tiny_cnn_history = train_tiny_cnn(&mut tiny_cnn, &examples, &trainer);
+    let mut tiny_cnn = TinyCnn::new(channels, 4, config.seed)?;
+    let tiny_cnn_history = train(&mut tiny_cnn, &examples, &trainer)?;
 
-    let mut fcnn = Fcnn::new(array.num_elements(), 32, config.seed)?;
-    let fcnn_history = train_fcnn(&mut fcnn, &examples, &trainer);
+    let mut fcnn = Fcnn::new(channels, 32, config.seed)?;
+    let fcnn_history = train(&mut fcnn, &examples, &trainer)?;
 
     Ok(TrainedModels { tiny_vbf, tiny_cnn, fcnn, tiny_vbf_history, tiny_cnn_history, fcnn_history })
 }
@@ -209,24 +234,69 @@ pub fn beamformer_suite(models: &TrainedModels, config: &EvaluationConfig) -> Ve
     ]
 }
 
-/// One row of the contrast tables (Table I / Table V).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ContrastTableRow {
+/// One beamformer's image quality over a [`SceneSet`]: a row of Tables I–II (keyed by
+/// beamformer) or of Tables IV–V (keyed by quantization scheme).
+#[derive(Debug, Clone, PartialEq)]
+pub struct QualityRow {
     /// Beamformer (or quantization scheme) name.
-    pub beamformer: String,
-    /// Mean contrast metrics over all evaluated cysts.
-    pub metrics: ContrastMetrics,
+    pub name: String,
+    /// Mean contrast metrics over every cyst of the contrast frames.
+    pub contrast: ContrastMetrics,
+    /// Mean axial/lateral FWHM over the central point targets resolved; NaN when none
+    /// is.
+    pub resolution: ResolutionMetrics,
 }
 
-/// One row of the resolution tables (Table II / Table IV).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ResolutionTableRow {
-    /// Beamformer (or quantization scheme) name.
-    pub beamformer: String,
-    /// Mean axial/lateral FWHM over all evaluated point targets.
-    pub metrics: ResolutionMetrics,
+/// The frames a [`measure`] renders and the regions it scores: contrast frames with
+/// their cysts inside the grid, and one resolution frame with its near-axis point
+/// targets inside the grid. Built and checked once, then shared by every beamformer
+/// measured on it.
+#[derive(Debug, Clone)]
+pub struct SceneSet {
+    grid: ImagingGrid,
+    sound_speed: f32,
+    contrast: Vec<(PicmusFrame, Vec<CircularRoi>)>,
+    resolution: (PicmusFrame, Vec<(f32, f32)>),
 }
 
+impl SceneSet {
+    /// Builds `config`'s contrast frames of the `contrast` kinds, in order, and its
+    /// resolution frame of the `resolution` kind.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator errors, and returns [`TinyVbfError::InvalidConfig`] when
+    /// `contrast` is empty, a contrast frame has no cyst inside the grid, or the
+    /// resolution frame has no central point target inside it: a measurement of
+    /// nothing must not score anything.
+    pub fn new(config: &EvaluationConfig, contrast: &[PicmusKind], resolution: PicmusKind) -> TinyVbfResult<Self> {
+        if contrast.is_empty() {
+            return Err(TinyVbfError::InvalidConfig("a scene set needs a contrast frame".into()));
+        }
+        let grid = config.grid();
+        let mut contrast_frames = Vec::with_capacity(contrast.len());
+        for &kind in contrast {
+            let frame = config.contrast_frame(kind)?;
+            let cysts = cysts_in_view(&frame, &grid);
+            if cysts.is_empty() {
+                return Err(TinyVbfError::InvalidConfig(format!(
+                    "the {kind:?} contrast scene has no cyst inside the evaluation grid"
+                )));
+            }
+            contrast_frames.push((frame, cysts));
+        }
+        let frame = config.resolution_frame(resolution)?;
+        let targets = central_targets_in_view(&frame, &grid);
+        if targets.is_empty() {
+            return Err(TinyVbfError::InvalidConfig(format!(
+                "no central point target of the {resolution:?} resolution scene falls inside the evaluation grid"
+            )));
+        }
+        Ok(Self { grid, sound_speed: config.sound_speed, contrast: contrast_frames, resolution: (frame, targets) })
+    }
+}
+
+/// Cysts of `frame` fully inside the grid's depth view.
 fn cysts_in_view(frame: &PicmusFrame, grid: &ImagingGrid) -> Vec<CircularRoi> {
     frame
         .cysts()
@@ -236,6 +306,7 @@ fn cysts_in_view(frame: &PicmusFrame, grid: &ImagingGrid) -> Vec<CircularRoi> {
         .collect()
 }
 
+/// Near-axis point targets of `frame` inside the grid's depth view.
 fn central_targets_in_view(frame: &PicmusFrame, grid: &ImagingGrid) -> Vec<(f32, f32)> {
     frame
         .point_targets()
@@ -245,124 +316,41 @@ fn central_targets_in_view(frame: &PicmusFrame, grid: &ImagingGrid) -> Vec<(f32,
         .collect()
 }
 
-/// Evaluates contrast metrics (mean over cysts) for a set of beamformers on one frame.
+/// Renders `beamformer` over `scenes`, the contrast frames in order and then the
+/// resolution frame, and reduces the images to the paper's metrics: CR/CNR/gCNR
+/// averaged over every cyst of every contrast frame, and axial/lateral FWHM averaged
+/// over the central targets whose peak the image keeps. A beamformer that keeps none
+/// reports NaN widths, visible in the tables rather than silently absent.
 ///
 /// # Errors
 ///
-/// Propagates beamforming and metric errors.
-pub fn contrast_table(
-    beamformers: &[Box<dyn Beamformer>],
-    config: &EvaluationConfig,
-    kind: PicmusKind,
-) -> TinyVbfResult<Vec<ContrastTableRow>> {
-    let frame = config.contrast_frame(kind)?;
-    let grid = config.grid();
-    let cysts = cysts_in_view(&frame, &grid);
-    let mut rows = Vec::with_capacity(beamformers.len());
-    for beamformer in beamformers {
-        let iq = beamformer.beamform(&frame.channel_data, &frame.array, &grid, config.sound_speed)?;
-        let envelope = iq.envelope();
-        let mut per_cyst = Vec::with_capacity(cysts.len());
-        for cyst in &cysts {
-            per_cyst.push(contrast_metrics(&envelope, &grid, *cyst)?);
+/// Propagates beamforming and contrast-metric errors.
+pub fn measure(beamformer: &dyn Beamformer, scenes: &SceneSet) -> TinyVbfResult<QualityRow> {
+    let grid = &scenes.grid;
+    let envelope = |frame: &PicmusFrame| -> TinyVbfResult<Vec<f32>> {
+        Ok(beamformer.beamform(&frame.channel_data, &frame.array, grid, scenes.sound_speed)?.envelope())
+    };
+    let mut per_cyst = Vec::new();
+    for (frame, cysts) in &scenes.contrast {
+        let envelope = envelope(frame)?;
+        for &cyst in cysts {
+            per_cyst.push(contrast_metrics(&envelope, grid, cyst)?);
         }
-        let metrics = ContrastMetrics::mean_of(&per_cyst)
-            .unwrap_or(ContrastMetrics { cr_db: 0.0, cnr: 0.0, gcnr: 0.0 });
-        rows.push(ContrastTableRow { beamformer: beamformer.name().to_string(), metrics });
     }
-    Ok(rows)
+    let (frame, targets) = &scenes.resolution;
+    let envelope = envelope(frame)?;
+    let per_target: Vec<ResolutionMetrics> =
+        targets.iter().filter_map(|&(x, z)| resolution_metrics(&envelope, grid, x, z).ok()).collect();
+    Ok(QualityRow {
+        name: beamformer.name().to_string(),
+        contrast: ContrastMetrics::mean_of(&per_cyst).expect("SceneSet::new checks every contrast frame for a cyst"),
+        resolution: ResolutionMetrics::mean_of(&per_target)
+            .unwrap_or(ResolutionMetrics { axial_mm: f32::NAN, lateral_mm: f32::NAN }),
+    })
 }
 
-/// Evaluates resolution metrics (mean over the central point targets) for a set of
-/// beamformers on one frame.
-///
-/// # Errors
-///
-/// Propagates beamforming and metric errors.
-pub fn resolution_table(
-    beamformers: &[Box<dyn Beamformer>],
-    config: &EvaluationConfig,
-    kind: PicmusKind,
-) -> TinyVbfResult<Vec<ResolutionTableRow>> {
-    let frame = config.resolution_frame(kind)?;
-    let grid = config.grid();
-    let targets = central_targets_in_view(&frame, &grid);
-    let mut rows = Vec::with_capacity(beamformers.len());
-    for beamformer in beamformers {
-        let iq = beamformer.beamform(&frame.channel_data, &frame.array, &grid, config.sound_speed)?;
-        let envelope = iq.envelope();
-        let mut per_target = Vec::new();
-        for &(x, z) in &targets {
-            if let Ok(m) = resolution_metrics(&envelope, &grid, x, z) {
-                per_target.push(m);
-            }
-        }
-        let metrics = ResolutionMetrics::mean_of(&per_target)
-            .unwrap_or(ResolutionMetrics { axial_mm: f32::NAN, lateral_mm: f32::NAN });
-        rows.push(ResolutionTableRow { beamformer: beamformer.name().to_string(), metrics });
-    }
-    Ok(rows)
-}
-
-/// One row of the FPGA quantization-quality tables (Tables IV and V combined).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QuantizedQualityRow {
-    /// Quantization scheme name.
-    pub scheme: String,
-    /// Resolution metrics of the quantized model (Table IV).
-    pub resolution: ResolutionMetrics,
-    /// Contrast metrics of the quantized model (Table V).
-    pub contrast: ContrastMetrics,
-}
-
-/// Evaluates the trained Tiny-VBF under every quantization scheme of the paper,
-/// measuring both resolution (Table IV) and contrast (Table V) on the given kind.
-///
-/// # Errors
-///
-/// Propagates beamforming and metric errors.
-pub fn quantized_quality_table(
-    model: &TinyVbf,
-    config: &EvaluationConfig,
-    kind: PicmusKind,
-) -> TinyVbfResult<Vec<QuantizedQualityRow>> {
-    let grid = config.grid();
-    let resolution_frame = config.resolution_frame(kind)?;
-    let contrast_frame = config.contrast_frame(kind)?;
-    let targets = central_targets_in_view(&resolution_frame, &grid);
-    let cysts = cysts_in_view(&contrast_frame, &grid);
-
-    let mut rows = Vec::new();
-    for scheme in QuantScheme::all() {
-        let quantized = QuantizedTinyVbfBeamformer::new(model, scheme);
-
-        let res_iq = quantized.beamform(&resolution_frame.channel_data, &resolution_frame.array, &grid, config.sound_speed)?;
-        let res_envelope = res_iq.envelope();
-        let mut per_target = Vec::new();
-        for &(x, z) in &targets {
-            if let Ok(m) = resolution_metrics(&res_envelope, &grid, x, z) {
-                per_target.push(m);
-            }
-        }
-        let resolution = ResolutionMetrics::mean_of(&per_target)
-            .unwrap_or(ResolutionMetrics { axial_mm: f32::NAN, lateral_mm: f32::NAN });
-
-        let con_iq = quantized.beamform(&contrast_frame.channel_data, &contrast_frame.array, &grid, config.sound_speed)?;
-        let con_envelope = con_iq.envelope();
-        let mut per_cyst = Vec::new();
-        for cyst in &cysts {
-            per_cyst.push(contrast_metrics(&con_envelope, &grid, *cyst)?);
-        }
-        let contrast = ContrastMetrics::mean_of(&per_cyst)
-            .unwrap_or(ContrastMetrics { cr_db: 0.0, cnr: 0.0, gcnr: 0.0 });
-
-        rows.push(QuantizedQualityRow { scheme: scheme.name.to_string(), resolution, contrast });
-    }
-    Ok(rows)
-}
-
-/// Lateral PSF profiles for every beamformer at the requested depths (Figs. 12 and 14;
-/// applied to the contrast frame it gives the Fig. 9(b) lateral variation plot).
+/// Lateral PSF profiles of every beamformer on `frame` at the requested depths: Figs.
+/// 12 and 14 on the resolution frames, Fig. 9(b) on the in-silico contrast frame.
 ///
 /// # Errors
 ///
@@ -370,10 +358,9 @@ pub fn quantized_quality_table(
 pub fn lateral_psfs(
     beamformers: &[Box<dyn Beamformer>],
     config: &EvaluationConfig,
-    kind: PicmusKind,
+    frame: &PicmusFrame,
     depths: &[f32],
 ) -> TinyVbfResult<Vec<(String, Vec<LateralPsf>)>> {
-    let frame = config.resolution_frame(kind)?;
     let grid = config.grid();
     let mut out = Vec::with_capacity(beamformers.len());
     for beamformer in beamformers {
@@ -385,8 +372,7 @@ pub fn lateral_psfs(
     Ok(out)
 }
 
-/// B-mode images of every beamformer on the contrast or resolution frame (Figs. 1(a),
-/// 9(a), 10, 11, 13 and 15).
+/// B-mode images of every beamformer on `frame` (Figs. 1(a), 9(a), 10, 11, 13 and 15).
 ///
 /// # Errors
 ///
@@ -394,10 +380,8 @@ pub fn lateral_psfs(
 pub fn bmode_gallery(
     beamformers: &[Box<dyn Beamformer>],
     config: &EvaluationConfig,
-    kind: PicmusKind,
-    use_contrast_frame: bool,
+    frame: &PicmusFrame,
 ) -> TinyVbfResult<Vec<(String, BModeImage)>> {
-    let frame = if use_contrast_frame { config.contrast_frame(kind)? } else { config.resolution_frame(kind)? };
     let grid = config.grid();
     let mut out = Vec::with_capacity(beamformers.len());
     for beamformer in beamformers {
@@ -410,10 +394,6 @@ pub fn bmode_gallery(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn quick_models(config: &EvaluationConfig) -> TrainedModels {
-        train_models(config).expect("training should succeed at test size")
-    }
 
     #[test]
     fn reduced_and_paper_configs_are_consistent() {
@@ -428,63 +408,60 @@ mod tests {
     }
 
     #[test]
-    fn training_and_contrast_table_at_test_size() {
+    fn measure_scores_every_beamformer_and_scheme_at_test_size() {
         let config = EvaluationConfig::test_size();
-        let models = quick_models(&config);
+        let models = train_models(&config).expect("training should succeed at test size");
         assert!(models.tiny_vbf_history.improved() || models.tiny_vbf_history.epoch_losses.len() < 2);
 
         let beamformers = beamformer_suite(&models, &config);
         assert_eq!(beamformers.len(), 5);
-        let table = contrast_table(&beamformers, &config, PicmusKind::InSilico).unwrap();
-        assert_eq!(table.len(), 5);
-        for row in &table {
-            assert!(row.metrics.cr_db.is_finite(), "{}: {:?}", row.beamformer, row.metrics);
-            assert!(row.metrics.gcnr >= 0.0 && row.metrics.gcnr <= 1.0);
+        let scenes = SceneSet::new(&config, &[PicmusKind::InSilico], PicmusKind::InSilico).unwrap();
+        let rows: Vec<QualityRow> = beamformers.iter().map(|b| measure(b.as_ref(), &scenes).unwrap()).collect();
+        for row in &rows {
+            assert!(row.contrast.cr_db.is_finite(), "{}: {:?}", row.name, row.contrast);
+            assert!((0.0..=1.0).contains(&row.contrast.gcnr), "{}: {:?}", row.name, row.contrast);
         }
-        // DAS should show a meaningful contrast on the anechoic cyst.
-        let das = table.iter().find(|r| r.beamformer == "DAS").unwrap();
-        assert!(das.metrics.cr_db > 3.0, "DAS CR {}", das.metrics.cr_db);
-    }
+        // DAS shows a meaningful contrast on the anechoic cyst and sub-centimetre
+        // widths even on the coarse test grid.
+        let das = &rows[0];
+        assert_eq!(das.name, "DAS");
+        assert!(das.contrast.cr_db > 3.0, "DAS CR {}", das.contrast.cr_db);
+        assert!(das.resolution.axial_mm.is_finite() && das.resolution.axial_mm > 0.0);
+        assert!(das.resolution.lateral_mm > 0.0 && das.resolution.lateral_mm < 10.0);
 
-    #[test]
-    fn resolution_table_at_test_size() {
-        let config = EvaluationConfig::test_size();
-        let models = quick_models(&config);
-        let beamformers = beamformer_suite(&models, &config);
-        let table = resolution_table(&beamformers, &config, PicmusKind::InSilico).unwrap();
-        assert_eq!(table.len(), 5);
-        let das = table.iter().find(|r| r.beamformer == "DAS").unwrap();
-        assert!(das.metrics.axial_mm.is_finite() && das.metrics.axial_mm > 0.0);
-        assert!(das.metrics.lateral_mm.is_finite() && das.metrics.lateral_mm > 0.0);
-        // Sub-centimetre widths are expected even on the coarse test grid.
-        assert!(das.metrics.lateral_mm < 10.0);
-    }
+        let schemes: Vec<QualityRow> = QuantScheme::all()
+            .into_iter()
+            .map(|scheme| measure(&QuantizedTinyVbfBeamformer::new(&models.tiny_vbf, scheme), &scenes).unwrap())
+            .collect();
+        let names: Vec<&str> = schemes.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["tiny-vbf-fp", "tiny-vbf-fx24", "tiny-vbf-fx20", "tiny-vbf-fx16", "tiny-vbf-w8a20", "tiny-vbf-w8a16"]
+        );
+        assert_eq!(schemes[0].contrast, rows[3].contrast, "the float rung is the suite's Tiny-VBF");
+        for row in &schemes {
+            assert!((0.0..=1.0).contains(&row.contrast.gcnr), "{}: {:?}", row.name, row.contrast);
+        }
 
-    #[test]
-    fn psfs_and_gallery_at_test_size() {
-        let config = EvaluationConfig::test_size();
-        let models = quick_models(&config);
-        let beamformers = beamformer_suite(&models, &config);
-        let psfs = lateral_psfs(&beamformers, &config, PicmusKind::InSilico, &[15.12e-3]).unwrap();
+        let resolution_frame = config.resolution_frame(PicmusKind::InSilico).unwrap();
+        let psfs = lateral_psfs(&beamformers, &config, &resolution_frame, &[15.12e-3]).unwrap();
         assert_eq!(psfs.len(), 5);
         assert_eq!(psfs[0].1.len(), 1);
         assert_eq!(psfs[0].1[0].positions_mm.len(), config.grid_cols);
 
-        let gallery = bmode_gallery(&beamformers[..2], &config, PicmusKind::InSilico, true).unwrap();
+        let contrast_frame = config.contrast_frame(PicmusKind::InSilico).unwrap();
+        let gallery = bmode_gallery(&beamformers[..2], &config, &contrast_frame).unwrap();
         assert_eq!(gallery.len(), 2);
         assert!(!gallery[0].1.to_ascii(20).is_empty());
     }
 
     #[test]
-    fn quantized_quality_rows_cover_all_schemes() {
-        let config = EvaluationConfig::test_size();
-        let models = quick_models(&config);
-        let rows = quantized_quality_table(&models.tiny_vbf, &config, PicmusKind::InSilico).unwrap();
-        assert_eq!(rows.len(), 6);
-        let names: Vec<&str> = rows.iter().map(|r| r.scheme.as_str()).collect();
-        assert_eq!(names, vec!["Float", "24 bits", "20 bits", "16 bits", "Hybrid-1", "Hybrid-2"]);
-        for row in &rows {
-            assert!(row.contrast.gcnr >= 0.0 && row.contrast.gcnr <= 1.0);
-        }
+    fn a_scene_set_with_no_cyst_in_view_is_rejected() {
+        // The grid starts at 10 mm: the 13 mm cyst (4 mm radius) sticks out above it,
+        // while the 15.12 mm point targets stay inside.
+        let config = EvaluationConfig { min_depth: 10.0e-3, ..EvaluationConfig::test_size() };
+        let error = SceneSet::new(&config, &[PicmusKind::InSilico], PicmusKind::InSilico).unwrap_err();
+        assert!(matches!(&error, TinyVbfError::InvalidConfig(why) if why.contains("cyst")), "{error}");
+        assert!(SceneSet::new(&config, &[], PicmusKind::InSilico).is_err());
     }
 }

@@ -12,6 +12,7 @@
 //! exported weights.
 
 use crate::config::TinyVbfConfig;
+use crate::training::{TargetKind, Trainable};
 use crate::{TinyVbfError, TinyVbfResult};
 use neural::activation::{Relu, Tanh};
 use neural::attention::MultiHeadAttention;
@@ -138,20 +139,6 @@ impl TinyVbf {
         self.params().iter().map(|p| p.numel()).sum()
     }
 
-    /// Mutable access to every trainable parameter (for the optimizer).
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut params = self.encoder.params_mut();
-        if let Some(pos) = self.positional.as_mut() {
-            params.push(pos);
-        }
-        for block in &mut self.blocks {
-            params.extend(block.params_mut());
-        }
-        params.extend(self.decoder_in.params_mut());
-        params.extend(self.decoder_out.params_mut());
-        params
-    }
-
     /// Immutable access to every trainable parameter.
     pub fn params(&self) -> Vec<&Param> {
         let mut params = self.encoder.params();
@@ -200,50 +187,6 @@ impl TinyVbf {
             }
             None => encoded.clone(),
         }
-    }
-
-    /// Forward pass for one depth row, caching activations for
-    /// [`backward_row`](Self::backward_row). The float inference engine is
-    /// bitwise equal to it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TinyVbfError::ShapeMismatch`] when the row width differs from the
-    /// configured channel count.
-    pub fn forward_row(&mut self, row: &Tensor) -> TinyVbfResult<Tensor> {
-        self.check_row(row)?;
-        let encoded = self.encoder.forward(row);
-        let mut x = self.add_positional(&encoded);
-        for block in &mut self.blocks {
-            x = block.forward(&x);
-        }
-        let hidden = self.decoder_act.forward(&self.decoder_in.forward(&x));
-        let out = self.decoder_out.forward(&hidden);
-        Ok(self.output_act.forward(&out))
-    }
-
-    /// Backward pass for the most recent [`forward_row`](Self::forward_row), given the
-    /// gradient of the loss with respect to the row output. Accumulates parameter
-    /// gradients; the input gradient is discarded (the ToF data is not trainable).
-    pub fn backward_row(&mut self, grad_output: &Tensor) {
-        let grad_out = self.output_act.backward(grad_output);
-        let grad_hidden = self.decoder_out.backward(&grad_out);
-        let grad_decoder_in = self.decoder_act.backward(&grad_hidden);
-        let mut grad = self.decoder_in.backward(&grad_decoder_in);
-        for block in self.blocks.iter_mut().rev() {
-            grad = block.backward(&grad);
-        }
-        // Positional embedding gradient is the block-input gradient, row-aligned.
-        if let Some(pos) = self.positional.as_mut() {
-            let rows = self.cached_positional_rows.min(grad.rows());
-            for r in 0..rows {
-                let pr = r.min(pos.value.rows() - 1);
-                for c in 0..grad.cols() {
-                    *pos.grad.at_mut(pr, c) += grad.at(r, c);
-                }
-            }
-        }
-        let _ = self.encoder.backward(&grad);
     }
 
     /// Exports the trained weights as plain tensors for the quantizer and the FPGA
@@ -315,6 +258,58 @@ impl TinyVbf {
     }
 }
 
+impl Trainable for TinyVbf {
+    const TARGET: TargetKind = TargetKind::Iq;
+
+    /// The float inference engine is bitwise equal to this forward.
+    fn forward_row(&mut self, row: &Tensor) -> TinyVbfResult<Tensor> {
+        self.check_row(row)?;
+        let encoded = self.encoder.forward(row);
+        let mut x = self.add_positional(&encoded);
+        for block in &mut self.blocks {
+            x = block.forward(&x);
+        }
+        let hidden = self.decoder_act.forward(&self.decoder_in.forward(&x));
+        let out = self.decoder_out.forward(&hidden);
+        Ok(self.output_act.forward(&out))
+    }
+
+    /// The input gradient is discarded: the ToF data is not trainable.
+    fn backward_row(&mut self, grad_output: &Tensor) {
+        let grad_out = self.output_act.backward(grad_output);
+        let grad_hidden = self.decoder_out.backward(&grad_out);
+        let grad_decoder_in = self.decoder_act.backward(&grad_hidden);
+        let mut grad = self.decoder_in.backward(&grad_decoder_in);
+        for block in self.blocks.iter_mut().rev() {
+            grad = block.backward(&grad);
+        }
+        // Positional embedding gradient is the block-input gradient, row-aligned.
+        if let Some(pos) = self.positional.as_mut() {
+            let rows = self.cached_positional_rows.min(grad.rows());
+            for r in 0..rows {
+                let pr = r.min(pos.value.rows() - 1);
+                for c in 0..grad.cols() {
+                    *pos.grad.at_mut(pr, c) += grad.at(r, c);
+                }
+            }
+        }
+        let _ = self.encoder.backward(&grad);
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        let mut params = self.encoder.params_mut();
+        if let Some(pos) = self.positional.as_mut() {
+            params.push(pos);
+        }
+        for block in &mut self.blocks {
+            params.extend(block.params_mut());
+        }
+        params.extend(self.decoder_in.params_mut());
+        params.extend(self.decoder_out.params_mut());
+        params
+    }
+}
+
 /// Exported (read-only) weights of a Tiny-VBF model.
 #[derive(Debug, Clone)]
 pub struct TinyVbfWeights {
@@ -372,7 +367,7 @@ mod tests {
     use super::*;
     use neural::init::normal as rand_tensor;
     use neural::loss::mse;
-    use neural::optimizer::{Adam, Optimizer};
+    use neural::optimizer::Adam;
 
     #[test]
     fn forward_row_has_expected_shape_and_range() {

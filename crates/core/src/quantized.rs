@@ -5,7 +5,8 @@
 //!
 //! * [`QuantizedTinyVbf`] — the one inference engine. It takes the scheme as a
 //!   parameter. The float scheme is the identity quantizer and runs a plain
-//!   `f32` datapath, bitwise equal to [`TinyVbf::forward_row`]. Every
+//!   `f32` datapath, bitwise equal to the training forward of [`TinyVbf`]
+//!   ([`Trainable::forward_row`](crate::training::Trainable::forward_row)). Every
 //!   fixed-point scheme runs **exact integer kernels** (`quantized_int`):
 //!   weights become integer codes once up front, every multiply-accumulate
 //!   sums integer codes exactly in `f64` lanes, and every MAC result, softmax
@@ -145,7 +146,7 @@ impl QuantizedTinyVbf {
     /// The float-scheme datapath over one depth row — a row-major `(tokens,
     /// channels)` slice — with every activation in `s`; returns the
     /// `(tokens, 2)` output, row-major. Same op sequence and per-element
-    /// `f32` arithmetic as [`TinyVbf::forward_row`], without its gradient
+    /// `f32` arithmetic as [`TinyVbf`]'s training forward, without its gradient
     /// caches. Also the reference the serving adapter's output-SQNR proxy
     /// compares the integer path against.
     pub(crate) fn infer_row_float<'s>(&self, row: &[f32], s: &'s mut RowScratch) -> &'s [f32] {
@@ -616,11 +617,11 @@ impl Beamformer for QuantizedTinyVbfBeamformer {
 mod tests {
     use super::*;
     use crate::config::TinyVbfConfig;
-    use crate::training::cube_row;
+    use crate::training::{cube_row, Trainable};
     use beamforming::tof::tof_correct;
     use neural::init::normal;
     use neural::loss::mse;
-    use neural::optimizer::{Adam, Optimizer};
+    use neural::optimizer::Adam;
 
     fn model_and_row() -> (TinyVbf, Tensor) {
         let config = TinyVbfConfig::tiny_test();

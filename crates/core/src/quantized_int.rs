@@ -33,10 +33,9 @@
 //! Attention runs each head [`QUERY_BLOCK`] query rows at a time and reads the
 //! q/k/v codes in place. A block computes its scores as exact dot products
 //! with the score shift (or, for a `head_dim` that is not a power of four, the
-//! `f64`-rounded `1/√head_dim` multiply), then its softmax — the `exp` lookup
-//! table on 16-bit grids, [`simd::exp`] otherwise, the denominators summed in
-//! ascending key order — with each probability quantized onto the softmax
-//! grid in the divide pass, then the exact A·V and its rounding shift back
+//! `f64`-rounded `1/√head_dim` multiply), then its softmax — [`simd::exp`] of
+//! the exact shifted scores, the denominators summed in ascending key order —
+//! with each probability quantized onto the softmax grid in the divide pass, then the exact A·V and its rounding shift back
 //! onto the activation grid. Per element these are the operations of the
 //! plain-loop `i64` oracle in the tests, so the bits are the oracle's.
 //!
@@ -153,19 +152,7 @@ pub(crate) struct IntModel {
     scores: Requantize,
     /// A·V from the `soft_frac + fa` product grid onto the activation grid.
     attend: Requantize,
-    /// `exp` lookup over score-code deltas: `exp_lut[d] = exp(-d · step)` for
-    /// every possible non-negative code delta on the activation grid — the
-    /// softmax exponentials an FPGA datapath would serve from a lookup unit.
-    /// Built with [`simd::exp`], so it is bitwise identical to `exp` of the
-    /// exact shifted score `(c − cmax) · step` on every host. Built only when
-    /// the table stays cache-friendly (16-bit grids like fx16 and w8a16);
-    /// finer grids run [`simd::exp`] on the block.
-    exp_lut: Option<Vec<f32>>,
 }
-
-/// Cap on the exp-LUT length: 2^17 entries (512 KiB) covers every 16-bit
-/// activation grid; wider grids would need megabytes and run `exp` instead.
-const EXP_LUT_MAX_LEN: usize = 1 << 17;
 
 /// `Some(k)` when `scale == 2^-k` exactly (positive power-of-two reciprocal).
 fn power_of_two_shift(scale: f32) -> Option<u32> {
@@ -245,15 +232,6 @@ impl IntModel {
                 },
             ),
             attend: onto(act, pow2(-(soft.frac_bits() as i32))),
-            exp_lut: {
-                let span = (act.max_raw() - act.min_raw()) as usize + 1;
-                (span <= EXP_LUT_MAX_LEN).then(|| {
-                    let step = act.resolution();
-                    let mut lut: Vec<f32> = (0..span).map(|d| -(d as f32) * step).collect();
-                    simd::exp(&mut lut);
-                    lut
-                })
-            },
         }
     }
 
@@ -319,10 +297,9 @@ impl IntModel {
     }
 
     /// Softmax of one query block's score codes over the keys, in place, to
-    /// probability codes on the softmax grid. Per lane: the max code; `exp` of
-    /// `(code − max) · step` (exact in `f32`), from the lookup table or
-    /// [`simd::exp`]; the denominator summed in ascending key order from
-    /// `0.0`; one divide per element, and its quotient rounded onto the
+    /// probability codes on the softmax grid. Per lane: the max code;
+    /// [`simd::exp`] of `(code − max) · step` (exact in `f32`); the denominator
+    /// summed in ascending key order from `0.0`; one divide per element, and its quotient rounded onto the
     /// softmax grid in the same pass.
     fn block_softmax(&self, block: &mut [[f64; QUERY_BLOCK]], exps: &mut [[f32; QUERY_BLOCK]]) {
         // Four independent running maxima break the compare's latency chain;
@@ -347,32 +324,17 @@ impl IntModel {
                 row_max[l] = if max[l] > row_max[l] { max[l] } else { row_max[l] };
             }
         }
-        let mut denom = [0.0f32; QUERY_BLOCK];
-        match &self.exp_lut {
-            Some(lut) => {
-                let last = lut.len() - 1;
-                for (e, codes) in exps.iter_mut().zip(block.iter()) {
-                    for l in 0..QUERY_BLOCK {
-                        // Deltas are exact integers below `lut.len()`; the
-                        // `min` only lets the compiler drop the bounds check.
-                        e[l] = lut[((row_max[l] - codes[l]) as i32 as usize).min(last)];
-                        denom[l] += e[l];
-                    }
-                }
+        let step = f64::from(self.act.resolution());
+        for (e, codes) in exps.iter_mut().zip(block.iter()) {
+            for l in 0..QUERY_BLOCK {
+                e[l] = ((codes[l] - row_max[l]) * step) as f32;
             }
-            None => {
-                let step = f64::from(self.act.resolution());
-                for (e, codes) in exps.iter_mut().zip(block.iter()) {
-                    for l in 0..QUERY_BLOCK {
-                        e[l] = ((codes[l] - row_max[l]) * step) as f32;
-                    }
-                }
-                simd::exp(exps.as_flattened_mut());
-                for e in exps.iter() {
-                    for l in 0..QUERY_BLOCK {
-                        denom[l] += e[l];
-                    }
-                }
+        }
+        simd::exp(exps.as_flattened_mut());
+        let mut denom = [0.0f32; QUERY_BLOCK];
+        for e in exps.iter() {
+            for l in 0..QUERY_BLOCK {
+                denom[l] += e[l];
             }
         }
         let (inv_step, hi) = (1.0 / self.soft.resolution(), self.soft.max_raw() as f32);

@@ -1,20 +1,20 @@
-//! Dataset assembly and training loops.
+//! Dataset assembly and the training loop.
 //!
 //! Following the paper: the network input is the ToF-corrected channel-data cube
 //! normalized to `[-1, 1]`, the regression target is the MVDR-beamformed IQ image
 //! (also peak-normalized), and the loss is mean squared error on the IQ values *before*
 //! log compression, optimised with Adam under a cyclic polynomial-decay learning-rate
-//! schedule.
+//! schedule. One loop, [`train`], trains every [`Trainable`] model: Tiny-VBF on the IQ
+//! targets, the Tiny-CNN and FCNN baselines on their real (RF) part.
 
-use crate::baselines::{Fcnn, TinyCnn};
-use crate::model::TinyVbf;
 use crate::TinyVbfResult;
 use beamforming::grid::ImagingGrid;
 use beamforming::iq::IqImage;
 use beamforming::mvdr::Mvdr;
 use beamforming::tof::{tof_correct, TofCube};
+use neural::layer::Param;
 use neural::loss::mse;
-use neural::optimizer::{Adam, Optimizer};
+use neural::optimizer::Adam;
 use neural::schedule::{LrSchedule, PolynomialDecay};
 use neural::tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -36,25 +36,21 @@ impl TrainingExample {
         cube_row(&self.input, row)
     }
 
-    /// Extracts the `(tokens, 2)` IQ target tensor for one depth row.
-    pub fn target_row(&self, row: usize) -> Tensor {
+    /// Extracts one depth row of the target: `(tokens, 2)` IQ values, or the
+    /// `(tokens, 1)` RF (real) part the adaptive-DAS baselines regress onto.
+    pub fn target_row(&self, row: usize, kind: TargetKind) -> Tensor {
         let cols = self.target.num_cols();
-        let mut t = Tensor::zeros(&[cols, 2]);
+        let width = match kind {
+            TargetKind::Iq => 2,
+            TargetKind::Rf => 1,
+        };
+        let mut t = Tensor::zeros(&[cols, width]);
         for col in 0..cols {
             let v = self.target.value(row, col);
             *t.at_mut(col, 0) = v.re;
-            *t.at_mut(col, 1) = v.im;
-        }
-        t
-    }
-
-    /// Extracts the `(tokens, 1)` RF (real-part) target tensor for one depth row, used
-    /// by the adaptive-DAS baselines.
-    pub fn target_rf_row(&self, row: usize) -> Tensor {
-        let cols = self.target.num_cols();
-        let mut t = Tensor::zeros(&[cols, 1]);
-        for col in 0..cols {
-            *t.at_mut(col, 0) = self.target.value(row, col).re;
+            if kind == TargetKind::Iq {
+                *t.at_mut(col, 1) = v.im;
+            }
         }
         t
     }
@@ -152,116 +148,87 @@ impl TrainingHistory {
     }
 }
 
-/// Trains a Tiny-VBF model on IQ targets.
-pub fn train_tiny_vbf(model: &mut TinyVbf, examples: &[TrainingExample], config: &TrainerConfig) -> TrainingHistory {
+/// Which target a model regresses onto.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TargetKind {
+    /// The IQ image, two values per pixel (Tiny-VBF).
+    Iq,
+    /// The RF (real) part, one value per pixel (the adaptive-DAS baselines).
+    Rf,
+}
+
+/// A model [`train`] can fit: a row forward that caches what its backward needs, a
+/// backward that accumulates parameter gradients, and the parameters Adam updates.
+pub trait Trainable {
+    /// The target the model's output is compared against.
+    const TARGET: TargetKind;
+
+    /// Forward pass for one `(tokens, channels)` depth row, caching activations for
+    /// [`backward_row`](Self::backward_row).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TinyVbfError::ShapeMismatch`](crate::TinyVbfError::ShapeMismatch)
+    /// when the row width differs from the model's channel count.
+    fn forward_row(&mut self, row: &Tensor) -> TinyVbfResult<Tensor>;
+
+    /// Backward pass for the most recent [`forward_row`](Self::forward_row), given the
+    /// gradient of the loss with respect to its output. Accumulates parameter
+    /// gradients.
+    fn backward_row(&mut self, grad_output: &Tensor);
+
+    /// Mutable access to every trainable parameter (for the optimizer).
+    fn params_mut(&mut self) -> Vec<&mut Param>;
+}
+
+/// Trains `model` on `examples` under `config`: MSE against the model's
+/// [`Trainable::TARGET`], one Adam step every `rows_per_step` rows, and one at the end
+/// of an epoch when rows are pending. Returns the mean loss of every epoch.
+///
+/// # Errors
+///
+/// Returns the first forward error, e.g. a
+/// [`TinyVbfError::ShapeMismatch`](crate::TinyVbfError::ShapeMismatch) when the
+/// examples' channel count differs from the model's.
+pub fn train<M: Trainable>(
+    model: &mut M,
+    examples: &[TrainingExample],
+    config: &TrainerConfig,
+) -> TinyVbfResult<TrainingHistory> {
     let mut adam = Adam::new(config.schedule.learning_rate(0).max(1e-8));
-    let mut history = TrainingHistory { epoch_losses: Vec::with_capacity(config.epochs) };
-    let mut rows_accumulated = 0usize;
+    let mut epoch_losses = Vec::with_capacity(config.epochs);
     for epoch in 0..config.epochs {
         adam.set_learning_rate(config.schedule.learning_rate(epoch as u64));
-        let mut epoch_loss = 0.0f32;
-        let mut row_count = 0usize;
+        let (mut loss_sum, mut rows, mut pending) = (0.0f32, 0usize, 0usize);
         for example in examples {
             for row in 0..example.num_rows() {
-                let input = example.input_row(row);
-                let target = example.target_row(row);
-                let prediction = match model.forward_row(&input) {
-                    Ok(p) => p,
-                    Err(_) => continue,
-                };
-                let (loss, grad) = mse(&prediction, &target);
+                let prediction = model.forward_row(&example.input_row(row))?;
+                let (loss, grad) = mse(&prediction, &example.target_row(row, M::TARGET));
                 model.backward_row(&grad);
-                epoch_loss += loss;
-                row_count += 1;
-                rows_accumulated += 1;
-                if rows_accumulated >= config.rows_per_step {
+                loss_sum += loss;
+                rows += 1;
+                pending += 1;
+                if pending >= config.rows_per_step {
                     adam.step(model.params_mut());
-                    rows_accumulated = 0;
+                    pending = 0;
                 }
             }
         }
-        if rows_accumulated > 0 {
+        if pending > 0 {
             adam.step(model.params_mut());
-            rows_accumulated = 0;
         }
-        history.epoch_losses.push(if row_count > 0 { epoch_loss / row_count as f32 } else { 0.0 });
-        let _ = epoch;
+        epoch_losses.push(if rows > 0 { loss_sum / rows as f32 } else { 0.0 });
     }
-    history
-}
-
-/// Trains the Tiny-CNN baseline on RF (real-part) targets.
-pub fn train_tiny_cnn(model: &mut TinyCnn, examples: &[TrainingExample], config: &TrainerConfig) -> TrainingHistory {
-    let mut adam = Adam::new(config.schedule.learning_rate(0).max(1e-8));
-    let mut history = TrainingHistory { epoch_losses: Vec::with_capacity(config.epochs) };
-    for epoch in 0..config.epochs {
-        adam.set_learning_rate(config.schedule.learning_rate(epoch as u64));
-        let mut epoch_loss = 0.0f32;
-        let mut row_count = 0usize;
-        let mut rows_accumulated = 0usize;
-        for example in examples {
-            for row in 0..example.num_rows() {
-                let input = example.input_row(row);
-                let target = example.target_rf_row(row);
-                let prediction = match model.forward_row(&input) {
-                    Ok(p) => p,
-                    Err(_) => continue,
-                };
-                let (loss, grad) = mse(&prediction, &target);
-                model.backward_row(&grad);
-                epoch_loss += loss;
-                row_count += 1;
-                rows_accumulated += 1;
-                if rows_accumulated >= config.rows_per_step {
-                    adam.step(model.params_mut());
-                    rows_accumulated = 0;
-                }
-            }
-        }
-        adam.step(model.params_mut());
-        history.epoch_losses.push(if row_count > 0 { epoch_loss / row_count as f32 } else { 0.0 });
-    }
-    history
-}
-
-/// Trains the FCNN baseline on RF (real-part) targets.
-pub fn train_fcnn(model: &mut Fcnn, examples: &[TrainingExample], config: &TrainerConfig) -> TrainingHistory {
-    let mut adam = Adam::new(config.schedule.learning_rate(0).max(1e-8));
-    let mut history = TrainingHistory { epoch_losses: Vec::with_capacity(config.epochs) };
-    for epoch in 0..config.epochs {
-        adam.set_learning_rate(config.schedule.learning_rate(epoch as u64));
-        let mut epoch_loss = 0.0f32;
-        let mut row_count = 0usize;
-        let mut rows_accumulated = 0usize;
-        for example in examples {
-            for row in 0..example.num_rows() {
-                let input = example.input_row(row);
-                let target = example.target_rf_row(row);
-                let prediction = match model.forward_row(&input) {
-                    Ok(p) => p,
-                    Err(_) => continue,
-                };
-                let (loss, grad) = mse(&prediction, &target);
-                model.backward_row(&grad);
-                epoch_loss += loss;
-                row_count += 1;
-                rows_accumulated += 1;
-                if rows_accumulated >= config.rows_per_step {
-                    adam.step(model.params_mut());
-                    rows_accumulated = 0;
-                }
-            }
-        }
-        adam.step(model.params_mut());
-        history.epoch_losses.push(if row_count > 0 { epoch_loss / row_count as f32 } else { 0.0 });
-    }
-    history
+    Ok(TrainingHistory { epoch_losses })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baselines::{Fcnn, TinyCnn};
     use crate::config::TinyVbfConfig;
+    use crate::model::TinyVbf;
+    use crate::TinyVbfError;
     use ultrasound::dataset::TrainingSetConfig;
     use ultrasound::LinearArray;
 
@@ -292,8 +259,8 @@ mod tests {
             assert!(ex.target.peak() <= 1.0 + 1e-5);
             assert_eq!(ex.num_rows(), grid.num_rows());
             assert_eq!(ex.input_row(0).shape(), &[grid.num_cols(), 32]);
-            assert_eq!(ex.target_row(0).shape(), &[grid.num_cols(), 2]);
-            assert_eq!(ex.target_rf_row(0).shape(), &[grid.num_cols(), 1]);
+            assert_eq!(ex.target_row(0, TargetKind::Iq).shape(), &[grid.num_cols(), 2]);
+            assert_eq!(ex.target_row(0, TargetKind::Rf).shape(), &[grid.num_cols(), 1]);
         }
     }
 
@@ -302,7 +269,7 @@ mod tests {
         let (examples, array, grid) = small_setup();
         let config = TinyVbfConfig::small().for_frame(array.num_elements(), grid.num_cols());
         let mut model = TinyVbf::new(&config).unwrap();
-        let history = train_tiny_vbf(&mut model, &examples, &TrainerConfig::quick(6));
+        let history = train(&mut model, &examples, &TrainerConfig::quick(6)).unwrap();
         assert_eq!(history.epoch_losses.len(), 6);
         assert!(history.improved(), "losses {:?}", history.epoch_losses);
         assert!(history.final_loss().unwrap() > 0.0);
@@ -312,12 +279,58 @@ mod tests {
     fn baseline_training_improves_loss() {
         let (examples, array, _grid) = small_setup();
         let mut cnn = TinyCnn::new(array.num_elements(), 3, 1).unwrap();
-        let cnn_history = train_tiny_cnn(&mut cnn, &examples, &TrainerConfig::quick(4));
+        let cnn_history = train(&mut cnn, &examples, &TrainerConfig::quick(4)).unwrap();
         assert!(cnn_history.improved(), "cnn losses {:?}", cnn_history.epoch_losses);
 
         let mut fcnn = Fcnn::new(array.num_elements(), 16, 1).unwrap();
-        let fcnn_history = train_fcnn(&mut fcnn, &examples, &TrainerConfig::quick(4));
+        let fcnn_history = train(&mut fcnn, &examples, &TrainerConfig::quick(4)).unwrap();
         assert!(fcnn_history.improved(), "fcnn losses {:?}", fcnn_history.epoch_losses);
+    }
+
+    fn weight_bits<M: Trainable>(model: &mut M) -> Vec<u32> {
+        model.params_mut().iter().flat_map(|p| p.value.as_slice().iter().map(|v| v.to_bits())).collect()
+    }
+
+    /// One epoch that steps at its last row and one that steps at its end (half a
+    /// step pending) take the same single step: the epoch end adds no step on zero
+    /// gradients.
+    fn assert_epoch_end_adds_no_empty_step<M: Trainable + Clone>(model: &M, examples: &[TrainingExample]) {
+        let rows: usize = examples.iter().map(TrainingExample::num_rows).sum();
+        let one_epoch = |rows_per_step| {
+            let mut trained = model.clone();
+            train(&mut trained, examples, &TrainerConfig { rows_per_step, ..TrainerConfig::quick(1) }).unwrap();
+            weight_bits(&mut trained)
+        };
+        let stepped_at_last_row = one_epoch(rows);
+        assert_ne!(stepped_at_last_row, weight_bits(&mut model.clone()), "the epoch must move the weights");
+        assert_eq!(stepped_at_last_row, one_epoch(2 * rows));
+    }
+
+    #[test]
+    fn tiny_vbf_epoch_end_adds_no_empty_step() {
+        let (examples, array, grid) = small_setup();
+        let config = TinyVbfConfig::small().for_frame(array.num_elements(), grid.num_cols());
+        assert_epoch_end_adds_no_empty_step(&TinyVbf::new(&config).unwrap(), &examples);
+    }
+
+    #[test]
+    fn tiny_cnn_epoch_end_adds_no_empty_step() {
+        let (examples, array, _grid) = small_setup();
+        assert_epoch_end_adds_no_empty_step(&TinyCnn::new(array.num_elements(), 3, 1).unwrap(), &examples);
+    }
+
+    #[test]
+    fn fcnn_epoch_end_adds_no_empty_step() {
+        let (examples, array, _grid) = small_setup();
+        assert_epoch_end_adds_no_empty_step(&Fcnn::new(array.num_elements(), 16, 1).unwrap(), &examples);
+    }
+
+    #[test]
+    fn a_forward_error_stops_training() {
+        let (examples, array, _grid) = small_setup();
+        let mut fcnn = Fcnn::new(array.num_elements() / 2, 16, 1).unwrap();
+        let error = train(&mut fcnn, &examples, &TrainerConfig::quick(2)).unwrap_err();
+        assert!(matches!(error, TinyVbfError::ShapeMismatch { .. }), "{error}");
     }
 
     #[test]

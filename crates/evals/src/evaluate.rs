@@ -2,22 +2,14 @@
 //! phantom scenes and reduce each rung's images to the paper's metrics.
 
 use crate::profile::{QualityProfile, RungQuality};
-use beamforming::grid::ImagingGrid;
-use beamforming::pipeline::Beamformer;
 use beamforming::plan::PlanCache;
 use quantize::QuantScheme;
 use std::sync::Arc;
-use tiny_vbf::config::TinyVbfConfig;
-use tiny_vbf::evaluation::EvaluationConfig;
-use tiny_vbf::model::TinyVbf;
+use tiny_vbf::evaluation::{measure, EvaluationConfig, SceneSet};
 use tiny_vbf::quantized::{QuantizedTinyVbf, QuantizedTinyVbfBeamformer};
-use tiny_vbf::training::{build_training_set, train_tiny_vbf, TrainerConfig};
-use tiny_vbf::{TinyVbfError, TinyVbfResult};
-use ultrasound::dataset::TrainingSetConfig;
-use ultrasound::picmus::{PicmusFrame, PicmusKind};
-use ultrasound::LinearArray;
-use usmetrics::region::CircularRoi;
-use usmetrics::{contrast_metrics, resolution_metrics, ContrastMetrics, ResolutionMetrics};
+use tiny_vbf::training::train;
+use tiny_vbf::TinyVbfResult;
+use ultrasound::picmus::PicmusKind;
 
 /// Scale and seed of one evaluation run.
 ///
@@ -53,135 +45,44 @@ impl EvalConfig {
     }
 }
 
-/// Trains the Tiny-VBF model the rungs quantize, on MVDR targets at the
-/// config's scale — the same pieces as `tiny_vbf::evaluation::train_models`
-/// minus the CNN/FCNN baselines this pass never renders.
-fn train_eval_model(
-    eval: &EvaluationConfig,
-    array: &LinearArray,
-    grid: &ImagingGrid,
-) -> TinyVbfResult<TinyVbf> {
-    let frames = TrainingSetConfig {
-        array: array.clone(),
-        max_depth: eval.max_depth,
-        speckle_density: 300.0 * eval.scale,
-        max_cysts: 2,
-        max_points: 3,
-        degradation_probability: 0.25,
-        seed: eval.seed,
-        ..TrainingSetConfig::default()
-    }
-    .generate(eval.training_frames)?;
-    let examples = build_training_set(&frames, array, grid, eval.sound_speed, &eval.mvdr)?;
-    let model_config = TinyVbfConfig::paper().for_frame(array.num_elements(), grid.num_cols());
-    let mut model = TinyVbf::new(&model_config)?;
-    train_tiny_vbf(&mut model, &examples, &TrainerConfig::quick(eval.epochs));
-    Ok(model)
-}
-
-/// Cysts of `frame` fully inside the grid's depth view.
-fn cysts_in_view(frame: &PicmusFrame, grid: &ImagingGrid) -> Vec<CircularRoi> {
-    frame
-        .cysts()
-        .iter()
-        .filter(|c| c.cz - c.radius > grid.z(0) && c.cz + c.radius < grid.z(grid.num_rows() - 1))
-        .map(|c| CircularRoi::new(c.cx, c.cz, c.radius))
-        .collect()
-}
-
-/// Near-axis point targets of `frame` inside the grid's depth view.
-fn central_targets_in_view(frame: &PicmusFrame, grid: &ImagingGrid) -> Vec<(f32, f32)> {
-    frame
-        .point_targets()
-        .iter()
-        .filter(|p| {
-            p.x.abs() < 0.5e-3 && p.z > grid.z(0) + 1e-3 && p.z < grid.z(grid.num_rows() - 1) - 1e-3
-        })
-        .map(|p| (p.x, p.z))
-        .collect()
-}
-
 /// Renders every router backend (float + the five Table III fixed-point
 /// rungs) over the evaluation scenes and measures each rung's image
-/// quality.
+/// quality with [`measure`].
 ///
 /// Scenes: the PICMUS-style contrast phantom in both in-silico and
 /// in-vitro acquisition (anechoic cysts in speckle, the in-vitro variant
 /// passed through `ultrasound::invitro`'s degradation model) and the
-/// in-silico resolution phantom (point-target lattice). Each rung renders
-/// through [`QuantizedTinyVbfBeamformer`] — the exact adapter the router
-/// serves with — and all six share one ToF [`PlanCache`], mirroring the
-/// serving configuration where one plan build feeds every engine.
+/// in-silico resolution phantom (point-target lattice), rendered in that
+/// order. Each rung renders through [`QuantizedTinyVbfBeamformer`] — the
+/// exact adapter the router serves with — and all six share one ToF
+/// [`PlanCache`], mirroring the serving configuration where one plan build
+/// feeds every engine. Each rung's SQNR is read from that adapter's quality
+/// counters after its renders.
 ///
 /// # Errors
 ///
 /// Propagates simulator/beamforming/metric errors, and reports
-/// [`TinyVbfError::InvalidConfig`] when the configured scenes leave no cyst
-/// or no point target inside the grid view (a profile measured on nothing
-/// must not gate anything).
+/// [`TinyVbfError::InvalidConfig`](tiny_vbf::TinyVbfError::InvalidConfig)
+/// when the configured scenes leave no cyst or no point target inside the
+/// grid view (a profile measured on nothing must not gate anything).
 pub fn evaluate(config: &EvalConfig) -> TinyVbfResult<QualityProfile> {
     let eval = &config.eval;
-    let array = eval.array();
-    let grid = eval.grid();
-    let model = train_eval_model(eval, &array, &grid)?;
-
-    let contrast_scenes =
-        [eval.contrast_frame(PicmusKind::InSilico)?, eval.contrast_frame(PicmusKind::InVitro)?];
-    let resolution_scene = eval.resolution_frame(PicmusKind::InSilico)?;
-    let targets = central_targets_in_view(&resolution_scene, &grid);
-    if targets.is_empty() {
-        return Err(TinyVbfError::InvalidConfig(
-            "no central point target falls inside the evaluation grid".into(),
-        ));
-    }
-    if contrast_scenes.iter().any(|f| cysts_in_view(f, &grid).is_empty()) {
-        return Err(TinyVbfError::InvalidConfig(
-            "a contrast scene has no cyst inside the evaluation grid".into(),
-        ));
-    }
+    let scenes = SceneSet::new(eval, &[PicmusKind::InSilico, PicmusKind::InVitro], PicmusKind::InSilico)?;
+    let mut model = eval.tiny_vbf()?;
+    train(&mut model, &eval.training_set()?, &eval.trainer())?;
 
     let tof_plans = Arc::new(PlanCache::new(8));
     let mut rungs = Vec::new();
     for scheme in QuantScheme::all() {
-        let scheme_name = scheme.name;
-        let backend_label = scheme.backend_label();
         let backend = QuantizedTinyVbfBeamformer::with_tof_cache(
             QuantizedTinyVbf::from_model(&model, scheme),
             Arc::clone(&tof_plans),
         );
-
-        let mut per_cyst = Vec::new();
-        for frame in &contrast_scenes {
-            let iq = backend.beamform(&frame.channel_data, &frame.array, &grid, eval.sound_speed)?;
-            let envelope = iq.envelope();
-            for cyst in cysts_in_view(frame, &grid) {
-                per_cyst.push(contrast_metrics(&envelope, &grid, cyst)?);
-            }
-        }
-        let contrast = ContrastMetrics::mean_of(&per_cyst)
-            .expect("cyst list checked non-empty before the rung loop");
-
-        let iq = backend.beamform(
-            &resolution_scene.channel_data,
-            &resolution_scene.array,
-            &grid,
-            eval.sound_speed,
-        )?;
-        let envelope = iq.envelope();
-        // A rung whose image has lost a target's peak yields a metric error
-        // for that target; the mean covers whichever targets survived. A
-        // rung that resolves *no* target reports NaN — visible in the
-        // profile rather than silently absent.
-        let per_target: Vec<ResolutionMetrics> = targets
-            .iter()
-            .filter_map(|&(x, z)| resolution_metrics(&envelope, &grid, x, z).ok())
-            .collect();
-        let resolution = ResolutionMetrics::mean_of(&per_target)
-            .unwrap_or(ResolutionMetrics { axial_mm: f32::NAN, lateral_mm: f32::NAN });
-
+        let row = measure(&backend, &scenes)?;
+        let (contrast, resolution) = (row.contrast, row.resolution);
         rungs.push(RungQuality {
-            backend: backend_label.to_string(),
-            scheme: scheme_name.to_string(),
+            backend: row.name,
+            scheme: scheme.name.to_string(),
             cr_db: f64::from(contrast.cr_db),
             cnr: f64::from(contrast.cnr),
             gcnr: f64::from(contrast.gcnr),
@@ -192,10 +93,11 @@ pub fn evaluate(config: &EvalConfig) -> TinyVbfResult<QualityProfile> {
         });
     }
 
+    let grid = eval.grid();
     Ok(QualityProfile {
         profile: config.label.clone(),
         seed: eval.seed,
-        channels: array.num_elements(),
+        channels: eval.array().num_elements(),
         grid_rows: grid.num_rows(),
         grid_cols: grid.num_cols(),
         rungs,

@@ -14,9 +14,10 @@
 //!    backend** — float plus all five Table III fixed-point rungs — via the
 //!    same [`QuantizedTinyVbfBeamformer`] adapter the router serves with,
 //!    sharing one ToF plan cache across the rungs exactly like serving
-//!    does. Each rung's image is reduced to CR/CNR/gCNR and FWHM by
-//!    `crates/metrics`, and its measured SQNR is read from the serving
-//!    adapter's own quality counters.
+//!    does. Each rung's images are reduced to CR/CNR/gCNR and FWHM by
+//!    `tiny_vbf::evaluation::measure`, the measurement the paper's tables
+//!    use, and its measured SQNR is read from the serving adapter's own
+//!    quality counters.
 //! 2. The result is a [`QualityProfile`] — a stable-schema JSON document
 //!    mapping each rung to its measured image degradation. The
 //!    `eval_quality` bench binary emits it plus one gate summary per rung,

@@ -13,7 +13,7 @@
 //! * [`attention`] — multi-head self-attention (the ViT building block),
 //! * [`conv`] — 2-D convolution (for the Tiny-CNN baseline),
 //! * [`loss`] — mean-squared-error loss,
-//! * [`optimizer`] — SGD and Adam,
+//! * [`optimizer`] — Adam,
 //! * [`schedule`] — polynomial-decay / cyclic learning-rate schedules,
 //! * [`flops`] — per-layer FLOP accounting,
 //! * [`serialize`] — flat binary weight (de)serialisation,

@@ -1,73 +1,9 @@
-//! Optimizers (SGD and Adam).
+//! The Adam optimizer.
 //!
 //! The paper optimises with Adam under a polynomial-decay learning-rate schedule;
 //! [`Adam`] follows the standard bias-corrected update.
 
 use crate::layer::Param;
-
-/// Optimizer interface: consumes accumulated gradients and updates parameter values.
-pub trait Optimizer {
-    /// Applies one update step to the given parameters using their accumulated
-    /// gradients, then zeroes the gradients.
-    fn step(&mut self, params: Vec<&mut Param>);
-
-    /// Sets the learning rate (used by the schedules).
-    fn set_learning_rate(&mut self, lr: f32);
-
-    /// Current learning rate.
-    fn learning_rate(&self) -> f32;
-}
-
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the learning rate is not positive or momentum is outside `[0, 1)`.
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        assert!(lr > 0.0, "Sgd: learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "Sgd: momentum must be in [0, 1)");
-        Self { lr, momentum, velocity: Vec::new() }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: Vec<&mut Param>) {
-        if self.velocity.len() != params.len() {
-            self.velocity = params.iter().map(|p| vec![0.0; p.numel()]).collect();
-        }
-        for (param, velocity) in params.into_iter().zip(self.velocity.iter_mut()) {
-            debug_assert_eq!(param.numel(), velocity.len());
-            for ((value, grad), vel) in param
-                .value
-                .as_mut_slice()
-                .iter_mut()
-                .zip(param.grad.as_slice().to_vec())
-                .zip(velocity.iter_mut())
-            {
-                *vel = self.momentum * *vel - self.lr * grad;
-                *value += *vel;
-            }
-            param.zero_grad();
-        }
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-}
 
 /// Adam optimizer with bias correction.
 #[derive(Debug, Clone)]
@@ -99,10 +35,10 @@ impl Adam {
             second_moment: Vec::new(),
         }
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, params: Vec<&mut Param>) {
+    /// Applies one update step to the given parameters using their accumulated
+    /// gradients, then zeroes the gradients.
+    pub fn step(&mut self, params: Vec<&mut Param>) {
         if self.first_moment.len() != params.len() {
             self.first_moment = params.iter().map(|p| vec![0.0; p.numel()]).collect();
             self.second_moment = params.iter().map(|p| vec![0.0; p.numel()]).collect();
@@ -129,11 +65,13 @@ impl Optimizer for Adam {
         }
     }
 
-    fn set_learning_rate(&mut self, lr: f32) {
+    /// Sets the learning rate (used by the schedules).
+    pub fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
     }
 
-    fn learning_rate(&self) -> f32 {
+    /// Current learning rate.
+    pub fn learning_rate(&self) -> f32 {
         self.lr
     }
 }
@@ -147,7 +85,7 @@ mod tests {
         Param::new(Tensor::from_vec(vec![start], &[1]).unwrap())
     }
 
-    fn minimize<O: Optimizer>(optimizer: &mut O, start: f32, steps: usize) -> f32 {
+    fn minimize(optimizer: &mut Adam, start: f32, steps: usize) -> f32 {
         // Minimize f(x) = (x - 3)^2; grad = 2 (x - 3).
         let mut p = quadratic_param(start);
         for _ in 0..steps {
@@ -156,20 +94,6 @@ mod tests {
             optimizer.step(vec![&mut p]);
         }
         p.value.as_slice()[0]
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut sgd = Sgd::new(0.1, 0.0);
-        let x = minimize(&mut sgd, 10.0, 200);
-        assert!((x - 3.0).abs() < 1e-3, "x {x}");
-    }
-
-    #[test]
-    fn sgd_with_momentum_also_converges() {
-        let mut sgd = Sgd::new(0.05, 0.9);
-        let x = minimize(&mut sgd, -5.0, 400);
-        assert!((x - 3.0).abs() < 1e-2, "x {x}");
     }
 
     #[test]
@@ -194,9 +118,6 @@ mod tests {
         assert!((adam.learning_rate() - 1e-4).abs() < 1e-12);
         adam.set_learning_rate(1e-6);
         assert!((adam.learning_rate() - 1e-6).abs() < 1e-12);
-        let mut sgd = Sgd::new(0.1, 0.0);
-        sgd.set_learning_rate(0.5);
-        assert_eq!(sgd.learning_rate(), 0.5);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --release --example train_tiny_vbf`.
 
-use tiny_vbf::evaluation::{beamformer_suite, contrast_table, train_models, EvaluationConfig};
+use tiny_vbf::evaluation::{beamformer_suite, measure, train_models, EvaluationConfig, SceneSet};
 use ultrasound::picmus::PicmusKind;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -33,13 +33,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         models.fcnn.num_weights()
     );
 
-    let beamformers = beamformer_suite(&models, &config);
-    let table = contrast_table(&beamformers, &config, PicmusKind::InSilico)?;
+    let scenes = SceneSet::new(&config, &[PicmusKind::InSilico], PicmusKind::InSilico)?;
     println!("\ncontrast on the in-silico cyst frame:");
-    for row in table {
+    for beamformer in beamformer_suite(&models, &config) {
+        let row = measure(beamformer.as_ref(), &scenes)?;
         println!(
             "  {:<10} CR {:>6.2} dB   CNR {:>5.2}   GCNR {:>4.2}",
-            row.beamformer, row.metrics.cr_db, row.metrics.cnr, row.metrics.gcnr
+            row.name, row.contrast.cr_db, row.contrast.cnr, row.contrast.gcnr
         );
     }
     println!("\n(the paper's full-scale Table I: DAS 13.78 dB, MVDR 21.66 dB, Tiny-CNN 13.45 dB, Tiny-VBF 14.89 dB)");

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full paper pipeline at test scale.
 
 use tiny_vbf_repro::prelude::*;
-use tiny_vbf::evaluation::{beamformer_suite, contrast_table, quantized_quality_table, resolution_table, train_models};
+use tiny_vbf::evaluation::{beamformer_suite, measure, train_models, QualityRow, SceneSet};
 use tiny_vbf::quantized::QuantizedTinyVbf;
 
 #[test]
@@ -18,32 +18,35 @@ fn simulate_beamform_and_score_all_beamformers() {
 
     // Contrast on the in-silico cyst frame: every beamformer produces finite metrics and
     // the classical ones show a clearly darker cyst than background.
-    let contrast = contrast_table(&beamformers, &config, PicmusKind::InSilico).expect("contrast table");
-    for row in &contrast {
-        assert!(row.metrics.cr_db.is_finite(), "{}", row.beamformer);
-        assert!((0.0..=1.0).contains(&row.metrics.gcnr), "{}", row.beamformer);
+    let scenes = SceneSet::new(&config, &[PicmusKind::InSilico], PicmusKind::InSilico).expect("scenes");
+    let rows: Vec<QualityRow> = beamformers.iter().map(|b| measure(b.as_ref(), &scenes).expect("measure")).collect();
+    for row in &rows {
+        assert!(row.contrast.cr_db.is_finite(), "{}", row.name);
+        assert!((0.0..=1.0).contains(&row.contrast.gcnr), "{}", row.name);
     }
-    let das = contrast.iter().find(|r| r.beamformer == "DAS").unwrap();
-    let mvdr = contrast.iter().find(|r| r.beamformer == "MVDR").unwrap();
-    assert!(das.metrics.cr_db > 3.0, "DAS CR {}", das.metrics.cr_db);
+    let das = rows.iter().find(|r| r.name == "DAS").unwrap();
+    let mvdr = rows.iter().find(|r| r.name == "MVDR").unwrap();
+    assert!(das.contrast.cr_db > 3.0, "DAS CR {}", das.contrast.cr_db);
     // The paper's ordering: MVDR contrast exceeds DAS.
-    assert!(mvdr.metrics.cr_db + 1.0 > das.metrics.cr_db, "MVDR {} DAS {}", mvdr.metrics.cr_db, das.metrics.cr_db);
+    assert!(mvdr.contrast.cr_db + 1.0 > das.contrast.cr_db, "MVDR {} DAS {}", mvdr.contrast.cr_db, das.contrast.cr_db);
 
     // Resolution on the point-target frame.
-    let resolution = resolution_table(&beamformers, &config, PicmusKind::InSilico).expect("resolution table");
-    let das_res = resolution.iter().find(|r| r.beamformer == "DAS").unwrap();
-    assert!(das_res.metrics.axial_mm > 0.05 && das_res.metrics.axial_mm < 5.0);
-    assert!(das_res.metrics.lateral_mm > 0.05 && das_res.metrics.lateral_mm < 10.0);
+    assert!(das.resolution.axial_mm > 0.05 && das.resolution.axial_mm < 5.0);
+    assert!(das.resolution.lateral_mm > 0.05 && das.resolution.lateral_mm < 10.0);
 }
 
 #[test]
 fn quantized_model_tracks_float_model() {
     let config = EvaluationConfig::test_size();
     let models = train_models(&config).expect("training");
-    let rows = quantized_quality_table(&models.tiny_vbf, &config, PicmusKind::InSilico).expect("quant table");
+    let scenes = SceneSet::new(&config, &[PicmusKind::InSilico], PicmusKind::InSilico).expect("scenes");
+    let rows: Vec<QualityRow> = QuantScheme::all()
+        .into_iter()
+        .map(|scheme| measure(&QuantizedTinyVbfBeamformer::new(&models.tiny_vbf, scheme), &scenes).expect("measure"))
+        .collect();
     assert_eq!(rows.len(), 6);
-    let float_row = rows.iter().find(|r| r.scheme == "Float").unwrap();
-    let w24_row = rows.iter().find(|r| r.scheme == "24 bits").unwrap();
+    let float_row = rows.iter().find(|r| r.name == "tiny-vbf-fp").unwrap();
+    let w24_row = rows.iter().find(|r| r.name == "tiny-vbf-fx24").unwrap();
     // 24-bit quantization should preserve the image metrics almost exactly — the
     // paper's central FPGA claim.
     if float_row.resolution.axial_mm.is_finite() && w24_row.resolution.axial_mm.is_finite() {
