@@ -394,6 +394,7 @@ pub fn bmode_gallery(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
 
     #[test]
     fn reduced_and_paper_configs_are_consistent() {
@@ -407,42 +408,55 @@ mod tests {
         assert_eq!(paper.epochs, 1000);
     }
 
+    /// The models trained once at test size, shared by the tests below.
+    fn quick_models() -> &'static TrainedModels {
+        static MODELS: OnceLock<TrainedModels> = OnceLock::new();
+        MODELS.get_or_init(|| train_models(&EvaluationConfig::test_size()).expect("training should succeed at test size"))
+    }
+
+    fn in_silico_scenes(config: &EvaluationConfig) -> SceneSet {
+        SceneSet::new(config, &[PicmusKind::InSilico], PicmusKind::InSilico).unwrap()
+    }
+
     #[test]
-    fn measure_scores_every_beamformer_and_scheme_at_test_size() {
+    fn training_and_contrast_table_at_test_size() {
         let config = EvaluationConfig::test_size();
-        let models = train_models(&config).expect("training should succeed at test size");
+        let models = quick_models();
         assert!(models.tiny_vbf_history.improved() || models.tiny_vbf_history.epoch_losses.len() < 2);
 
-        let beamformers = beamformer_suite(&models, &config);
+        let beamformers = beamformer_suite(models, &config);
         assert_eq!(beamformers.len(), 5);
-        let scenes = SceneSet::new(&config, &[PicmusKind::InSilico], PicmusKind::InSilico).unwrap();
+        let scenes = in_silico_scenes(&config);
         let rows: Vec<QualityRow> = beamformers.iter().map(|b| measure(b.as_ref(), &scenes).unwrap()).collect();
         for row in &rows {
             assert!(row.contrast.cr_db.is_finite(), "{}: {:?}", row.name, row.contrast);
             assert!((0.0..=1.0).contains(&row.contrast.gcnr), "{}: {:?}", row.name, row.contrast);
         }
-        // DAS shows a meaningful contrast on the anechoic cyst and sub-centimetre
-        // widths even on the coarse test grid.
+        // DAS should show a meaningful contrast on the anechoic cyst.
         let das = &rows[0];
         assert_eq!(das.name, "DAS");
         assert!(das.contrast.cr_db > 3.0, "DAS CR {}", das.contrast.cr_db);
+    }
+
+    #[test]
+    fn resolution_table_at_test_size() {
+        let config = EvaluationConfig::test_size();
+        let scenes = in_silico_scenes(&config);
+        let rows: Vec<QualityRow> =
+            beamformer_suite(quick_models(), &config).iter().map(|b| measure(b.as_ref(), &scenes).unwrap()).collect();
+        assert_eq!(rows.len(), 5);
+        let das = &rows[0];
+        assert_eq!(das.name, "DAS");
         assert!(das.resolution.axial_mm.is_finite() && das.resolution.axial_mm > 0.0);
-        assert!(das.resolution.lateral_mm > 0.0 && das.resolution.lateral_mm < 10.0);
+        assert!(das.resolution.lateral_mm.is_finite() && das.resolution.lateral_mm > 0.0);
+        // Sub-centimetre widths are expected even on the coarse test grid.
+        assert!(das.resolution.lateral_mm < 10.0);
+    }
 
-        let schemes: Vec<QualityRow> = QuantScheme::all()
-            .into_iter()
-            .map(|scheme| measure(&QuantizedTinyVbfBeamformer::new(&models.tiny_vbf, scheme), &scenes).unwrap())
-            .collect();
-        let names: Vec<&str> = schemes.iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(
-            names,
-            ["tiny-vbf-fp", "tiny-vbf-fx24", "tiny-vbf-fx20", "tiny-vbf-fx16", "tiny-vbf-w8a20", "tiny-vbf-w8a16"]
-        );
-        assert_eq!(schemes[0].contrast, rows[3].contrast, "the float rung is the suite's Tiny-VBF");
-        for row in &schemes {
-            assert!((0.0..=1.0).contains(&row.contrast.gcnr), "{}: {:?}", row.name, row.contrast);
-        }
-
+    #[test]
+    fn psfs_and_gallery_at_test_size() {
+        let config = EvaluationConfig::test_size();
+        let beamformers = beamformer_suite(quick_models(), &config);
         let resolution_frame = config.resolution_frame(PicmusKind::InSilico).unwrap();
         let psfs = lateral_psfs(&beamformers, &config, &resolution_frame, &[15.12e-3]).unwrap();
         assert_eq!(psfs.len(), 5);
@@ -453,6 +467,27 @@ mod tests {
         let gallery = bmode_gallery(&beamformers[..2], &config, &contrast_frame).unwrap();
         assert_eq!(gallery.len(), 2);
         assert!(!gallery[0].1.to_ascii(20).is_empty());
+    }
+
+    #[test]
+    fn quantized_quality_rows_cover_all_schemes() {
+        let config = EvaluationConfig::test_size();
+        let models = quick_models();
+        let scenes = in_silico_scenes(&config);
+        let rows: Vec<QualityRow> = QuantScheme::all()
+            .into_iter()
+            .map(|scheme| measure(&QuantizedTinyVbfBeamformer::new(&models.tiny_vbf, scheme), &scenes).unwrap())
+            .collect();
+        let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["tiny-vbf-fp", "tiny-vbf-fx24", "tiny-vbf-fx20", "tiny-vbf-fx16", "tiny-vbf-w8a20", "tiny-vbf-w8a16"]
+        );
+        for row in &rows {
+            assert!((0.0..=1.0).contains(&row.contrast.gcnr), "{}: {:?}", row.name, row.contrast);
+        }
+        let suite_tiny_vbf = measure(beamformer_suite(models, &config)[3].as_ref(), &scenes).unwrap();
+        assert_eq!(rows[0].contrast, suite_tiny_vbf.contrast, "the float rung is the suite's Tiny-VBF");
     }
 
     #[test]
