@@ -8,6 +8,9 @@
 //! The timed networks are the sizes the GOPs rows count. MVDR costs the same
 //! per depth row at every depth and takes minutes per frame, so it is timed on
 //! a band of rows from the middle of the grid and scaled to the whole frame.
+//! Tiny-VBF runs its inference engine; FCNN and Tiny-CNN run their training
+//! forward (a `Tensor` per depth row, a model clone per worker), and their
+//! rows say so.
 //!
 //! Run with `cargo run --release -p bench --bin gops_inference_time`.
 
@@ -54,26 +57,40 @@ fn main() {
     let tiny_vbf = QuantizedTinyVbfBeamformer::new(&tiny_vbf, QuantScheme::float());
     let fcnn = FcnnBeamformer::new(Fcnn::new(channels, FCNN_HIDDEN, 1).expect("FCNN"));
     let tiny_cnn = TinyCnnBeamformer::new(TinyCnn::new(channels, TINY_CNN_FEATURES, 1).expect("Tiny-CNN"));
-    // (GOPs estimate, paper GOPs, beamformer, timed grid, paper CPU seconds)
-    let models: [(_, _, &dyn Beamformer, _, _); 5] = [
-        (tiny_vbf_gops(&config, rows, cols), PAPER_TINY_VBF_GOPS, &tiny_vbf, &grid, PAPER_TINY_VBF_CPU_SECONDS),
-        (fcnn_gops(rows, cols, channels, FCNN_HIDDEN), PAPER_FCNN_GOPS, &fcnn, &grid, f64::NAN),
-        (tiny_cnn_gops(rows, cols, channels, TINY_CNN_FEATURES), PAPER_TINY_CNN_GOPS, &tiny_cnn, &grid, PAPER_TINY_CNN_CPU_SECONDS),
-        (mvdr_gops(rows, cols, channels), PAPER_MVDR_GOPS, &Mvdr::default(), &band, PAPER_MVDR_CPU_SECONDS),
-        (das_gops(rows, cols, channels), f64::NAN, &DelayAndSum::default(), &grid, f64::NAN),
+    // (GOPs estimate, paper GOPs, beamformer, timed grid, paper CPU seconds,
+    // whether it times a training forward)
+    let models: [(_, _, &dyn Beamformer, _, _, _); 5] = [
+        (tiny_vbf_gops(&config, rows, cols), PAPER_TINY_VBF_GOPS, &tiny_vbf, &grid, PAPER_TINY_VBF_CPU_SECONDS, false),
+        (fcnn_gops(rows, cols, channels, FCNN_HIDDEN), PAPER_FCNN_GOPS, &fcnn, &grid, f64::NAN, true),
+        (
+            tiny_cnn_gops(rows, cols, channels, TINY_CNN_FEATURES),
+            PAPER_TINY_CNN_GOPS,
+            &tiny_cnn,
+            &grid,
+            PAPER_TINY_CNN_CPU_SECONDS,
+            true,
+        ),
+        (mvdr_gops(rows, cols, channels), PAPER_MVDR_GOPS, &Mvdr::default(), &band, PAPER_MVDR_CPU_SECONDS, false),
+        (das_gops(rows, cols, channels), f64::NAN, &DelayAndSum::default(), &grid, f64::NAN, false),
     ];
 
     println!("Section IV: cost per {rows}x{cols} frame, {channels} channels; CPU time at {} thread(s)", runtime::default_threads());
     println!("(paper CPU: Intel Xeon, 2 vCPU @ 2.2 GHz)");
     println!("  {:<10} {:>10} {:>10} {:>10} {:>10}", "Model", "GOPs", "paper", "CPU s", "paper");
-    for (estimate, paper_gops, beamformer, timed, paper_seconds) in models {
+    for (estimate, paper_gops, beamformer, timed, paper_seconds, training_forward) in models {
         let run = || beamformer.beamform(&frame, &array, timed, SOUND_SPEED).expect("beamform");
         black_box(run()); // warm-up: builds whatever the beamformer caches
         let start = Instant::now();
         black_box(run());
         let timed_rows = timed.num_rows();
         let seconds = start.elapsed().as_secs_f64() * rows as f64 / timed_rows as f64;
-        let note = if timed_rows < rows { format!("   extrapolated from {timed_rows} of {rows} rows") } else { String::new() };
+        let note = if timed_rows < rows {
+            format!("   extrapolated from {timed_rows} of {rows} rows")
+        } else if training_forward {
+            "   training forward (a Tensor per row, a model clone per worker)".to_string()
+        } else {
+            String::new()
+        };
         println!(
             "  {:<10} {:>10.3} {:>10.2} {:>10.3} {:>10.3}{note}",
             estimate.model, estimate.gops_per_frame, paper_gops, seconds, paper_seconds

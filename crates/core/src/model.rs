@@ -160,6 +160,12 @@ impl TinyVbf {
         }
     }
 
+    /// Every block's per-head attention probabilities of the last forward.
+    #[cfg(test)]
+    pub(crate) fn attention_probabilities(&self) -> Vec<&Tensor> {
+        self.blocks.iter().flat_map(|b| b.attention.probabilities()).collect()
+    }
+
     fn check_row(&self, row: &Tensor) -> TinyVbfResult<()> {
         if row.shape().len() != 2 || row.cols() != self.config.channels {
             return Err(TinyVbfError::ShapeMismatch {

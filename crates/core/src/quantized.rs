@@ -101,13 +101,15 @@ impl QuantizedTinyVbf {
 
     /// Multi-head self-attention of one depth row, from `s.normed` into
     /// `s.branch`, [`QUERY_BLOCK`] query rows at a time per head. Each block
-    /// computes its scores as `[key][query lane]`, each row's running max,
-    /// [`runtime::simd::exp`] of the shifted scores, the per-row denominators
-    /// summed in ascending key order (interleaved across the block's rows),
-    /// the divide, and the probabilities times V summed in ascending key
-    /// order. Per element this is exactly the sequence of `Tensor::matmul`
-    /// and `softmax_rows` in the training model's attention. A short last
-    /// block runs zero queries in its unused lanes and drops their results.
+    /// computes its scores as `[key][query lane]` and each row's max
+    /// ([`block_scores`]); then, in one [`runtime::simd::exp_shifted_sum`]
+    /// pass, the exponentials of the shifted scores and the per-row
+    /// denominators summed in ascending key order (interleaved across the
+    /// block's rows); last, the divide and the probabilities times V summed
+    /// in ascending key order ([`attend_values`]). Per element this is
+    /// exactly the sequence of `Tensor::matmul` and `softmax_rows` in the
+    /// training model's attention. A short last block runs zero queries in
+    /// its unused lanes and drops their results.
     fn attention_f32(&self, block: &TransformerBlockWeights, s: &mut RowScratch) {
         let config = &self.weights.config;
         let dim = config.model_dim;
@@ -128,14 +130,14 @@ impl QuantizedTinyVbf {
                     }
                 }
                 let row_max = block_scores(&mut s.scores, &s.queries, &s.k[head..], dim, scale);
-                block_softmax(&mut s.scores, row_max);
+                let denom = runtime::simd::exp_shifted_sum(&mut s.scores, &row_max);
                 let mut col = head;
                 while col < head + head_dim {
                     let (values, concat) = (&s.v[col..], &mut s.concat[col..]);
                     col += if head + head_dim - col >= 4 {
-                        attend_values::<4>(&s.scores, values, concat, i0, lanes, dim)
+                        attend_values::<4>(&s.scores, denom, values, concat, i0, lanes, dim)
                     } else {
-                        attend_values::<1>(&s.scores, values, concat, i0, lanes, dim)
+                        attend_values::<1>(&s.scores, denom, values, concat, i0, lanes, dim)
                     };
                 }
             }
@@ -287,11 +289,45 @@ pub(crate) fn layer_norm_f32(input: &[f32], gamma: &Tensor, beta: &Tensor, out: 
     }
 }
 
-/// One query block's scores against every key, `[key][query lane]`: the
-/// products `q · k` added in ascending head column from `0.0`, times
-/// `scale`. `keys` starts at the head's first column of key row 0 and has
-/// row stride `stride`. Returns each query lane's max, folded from −∞ in
-/// ascending key order.
+/// Keys per step of [`block_scores`], each with its own accumulators.
+const KEY_GROUP: usize = 4;
+
+/// The dot products of `G` keys with one query block, `[key][query lane]`:
+/// the products `q · k` added in ascending head column from `0.0`. The `G`
+/// keys' add chains are independent, so they overlap in the pipeline.
+#[inline(always)]
+fn key_group_dots<const G: usize>(queries: &[[f32; QUERY_BLOCK]], keys: [&[f32]; G]) -> [[f32; QUERY_BLOCK]; G] {
+    let mut acc = [[0.0f32; QUERY_BLOCK]; G];
+    for (p, column) in queries.iter().enumerate() {
+        for (a, key) in acc.iter_mut().zip(keys) {
+            let k = key[p];
+            for (a, &q) in a.iter_mut().zip(column) {
+                *a += q * k;
+            }
+        }
+    }
+    acc
+}
+
+/// `score = dot · scale`, and each lane's running max.
+#[inline(always)]
+fn scale_and_fold(score: &mut [f32; QUERY_BLOCK], dot: [f32; QUERY_BLOCK], scale: f32, max: &mut [f32; QUERY_BLOCK]) {
+    for ((s, d), m) in score.iter_mut().zip(dot).zip(max.iter_mut()) {
+        *s = d * scale;
+        *m = if *s > *m { *s } else { *m };
+    }
+}
+
+/// One query block's scores against every key, `[key][query lane]`, computed
+/// [`KEY_GROUP`] keys per step (see [`key_group_dots`]), each dot product
+/// times `scale`. `keys` starts at the head's first column of key row 0 and
+/// has row stride `stride`. Returns each query lane's max score.
+///
+/// The max runs as one fold per key position of a group, combined at the
+/// end, so no compare waits on the one before it. That gives the training
+/// fold's max in ascending key order: the sums start from `+0.0`, so no score
+/// is `−0`, a NaN score never wins a compare, and the largest of the others
+/// is the same in any order.
 fn block_scores(
     scores: &mut [[f32; QUERY_BLOCK]],
     queries: &[[f32; QUERY_BLOCK]],
@@ -299,55 +335,44 @@ fn block_scores(
     stride: usize,
     scale: f32,
 ) -> [f32; QUERY_BLOCK] {
-    let mut row_max = [f32::NEG_INFINITY; QUERY_BLOCK];
-    for (scores, key) in scores.iter_mut().zip(keys.chunks(stride)) {
-        let mut acc = [0.0f32; QUERY_BLOCK];
-        for (column, &k) in queries.iter().zip(key) {
-            for (a, &q) in acc.iter_mut().zip(column) {
-                *a += q * k;
-            }
+    let head_dim = queries.len();
+    let key = |j: usize| &keys[j * stride..][..head_dim];
+    let mut maxima = [[f32::NEG_INFINITY; QUERY_BLOCK]; KEY_GROUP];
+    let grouped = scores.len() - scores.len() % KEY_GROUP;
+    let (groups, rest) = scores.split_at_mut(grouped);
+    for (g, group) in groups.chunks_exact_mut(KEY_GROUP).enumerate() {
+        let j = g * KEY_GROUP;
+        let dots = key_group_dots(queries, std::array::from_fn::<_, KEY_GROUP, _>(|i| key(j + i)));
+        for ((score, dot), max) in group.iter_mut().zip(dots).zip(maxima.iter_mut()) {
+            scale_and_fold(score, dot, scale, max);
         }
-        for ((score, a), max) in scores.iter_mut().zip(acc).zip(row_max.iter_mut()) {
-            *score = a * scale;
-            *max = max.max(*score);
+    }
+    for (i, score) in rest.iter_mut().enumerate() {
+        let [dot] = key_group_dots(queries, [key(grouped + i)]);
+        scale_and_fold(score, dot, scale, &mut maxima[0]);
+    }
+    let [mut row_max, others @ ..] = maxima;
+    for max in others {
+        for (m, x) in row_max.iter_mut().zip(max) {
+            *m = if x > *m { x } else { *m };
         }
     }
     row_max
 }
 
-/// Softmax of one query block's scores over the keys, in place: `exp(s −
-/// max)` through [`runtime::simd::exp`], each lane's denominator summed in
-/// ascending key order from `0.0`, then one divide per element.
-fn block_softmax(scores: &mut [[f32; QUERY_BLOCK]], row_max: [f32; QUERY_BLOCK]) {
-    for lane_scores in scores.iter_mut() {
-        for (score, max) in lane_scores.iter_mut().zip(row_max) {
-            *score -= max;
-        }
-    }
-    runtime::simd::exp(scores.as_flattened_mut());
-    let mut denom = [0.0f32; QUERY_BLOCK];
-    for e in scores.iter() {
-        for (d, &e) in denom.iter_mut().zip(e) {
-            *d += e;
-        }
-    }
-    for p in scores.iter_mut() {
-        for (p, d) in p.iter_mut().zip(denom) {
-            *p /= d;
-        }
-    }
-}
-
-/// `D` head columns of one query block's output: `Σ_j probs[j][lane] ·
-/// values[j·stride + d]`, products added in ascending `j` from `0.0`,
-/// written to `concat[(i0 + lane)·stride + d]` for the block's first `lanes`
-/// lanes. Returns `D`.
+/// `D` head columns of one query block's output: `Σ_j p[j][lane] ·
+/// values[j·stride + d]` with the probabilities `p[j][lane] = exps[j][lane] /
+/// denom[lane]`, products added in ascending `j` from `0.0`, written to
+/// `concat[(i0 + lane)·stride + d]` for the block's first `lanes` lanes.
+/// Returns `D`. The divides ride in this pass, where they overlap with the
+/// latency of the `D` add chains instead of costing a pass of their own.
 ///
 /// Kept out of line: inlined into the block loop, it compiled to code that
 /// made the whole float forward about 1.7× slower on the paper grid.
 #[inline(never)]
 fn attend_values<const D: usize>(
-    probs: &[[f32; QUERY_BLOCK]],
+    exps: &[[f32; QUERY_BLOCK]],
+    denom: [f32; QUERY_BLOCK],
     values: &[f32],
     concat: &mut [f32],
     i0: usize,
@@ -355,10 +380,14 @@ fn attend_values<const D: usize>(
     stride: usize,
 ) -> usize {
     let mut acc = [[0.0f32; QUERY_BLOCK]; D];
-    for (p, v) in probs.iter().zip(values.chunks(stride)) {
+    for (e, v) in exps.iter().zip(values.chunks(stride)) {
         let v: &[f32; D] = v[..D].try_into().unwrap();
+        let mut p = *e;
+        for (p, d) in p.iter_mut().zip(denom) {
+            *p /= d;
+        }
         for (a, &vd) in acc.iter_mut().zip(v) {
-            for (o, &pj) in a.iter_mut().zip(p) {
+            for (o, &pj) in a.iter_mut().zip(&p) {
                 *o += pj * vd;
             }
         }
@@ -673,6 +702,41 @@ mod tests {
                 let (_, grad) = mse(&model.forward_row(&rows[0]).unwrap(), &target);
                 model.backward_row(&grad);
                 adam.step(model.params_mut());
+            }
+        }
+    }
+
+    #[test]
+    fn float_engine_matches_training_forward_inside_exp_special_range() {
+        // q and k weights ×30 scale every score 900×, so softmax inputs fall
+        // past −88 and below −103.97, where `exp` returns exactly 0: the
+        // range the seeded model with inputs in [−1, 1] never reaches.
+        let config = TinyVbfConfig::small().for_frame(128, 128);
+        for tokens in [128, 130] {
+            let mut model = TinyVbf::new(&config).unwrap();
+            let exported = model.export_weights();
+            {
+                // Parameter order: encoder weight and bias, the positional
+                // table, then per block norm1's two, wq, wk, wv, wo, and six more.
+                let first = 2 + usize::from(exported.positional.is_some());
+                let mut params = model.params_mut();
+                for (b, block) in exported.blocks.iter().enumerate() {
+                    for (offset, weight) in [(2, &block.wq), (3, &block.wk)] {
+                        let param = &mut params[first + 12 * b + offset];
+                        assert_eq!(param.value.as_slice(), weight.as_slice(), "block {b} parameter {offset}");
+                        param.value = param.value.scale(30.0);
+                    }
+                }
+            }
+            let row = normal(&[tokens, config.channels], 0.4, 300 + tokens as u64).map(|v| v.clamp(-1.0, 1.0));
+            let training = model.forward_row(&row).unwrap();
+            let zeros =
+                model.attention_probabilities().iter().flat_map(|p| p.as_slice()).filter(|&&p| p == 0.0).count();
+            assert!(zeros > 0, "{tokens} tokens: no attention probability underflowed to 0");
+            let served = QuantizedTinyVbf::from_model(&model, QuantScheme::float()).infer_row(&row);
+            assert_eq!(training.shape(), served.shape());
+            for (i, (a, b)) in training.as_slice().iter().zip(served.as_slice()).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{tokens} tokens value {i}: {a} vs {b}");
             }
         }
     }

@@ -33,10 +33,11 @@
 //! Attention runs each head [`QUERY_BLOCK`] query rows at a time and reads the
 //! q/k/v codes in place. A block computes its scores as exact dot products
 //! with the score shift (or, for a `head_dim` that is not a power of four, the
-//! `f64`-rounded `1/√head_dim` multiply), then its softmax — [`simd::exp`] of
-//! the exact shifted scores, the denominators summed in ascending key order —
-//! with each probability quantized onto the softmax grid in the divide pass, then the exact A·V and its rounding shift back
-//! onto the activation grid. Per element these are the operations of the
+//! `f64`-rounded `1/√head_dim` multiply), then its softmax — one
+//! [`simd::exp_shifted_sum`] pass over the shifted scores, the denominators
+//! summed in ascending key order — with each probability quantized onto the
+//! softmax grid in the divide pass, then the exact A·V and its rounding shift
+//! back onto the activation grid. Per element these are the operations of the
 //! plain-loop `i64` oracle in the tests, so the bits are the oracle's.
 //!
 //! Nonlinear boundaries (layer norm, softmax, tanh) convert codes to `f32`
@@ -297,25 +298,32 @@ impl IntModel {
     }
 
     /// Softmax of one query block's score codes over the keys, in place, to
-    /// probability codes on the softmax grid. Per lane: the max code;
-    /// [`simd::exp`] of `(code − max) · step` (exact in `f32`); the denominator
-    /// summed in ascending key order from `0.0`; one divide per element, and its quotient rounded onto the
-    /// softmax grid in the same pass.
+    /// probability codes on the softmax grid. Per lane: the scores `code ·
+    /// step` and their max; one [`simd::exp_shifted_sum`] pass, `exp(score −
+    /// max)` with the denominator summed in ascending key order from `0.0`;
+    /// one divide per element, and its quotient rounded onto the softmax grid
+    /// in the same pass. Codes are integers of at most 2^24, so `code · step`
+    /// is exact in `f32` and `score − max` rounds once, as the exact `(code −
+    /// max) · step` would.
     fn block_softmax(&self, block: &mut [[f64; QUERY_BLOCK]], exps: &mut [[f32; QUERY_BLOCK]]) {
+        let step = self.act.resolution();
         // Four independent running maxima break the compare's latency chain;
         // a max is exact, so the grouping cannot change it.
-        let mut maxima = [[f64::NEG_INFINITY; QUERY_BLOCK]; 4];
-        let mut quads = block.chunks_exact(4);
-        for quad in &mut quads {
-            for (max, codes) in maxima.iter_mut().zip(quad) {
+        let mut maxima = [[f32::NEG_INFINITY; QUERY_BLOCK]; 4];
+        let mut quads = exps.chunks_exact_mut(4).zip(block.chunks_exact(4));
+        for (scores, codes) in &mut quads {
+            for ((max, score), codes) in maxima.iter_mut().zip(scores).zip(codes) {
                 for l in 0..QUERY_BLOCK {
-                    max[l] = if codes[l] > max[l] { codes[l] } else { max[l] };
+                    score[l] = codes[l] as f32 * step;
+                    max[l] = if score[l] > max[l] { score[l] } else { max[l] };
                 }
             }
         }
-        for codes in quads.remainder() {
+        let grouped = block.len() - block.len() % 4;
+        for (score, codes) in exps[grouped..].iter_mut().zip(&block[grouped..]) {
             for l in 0..QUERY_BLOCK {
-                maxima[0][l] = if codes[l] > maxima[0][l] { codes[l] } else { maxima[0][l] };
+                score[l] = codes[l] as f32 * step;
+                maxima[0][l] = if score[l] > maxima[0][l] { score[l] } else { maxima[0][l] };
             }
         }
         let mut row_max = maxima[0];
@@ -324,19 +332,7 @@ impl IntModel {
                 row_max[l] = if max[l] > row_max[l] { max[l] } else { row_max[l] };
             }
         }
-        let step = f64::from(self.act.resolution());
-        for (e, codes) in exps.iter_mut().zip(block.iter()) {
-            for l in 0..QUERY_BLOCK {
-                e[l] = ((codes[l] - row_max[l]) * step) as f32;
-            }
-        }
-        simd::exp(exps.as_flattened_mut());
-        let mut denom = [0.0f32; QUERY_BLOCK];
-        for e in exps.iter() {
-            for l in 0..QUERY_BLOCK {
-                denom[l] += e[l];
-            }
-        }
+        let denom = simd::exp_shifted_sum(exps, &row_max);
         let (inv_step, hi) = (1.0 / self.soft.resolution(), self.soft.max_raw() as f32);
         for (codes, e) in block.iter_mut().zip(exps.iter()) {
             for l in 0..QUERY_BLOCK {

@@ -78,6 +78,12 @@ impl MultiHeadAttention {
         self.model_dim / self.num_heads
     }
 
+    /// The per-head softmax probabilities `(tokens, tokens)` of the last
+    /// forward; empty before the first.
+    pub fn probabilities(&self) -> &[Tensor] {
+        self.cache.as_ref().map_or(&[], |c| &c.attention)
+    }
+
     fn project(&self, input: &Tensor) -> (Tensor, Tensor, Tensor) {
         (
             input.matmul(&self.wq.value),

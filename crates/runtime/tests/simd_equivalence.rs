@@ -68,6 +68,16 @@ fn assert_bits_eq(reference: &[f32], got: &[f32], what: &str, mode: SimdMode) {
     }
 }
 
+/// [`assert_bits_eq`] up to NaN payloads: where two NaNs meet in one
+/// operation, which payload survives is the compiler's choice, so two NaN
+/// results count as equal.
+fn assert_values_eq(reference: &[f32], got: &[f32], what: &str, mode: SimdMode) {
+    assert_eq!(reference.len(), got.len(), "{what}: length under {mode:?}");
+    for (i, (a, b)) in reference.iter().zip(got).enumerate() {
+        assert!(a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()), "{what}[{i}]: {a} vs {b} under {mode:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -416,6 +426,78 @@ proptest! {
                 v
             });
             assert_bits_eq(&reference, &got, "exp", mode);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn exp_shifted_sum_is_bitwise_identical_across_modes(seed in 0u64..1_000_000, keys in 0usize..41) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let edges = exp_edge_inputs();
+        // Attention-shaped scores, some far enough below their lane's max to
+        // reach `exp`'s special range, and now and then an edge input.
+        let block: Vec<[f32; 8]> = (0..keys)
+            .map(|_| {
+                std::array::from_fn(|_| match rng.gen_range(0u32..8) {
+                    0 => edges[rng.gen_range(0..edges.len())],
+                    1 => rng.gen_range(-200.0f32..0.0),
+                    _ => rng.gen_range(-12.0f32..12.0),
+                })
+            })
+            .collect();
+        let max: [f32; 8] = std::array::from_fn(|_| match rng.gen_range(0u32..6) {
+            0 => edges[rng.gen_range(0..edges.len())],
+            _ => rng.gen_range(-12.0f32..12.0),
+        });
+        let run = |mode| {
+            with_mode(mode, || {
+                let mut b = block.clone();
+                let sum = simd::exp_shifted_sum(&mut b, &max);
+                (b.concat(), sum.to_vec())
+            })
+        };
+        let (reference, reference_sum) = run(SimdMode::Scalar);
+        // The scalar tier is the subtract, `exp` and ascending-key sum passes.
+        let mut shifted: Vec<f32> = block.iter().flat_map(|row| (0..8).map(move |l| row[l] - max[l])).collect();
+        with_mode(SimdMode::Scalar, || simd::exp(&mut shifted));
+        assert_values_eq(&shifted, &reference, "exp_shifted_sum vs exp", SimdMode::Scalar);
+        let sums: Vec<f32> = (0..8).map(|l| shifted.iter().skip(l).step_by(8).fold(0.0f32, |acc, &e| acc + e)).collect();
+        assert_values_eq(&sums, &reference_sum, "exp_shifted_sum denominators", SimdMode::Scalar);
+        for mode in alternative_modes() {
+            let (got, got_sum) = run(mode);
+            assert_values_eq(&reference, &got, "exp_shifted_sum", mode);
+            assert_values_eq(&reference_sum, &got_sum, "exp_shifted_sum denominators", mode);
+        }
+    }
+}
+
+/// Every edge input at every lane position of a 16-element slice of
+/// softmax-range inputs, under every tier, through `exp` and through
+/// `exp_shifted_sum` (as a score over a zero max): each lane must equal the
+/// scalar reference, whatever its neighbours hold.
+#[test]
+fn exp_special_inputs_are_exact_at_every_lane_position() {
+    let ordinary: Vec<f32> = (0..16).map(|i| -0.37 * i as f32 - 0.5).collect();
+    for x in exp_edge_inputs() {
+        for lane in 0..16 {
+            let mut values = ordinary.clone();
+            values[lane] = x;
+            let mut reference = values.clone();
+            with_mode(SimdMode::Scalar, || simd::exp(&mut reference));
+            for mode in simd::available_modes() {
+                let mut got = values.clone();
+                with_mode(mode, || simd::exp(&mut got));
+                assert_bits_eq(&reference, &got, &format!("exp with {x:e} at lane {lane}"), mode);
+                let mut block: Vec<[f32; 8]> = values.chunks_exact(8).map(|c| c.try_into().unwrap()).collect();
+                let sum = with_mode(mode, || simd::exp_shifted_sum(&mut block, &[0.0; 8]));
+                let what = format!("exp_shifted_sum with {x:e} at lane {lane}");
+                assert_bits_eq(&reference, &block.concat(), &what, mode);
+                let expect: Vec<f32> = (0..8).map(|l| 0.0f32 + reference[l] + reference[8 + l]).collect();
+                assert_bits_eq(&expect, &sum, &format!("denominators with {x:e} at lane {lane}"), mode);
+            }
         }
     }
 }
