@@ -102,45 +102,22 @@ impl TofCube {
         out
     }
 
-    /// Peak absolute value over the whole cube (NaN entries ignored), over
-    /// blocks of rows on the workspace-default worker threads.
+    /// Peak absolute value over the whole cube.
     pub fn peak(&self) -> f32 {
-        self.peak_with_threads(runtime::default_threads())
-    }
-
-    /// [`TofCube::peak`] with an explicit worker-thread count. The max of
-    /// absolute values ignores NaN and does not depend on order, so every
-    /// count gives the same bits.
-    fn peak_with_threads(&self, num_threads: usize) -> f32 {
-        let row_len = self.cols * self.channels;
-        let rows_per_block = self.rows.div_ceil(num_threads.clamp(1, self.rows));
-        let blocks: Vec<&[f32]> = self.data.chunks(rows_per_block * row_len).collect();
-        let peaks =
-            runtime::par_collect(blocks.len(), num_threads, |b| blocks[b].iter().fold(0.0f32, |m, v| m.max(v.abs())));
-        peaks.into_iter().fold(0.0f32, f32::max)
+        self.data.iter().fold(0.0f32, |m, v| m.max(v.abs()))
     }
 
     /// Normalizes the cube in place to the `[-1, 1]` interval the paper feeds the
-    /// network (peak normalization), on the workspace-default worker threads.
-    /// Returns the applied scale.
+    /// network (peak normalization). Returns the applied scale.
     pub fn normalize(&mut self) -> f32 {
-        self.normalize_with_threads(runtime::default_threads())
-    }
-
-    /// [`TofCube::normalize`] with an explicit worker-thread count: the peak and
-    /// then the scale, each over blocks of rows. The scale is one multiply per
-    /// entry, so the cube is bitwise identical for every count.
-    fn normalize_with_threads(&mut self, num_threads: usize) -> f32 {
-        let peak = self.peak_with_threads(num_threads);
+        let peak = self.peak();
         if peak <= 0.0 {
             return 1.0;
         }
         let scale = 1.0 / peak;
-        runtime::par_map_rows(&mut self.data, self.cols * self.channels, num_threads, |_, block| {
-            for v in block {
-                *v *= scale;
-            }
-        });
+        for v in self.data.iter_mut() {
+            *v *= scale;
+        }
         scale
     }
 }
@@ -308,29 +285,6 @@ mod tests {
         assert_eq!(cube.value(0, 0, 0), -1.0);
         let mut zero = TofCube::zeros(1, 1, 2);
         assert_eq!(zero.normalize(), 1.0);
-    }
-
-    #[test]
-    fn normalize_gives_the_same_bits_at_every_thread_count() {
-        // Seven rows, so 2 and 5 workers get uneven blocks; a NaN entry that
-        // the peak must skip and the largest magnitude in the last row.
-        let mut cube = TofCube::zeros(7, 3, 4);
-        for (i, v) in cube.as_mut_slice().iter_mut().enumerate() {
-            *v = ((i * 37 % 101) as f32 - 50.0) * 0.173;
-        }
-        *cube.value_mut(2, 1, 3) = f32::NAN;
-        *cube.value_mut(6, 2, 0) = -91.25;
-        // The serial reference: fold the peak, then one multiply per entry.
-        let peak = cube.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
-        assert_eq!(peak, 91.25);
-        let expect: Vec<u32> = cube.as_slice().iter().map(|v| (v * (1.0 / peak)).to_bits()).collect();
-        for threads in [1, 2, 5] {
-            let mut normalized = cube.clone();
-            assert_eq!(normalized.peak_with_threads(threads), peak, "{threads} threads");
-            assert_eq!(normalized.normalize_with_threads(threads), 1.0 / peak, "{threads} threads");
-            let got: Vec<u32> = normalized.as_slice().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(got, expect, "{threads} threads");
-        }
     }
 
     #[test]

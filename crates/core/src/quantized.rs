@@ -324,10 +324,12 @@ fn scale_and_fold(score: &mut [f32; QUERY_BLOCK], dot: [f32; QUERY_BLOCK], scale
 /// has row stride `stride`. Returns each query lane's max score.
 ///
 /// The max runs as one fold per key position of a group, combined at the
-/// end, so no compare waits on the one before it. That gives the training
-/// fold's max in ascending key order: the sums start from `+0.0`, so no score
-/// is `−0`, a NaN score never wins a compare, and the largest of the others
-/// is the same in any order.
+/// end, so no compare waits on the one before it. Against the training
+/// fold in ascending key order this can change only the sign of a zero max
+/// (a tiny negative dot times `scale` can round to `−0`): a NaN score never
+/// wins a compare, and the largest of the others is the same in any order.
+/// The sign of a zero max changes no `exp(s − max)` bit: `s − (±0)` is `s`
+/// for every nonzero `s`, and a zero `s` gives `exp(±0) = 1` either way.
 fn block_scores(
     scores: &mut [[f32; QUERY_BLOCK]],
     queries: &[[f32; QUERY_BLOCK]],
@@ -668,21 +670,27 @@ mod tests {
 
     #[test]
     fn float_engine_matches_training_forward_bitwise() {
-        // (config, tokens per row): the unit-test shape, a row shorter than
-        // the positional table, the small preset, the shape served on the
-        // paper's 128-channel, 128-column grid, and two rows whose last
-        // attention query block is short (37 = 4·8 + 5, 130 = 16·8 + 2) and
-        // longer than the positional table.
+        // (config, tokens per row, q/k weight scale): the unit-test shape, a
+        // row shorter than the positional table, the small preset, the shape
+        // served on the paper's 128-channel, 128-column grid, and two rows
+        // whose last attention query block is short (37 = 4·8 + 5, 130 =
+        // 16·8 + 2) and longer than the positional table. The last two scale
+        // q and k ×30, so scores grow 900× and softmax inputs fall below
+        // −103.97, where `exp` returns exactly 0: a range the seeded weights
+        // with inputs in [−1, 1] never reach.
         let cases = [
-            (TinyVbfConfig::tiny_test(), 6),
-            (TinyVbfConfig::tiny_test(), 4),
-            (TinyVbfConfig::small(), 32),
-            (TinyVbfConfig::small().for_frame(128, 128), 128),
-            (TinyVbfConfig::small(), 37),
-            (TinyVbfConfig::small().for_frame(128, 128), 130),
+            (TinyVbfConfig::tiny_test(), 6, 1.0),
+            (TinyVbfConfig::tiny_test(), 4, 1.0),
+            (TinyVbfConfig::small(), 32, 1.0),
+            (TinyVbfConfig::small().for_frame(128, 128), 128, 1.0),
+            (TinyVbfConfig::small(), 37, 1.0),
+            (TinyVbfConfig::small().for_frame(128, 128), 130, 1.0),
+            (TinyVbfConfig::small().for_frame(128, 128), 128, 30.0),
+            (TinyVbfConfig::small().for_frame(128, 128), 130, 30.0),
         ];
-        for (config, tokens) in cases {
+        for (config, tokens, qk_scale) in cases {
             let mut model = TinyVbf::new(&config).unwrap();
+            scale_query_key_weights(&mut model, qk_scale);
             let rows: Vec<Tensor> = (0..3)
                 .map(|seed| normal(&[tokens, config.channels], 0.4, 100 + seed).map(|v| v.clamp(-1.0, 1.0)))
                 .collect();
@@ -692,6 +700,11 @@ mod tests {
                 let engine = QuantizedTinyVbf::from_model(&model, QuantScheme::float());
                 for (r, row) in rows.iter().enumerate() {
                     let training = model.forward_row(row).unwrap();
+                    if qk_scale != 1.0 {
+                        let probs = model.attention_probabilities();
+                        let zeros = probs.iter().flat_map(|p| p.as_slice()).filter(|&&p| p == 0.0).count();
+                        assert!(zeros > 0, "{config:?} step {step} row {r}: no attention probability underflowed to 0");
+                    }
                     let served = engine.infer_row(row);
                     assert_eq!(training.shape(), served.shape());
                     for (i, (a, b)) in training.as_slice().iter().zip(served.as_slice()).enumerate() {
@@ -706,37 +719,18 @@ mod tests {
         }
     }
 
-    #[test]
-    fn float_engine_matches_training_forward_inside_exp_special_range() {
-        // q and k weights ×30 scale every score 900×, so softmax inputs fall
-        // past −88 and below −103.97, where `exp` returns exactly 0: the
-        // range the seeded model with inputs in [−1, 1] never reaches.
-        let config = TinyVbfConfig::small().for_frame(128, 128);
-        for tokens in [128, 130] {
-            let mut model = TinyVbf::new(&config).unwrap();
-            let exported = model.export_weights();
-            {
-                // Parameter order: encoder weight and bias, the positional
-                // table, then per block norm1's two, wq, wk, wv, wo, and six more.
-                let first = 2 + usize::from(exported.positional.is_some());
-                let mut params = model.params_mut();
-                for (b, block) in exported.blocks.iter().enumerate() {
-                    for (offset, weight) in [(2, &block.wq), (3, &block.wk)] {
-                        let param = &mut params[first + 12 * b + offset];
-                        assert_eq!(param.value.as_slice(), weight.as_slice(), "block {b} parameter {offset}");
-                        param.value = param.value.scale(30.0);
-                    }
-                }
-            }
-            let row = normal(&[tokens, config.channels], 0.4, 300 + tokens as u64).map(|v| v.clamp(-1.0, 1.0));
-            let training = model.forward_row(&row).unwrap();
-            let zeros =
-                model.attention_probabilities().iter().flat_map(|p| p.as_slice()).filter(|&&p| p == 0.0).count();
-            assert!(zeros > 0, "{tokens} tokens: no attention probability underflowed to 0");
-            let served = QuantizedTinyVbf::from_model(&model, QuantScheme::float()).infer_row(&row);
-            assert_eq!(training.shape(), served.shape());
-            for (i, (a, b)) in training.as_slice().iter().zip(served.as_slice()).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "{tokens} tokens value {i}: {a} vs {b}");
+    /// Multiplies every block's `wq` and `wk` by `factor` in place.
+    fn scale_query_key_weights(model: &mut TinyVbf, factor: f32) {
+        let exported = model.export_weights();
+        // Parameter order: encoder weight and bias, the positional table,
+        // then per block norm1's two, wq, wk, wv, wo, and six more.
+        let first = 2 + usize::from(exported.positional.is_some());
+        let mut params = model.params_mut();
+        for (b, block) in exported.blocks.iter().enumerate() {
+            for (offset, weight) in [(2, &block.wq), (3, &block.wk)] {
+                let param = &mut params[first + 12 * b + offset];
+                assert_eq!(param.value.as_slice(), weight.as_slice(), "block {b} parameter {offset}");
+                param.value = param.value.scale(factor);
             }
         }
     }

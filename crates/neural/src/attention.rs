@@ -78,8 +78,9 @@ impl MultiHeadAttention {
         self.model_dim / self.num_heads
     }
 
-    /// The per-head softmax probabilities `(tokens, tokens)` of the last
-    /// forward; empty before the first.
+    /// Test support: the per-head softmax probabilities `(tokens, tokens)`
+    /// of the last forward; empty before the first.
+    #[doc(hidden)]
     pub fn probabilities(&self) -> &[Tensor] {
         self.cache.as_ref().map_or(&[], |c| &c.attention)
     }

@@ -12,10 +12,7 @@
 //! * **Native** — the portable bodies recompiled under
 //!   `#[target_feature(enable = "avx2")]` (x86-64) or `"neon"` (aarch64),
 //!   selected by runtime CPU detection, plus hand-written intrinsics where
-//!   autovectorization cannot reach: the i16 pair-madd kernel, and the
-//!   AVX-512 body that [`exp`] runs on hosts with AVX-512F (a second CPU
-//!   check, cached like the first). It holds the `exp` table in four
-//!   registers and looks it up with vector permutes. The native
+//!   autovectorization cannot reach (the i16 pair-madd kernel). The native
 //!   wrappers deliberately do **not** enable FMA: fusing a multiply-add
 //!   would change rounding and break bitwise identity with the reference.
 //!   [`exp`] fuses on purpose: its multiply-adds are explicit `mul_add`
@@ -738,15 +735,12 @@ fn quantize_codes_lanes(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i3
 #[cfg(target_arch = "x86_64")]
 mod native {
     use super::*;
-    use std::arch::x86_64::*;
 
     // SAFETY (all wrappers): dispatch reaches this module only when `mode()`
     // returned `Native`, which `clamp_to_available` guarantees implies AVX2
-    // was detected at runtime, and an `avx512f` body only after
-    // `avx512_available()` returned true. `avx2` deliberately does not imply
-    // `fma`, so no multiply-add can be fused and every body stays bitwise
-    // identical to its scalar reference; the AVX-512 bodies fuse only where
-    // the reference calls `mul_add`.
+    // was detected at runtime. `avx2` deliberately does not imply `fma`, so
+    // no multiply-add can be fused and every body stays bitwise identical to
+    // its scalar reference.
 
     #[target_feature(enable = "avx2")]
     unsafe fn scale_avx2(values: &mut [f32], factor: f32) {
@@ -788,6 +782,7 @@ mod native {
     /// `(-32768)^2`).
     #[target_feature(enable = "avx2")]
     unsafe fn madd_pairs_avx2(acc: &mut [i32], a_pair: i32, pairs: &[i32]) {
+        use std::arch::x86_64::*;
         debug_assert_eq!(acc.len(), pairs.len());
         let av = _mm256_set1_epi32(a_pair);
         let n = acc.len();
@@ -860,74 +855,6 @@ mod native {
         exp_shifted_sum_lanes(block, max)
     }
 
-    /// Whether this CPU runs the AVX-512 `exp` bodies. Checked once and
-    /// cached, like [`native_available`].
-    fn avx512_available() -> bool {
-        static AVX512F: OnceLock<bool> = OnceLock::new();
-        *AVX512F.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f"))
-    }
-
-    /// [`EXP_TABLE`] in four registers of eight entries each.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn exp_table_avx512() -> [__m512i; 4] {
-        let t = EXP_TABLE.as_ptr() as *const i64;
-        // SAFETY: the table holds 32 entries, four loads of eight.
-        [0, 8, 16, 24].map(|i| _mm512_loadu_epi64(t.add(i)))
-    }
-
-    /// [`exp_lane`] on eight lanes: [`exp_core`]'s steps in `f64` on one
-    /// 512-bit register, the table entry `T[ki % 32]` picked by two
-    /// `vpermt2q` (entries 0–15 and 16–31, on index bits 0–3) and a blend on
-    /// index bit 4, then glibc's special results by lane masks. `r`'s
-    /// `−(kd − shift)` addend is `vfmsub`'s negation of `kd − shift`, the same
-    /// single rounding as the reference's `mul_add`. The masks compare the
-    /// exact `f64` image of `x`, and the results are blended in before the
-    /// one rounding to `f32`, which keeps `+inf` and `0`. A NaN's `x + x` in
-    /// `f64` rounds back to the `f32` `x + x`: both quiet `x` and keep its
-    /// payload.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn exp8_avx512(x: __m256, table: &[__m512i; 4]) -> __m256 {
-        let xd = _mm512_cvtps_pd(x);
-        let inv_ln2_n = _mm512_set1_pd(EXP_INV_LN2_N);
-        let shift = _mm512_set1_pd(EXP_SHIFT);
-        let kd = _mm512_fmadd_pd(inv_ln2_n, xd, shift);
-        let ki = _mm512_castpd_si512(kd);
-        let r = _mm512_fmsub_pd(inv_ln2_n, xd, _mm512_sub_pd(kd, shift));
-        let low = _mm512_permutex2var_epi64(table[0], ki, table[1]);
-        let high = _mm512_permutex2var_epi64(table[2], ki, table[3]);
-        let upper = _mm512_test_epi64_mask(ki, _mm512_set1_epi64(16));
-        let s = _mm512_add_epi64(_mm512_mask_blend_epi64(upper, low, high), _mm512_slli_epi64::<47>(ki));
-        let c0 = _mm512_fmadd_pd(_mm512_set1_pd(EXP_C0), r, _mm512_set1_pd(EXP_C1));
-        let c2 = _mm512_fmadd_pd(_mm512_set1_pd(EXP_C2), r, _mm512_set1_pd(1.0));
-        let y = _mm512_mul_pd(_mm512_fmadd_pd(c0, _mm512_mul_pd(r, r), c2), _mm512_castsi512_pd(s));
-        let over = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(xd, _mm512_set1_pd(f64::from(EXP_OVERFLOW)));
-        let y = _mm512_mask_mov_pd(y, over, _mm512_set1_pd(f64::INFINITY));
-        let under = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(xd, _mm512_set1_pd(f64::from(EXP_UNDERFLOW)));
-        let y = _mm512_mask_mov_pd(y, under, _mm512_setzero_pd());
-        let nan = _mm512_cmp_pd_mask::<_CMP_UNORD_Q>(xd, xd);
-        _mm512_cvtpd_ps(_mm512_mask_add_pd(y, nan, xd, xd))
-    }
-
-    #[target_feature(enable = "avx512f")]
-    unsafe fn exp_avx512(values: &mut [f32]) {
-        let table = exp_table_avx512();
-        let mut blocks = values.chunks_exact_mut(F32_LANES);
-        for block in &mut blocks {
-            // SAFETY: each block holds eight floats; loads/stores are unaligned.
-            let y = exp8_avx512(_mm256_loadu_ps(block.as_ptr()), &table);
-            _mm256_storeu_ps(block.as_mut_ptr(), y);
-        }
-        let tail = blocks.into_remainder();
-        if !tail.is_empty() {
-            let mut lanes = [0.0f32; F32_LANES];
-            lanes[..tail.len()].copy_from_slice(tail);
-            let y = exp8_avx512(_mm256_loadu_ps(lanes.as_ptr()), &table);
-            _mm256_storeu_ps(lanes.as_mut_ptr(), y);
-            tail.copy_from_slice(&lanes[..tail.len()]);
-        }
-    }
-
     /// `vzeroupper`: marks the upper halves of the vector registers clean.
     #[target_feature(enable = "avx")]
     unsafe fn zero_upper_avx() {
@@ -988,12 +915,7 @@ mod native {
     }
     pub fn exp(values: &mut [f32]) {
         debug_assert!(native_available());
-        if avx512_available() {
-            // SAFETY: AVX-512F was detected at runtime.
-            unsafe { exp_avx512(values) }
-        } else {
-            unsafe { exp_avx2(values) }
-        }
+        unsafe { exp_avx2(values) }
     }
     pub fn exp_shifted_sum(block: &mut [[f32; F32_LANES]], max: &[f32; F32_LANES]) -> [f32; F32_LANES] {
         debug_assert!(native_available());
@@ -1357,10 +1279,7 @@ pub fn tanh(values: &mut [f32]) {
 ///
 /// The lane tiers compute the table-and-polynomial core on every lane and
 /// blend the special results in by lane masks, so an input past ±88 costs
-/// its block nothing. On x86-64 hosts with AVX-512F the native tier runs
-/// eight `f64` lanes per 512-bit register and looks the table up with vector
-/// permutes from four registers: 0.73–0.91 ns per element on 1,024-element
-/// slices, against 1.1–1.3 ns for LLVM's vectorization of the lane body.
+/// its block nothing.
 pub fn exp(values: &mut [f32]) {
     match mode() {
         SimdMode::Scalar => exp_scalar(values),
@@ -1375,11 +1294,6 @@ pub fn exp(values: &mut [f32]) {
 /// added in ascending `j` from `0.0`. Per element these are the operations
 /// of a subtract pass, [`exp`] and a sum pass, so every tier is bitwise
 /// identical to the scalar reference.
-///
-/// The native tier runs the portable lane body here, not [`exp`]'s AVX-512
-/// body: over whole 8-lane rows LLVM compiles it to 512-bit table gathers on
-/// an AVX-512 build, which timed as fast as the permute body (0.77–0.93
-/// against 0.83–0.97 ns per element, 128 × 8 blocks, best of 2,000).
 pub fn exp_shifted_sum(block: &mut [[f32; F32_LANES]], max: &[f32; F32_LANES]) -> [f32; F32_LANES] {
     match mode() {
         SimdMode::Scalar => exp_shifted_sum_scalar(block, max),
