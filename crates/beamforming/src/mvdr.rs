@@ -14,7 +14,7 @@
 use crate::grid::ImagingGrid;
 use crate::iq::IqImage;
 use crate::linalg::{hermitian_dot, ComplexMatrix};
-use crate::plan::BeamformPlan;
+use crate::plan::{padded_complex_traces, BeamformPlan};
 use crate::{BeamformError, BeamformResult};
 use ultrasound::{ChannelData, LinearArray, PlaneWave};
 use usdsp::hilbert::analytic_signal_batch;
@@ -137,8 +137,8 @@ impl Mvdr {
     /// [`BeamformPlan`] built by [`BeamformPlan::for_tof`] for this
     /// configuration's transmit.
     ///
-    /// The channel-alignment step replays the plan's delay/interpolation
-    /// tables instead of recomputing the round-trip geometry per pixel; the
+    /// The channel-alignment step replays the plan's delay table instead of
+    /// recomputing the round-trip geometry per pixel; the
     /// per-pixel covariance solve is unchanged. Bitwise identical to the
     /// direct path for every thread count.
     ///
@@ -164,17 +164,11 @@ impl Mvdr {
         }
         plan.check_frame(data)?;
         let channels = data.num_channels();
-        let n = data.num_samples();
-        let analytic = Self::analytic_channels(data, num_threads);
-        // Channel-major flat layout for the plan's absolute tap indices.
-        let mut flat = vec![Complex32::ZERO; channels * n];
-        for (ch, trace) in analytic.iter().enumerate() {
-            flat[ch * n..ch * n + trace.len()].copy_from_slice(trace);
-        }
+        let analytic = padded_complex_traces(&Self::analytic_channels(data, num_threads), data.num_samples());
         let grid = plan.grid().clone();
         let cols = grid.num_cols();
         let pixels = self.solve_rows(&grid, channels, num_threads, |row, col, aligned| {
-            plan.align_pixel_into(row * cols + col, &flat, aligned);
+            plan.align_pixel_into(row * cols + col, &analytic, aligned);
         })?;
         IqImage::from_data(pixels, grid)
     }

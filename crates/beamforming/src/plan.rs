@@ -1,50 +1,63 @@
 //! Precomputed beamforming plans: per-pixel×channel delay tables and the
-//! gather kernels that consume them.
+//! gathers that replay them.
 //!
 //! The direct DAS / ToF / MVDR hot loops recompute the same `sqrt`-heavy
 //! round-trip geometry for *every frame* of a stream, even though probe, grid,
 //! transmit and sound speed are fixed per stream. A [`BeamformPlan`] hoists
 //! that work out of the frame loop: one precomputation per
-//! `(array, grid, transmit, sound_speed, frame format)` stores, in flat
-//! cache-friendly arrays, each pixel×channel's two linear-interpolation taps
-//! and their weights, so every subsequent frame reduces the inner loop to two
-//! multiply-adds over precomputed tables.
+//! `(array, grid, transmit, sound_speed, frame format)` stores each
+//! pixel×channel's fractional sample index, `(t_tx + t_rx − t0)·fs`, and
+//! every subsequent frame only gathers and blends two samples per entry
+//! ([`runtime::simd::lerp_gather`]).
 //!
-//! There is one layout: dense, `channels` entries per pixel in channel order.
-//! ToF correction ([`BeamformPlan::tof_correct`]), boxcar DAS
-//! ([`BeamformPlan::beamform_rf`]) and the MVDR channel alignment
-//! ([`BeamformPlan::align_pixel_into`]) all replay it.
+//! There is one layout: one `f32` per entry, `channels` entries per pixel in
+//! channel order, pixels row-major. ToF correction
+//! ([`BeamformPlan::tof_correct`], [`BeamformPlan::tof_correct_into`]),
+//! boxcar DAS ([`BeamformPlan::beamform_rf`]) and the MVDR channel alignment
+//! ([`Mvdr::beamform_iq_planned_with_threads`]) all replay it.
 //!
 //! # Bitwise identity
 //!
 //! The planned kernels are **bitwise identical** to the direct paths
 //! ([`DelayAndSum::beamform_rf_with_threads`],
 //! [`crate::tof::tof_correct_with_threads`],
-//! [`Mvdr::beamform_iq_with_threads`]): the builder evaluates exactly the same
-//! f32 expressions for delays and interpolation weights the direct loops
-//! evaluate per frame, and the gathers reproduce the interpolator's
-//! arithmetic operation-for-operation (see `two_taps`). The equivalence tests
-//! in `tests/plan_equivalence.rs` assert equality at the bit level across
-//! thread counts and SIMD tiers.
+//! [`Mvdr::beamform_iq_with_threads`]) for every sample value, ±∞, NaN and
+//! −0 included. The builder evaluates exactly the `f32` index expression the
+//! direct loops evaluate per frame, and the gathers recompute `i0`, `frac`
+//! and `1 − frac` with the interpolator's operations. Each channel's trace
+//! carries two pad samples, `[n] = −0.0` and `[n + 1] = +0.0`, and an
+//! out-of-window entry holds the sentinel index `n`, so:
+//!
+//! * an in-window entry computes `t[i0]·(1 − frac) + t[i0 + 1]·frac`, as
+//!   `usdsp::interp::sample_at` does;
+//! * an index of exactly `n − 1` computes `x·1 + (−0)·0 = x`, the last
+//!   sample, as `sample_at` returns it;
+//! * the sentinel computes `(−0)·1 + (+0)·0 = +0`, the direct path's
+//!   literal `0.0`, whatever the trace holds.
+//!
+//! The equivalence tests in `tests/plan_equivalence.rs` assert equality at
+//! the bit level across thread counts and SIMD tiers, on non-finite frames
+//! too.
 //!
 //! # Memory footprint
 //!
-//! A plan stores per pixel×channel entry two `u32` tap indices and two `f32`
-//! weights. For the paper's 368 × 128 grid with 128 channels that is
-//! `368·128·128 · (2·4 + 2·4) B ≈ 96 MB` — see [`BeamformPlan::memory_bytes`].
+//! A plan stores 4 bytes per pixel×channel entry. For the paper's 368 × 128
+//! grid with 128 channels that is `368·128·128 · 4 B = 23 MiB` — see
+//! [`BeamformPlan::memory_bytes`].
 //!
 //! # Lifecycle
 //!
 //! Build once per stream (construction parallelises over grid rows via
-//! [`runtime::par_collect`]), then reuse for every frame whose
-//! [`FrameFormat`] matches. [`PlannedDas`] and [`PlannedMvdr`] wrap the
-//! classical beamformers with an internal capacity-bounded LRU [`PlanCache`]
-//! keyed on `(probe, grid, sound speed, frame format)` and implement
-//! [`crate::pipeline::Beamformer`], so the `serve` crate's engines amortise
-//! the plan across a whole stream, keep several interleaved stream shapes
-//! warm at once (the `serve::router` serves N shapes with zero rebuilds
-//! after warm-up for N ≤ capacity) and transparently rebuild only on a cold
-//! shape. [`PlanCacheStats`] exposes hit/miss/eviction counters.
+//! [`runtime::par_map_rows`], straight into the final table), then reuse for
+//! every frame whose [`FrameFormat`] matches. [`PlannedDas`] and
+//! [`PlannedMvdr`] wrap the classical beamformers with an internal
+//! capacity-bounded LRU [`PlanCache`] keyed on `(probe, grid, sound speed,
+//! frame format)` and implement [`crate::pipeline::Beamformer`], so the
+//! `serve` crate's engines amortise the plan across a whole stream, keep
+//! several interleaved stream shapes warm at once (the `serve::router`
+//! serves N shapes with zero rebuilds after warm-up for N ≤ capacity) and
+//! transparently rebuild only on a cold shape. [`PlanCacheStats`] exposes
+//! hit/miss/eviction counters.
 
 use crate::das::DelayAndSum;
 use crate::grid::ImagingGrid;
@@ -53,7 +66,7 @@ use crate::mvdr::Mvdr;
 use crate::tof::TofCube;
 use crate::{BeamformError, BeamformResult};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use ultrasound::{ChannelData, LinearArray, PlaneWave};
 use usdsp::Complex32;
@@ -61,8 +74,8 @@ use usdsp::Complex32;
 /// The per-stream frame layout a [`BeamformPlan`] is specialised to.
 ///
 /// Sample indices depend on the sampling frequency and acquisition start time,
-/// and tap clamping depends on the trace length, so a plan is only valid for
-/// frames that match this format exactly (checked on every planned call).
+/// and the window test depends on the trace length, so a plan is only valid
+/// for frames that match this format exactly (checked on every planned call).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameFormat {
     /// Samples per receive channel.
@@ -84,15 +97,16 @@ impl FrameFormat {
     }
 }
 
-/// A precomputed delay/interpolation table for one
+/// A precomputed delay table for one
 /// `(array, grid, transmit, sound_speed, frame format)` tuple, plus the
-/// gather kernels that replay it per frame.
+/// gathers that replay it per frame.
 ///
 /// Pixel `p` owns entries `p·channels .. (p+1)·channels`, one per channel in
-/// channel order. Tap indices are absolute offsets into a channel-major flat
-/// trace buffer (`flat[ch * num_samples + k]`), so the gather inner loop is
-/// pure load-multiply-accumulate with no per-sample geometry, branching or
-/// index arithmetic.
+/// channel order. Each entry is the channel's fractional sample index, or
+/// the sentinel `num_samples` outside the acquisition window (see the module
+/// docs). The gathers read a channel-major trace buffer with two pad
+/// samples per channel (`traces[ch · (num_samples + 2) + k]`), so the inner
+/// loop is pure gather-blend with no per-sample geometry or branching.
 ///
 /// ```
 /// use beamforming::das::DelayAndSum;
@@ -117,42 +131,19 @@ pub struct BeamformPlan {
     frame: FrameFormat,
     sound_speed: f32,
     transmit: PlaneWave,
-    /// First tap, absolute into the channel-major flat buffer.
-    tap0: Vec<u32>,
-    /// Second tap.
-    tap1: Vec<u32>,
-    /// First tap weight.
-    w0: Vec<f32>,
-    /// Second tap weight.
-    w1: Vec<f32>,
+    /// Fractional sample index per pixel×channel; `num_samples` out of window.
+    idx: Vec<f32>,
 }
 
-/// Per-row builder output, concatenated (in row order) into the final plan.
-#[derive(Default)]
-struct RowEntries {
-    tap0: Vec<u32>,
-    tap1: Vec<u32>,
-    w0: Vec<f32>,
-    w1: Vec<f32>,
-}
-
-/// Two-tap gather coefficients reproducing `usdsp::interp::sample_at` at
-/// fractional index `idx` over an `n`-sample trace:
-/// `flat[tap0]*w0 + flat[tap1]*w1` is bitwise identical to the direct call.
-///
-/// Out-of-window samples use weights `(0.0, -0.0)`, which sum to exactly
-/// `+0.0` for every finite sample value — matching the direct path's literal
-/// `0.0` contribution.
-fn two_taps(idx: f32, n: usize) -> (usize, usize, f32, f32) {
-    if !idx.is_finite() || idx < 0.0 || idx > (n - 1) as f32 {
-        return (0, 0, 0.0, -0.0);
-    }
-    let i0 = idx.floor() as usize;
-    let frac = idx - i0 as f32;
-    if i0 + 1 >= n {
-        (n - 1, n - 1, 1.0, 0.0)
+/// The table entry for fractional sample index `idx` over an `n`-sample
+/// trace: `idx` itself inside `[0, n − 1]` (the window of
+/// `usdsp::interp::sample_at`, −0 included), else the sentinel `n`, which
+/// the gathers read as the two pads. NaN and ±∞ fall outside.
+fn table_entry(idx: f32, n: usize) -> f32 {
+    if n > 0 && idx >= 0.0 && idx <= (n - 1) as f32 {
+        idx
     } else {
-        (i0, i0 + 1, 1.0 - frac, frac)
+        n as f32
     }
 }
 
@@ -179,8 +170,10 @@ impl BeamformPlan {
     /// # Errors
     ///
     /// Returns [`BeamformError::InvalidParameter`] for a non-positive sound
-    /// speed, or when `channels × num_samples` overflows the plan's `u32` tap
-    /// indices.
+    /// speed, or when the padded complex traces MVDR gathers from
+    /// (`2 · channels · (num_samples + 2)` floats) overflow the gathers'
+    /// `i32` offsets, or `num_samples` is past 2^24, where the sentinel
+    /// index is no longer exact in `f32`.
     pub fn for_tof(
         array: &LinearArray,
         grid: &ImagingGrid,
@@ -209,72 +202,39 @@ impl BeamformPlan {
         if sound_speed <= 0.0 {
             return Err(BeamformError::InvalidParameter { name: "sound_speed", reason: "must be positive".into() });
         }
-        let rows = grid.num_rows();
         let cols = grid.num_cols();
         let channels = array.num_elements();
         let n = frame.num_samples;
-        if channels.checked_mul(n).is_none_or(|taps| taps > u32::MAX as usize) {
+        let floats = channels.checked_mul(n + 2).and_then(|s| s.checked_mul(2));
+        if n > 1 << 24 || floats.is_none_or(|floats| floats > i32::MAX as usize) {
             return Err(BeamformError::InvalidParameter {
                 name: "frame",
-                reason: format!("{channels} channels × {n} samples overflow the plan's u32 tap indices"),
+                reason: format!(
+                    "{channels} channels × {n} samples overflow the plan's i32 gather offsets or its exact f32 indices"
+                ),
             });
         }
         let element_xs = array.element_positions();
         let fs = frame.sampling_frequency;
         let start_time = frame.start_time;
 
-        let row_entries: Vec<RowEntries> = runtime::par_collect(rows, num_threads, |row| {
-            if n == 0 {
-                // Degenerate zero-sample frames have nothing to tap; the
-                // gathers special-case the empty plan instead.
-                return RowEntries::default();
-            }
-            // Sized exactly: growing each row by doubling costs about 10 MB
-            // of extra peak RSS while building the paper-grid plan.
-            let entries = cols * channels;
-            let mut out = RowEntries {
-                tap0: Vec::with_capacity(entries),
-                tap1: Vec::with_capacity(entries),
-                w0: Vec::with_capacity(entries),
-                w1: Vec::with_capacity(entries),
-            };
-            let z = grid.z(row);
-            for col in 0..cols {
-                let x = grid.x(col);
-                let t_tx = tx.transmit_delay(x, z, sound_speed);
-                for (ch, &xe) in element_xs.iter().enumerate() {
-                    let dx = x - xe;
-                    let t_rx = (dx * dx + z * z).sqrt() / sound_speed;
-                    let idx = (t_tx + t_rx - start_time) * fs;
-                    let (t0, t1, w0, w1) = two_taps(idx, n);
-                    out.tap0.push((ch * n + t0) as u32);
-                    out.tap1.push((ch * n + t1) as u32);
-                    out.w0.push(w0);
-                    out.w1.push(w1);
+        let row_len = cols * channels;
+        let mut idx = vec![0.0f32; grid.num_rows() * row_len];
+        runtime::par_map_rows(&mut idx, row_len.max(1), num_threads, |first_row, block| {
+            for (local, row) in block.chunks_exact_mut(row_len).enumerate() {
+                let z = grid.z(first_row + local);
+                for (col, pixel) in row.chunks_exact_mut(channels).enumerate() {
+                    let x = grid.x(col);
+                    let t_tx = tx.transmit_delay(x, z, sound_speed);
+                    for (entry, &xe) in pixel.iter_mut().zip(&element_xs) {
+                        let dx = x - xe;
+                        let t_rx = (dx * dx + z * z).sqrt() / sound_speed;
+                        *entry = table_entry((t_tx + t_rx - start_time) * fs, n);
+                    }
                 }
             }
-            out
         });
-
-        let total: usize = row_entries.iter().map(|r| r.tap0.len()).sum();
-        let mut plan = Self {
-            grid: grid.clone(),
-            channels,
-            frame,
-            sound_speed,
-            transmit: tx,
-            tap0: Vec::with_capacity(total),
-            tap1: Vec::with_capacity(total),
-            w0: Vec::with_capacity(total),
-            w1: Vec::with_capacity(total),
-        };
-        for row in row_entries {
-            plan.tap0.extend_from_slice(&row.tap0);
-            plan.tap1.extend_from_slice(&row.tap1);
-            plan.w0.extend_from_slice(&row.w0);
-            plan.w1.extend_from_slice(&row.w1);
-        }
-        Ok(plan)
+        Ok(Self { grid: grid.clone(), channels, frame, sound_speed, transmit: tx, idx })
     }
 
     /// The imaging grid the plan reconstructs onto.
@@ -302,15 +262,19 @@ impl BeamformPlan {
         self.transmit
     }
 
-    /// Approximate heap footprint of the tables in bytes
-    /// (`entries · (2 taps + 2 weights) · 4 B`).
+    /// Heap footprint of the table in bytes (`entries · 4 B`).
     pub fn memory_bytes(&self) -> usize {
-        4 * (self.tap0.len() + self.tap1.len() + self.w0.len() + self.w1.len())
+        std::mem::size_of_val(self.idx.as_slice())
     }
 
     /// The entries of one pixel.
     fn entries(&self, pixel: usize) -> Range<usize> {
         pixel * self.channels..(pixel + 1) * self.channels
+    }
+
+    /// Samples per padded trace: the frame's samples plus the two pads.
+    fn stride(&self) -> usize {
+        self.frame.num_samples + 2
     }
 
     /// Validates that one acquisition matches the planned frame format.
@@ -363,25 +327,14 @@ impl BeamformPlan {
         self.check_frame(data)?;
         let cols = self.grid.num_cols();
         let mut rf = vec![0.0f32; self.grid.num_pixels()];
-        if self.tap0.is_empty() {
-            // Zero-sample frames: every tap is out of window, the image stays 0.
-            return Ok(rf);
-        }
-        let flat = flatten_traces(data);
+        let traces = padded_traces(data);
         // Boxcar apodization: the same uniform weight the direct loop applies.
         let boxcar = vec![1.0 / self.channels as f32; self.channels];
         runtime::par_map_rows(&mut rf, cols, num_threads, |first_row, block| {
             let first_pixel = first_row * cols;
             for (i, out) in block.iter_mut().enumerate() {
                 let e = self.entries(first_pixel + i);
-                *out = runtime::simd::das_gather_reduce(
-                    &flat,
-                    &self.tap0[e.clone()],
-                    &self.tap1[e.clone()],
-                    &self.w0[e.clone()],
-                    &self.w1[e],
-                    &boxcar,
-                );
+                *out = runtime::simd::lerp_gather_reduce(&traces, self.stride(), &self.idx[e], &boxcar);
             }
         });
         Ok(rf)
@@ -425,38 +378,47 @@ impl BeamformPlan {
     ///
     /// Same as [`BeamformPlan::tof_correct`].
     pub fn tof_correct_with_threads(&self, data: &ChannelData, num_threads: usize) -> BeamformResult<TofCube> {
-        self.check_frame(data)?;
-        let cols = self.grid.num_cols();
-        let channels = self.channels;
-        let mut cube = TofCube::zeros(self.grid.num_rows(), cols, channels);
-        if self.tap0.is_empty() {
-            // Zero-sample frames: every tap is out of window, the cube stays 0.
-            return Ok(cube);
-        }
-        let flat = flatten_traces(data);
-        let row_stride = cols * channels;
-        runtime::par_map_rows(cube.as_mut_slice(), row_stride, num_threads, |first_row, block| {
-            for (local, row_data) in block.chunks_mut(row_stride).enumerate() {
-                let first_pixel = (first_row + local) * cols;
-                for (col, pixel) in row_data.chunks_mut(channels).enumerate() {
-                    let e = self.entries(first_pixel + col);
-                    runtime::simd::gather_two_tap(
-                        &flat,
-                        &self.tap0[e.clone()],
-                        &self.tap1[e.clone()],
-                        &self.w0[e.clone()],
-                        &self.w1[e],
-                        pixel,
-                    );
-                }
-            }
-        });
+        let mut cube = TofCube::zeros(self.grid.num_rows(), self.grid.num_cols(), self.channels);
+        self.tof_correct_into(data, &mut cube, num_threads)?;
         Ok(cube)
     }
 
+    /// Gathers one frame's ToF-corrected cube into `cube`, overwriting every
+    /// entry, over `num_threads` row blocks, and returns the cube's peak
+    /// absolute value, bitwise [`TofCube::peak`] of the result (the gather
+    /// folds it in, so no second pass reads the cube). A serving loop keeps
+    /// one cube across frames and normalizes it with
+    /// [`TofCube::normalize_with_peak`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BeamformError::ShapeMismatch`] on a frame-format mismatch or
+    /// when `cube` is not the plan's `rows × cols × channels`.
+    pub fn tof_correct_into(&self, data: &ChannelData, cube: &mut TofCube, num_threads: usize) -> BeamformResult<f32> {
+        self.check_frame(data)?;
+        let shape = (self.grid.num_rows(), self.grid.num_cols(), self.channels);
+        if (cube.rows(), cube.cols(), cube.channels()) != shape {
+            return Err(BeamformError::ShapeMismatch {
+                expected: format!("{}x{}x{} cube", shape.0, shape.1, shape.2),
+                actual: format!("{}x{}x{}", cube.rows(), cube.cols(), cube.channels()),
+            });
+        }
+        let traces = padded_traces(data);
+        let row_len = shape.1 * shape.2;
+        // Peaks are non-negative and never NaN, so their bit patterns order
+        // as the values do, and a max does not depend on the block order.
+        let peak = AtomicU32::new(0);
+        runtime::par_map_rows(cube.as_mut_slice(), row_len, num_threads, |first_row, block| {
+            let idx = &self.idx[first_row * row_len..][..block.len()];
+            let block_peak = runtime::simd::lerp_gather(&traces, self.stride(), idx, block);
+            peak.fetch_max(block_peak.to_bits(), Ordering::Relaxed);
+        });
+        Ok(f32::from_bits(peak.into_inner()))
+    }
+
     /// Gathers one pixel's aligned complex channel vector (the MVDR alignment
-    /// step). `analytic_flat` is the channel-major flat analytic-signal buffer
-    /// (`analytic_flat[ch * num_samples + k]`); `aligned` must hold exactly
+    /// step) from `analytic`, the padded channel-major analytic traces
+    /// [`padded_complex_traces`] lays out; `aligned` must hold exactly
     /// [`BeamformPlan::channels`] slots.
     ///
     /// Bitwise identical to sampling each channel with
@@ -465,42 +427,43 @@ impl BeamformPlan {
     /// # Panics
     ///
     /// Panics when `aligned` has the wrong length or `pixel` is out of range.
-    pub fn align_pixel_into(&self, pixel: usize, analytic_flat: &[Complex32], aligned: &mut [Complex32]) {
+    pub(crate) fn align_pixel_into(&self, pixel: usize, analytic: &[Complex32], aligned: &mut [Complex32]) {
         assert_eq!(aligned.len(), self.channels, "aligned buffer must have one slot per channel");
-        if self.tap0.is_empty() {
-            // Zero-sample frames: every channel samples outside the window.
-            aligned.fill(Complex32::ZERO);
-            return;
-        }
-        let e = self.entries(pixel);
-        // Component-wise complex two-tap blend as interleaved float lanes:
-        // out.re/out.im each get flat*w0 + flat*w1, exactly the `scale`+`add`
-        // expression the scalar path evaluates.
-        runtime::simd::gather_two_tap_interleaved(
-            usdsp::complex::as_float_slice(analytic_flat),
-            &self.tap0[e.clone()],
-            &self.tap1[e.clone()],
-            &self.w0[e.clone()],
-            &self.w1[e],
+        runtime::simd::lerp_gather_complex(
+            usdsp::complex::as_float_slice(analytic),
+            self.stride(),
+            &self.idx[self.entries(pixel)],
             usdsp::complex::as_float_slice_mut(aligned),
         );
     }
 }
 
-/// Transposes one acquisition into the channel-major flat layout the gather
-/// kernels index (`flat[ch * num_samples + k]`).
-pub(crate) fn flatten_traces(data: &ChannelData) -> Vec<f32> {
+/// Transposes one acquisition into the padded channel-major layout the
+/// gathers index: `traces[ch · (n + 2) + k]`, then `−0.0` and `+0.0`.
+fn padded_traces(data: &ChannelData) -> Vec<f32> {
     let n = data.num_samples();
     let channels = data.num_channels();
-    let samples = data.as_slice();
-    let mut flat = vec![0.0f32; channels * n];
-    for k in 0..n {
-        let interleaved = &samples[k * channels..(k + 1) * channels];
+    let mut traces = vec![0.0f32; channels * (n + 2)];
+    for (k, interleaved) in data.as_slice().chunks_exact(channels).enumerate() {
         for (ch, &v) in interleaved.iter().enumerate() {
-            flat[ch * n + k] = v;
+            traces[ch * (n + 2) + k] = v;
         }
     }
-    flat
+    for trace in traces.chunks_exact_mut(n + 2) {
+        trace[n] = -0.0;
+    }
+    traces
+}
+
+/// [`padded_traces`] for per-channel complex (analytic) traces of `n`
+/// samples each: `(−0, −0)` and `(+0, +0)` pad every trace.
+pub(crate) fn padded_complex_traces(traces: &[Vec<Complex32>], n: usize) -> Vec<Complex32> {
+    let mut padded = Vec::with_capacity(traces.len() * (n + 2));
+    for trace in traces {
+        padded.extend_from_slice(&trace[..n]);
+        padded.extend([Complex32::new(-0.0, -0.0), Complex32::ZERO]);
+    }
+    padded
 }
 
 /// One cached plan plus the key it was built for.
@@ -852,12 +815,20 @@ mod tests {
 
     #[test]
     fn two_taps_matches_sample_at_semantics() {
-        let signal = [1.0f32, -2.0, 3.0, -4.0];
-        for idx in [-0.5f32, 0.0, 0.4, 1.5, 2.9, 3.0, 3.5, f32::NAN] {
-            let (t0, t1, w0, w1) = two_taps(idx, signal.len());
-            let gathered = signal[t0] * w0 + signal[t1] * w1;
-            let direct = usdsp::interp::sample_at(&signal, idx);
-            assert_eq!(gathered.to_bits(), direct.to_bits(), "idx {idx}");
+        // One channel: each table entry through the gather must give
+        // `sample_at`'s bits, at the window edges and on non-finite samples.
+        let signals = [[1.0f32, -2.0, 3.0, -4.0], [f32::INFINITY, -0.0, f32::NAN, f32::NEG_INFINITY]];
+        let indices = [-0.5f32, -0.0, 0.0, 0.4, 1.5, 2.9, 3.0, 3.5, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        for signal in signals {
+            let n = signal.len();
+            let traces = [&signal[..], &[-0.0, 0.0]].concat();
+            for idx in indices {
+                let mut gathered = [0.0f32];
+                runtime::simd::lerp_gather(&traces, n + 2, &[table_entry(idx, n)], &mut gathered);
+                let direct = usdsp::interp::sample_at(&signal, idx);
+                let same = gathered[0].to_bits() == direct.to_bits() || (gathered[0].is_nan() && direct.is_nan());
+                assert!(same, "signal {signal:?} idx {idx}: {} vs {direct}", gathered[0]);
+            }
         }
     }
 
@@ -881,8 +852,8 @@ mod tests {
         let frame = FrameFormat { num_samples: 128, sampling_frequency: array.sampling_frequency(), start_time: 0.0 };
         let plan = BeamformPlan::for_tof(&array, &grid, PlaneWave::zero_angle(), 1540.0, frame).unwrap();
         let entries = grid.num_pixels() * array.num_elements();
-        assert_eq!(plan.tap0.len(), entries);
-        assert_eq!(plan.memory_bytes(), 16 * entries);
+        assert_eq!(plan.idx.len(), entries);
+        assert_eq!(plan.memory_bytes(), 4 * entries);
         assert_eq!(plan.channels(), array.num_elements());
         assert_eq!(plan.frame(), frame);
         assert_eq!(plan.sound_speed(), 1540.0);
@@ -890,6 +861,13 @@ mod tests {
         // DAS replays the ToF plan of its transmit.
         let das = BeamformPlan::for_das(&DelayAndSum::default(), &array, &grid, 1540.0, frame).unwrap();
         assert_eq!(das, plan);
+        // The paper's 368 × 128 grid and 128 channels fit in 35 MiB.
+        let array = LinearArray::l11_5v();
+        let grid = ImagingGrid::paper_default(&array);
+        let frame = FrameFormat { num_samples: 2048, sampling_frequency: array.sampling_frequency(), start_time: 0.0 };
+        let plan = BeamformPlan::for_tof(&array, &grid, PlaneWave::zero_angle(), 1540.0, frame).unwrap();
+        assert_eq!(plan.memory_bytes(), 4 * 368 * 128 * array.num_elements());
+        assert!(plan.memory_bytes() <= 35 << 20, "{} bytes", plan.memory_bytes());
     }
 
     #[test]
@@ -901,13 +879,19 @@ mod tests {
             BeamformPlan::for_das(&DelayAndSum::default(), &array, &grid, -1.0, frame),
             Err(BeamformError::InvalidParameter { .. })
         ));
-        // Taps are u32 offsets into the channel-major buffer: 32 channels of
-        // 2^27 samples span 2^32 of them, one past the largest tap.
-        let huge = FrameFormat { num_samples: 1 << 27, ..frame };
-        assert!(matches!(
-            BeamformPlan::for_tof(&array, &grid, PlaneWave::zero_angle(), 1540.0, huge),
-            Err(BeamformError::InvalidParameter { name: "frame", .. })
-        ));
+        // Gathers use i32 offsets into the padded complex traces, which 32
+        // channels of 2^27 samples overflow; past 2^24 samples the sentinel
+        // index is no longer exact in f32.
+        for num_samples in [1 << 27, (1 << 24) + 1] {
+            let huge = FrameFormat { num_samples, ..frame };
+            assert!(
+                matches!(
+                    BeamformPlan::for_tof(&array, &grid, PlaneWave::zero_angle(), 1540.0, huge),
+                    Err(BeamformError::InvalidParameter { name: "frame", .. })
+                ),
+                "{num_samples} samples"
+            );
+        }
         let plan = BeamformPlan::for_das(&DelayAndSum::default(), &array, &grid, 1540.0, frame).unwrap();
         // Wrong channel count.
         let wrong = ChannelData::zeros(64, 8, array.sampling_frequency());
@@ -927,7 +911,11 @@ mod tests {
         let frame = FrameFormat { num_samples: 0, sampling_frequency: array.sampling_frequency(), start_time: 0.0 };
         let das = DelayAndSum::default();
         let plan = BeamformPlan::for_das(&das, &array, &grid, 1540.0, frame).unwrap();
-        assert!(plan.tap0.is_empty());
+        // Nothing to tap: every entry is the sentinel, read as the pads.
+        assert!(plan.idx.iter().all(|&idx| idx.to_bits() == 0.0f32.to_bits()));
+        let empty = ChannelData::from_vec(Vec::new(), 0, array.num_elements(), array.sampling_frequency()).unwrap();
+        assert!(plan.tof_correct(&empty).unwrap().as_slice().iter().all(|v| v.to_bits() == 0));
+        assert!(plan.beamform_rf(&empty).unwrap().iter().all(|v| v.to_bits() == 0));
         let data = ChannelData::zeros(16, array.num_elements(), array.sampling_frequency());
         assert!(matches!(plan.beamform_rf(&data), Err(BeamformError::ShapeMismatch { .. })));
     }

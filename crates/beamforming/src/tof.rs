@@ -111,13 +111,24 @@ impl TofCube {
     /// network (peak normalization). Returns the applied scale.
     pub fn normalize(&mut self) -> f32 {
         let peak = self.peak();
+        self.normalize_with_peak(peak, 1)
+    }
+
+    /// [`TofCube::normalize`] for a cube whose [`TofCube::peak`] is already
+    /// known, such as the one [`BeamformPlan::tof_correct_into`] returns:
+    /// multiplies every entry by `1 / peak` over `num_threads` row blocks
+    /// (nothing when `peak ≤ 0`) and returns the applied scale. Element-wise,
+    /// so the result is the same for every thread count.
+    pub fn normalize_with_peak(&mut self, peak: f32, num_threads: usize) -> f32 {
         if peak <= 0.0 {
             return 1.0;
         }
         let scale = 1.0 / peak;
-        for v in self.data.iter_mut() {
-            *v *= scale;
-        }
+        runtime::par_map_rows(&mut self.data, self.cols * self.channels, num_threads, |_, block| {
+            for v in block {
+                *v *= scale;
+            }
+        });
         scale
     }
 }
@@ -223,9 +234,11 @@ pub fn tof_correct_with_threads(
 /// [`tof_correct`] through a precomputed [`BeamformPlan`] (see
 /// [`BeamformPlan::for_tof`]), using the workspace-default worker threads.
 ///
-/// The per-sample delay geometry is replayed from the plan's tables instead of
+/// The per-sample delay geometry is replayed from the plan's table instead of
 /// being recomputed, so streams amortise the `sqrt`-heavy setup across frames;
 /// the cube is bitwise identical to [`tof_correct`] for every thread count.
+/// It allocates a cube per call; [`BeamformPlan::tof_correct_into`] fills a
+/// caller's cube and returns its peak.
 ///
 /// # Errors
 ///

@@ -8,7 +8,7 @@ use beamforming::iq::IqImage;
 use beamforming::mvdr::Mvdr;
 use beamforming::pipeline::Beamformer;
 use beamforming::plan::{BeamformPlan, FrameFormat, PlannedDas, PlannedMvdr};
-use beamforming::tof::tof_correct_with_threads;
+use beamforming::tof::{tof_correct_with_threads, TofCube};
 use ultrasound::{ChannelData, LinearArray, Medium, Phantom, PlaneWave, PlaneWaveSimulator};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 5];
@@ -181,6 +181,58 @@ fn planned_and_direct_outputs_are_bitwise_identical_across_simd_modes() {
             assert_bits_eq(tof_ref.as_slice(), tof.as_slice(), &format!("planned tof {ctx}"));
             let aligned = mvdr.beamform_iq_planned_with_threads(&data, &plan, threads).unwrap();
             assert_iq_bits_eq(&mvdr_ref, &aligned, &format!("planned mvdr {ctx}"));
+        }
+    }
+}
+
+/// [`assert_bits_eq`], except that two NaNs match whatever their payloads:
+/// where two NaNs meet in one operation, which payload survives is the
+/// compiler's choice.
+fn assert_bits_eq_up_to_nan_payload(direct: &[f32], planned: &[f32], context: &str) {
+    assert_eq!(direct.len(), planned.len(), "{context}: length");
+    for (i, (a, b)) in direct.iter().zip(planned.iter()).enumerate() {
+        assert!(a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()), "{context}: sample {i} ({a} vs {b})");
+    }
+}
+
+#[test]
+fn planned_gathers_match_direct_paths_on_non_finite_window_edges() {
+    // ±∞, NaN and −0 at the first and last samples of several channels, on a
+    // grid whose delays cross both window edges. The direct paths read an
+    // out-of-window index as exactly 0.0 and an index of n − 1 as the last
+    // sample, whatever the trace holds; the planned gathers must too.
+    let array = LinearArray::small_test_array();
+    let grid = ImagingGrid::for_array(&array, 2.0e-3, 34.0e-3, 61, 23);
+    let (channels, n) = (array.num_elements(), 1200);
+    let mut state = 0x2545_f491_u32;
+    let mut samples: Vec<f32> = (0..n * channels)
+        .map(|_| {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            (state >> 8) as f32 / (1u32 << 23) as f32 - 1.0
+        })
+        .collect();
+    let edges = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -0.0];
+    // Channel i's first sample, and channel (channels − 1 − i)'s last.
+    for (i, &value) in edges.iter().enumerate() {
+        samples[i] = value;
+        samples[(n - 1) * channels + channels - 1 - i] = edges[(i + 1) % edges.len()];
+    }
+    let mut data = ChannelData::from_vec(samples, n, channels, array.sampling_frequency()).unwrap();
+    data.set_start_time(4.0e-6);
+    for degrees in [0.0f32, 7.0] {
+        let tx = PlaneWave::from_degrees(degrees);
+        let plan = BeamformPlan::for_tof(&array, &grid, tx, 1540.0, FrameFormat::of(&data)).unwrap();
+        let das = DelayAndSum { transmit: tx };
+        for threads in [1, 2] {
+            let ctx = format!("{degrees}°/threads {threads}");
+            let direct = tof_correct_with_threads(&data, &array, &grid, tx, 1540.0, threads).unwrap();
+            let mut planned = TofCube::zeros(grid.num_rows(), grid.num_cols(), channels);
+            let peak = plan.tof_correct_into(&data, &mut planned, threads).unwrap();
+            assert_bits_eq_up_to_nan_payload(direct.as_slice(), planned.as_slice(), &format!("tof {ctx}"));
+            assert_eq!(peak.to_bits(), direct.peak().to_bits(), "fused peak {ctx}");
+            let direct = das.beamform_rf_with_threads(&data, &array, &grid, 1540.0, threads).unwrap();
+            let planned = plan.beamform_rf_with_threads(&data, threads).unwrap();
+            assert_bits_eq_up_to_nan_payload(&direct, &planned, &format!("das {ctx}"));
         }
     }
 }

@@ -26,7 +26,7 @@ use beamforming::grid::ImagingGrid;
 use beamforming::iq::IqImage;
 use beamforming::pipeline::{Beamformer, QuantQualityStats};
 use beamforming::plan::{BeamformPlan, FrameFormat, PlanCache, PlanCacheStats};
-use beamforming::tof::{tof_correct_planned, TofCube};
+use beamforming::tof::TofCube;
 use beamforming::{BeamformError, BeamformResult};
 use neural::tensor::{matmul_into, Tensor};
 use quantize::quantizer::quantize_for_role;
@@ -405,12 +405,16 @@ fn attend_values<const D: usize>(
 /// Tiny-VBF under any Table III scheme as a [`Beamformer`], for the
 /// evaluation harness and the `serve` stack alike:
 ///
-/// * the ToF cube goes through a cached dense [`BeamformPlan`]
-///   ([`tof_correct_planned`], bitwise identical to the direct
+/// * the ToF cube goes through a cached [`BeamformPlan`]
+///   ([`BeamformPlan::tof_correct_into`], bitwise identical to the direct
 ///   [`tof_correct`](beamforming::tof::tof_correct)), with the [`PlanCache`]
 ///   shareable across backends — the ToF geometry does not depend on the
 ///   quantization scheme, so every per-scheme engine of a router can replay
-///   **one** plan ([`QuantizedTinyVbfBeamformer::with_tof_cache`]),
+///   **one** plan ([`QuantizedTinyVbfBeamformer::with_tof_cache`]). The
+///   gather returns the cube's peak, so normalizing is one scaling pass,
+///   and the cube buffer is kept between frames: one spare per engine,
+///   shared by its clones; a frame that finds the spare taken allocates its
+///   own,
 /// * the row sweep is parallel via `runtime` (bitwise identical for every
 ///   thread count), and batches inherit the frame-concurrent × row-parallel
 ///   default of [`Beamformer::beamform_batch_results`],
@@ -441,13 +445,15 @@ fn attend_values<const D: usize>(
 #[derive(Debug, Clone)]
 pub struct QuantizedTinyVbfBeamformer {
     model: QuantizedTinyVbf,
-    /// Dense ToF plans keyed on (probe, grid, sound speed, frame format);
+    /// ToF plans keyed on (probe, grid, sound speed, frame format);
     /// shared by clones and, optionally, across per-scheme backends.
     tof_plans: Arc<PlanCache>,
     /// Output-SQNR accumulators (integer path vs float reference on a probe
     /// row per frame); shared by clones so serving worker clones feed one
     /// per-backend counter.
     quality: Arc<Mutex<QuantQualityStats>>,
+    /// The last served frame's cube, reused by the next frame of its shape.
+    spare_cube: Arc<Mutex<Option<TofCube>>>,
 }
 
 impl QuantizedTinyVbfBeamformer {
@@ -467,13 +473,18 @@ impl QuantizedTinyVbfBeamformer {
     /// [`QuantizedTinyVbfBeamformer::from_quantized`] with an explicit —
     /// possibly shared — ToF plan cache.
     ///
-    /// The dense ToF plan depends only on the stream geometry, never on the
+    /// The ToF plan depends only on the stream geometry, never on the
     /// quantization scheme, so a router serving all Table III schemes on one
     /// probe/grid should hand every per-scheme backend the same
     /// `Arc<PlanCache>`: one plan build serves N engines instead of N
     /// rebuilding identical tables.
     pub fn with_tof_cache(model: QuantizedTinyVbf, tof_plans: Arc<PlanCache>) -> Self {
-        Self { model, tof_plans, quality: Arc::new(Mutex::new(QuantQualityStats::default())) }
+        Self {
+            model,
+            tof_plans,
+            quality: Arc::new(Mutex::new(QuantQualityStats::default())),
+            spare_cube: Arc::new(Mutex::new(None)),
+        }
     }
 
     /// The wrapped quantized model.
@@ -498,8 +509,9 @@ impl QuantizedTinyVbfBeamformer {
         *self.quality.lock().expect("quantized quality mutex poisoned")
     }
 
-    /// Fetches (or builds) the dense ToF plan for this stream shape and
-    /// replays it into a normalized cube.
+    /// Fetches (or builds) the ToF plan for this stream shape and replays it
+    /// into a normalized cube: the spare one when it has the grid's shape,
+    /// else a new one. [`Self::return_cube`] hands it back.
     fn planned_cube(
         &self,
         data: &ChannelData,
@@ -508,9 +520,20 @@ impl QuantizedTinyVbfBeamformer {
         sound_speed: f32,
     ) -> BeamformResult<TofCube> {
         let plan = self.tof_plan(array, grid, sound_speed, &FrameFormat::of(data))?;
-        let mut cube = tof_correct_planned(data, &plan)?;
-        cube.normalize();
+        let shape = (grid.num_rows(), grid.num_cols(), plan.channels());
+        let spare = self.spare_cube.lock().expect("spare cube mutex poisoned").take();
+        let mut cube = spare
+            .filter(|cube| (cube.rows(), cube.cols(), cube.channels()) == shape)
+            .unwrap_or_else(|| TofCube::zeros(shape.0, shape.1, shape.2));
+        let threads = runtime::default_threads();
+        let peak = plan.tof_correct_into(data, &mut cube, threads)?;
+        cube.normalize_with_peak(peak, threads);
         Ok(cube)
+    }
+
+    /// Keeps `cube` as the spare unless another frame already returned one.
+    fn return_cube(&self, cube: TofCube) {
+        self.spare_cube.lock().expect("spare cube mutex poisoned").get_or_insert(cube);
     }
 
     fn tof_plan(
@@ -625,6 +648,7 @@ impl Beamformer for QuantizedTinyVbfBeamformer {
         // Count quality only for frames that actually served: the counters
         // mean "served frames", so a failing stream must not inflate them.
         self.record_output_quality(&cube, &image);
+        self.return_cube(cube);
         Ok(image)
     }
 
@@ -863,6 +887,43 @@ mod tests {
         // Clones (serving workers) feed the same counters.
         fixed.clone().beamform(&rf, &array, &grid, 1540.0).unwrap();
         assert_eq!(fixed.quality_stats().frames, 3);
+    }
+
+    #[test]
+    fn reused_cube_gives_the_images_of_a_fresh_engine() {
+        // Frames A, B, A where B is another frame on a taller grid, so the
+        // spare cube is reused, replaced and reused again.
+        let (model, rf_a, array, grid_a) = small_model();
+        let rf_b = rf_a.as_slice().iter().map(|v| -0.5 * v).collect::<Vec<f32>>();
+        let rf_b =
+            ChannelData::from_vec(rf_b, rf_a.num_samples(), rf_a.num_channels(), rf_a.sampling_frequency()).unwrap();
+        let grid_b = ImagingGrid::for_array(&array, 0.012, 0.01, 22, grid_a.num_cols());
+        let frames = [(&rf_a, &grid_a), (&rf_b, &grid_b), (&rf_a, &grid_a)];
+        let fresh = |rf: &ChannelData, grid: &ImagingGrid| {
+            QuantizedTinyVbfBeamformer::new(&model, QuantScheme::float()).beamform(rf, &array, grid, 1540.0).unwrap()
+        };
+        let bits = |image: IqImage| image.to_interleaved().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let expected: Vec<Vec<u32>> = frames.iter().map(|(rf, grid)| bits(fresh(rf, grid))).collect();
+        let engine = QuantizedTinyVbfBeamformer::new(&model, QuantScheme::float());
+        let run = |engine: &QuantizedTinyVbfBeamformer| -> Vec<Vec<u32>> {
+            frames.iter().map(|(rf, grid)| bits(engine.beamform(rf, &array, grid, 1540.0).unwrap())).collect()
+        };
+        assert_eq!(run(&engine), expected, "one engine");
+        // Two clones share one spare: a frame that finds it taken allocates.
+        let clones = [engine.clone(), engine.clone()];
+        let start = std::sync::Barrier::new(clones.len());
+        std::thread::scope(|scope| {
+            let handles = clones.each_ref().map(|clone| {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    run(clone)
+                })
+            });
+            for handle in handles {
+                assert_eq!(handle.join().unwrap(), expected, "concurrent clones");
+            }
+        });
     }
 
     #[test]

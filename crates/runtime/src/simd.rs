@@ -12,7 +12,10 @@
 //! * **Native** — the portable bodies recompiled under
 //!   `#[target_feature(enable = "avx2")]` (x86-64) or `"neon"` (aarch64),
 //!   selected by runtime CPU detection, plus hand-written intrinsics where
-//!   autovectorization cannot reach (the i16 pair-madd kernel). The native
+//!   autovectorization cannot reach: the i16 pair-madd kernel, and on
+//!   x86-64 the fractional-index gathers ([`lerp_gather`],
+//!   [`lerp_gather_reduce`]), eight entries per `_mm256_i32gather_ps`
+//!   pair. The native
 //!   wrappers deliberately do **not** enable FMA: fusing a multiply-add
 //!   would change rounding and break bitwise identity with the reference.
 //!   [`exp`] fuses on purpose: its multiply-adds are explicit `mul_add`
@@ -28,7 +31,8 @@
 //!
 //! # Lane-order reduction contract
 //!
-//! Reducing kernels ([`reduce_lanes`], [`das_gather_reduce`]) accumulate
+//! Reducing kernels ([`reduce_lanes`], [`das_gather_reduce`],
+//! [`lerp_gather_reduce`]) accumulate
 //! element `e` into lane `e % 8`, tree-reduce the eight lanes as
 //! `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`, then fold the ragged tail in
 //! element order. All tiers implement exactly this order, which is why their
@@ -386,6 +390,55 @@ fn das_gather_reduce_scalar(
     acc
 }
 
+/// Tap and weights of fractional index `idx` on a trace whose highest first
+/// tap is `top` (`stride − 2`): `i0 = floor(idx)` clamped to `[0, top]`, NaN to
+/// 0, and `frac = idx − i0`. Inside `[0, top]` these are the `f32`
+/// operations of `usdsp::interp::sample_at`; the clamp keeps every other
+/// index on its trace.
+///
+/// `top ≤ 2^24`, so the clamped index converts to `i32` exactly; an `i32`
+/// conversion vectorizes where a `usize` one does not.
+#[inline(always)]
+fn lerp_tap(idx: f32, top: f32) -> (usize, f32, f32) {
+    let i0 = idx.floor().max(0.0).min(top) as i32;
+    let frac = idx - i0 as f32;
+    (i0 as usize, 1.0 - frac, frac)
+}
+
+/// One entry on the trace starting at `base`: `t[i0]·(1 − frac) + t[i0 + 1]·frac`.
+#[inline(always)]
+fn lerp_scalar(traces: &[f32], base: usize, idx: f32, top: f32) -> f32 {
+    let (i0, w0, w1) = lerp_tap(idx, top);
+    traces[base + i0] * w0 + traces[base + i0 + 1] * w1
+}
+
+fn lerp_gather_scalar(traces: &[f32], stride: usize, idx: &[f32], out: &mut [f32]) -> f32 {
+    let (channels, top) = (traces.len() / stride, (stride - 2) as f32);
+    let mut peak = 0.0f32;
+    for (e, (o, &x)) in out.iter_mut().zip(idx).enumerate() {
+        *o = lerp_scalar(traces, e % channels * stride, x, top);
+        peak = peak.max(o.abs());
+    }
+    peak
+}
+
+fn lerp_gather_reduce_scalar(traces: &[f32], stride: usize, idx: &[f32], apod: &[f32]) -> f32 {
+    let top = (stride - 2) as f32;
+    let chunks = idx.len() / F32_LANES;
+    let mut lanes = [0.0f32; F32_LANES];
+    for c in 0..chunks {
+        for (j, lane) in lanes.iter_mut().enumerate() {
+            let e = c * F32_LANES + j;
+            *lane += apod[e] * lerp_scalar(traces, e * stride, idx[e], top);
+        }
+    }
+    let mut acc = lane_tree(&lanes);
+    for e in chunks * F32_LANES..idx.len() {
+        acc += apod[e] * lerp_scalar(traces, e * stride, idx[e], top);
+    }
+    acc
+}
+
 // ---------------------------------------------------------------------------
 // f32 kernels: portable lane bodies (identical arithmetic order)
 // ---------------------------------------------------------------------------
@@ -468,6 +521,78 @@ fn das_gather_reduce_body(
     for e in chunks * F32_LANES..len {
         let v = flat[tap0[e] as usize] * w0[e] + flat[tap1[e] as usize] * w1[e];
         acc += apod[e] * v;
+    }
+    acc
+}
+
+/// [`lerp_scalar`] without bounds checks: the portable gather body took
+/// 13–15 ms per paper-frame cube with it against 22–23 ms with checks (two
+/// threads of a 2-vCPU AVX-512 host).
+///
+/// # Safety
+///
+/// `base + stride ≤ traces.len()` for the trace's `stride`, and `top` is
+/// `stride − 2`: the clamp in [`lerp_tap`] then keeps both taps on it.
+#[inline(always)]
+unsafe fn lerp_unchecked(traces: &[f32], base: usize, idx: f32, top: f32) -> f32 {
+    let (i0, w0, w1) = lerp_tap(idx, top);
+    // SAFETY: `i0 ≤ top = stride − 2`, so `base + i0 + 1 < base + stride`.
+    *traces.get_unchecked(base + i0) * w0 + *traces.get_unchecked(base + i0 + 1) * w1
+}
+
+/// # Safety
+///
+/// The shape [`lerp_channels`] checks.
+#[inline(always)]
+unsafe fn lerp_gather_lanes(traces: &[f32], stride: usize, idx: &[f32], out: &mut [f32]) -> f32 {
+    let (channels, top) = (traces.len() / stride, (stride - 2) as f32);
+    let mut peak = [0.0f32; F32_LANES];
+    let mut tail = 0.0f32;
+    for (pixel_idx, pixel_out) in idx.chunks_exact(channels).zip(out.chunks_exact_mut(channels)) {
+        let mut ic = pixel_idx.chunks_exact(F32_LANES);
+        let mut oc = pixel_out.chunks_exact_mut(F32_LANES);
+        for (b, (xs, os)) in (&mut ic).zip(&mut oc).enumerate() {
+            let xs: &[f32; F32_LANES] = xs.try_into().unwrap();
+            let os: &mut [f32; F32_LANES] = os.try_into().unwrap();
+            for l in 0..F32_LANES {
+                // SAFETY: every channel index is below `traces.len() / stride`.
+                let v = lerp_unchecked(traces, (b * F32_LANES + l) * stride, xs[l], top);
+                os[l] = v;
+                peak[l] = peak[l].max(v.abs());
+            }
+        }
+        let first = channels - ic.remainder().len();
+        for (ch, (o, &x)) in (first..).zip(oc.into_remainder().iter_mut().zip(ic.remainder())) {
+            // SAFETY: `ch < channels`, as above.
+            *o = lerp_unchecked(traces, ch * stride, x, top);
+            tail = tail.max(o.abs());
+        }
+    }
+    peak.iter().fold(tail, |m, &p| m.max(p))
+}
+
+/// # Safety
+///
+/// The shape [`lerp_channels`] checks, with one pixel of entries.
+#[inline(always)]
+unsafe fn lerp_gather_reduce_lanes(traces: &[f32], stride: usize, idx: &[f32], apod: &[f32]) -> f32 {
+    let top = (stride - 2) as f32;
+    let mut lanes = [0.0f32; F32_LANES];
+    let mut ic = idx.chunks_exact(F32_LANES);
+    let mut ac = apod.chunks_exact(F32_LANES);
+    for (b, (xs, ws)) in (&mut ic).zip(&mut ac).enumerate() {
+        let xs: &[f32; F32_LANES] = xs.try_into().unwrap();
+        let ws: &[f32; F32_LANES] = ws.try_into().unwrap();
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            // SAFETY: one pixel, so every entry index is a channel index.
+            *lane += ws[l] * lerp_unchecked(traces, (b * F32_LANES + l) * stride, xs[l], top);
+        }
+    }
+    let mut acc = lane_tree(&lanes);
+    let first = idx.len() - ic.remainder().len();
+    for (e, (&x, &w)) in (first..).zip(ic.remainder().iter().zip(ac.remainder())) {
+        // SAFETY: `e` is a channel index, as above.
+        acc += w * lerp_unchecked(traces, e * stride, x, top);
     }
     acc
 }
@@ -735,6 +860,7 @@ fn quantize_codes_lanes(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i3
 #[cfg(target_arch = "x86_64")]
 mod native {
     use super::*;
+    use std::arch::x86_64::*;
 
     // SAFETY (all wrappers): dispatch reaches this module only when `mode()`
     // returned `Native`, which `clamp_to_available` guarantees implies AVX2
@@ -776,13 +902,92 @@ mod native {
         das_gather_reduce_body(flat, tap0, tap1, w0, w1, apod)
     }
 
+    /// Eight entries of [`lerp_tap`]'s blend from one pair of
+    /// `vgatherdps`: `at` holds each lane's trace offset. `_mm256_max_ps`
+    /// returns its second operand when the first is NaN, as `f32::max(NaN,
+    /// 0.0)` returns `0.0`; converting `i0` back to `f32` gives `+0.0` for
+    /// `floor(−0.0)`, as `i0 as f32` does.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn lerp8(traces: *const f32, at: __m256i, idx: __m256, top: __m256) -> __m256 {
+        let i0 = _mm256_cvttps_epi32(_mm256_min_ps(_mm256_max_ps(_mm256_floor_ps(idx), _mm256_setzero_ps()), top));
+        let frac = _mm256_sub_ps(idx, _mm256_cvtepi32_ps(i0));
+        let w0 = _mm256_sub_ps(_mm256_set1_ps(1.0), frac);
+        let at = _mm256_add_epi32(at, i0);
+        let a = _mm256_i32gather_ps::<4>(traces, at);
+        let b = _mm256_i32gather_ps::<4>(traces.add(1), at);
+        _mm256_add_ps(_mm256_mul_ps(a, w0), _mm256_mul_ps(b, frac))
+    }
+
+    /// Trace offsets of lanes `0..8` (`l · stride`) and the step to the next
+    /// eight channels. `lerp_channels` bounds every offset by `i32::MAX`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn lerp_offsets(stride: usize) -> (__m256i, __m256i) {
+        let s = stride as i32;
+        (_mm256_setr_epi32(0, s, 2 * s, 3 * s, 4 * s, 5 * s, 6 * s, 7 * s), _mm256_set1_epi32(8 * s))
+    }
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn lerp_gather_avx2(traces: &[f32], stride: usize, idx: &[f32], out: &mut [f32]) -> f32 {
+        let (channels, top) = (traces.len() / stride, (stride - 2) as f32);
+        let blocks = channels / F32_LANES;
+        let (first, step) = lerp_offsets(stride);
+        let (vtop, abs) = (_mm256_set1_ps(top), _mm256_castsi256_ps(_mm256_set1_epi32(i32::MAX)));
+        let mut peak = _mm256_setzero_ps();
+        let mut tail = 0.0f32;
+        for (pixel_idx, pixel_out) in idx.chunks_exact(channels).zip(out.chunks_exact_mut(channels)) {
+            let mut at = first;
+            for b in 0..blocks {
+                // SAFETY: b·8 + 8 ≤ channels, the length of both slices.
+                let x = _mm256_loadu_ps(pixel_idx.as_ptr().add(b * F32_LANES));
+                let v = lerp8(traces.as_ptr(), at, x, vtop);
+                _mm256_storeu_ps(pixel_out.as_mut_ptr().add(b * F32_LANES), v);
+                // |v| first: a NaN entry leaves the running peak as it is.
+                peak = _mm256_max_ps(_mm256_and_ps(v, abs), peak);
+                at = _mm256_add_epi32(at, step);
+            }
+            for ch in blocks * F32_LANES..channels {
+                // SAFETY: `ch < channels = traces.len() / stride`.
+                pixel_out[ch] = lerp_unchecked(traces, ch * stride, pixel_idx[ch], top);
+                tail = tail.max(pixel_out[ch].abs());
+            }
+        }
+        let mut lanes = [0.0f32; F32_LANES];
+        _mm256_storeu_ps(lanes.as_mut_ptr(), peak);
+        lanes.iter().fold(tail, |m, &p| m.max(p))
+    }
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn lerp_gather_reduce_avx2(traces: &[f32], stride: usize, idx: &[f32], apod: &[f32]) -> f32 {
+        let top = (stride - 2) as f32;
+        let blocks = idx.len() / F32_LANES;
+        let (mut at, step) = lerp_offsets(stride);
+        let vtop = _mm256_set1_ps(top);
+        let mut acc = _mm256_setzero_ps();
+        for b in 0..blocks {
+            // SAFETY: b·8 + 8 ≤ idx.len() = apod.len().
+            let x = _mm256_loadu_ps(idx.as_ptr().add(b * F32_LANES));
+            let w = _mm256_loadu_ps(apod.as_ptr().add(b * F32_LANES));
+            acc = _mm256_add_ps(acc, _mm256_mul_ps(w, lerp8(traces.as_ptr(), at, x, vtop)));
+            at = _mm256_add_epi32(at, step);
+        }
+        let mut lanes = [0.0f32; F32_LANES];
+        _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
+        let mut sum = lane_tree(&lanes);
+        for e in blocks * F32_LANES..idx.len() {
+            // SAFETY: one pixel, so `e` is a channel index.
+            sum += apod[e] * lerp_unchecked(traces, e * stride, idx[e], top);
+        }
+        sum
+    }
+
     /// 16 integer MACs per instruction via `_mm256_madd_epi16`. Exact: the
     /// caller bounds `2 * |a| * |w|` per lane below `i32::MAX`, which also
     /// excludes the lone wrapping case of `madd` (both products equal to
     /// `(-32768)^2`).
     #[target_feature(enable = "avx2")]
     unsafe fn madd_pairs_avx2(acc: &mut [i32], a_pair: i32, pairs: &[i32]) {
-        use std::arch::x86_64::*;
         debug_assert_eq!(acc.len(), pairs.len());
         let av = _mm256_set1_epi32(a_pair);
         let n = acc.len();
@@ -889,6 +1094,20 @@ mod native {
         debug_assert!(native_available());
         unsafe { das_gather_reduce_avx2(flat, tap0, tap1, w0, w1, apod) }
     }
+    /// # Safety
+    ///
+    /// The shape `lerp_channels` checks.
+    pub unsafe fn lerp_gather(traces: &[f32], stride: usize, idx: &[f32], out: &mut [f32]) -> f32 {
+        debug_assert!(native_available());
+        lerp_gather_avx2(traces, stride, idx, out)
+    }
+    /// # Safety
+    ///
+    /// The shape `lerp_channels` checks, with one pixel of entries.
+    pub unsafe fn lerp_gather_reduce(traces: &[f32], stride: usize, idx: &[f32], apod: &[f32]) -> f32 {
+        debug_assert!(native_available());
+        lerp_gather_reduce_avx2(traces, stride, idx, apod)
+    }
     pub fn madd_block(acc: &mut [i32], a_pairs: &[i32], b_pairs: &[i32]) {
         debug_assert!(native_available());
         unsafe { madd_block_avx2(acc, a_pairs, b_pairs) }
@@ -966,6 +1185,26 @@ mod native {
             das_gather_reduce_body(flat, tap0, tap1, w0, w1, apod)
         }
         unsafe { go(flat, tap0, tap1, w0, w1, apod) }
+    }
+    /// # Safety
+    ///
+    /// The shape `lerp_channels` checks.
+    pub unsafe fn lerp_gather(traces: &[f32], stride: usize, idx: &[f32], out: &mut [f32]) -> f32 {
+        #[target_feature(enable = "neon")]
+        unsafe fn go(traces: &[f32], stride: usize, idx: &[f32], out: &mut [f32]) -> f32 {
+            lerp_gather_lanes(traces, stride, idx, out)
+        }
+        go(traces, stride, idx, out)
+    }
+    /// # Safety
+    ///
+    /// The shape `lerp_channels` checks, with one pixel of entries.
+    pub unsafe fn lerp_gather_reduce(traces: &[f32], stride: usize, idx: &[f32], apod: &[f32]) -> f32 {
+        #[target_feature(enable = "neon")]
+        unsafe fn go(traces: &[f32], stride: usize, idx: &[f32], apod: &[f32]) -> f32 {
+            lerp_gather_reduce_lanes(traces, stride, idx, apod)
+        }
+        go(traces, stride, idx, apod)
     }
     pub fn madd_block(acc: &mut [i32], a_pairs: &[i32], b_pairs: &[i32]) {
         #[target_feature(enable = "neon")]
@@ -1052,6 +1291,18 @@ mod native {
     ) -> f32 {
         das_gather_reduce_body(flat, tap0, tap1, w0, w1, apod)
     }
+    /// # Safety
+    ///
+    /// The shape `lerp_channels` checks.
+    pub unsafe fn lerp_gather(traces: &[f32], stride: usize, idx: &[f32], out: &mut [f32]) -> f32 {
+        lerp_gather_lanes(traces, stride, idx, out)
+    }
+    /// # Safety
+    ///
+    /// The shape `lerp_channels` checks, with one pixel of entries.
+    pub unsafe fn lerp_gather_reduce(traces: &[f32], stride: usize, idx: &[f32], apod: &[f32]) -> f32 {
+        lerp_gather_reduce_lanes(traces, stride, idx, apod)
+    }
     pub fn madd_block(acc: &mut [i32], a_pairs: &[i32], b_pairs: &[i32]) {
         madd_block_body(acc, a_pairs, b_pairs)
     }
@@ -1105,6 +1356,10 @@ pub fn reduce_lanes(values: &[f32]) -> f32 {
 
 /// Two-tap interpolating gather: `out[j] = flat[tap0[j]]*w0[j] +
 /// flat[tap1[j]]*w1[j]`. Element-wise, bitwise identical across tiers.
+///
+/// No library code calls it since beamforming plans store one fractional
+/// index per entry ([`lerp_gather`]); `perfbench`'s kernel rows still time
+/// it, so it goes with the next change to the benchmark.
 pub fn gather_two_tap(flat: &[f32], tap0: &[u32], tap1: &[u32], w0: &[f32], w1: &[f32], out: &mut [f32]) {
     match mode() {
         SimdMode::Scalar => gather_two_tap_scalar(flat, tap0, tap1, w0, w1, out),
@@ -1113,31 +1368,13 @@ pub fn gather_two_tap(flat: &[f32], tap0: &[u32], tap1: &[u32], w0: &[f32], w1: 
     }
 }
 
-/// Two-tap gather over interleaved complex data (`flat[2t]`, `flat[2t+1]` are
-/// the re/im of element `t`); writes `2 * tap0.len()` floats. Every tier runs
-/// this one element-wise loop.
-pub fn gather_two_tap_interleaved(
-    flat: &[f32],
-    tap0: &[u32],
-    tap1: &[u32],
-    w0: &[f32],
-    w1: &[f32],
-    out: &mut [f32],
-) {
-    debug_assert!(tap1.len() == tap0.len() && w0.len() == tap0.len() && w1.len() == tap0.len());
-    debug_assert_eq!(out.len(), 2 * tap0.len());
-    for j in 0..tap0.len() {
-        let t0 = 2 * tap0[j] as usize;
-        let t1 = 2 * tap1[j] as usize;
-        out[2 * j] = flat[t0] * w0[j] + flat[t1] * w1[j];
-        out[2 * j + 1] = flat[t0 + 1] * w0[j] + flat[t1 + 1] * w1[j];
-    }
-}
-
-/// Fused planned-DAS kernel: gathers both taps, applies apodization and
+/// Fused two-tap DAS kernel: gathers both taps, applies apodization and
 /// reduces in the module's lane order. Equivalent to materialising
 /// `apod[e] * (flat[tap0[e]]*w0[e] + flat[tap1[e]]*w1[e])` and calling
 /// [`reduce_lanes`], without the intermediate buffer.
+///
+/// Like [`gather_two_tap`], only `perfbench`'s kernel rows still call it;
+/// planned DAS runs [`lerp_gather_reduce`].
 pub fn das_gather_reduce(
     flat: &[f32],
     tap0: &[u32],
@@ -1150,6 +1387,93 @@ pub fn das_gather_reduce(
         SimdMode::Scalar => das_gather_reduce_scalar(flat, tap0, tap1, w0, w1, apod),
         SimdMode::Portable => das_gather_reduce_body(flat, tap0, tap1, w0, w1, apod),
         SimdMode::Native => native::das_gather_reduce(flat, tap0, tap1, w0, w1, apod),
+    }
+}
+
+/// Checks the layout every fractional-index gather relies on and returns the
+/// channel count: `samples` holds whole channel-major traces of `stride`
+/// samples, `stride − 2` is exact in `f32`, every sample offset fits the
+/// `i32` lanes of a hardware gather, and `entries` covers whole pixels.
+fn lerp_channels(samples: usize, stride: usize, entries: usize) -> usize {
+    assert!((2..=(1 << 24) + 2).contains(&stride), "lerp gather: trace stride {stride} outside [2, 2^24 + 2]");
+    assert!(
+        samples >= stride && samples.is_multiple_of(stride) && samples <= i32::MAX as usize,
+        "lerp gather: {samples} samples are not whole traces of {stride} within i32 offsets"
+    );
+    let channels = samples / stride;
+    assert!(entries.is_multiple_of(channels), "lerp gather: {entries} entries are not whole pixels of {channels}");
+    channels
+}
+
+/// Fractional-index gather with the peak folded in. `traces` holds
+/// channel-major traces of `stride` samples (`traces[c·stride + k]`);
+/// `idx` and `out` hold whole pixels, entry `c` of a pixel on channel `c`:
+///
+/// `out[e] = t[i0]·(1 − frac) + t[i0 + 1]·frac`
+///
+/// with `t` the trace of channel `e % channels`, `i0 = floor(idx[e])`
+/// clamped to `[0, stride − 2]` (NaN to 0) and `frac = idx[e] − i0`. For an
+/// index inside the clamp these are the `f32` operations of
+/// `usdsp::interp::sample_at`, multiplies and add unfused; any other index
+/// stays on its trace. Returns the peak, `|out[e]|` folded with `f32::max`
+/// from `0.0`, so NaN entries are ignored; a max of non-negative values
+/// does not depend on order. Every tier is therefore bitwise identical to
+/// the scalar reference. The native x86-64 tier gathers eight entries with
+/// two `_mm256_i32gather_ps`.
+///
+/// # Panics
+///
+/// Panics when `traces` is not whole traces of a `stride` in
+/// `[2, 2^24 + 2]` within `i32` offsets, when `idx` is not whole pixels, or
+/// when `out` and `idx` differ in length.
+pub fn lerp_gather(traces: &[f32], stride: usize, idx: &[f32], out: &mut [f32]) -> f32 {
+    lerp_channels(traces.len(), stride, idx.len());
+    assert_eq!(out.len(), idx.len(), "lerp_gather: one output per entry");
+    match mode() {
+        SimdMode::Scalar => lerp_gather_scalar(traces, stride, idx, out),
+        // SAFETY: `lerp_channels` checked the layout the bodies index by.
+        SimdMode::Portable => unsafe { lerp_gather_lanes(traces, stride, idx, out) },
+        SimdMode::Native => unsafe { native::lerp_gather(traces, stride, idx, out) },
+    }
+}
+
+/// [`lerp_gather`] of one pixel (`idx.len()` = channels), weighted by
+/// `apod` and reduced in the module's lane order: equivalent to
+/// materialising `apod[e] · out[e]` and calling [`reduce_lanes`].
+///
+/// # Panics
+///
+/// As [`lerp_gather`], and when `idx` or `apod` is not one pixel.
+pub fn lerp_gather_reduce(traces: &[f32], stride: usize, idx: &[f32], apod: &[f32]) -> f32 {
+    let channels = lerp_channels(traces.len(), stride, idx.len());
+    assert!(idx.len() == channels && apod.len() == channels, "lerp_gather_reduce: one pixel of {channels} entries");
+    match mode() {
+        SimdMode::Scalar => lerp_gather_reduce_scalar(traces, stride, idx, apod),
+        // SAFETY: `lerp_channels` checked the layout the bodies index by.
+        SimdMode::Portable => unsafe { lerp_gather_reduce_lanes(traces, stride, idx, apod) },
+        SimdMode::Native => unsafe { native::lerp_gather_reduce(traces, stride, idx, apod) },
+    }
+}
+
+/// [`lerp_gather`] over complex traces stored as interleaved `f32` pairs
+/// (`traces[2k]`, `traces[2k + 1]` are the re/im of sample `k`; `stride`
+/// counts complex samples), without the peak: both components of an entry
+/// get the same taps and weights, the operations of
+/// `usdsp::interp::sample_at_complex`. Writes `2 · idx.len()` floats. Every
+/// tier runs this one element-wise loop.
+///
+/// # Panics
+///
+/// As [`lerp_gather`], with `out` twice as long as `idx`.
+pub fn lerp_gather_complex(traces: &[f32], stride: usize, idx: &[f32], out: &mut [f32]) {
+    let channels = lerp_channels(traces.len() / 2, stride, idx.len());
+    assert_eq!(out.len(), 2 * idx.len(), "lerp_gather_complex: one complex output per entry");
+    let top = (stride - 2) as f32;
+    for (e, (o, &x)) in out.chunks_exact_mut(2).zip(idx).enumerate() {
+        let (i0, w0, w1) = lerp_tap(x, top);
+        let t = 2 * (e % channels * stride + i0);
+        o[0] = traces[t] * w0 + traces[t + 2] * w1;
+        o[1] = traces[t + 1] * w0 + traces[t + 3] * w1;
     }
 }
 

@@ -61,6 +61,40 @@ fn taps(rng: &mut StdRng, n: usize, limit: usize) -> Vec<u32> {
     (0..n).map(|_| rng.gen_range(0..limit) as u32).collect()
 }
 
+/// [`floats`] with about one sample in eight replaced by ±∞, NaN or −0.
+fn special_floats(rng: &mut StdRng, n: usize) -> Vec<f32> {
+    const SPECIAL: [f32; 4] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -0.0];
+    let mut values = floats(rng, n);
+    for v in &mut values {
+        if rng.gen_bool(0.125) {
+            *v = SPECIAL[rng.gen_range(0..SPECIAL.len())];
+        }
+    }
+    values
+}
+
+/// Fractional sample indices over an `n`-sample trace as a plan holds them
+/// (in-window values, exactly `n − 1`, the sentinel `n`), plus indices no
+/// plan holds: negative, −0, NaN, ±∞, past `n` and huge.
+fn lerp_indices(rng: &mut StdRng, count: usize, n: usize) -> Vec<f32> {
+    let top = n.saturating_sub(1) as f32;
+    (0..count)
+        .map(|_| match rng.gen_range(0..12) {
+            0 => top,
+            1 | 2 => n as f32,
+            3 => -rng.gen_range(0.0f32..5.0),
+            4 => -0.0,
+            5 => f32::NAN,
+            6 => f32::INFINITY,
+            7 => f32::NEG_INFINITY,
+            8 => n as f32 + rng.gen_range(0.0f32..5.0),
+            9 => 3.0e9,
+            10 => rng.gen_range(0..n.max(1)) as f32,
+            _ => rng.gen_range(0.0f32..top.max(f32::MIN_POSITIVE)),
+        })
+        .collect()
+}
+
 fn assert_bits_eq(reference: &[f32], got: &[f32], what: &str, mode: SimdMode) {
     assert_eq!(reference.len(), got.len(), "{what}: length under {mode:?}");
     for (i, (a, b)) in reference.iter().zip(got).enumerate() {
@@ -136,26 +170,68 @@ proptest! {
     }
 
     #[test]
-    fn gather_two_tap_interleaved_is_bitwise_identical_across_modes(seed in 0u64..1_000_000, t in 0usize..97, m in 1usize..257) {
+    fn lerp_gathers_are_bitwise_identical_across_modes(
+        seed in 0u64..1_000_000,
+        channels in 1usize..20,
+        n in 0usize..40,
+        pixels in 0usize..4,
+    ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let flat = floats(&mut rng, 2 * m);
-        let tap0 = taps(&mut rng, t, m);
-        let tap1 = taps(&mut rng, t, m);
-        let w0 = floats(&mut rng, t);
-        let w1 = floats(&mut rng, t);
-        let reference = with_mode(SimdMode::Scalar, || {
-            let mut out = vec![0.0f32; 2 * t];
-            simd::gather_two_tap_interleaved(&flat, &tap0, &tap1, &w0, &w1, &mut out);
-            out
-        });
-        for mode in alternative_modes() {
-            let got = with_mode(mode, || {
-                let mut out = vec![0.0f32; 2 * t];
-                simd::gather_two_tap_interleaved(&flat, &tap0, &tap1, &w0, &w1, &mut out);
-                out
-            });
-            assert_bits_eq(&reference, &got, "gather_two_tap_interleaved", mode);
+        let stride = n + 2;
+        // Padded traces as a plan lays them out, with ±∞, NaN and −0 samples.
+        let mut traces = special_floats(&mut rng, channels * stride);
+        for trace in traces.chunks_exact_mut(stride) {
+            trace[n] = -0.0;
+            trace[n + 1] = 0.0;
         }
+        let idx = lerp_indices(&mut rng, pixels * channels, n);
+        let apod = floats(&mut rng, channels);
+        let gather = || {
+            let mut out = vec![0.0f32; idx.len()];
+            let peak = simd::lerp_gather(&traces, stride, &idx, &mut out);
+            let sums: Vec<f32> =
+                idx.chunks_exact(channels).map(|px| simd::lerp_gather_reduce(&traces, stride, px, &apod)).collect();
+            (out, peak, sums)
+        };
+        let (reference, peak, sums) = with_mode(SimdMode::Scalar, gather);
+        // The fused peak is `TofCube::peak` of the output: NaN is ignored.
+        let expect = reference.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+        prop_assert_eq!(peak.to_bits(), expect.to_bits());
+        for (e, (&x, &v)) in idx.iter().zip(&reference).enumerate() {
+            let trace = &traces[e % channels * stride..][..stride];
+            if x.to_bits() == (n as f32).to_bits() {
+                prop_assert_eq!(v.to_bits(), 0.0f32.to_bits(), "the sentinel reads +0 whatever the trace holds");
+            } else if n > 0 && x == (n - 1) as f32 {
+                let last = trace[n - 1];
+                prop_assert!(v.to_bits() == last.to_bits() || (v.is_nan() && last.is_nan()), "n − 1 reads the last sample");
+            }
+        }
+        // Each pixel's reduction is `reduce_lanes` of the weighted gather.
+        for (px, &sum) in reference.chunks_exact(channels).zip(&sums) {
+            let weighted: Vec<f32> = px.iter().zip(&apod).map(|(v, w)| w * v).collect();
+            let fused = with_mode(SimdMode::Scalar, || simd::reduce_lanes(&weighted));
+            assert_values_eq(&[fused], &[sum], "lerp_gather_reduce vs reduce_lanes", SimdMode::Scalar);
+        }
+        for mode in alternative_modes() {
+            let (got, got_peak, got_sums) = with_mode(mode, gather);
+            assert_values_eq(&reference, &got, "lerp_gather", mode);
+            prop_assert_eq!(peak.to_bits(), got_peak.to_bits(), "peak under {:?}", mode);
+            assert_values_eq(&sums, &got_sums, "lerp_gather_reduce", mode);
+        }
+        // The complex gather blends each component with the real gather's
+        // taps and weights.
+        let complex: Vec<f32> = traces.iter().zip(traces.iter().rev()).flat_map(|(&re, &im)| [re, im]).collect();
+        let mut out = vec![0.0f32; 2 * idx.len()];
+        simd::lerp_gather_complex(&complex, stride, &idx, &mut out);
+        let part = |k: usize| {
+            let component: Vec<f32> = complex.iter().skip(k).step_by(2).copied().collect();
+            let mut gathered = vec![0.0f32; idx.len()];
+            with_mode(SimdMode::Scalar, || simd::lerp_gather(&component, stride, &idx, &mut gathered));
+            gathered
+        };
+        let (re, im): (Vec<f32>, Vec<f32>) = out.chunks_exact(2).map(|c| (c[0], c[1])).unzip();
+        assert_values_eq(&part(0), &re, "lerp_gather_complex re", SimdMode::Scalar);
+        assert_values_eq(&part(1), &im, "lerp_gather_complex im", SimdMode::Scalar);
     }
 
     #[test]
