@@ -396,13 +396,14 @@ pub fn matmul_into(a: &[f32], b: &Tensor, out: &mut [f32]) {
 /// ascending `p` order, keeping results bitwise identical to the naive triple
 /// loop regardless of tiling, thread count, or `runtime::simd` dispatch tier:
 /// the scalar tier runs the naive loop as the reference, while portable and
-/// native run the tiled body (natively recompiled under AVX2/NEON — without
-/// FMA, so no multiply-add fusion can change rounding).
+/// native run the tiled body (autovectorized for the build's target, with no
+/// multiply-add fusion that could change rounding).
 fn matmul_row_block(a: &[f32], b: &[f32], out: &mut [f32], first_row: usize, k: usize, m: usize) {
     match runtime::simd::mode() {
         runtime::simd::SimdMode::Scalar => matmul_row_block_scalar(a, b, out, first_row, k, m),
-        runtime::simd::SimdMode::Portable => matmul_row_block_body(a, b, out, first_row, k, m),
-        runtime::simd::SimdMode::Native => matmul_row_block_native(a, b, out, first_row, k, m),
+        runtime::simd::SimdMode::Portable | runtime::simd::SimdMode::Native => {
+            matmul_row_block_body(a, b, out, first_row, k, m)
+        }
     }
 }
 
@@ -419,34 +420,6 @@ fn matmul_row_block_scalar(a: &[f32], b: &[f32], out: &mut [f32], first_row: usi
             out[r * m + j] = acc;
         }
     }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn matmul_row_block_native(a: &[f32], b: &[f32], out: &mut [f32], first_row: usize, k: usize, m: usize) {
-    #[target_feature(enable = "avx2")]
-    unsafe fn go(a: &[f32], b: &[f32], out: &mut [f32], first_row: usize, k: usize, m: usize) {
-        matmul_row_block_body(a, b, out, first_row, k, m)
-    }
-    // SAFETY: `runtime::simd::mode()` returns `Native` only after detecting
-    // AVX2 at runtime. `avx2` does not imply `fma`, so no multiply-add fuses
-    // and the result stays bitwise identical to the portable body.
-    unsafe { go(a, b, out, first_row, k, m) }
-}
-
-#[cfg(target_arch = "aarch64")]
-fn matmul_row_block_native(a: &[f32], b: &[f32], out: &mut [f32], first_row: usize, k: usize, m: usize) {
-    #[target_feature(enable = "neon")]
-    unsafe fn go(a: &[f32], b: &[f32], out: &mut [f32], first_row: usize, k: usize, m: usize) {
-        matmul_row_block_body(a, b, out, first_row, k, m)
-    }
-    // SAFETY: NEON is baseline on our aarch64 targets and introduces no
-    // contraction; results stay bitwise identical to the portable body.
-    unsafe { go(a, b, out, first_row, k, m) }
-}
-
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-fn matmul_row_block_native(a: &[f32], b: &[f32], out: &mut [f32], first_row: usize, k: usize, m: usize) {
-    matmul_row_block_body(a, b, out, first_row, k, m)
 }
 
 /// Register-tile width (output columns per full-width micro-kernel call).

@@ -2,29 +2,32 @@
 //!
 //! Every hot inner loop in the workspace (planned DAS/ToF/MVDR gathers, the
 //! register-tiled matmul, the softmax `exp`, and the exact fixed-point
-//! datapath) funnels through this module. Three dispatch tiers exist:
+//! datapath) funnels through this module. Every kernel has two bodies:
 //!
-//! * **Scalar** — straightforward per-element loops. For reductions the
-//!   scalar path is written in the *lane-order* defined below, and is the
-//!   asserted bitwise reference for the other tiers.
-//! * **Portable** — the same arithmetic restructured around fixed-width
-//!   `[T; N]` lane blocks so LLVM can autovectorize it on any target.
-//! * **Native** — the portable bodies recompiled under
-//!   `#[target_feature(enable = "avx2")]` (x86-64) or `"neon"` (aarch64),
-//!   selected by runtime CPU detection, plus hand-written intrinsics where
-//!   autovectorization cannot reach: the i16 pair-madd kernel, and on
-//!   x86-64 the fractional-index gathers ([`lerp_gather`],
-//!   [`lerp_gather_reduce`]), eight entries per `_mm256_i32gather_ps`
-//!   pair. The native
-//!   wrappers deliberately do **not** enable FMA: fusing a multiply-add
-//!   would change rounding and break bitwise identity with the reference.
-//!   [`exp`] fuses on purpose: its multiply-adds are explicit `mul_add`
-//!   steps of the scalar reference itself, rounded once on every tier.
-//!   [`exact_matmul`] fuses where the build targets FMA: its products and
-//!   sums are exact integers, so fused and unfused give the same bits.
+//! * the **scalar** reference — straightforward per-element loops. For
+//!   reductions it is written in the *lane-order* defined below, and it is
+//!   the asserted bitwise reference for the lane body;
+//! * the **lane** body — the same arithmetic restructured around fixed-width
+//!   `[T; N]` lane blocks so LLVM can autovectorize it for whatever the build
+//!   targets (the workspace builds with `-C target-cpu=native`).
+//!
+//! The fractional-index gathers ([`lerp_gather`], [`lerp_gather_reduce`])
+//! have a third, the only native code here: an x86-64 AVX2 body that
+//! gathers eight entries per `_mm256_i32gather_ps` pair, selected by runtime
+//! CPU detection. It is kept because it is measured faster end to end;
+//! LLVM compiles the lane gathers to scalar code per entry.
+//!
+//! Three dispatch tiers choose among them: **Scalar** runs the references,
+//! **Portable** the lane bodies, and **Native** the lane bodies plus the
+//! AVX2 gathers. No body enables FMA on its own: fusing a multiply-add would
+//! change rounding and break bitwise identity with the reference. [`exp`]
+//! fuses on purpose: its multiply-adds are explicit `mul_add` steps of the
+//! scalar reference itself, rounded once on every tier. [`exact_matmul`]
+//! fuses where the build targets FMA: its products and sums are exact
+//! integers, so fused and unfused give the same bits.
 //!
 //! The active tier is picked once from the [`SIMD_ENV`] environment variable
-//! (`scalar`, `portable` or `native`) falling back to auto-detection, and can
+//! (`scalar`, `portable` or `native`; unset means auto-detection), and can
 //! be overridden in-process with [`force_mode`] (used by equivalence tests to
 //! sweep tiers). Because every tier is bitwise identical, concurrent tests
 //! observing a forced mode mid-sweep still compute identical results.
@@ -42,21 +45,23 @@
 //!
 //! 1. Write the scalar body (the reference) and, if it reduces, make it use
 //!    the lane order above.
-//! 2. Write the portable body over `[T; N]` chunks with the identical
+//! 2. Write the lane body over `[T; N]` chunks with the identical
 //!    per-element / per-lane arithmetic order.
-//! 3. Add a `#[target_feature]` wrapper in the `native` module (usually just
-//!    calling the portable body; intrinsics only when required — and never
-//!    FMA or reassociating ones, unless every operation is exact, as in
-//!    [`exact_matmul`]).
-//! 4. Dispatch through [`mode`] and extend the proptest suite in
+//! 3. Dispatch through [`mode`] (`Scalar` to the reference, `Portable |
+//!    Native` to the lane body) and extend the proptest suite in
 //!    `tests/simd_equivalence.rs` with the new kernel.
+//!
+//! A native body is added only with a measured end-to-end share, as the
+//! gathers have, and never with FMA or reassociating intrinsics unless every
+//! operation is exact.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// Environment variable selecting the dispatch tier: `scalar`, `portable` or
-/// `native`. Unset or unrecognised values auto-detect (native when the CPU
-/// supports it, portable otherwise).
+/// `native`, in any case. Unset or empty auto-detects (native when the CPU
+/// supports it, portable otherwise); any other value panics at the first
+/// [`mode`] call, so a misspelt tier cannot pass for another.
 pub const SIMD_ENV: &str = "TINY_VBF_SIMD";
 
 /// Fixed lane width for `f32` kernels. Matches a 256-bit AVX2 register; NEON
@@ -71,7 +76,8 @@ pub enum SimdMode {
     Scalar,
     /// Autovectorization-friendly fixed-width lane blocks.
     Portable,
-    /// `#[target_feature]` specializations behind runtime CPU detection.
+    /// The lane bodies plus the x86-64 AVX2 gathers; only where
+    /// [`native_available`].
     Native,
 }
 
@@ -91,39 +97,43 @@ impl SimdMode {
 static FORCED: AtomicU8 = AtomicU8::new(0);
 static DEFAULT: OnceLock<SimdMode> = OnceLock::new();
 
-/// Whether this CPU supports the native tier (AVX2 on x86-64, NEON on
-/// aarch64). Other architectures report `false` and fall back to portable.
+/// Whether the native tier has code of its own here: x86-64 with AVX2, for
+/// the gathers. Elsewhere `Native` would run the portable bodies, so it
+/// clamps to [`SimdMode::Portable`].
 pub fn native_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        static AVX2: OnceLock<bool> = OnceLock::new();
-        *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
+        std::arch::is_x86_feature_detected!("avx2")
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        true // NEON is baseline for the aarch64 targets we build.
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         false
     }
 }
 
+/// A [`SIMD_ENV`] value, trimmed: empty means auto-detection (`Ok(None)`),
+/// a tier's label in any case selects it, and anything else is an error
+/// that names the variable, the value and the accepted words.
+fn parse_mode(value: &str) -> Result<Option<SimdMode>, String> {
+    let value = value.trim();
+    if value.is_empty() {
+        return Ok(None);
+    }
+    [SimdMode::Scalar, SimdMode::Portable, SimdMode::Native]
+        .into_iter()
+        .find(|m| value.eq_ignore_ascii_case(m.label()))
+        .map(Some)
+        .ok_or_else(|| format!("{SIMD_ENV}={value:?}: expected `scalar`, `portable` or `native`, or unset"))
+}
+
 fn detect() -> SimdMode {
-    let requested = std::env::var(SIMD_ENV).unwrap_or_default();
-    let mode = match requested.to_ascii_lowercase().as_str() {
-        "scalar" => SimdMode::Scalar,
-        "portable" => SimdMode::Portable,
-        "native" => SimdMode::Native,
-        _ => {
-            if native_available() {
-                SimdMode::Native
-            } else {
-                SimdMode::Portable
-            }
-        }
-    };
-    clamp_to_available(mode)
+    let requested = std::env::var_os(SIMD_ENV).unwrap_or_default();
+    match parse_mode(&requested.to_string_lossy()) {
+        Ok(Some(mode)) => clamp_to_available(mode),
+        Ok(None) if native_available() => SimdMode::Native,
+        Ok(None) => SimdMode::Portable,
+        Err(message) => panic!("{message}"),
+    }
 }
 
 fn clamp_to_available(mode: SimdMode) -> SimdMode {
@@ -136,14 +146,20 @@ fn clamp_to_available(mode: SimdMode) -> SimdMode {
 
 /// The dispatch tier kernels currently run under. Resolved once from
 /// [`SIMD_ENV`] + CPU detection, unless overridden by [`force_mode`].
-/// Guaranteed never to return [`SimdMode::Native`] on a CPU without the
-/// required features.
+/// Guaranteed never to return [`SimdMode::Native`] unless
+/// [`native_available`].
+///
+/// # Panics
+///
+/// Panics when [`SIMD_ENV`] holds a value that names no tier, whether or
+/// not a tier is forced.
 pub fn mode() -> SimdMode {
+    let default = *DEFAULT.get_or_init(detect);
     match FORCED.load(Ordering::Relaxed) {
         1 => SimdMode::Scalar,
         2 => SimdMode::Portable,
         3 => SimdMode::Native,
-        _ => *DEFAULT.get_or_init(detect),
+        _ => default,
     }
 }
 
@@ -440,7 +456,7 @@ fn lerp_gather_reduce_scalar(traces: &[f32], stride: usize, idx: &[f32], apod: &
 }
 
 // ---------------------------------------------------------------------------
-// f32 kernels: portable lane bodies (identical arithmetic order)
+// f32 kernels: lane bodies (identical arithmetic order)
 // ---------------------------------------------------------------------------
 
 #[inline(always)]
@@ -598,49 +614,10 @@ unsafe fn lerp_gather_reduce_lanes(traces: &[f32], stride: usize, idx: &[f32], a
 }
 
 // ---------------------------------------------------------------------------
-// Integer kernels (exact arithmetic — every tier is trivially identical, the
-// native tier just executes more of it per instruction). `perfbench` times
-// `madd_block` and `i64_mac_row`; the integer datapath runs `exact_matmul`.
+// Integer kernels: exact arithmetic, so one body serves every tier. Only
+// `perfbench` calls `madd_block` and `i64_mac_row`; the integer datapath runs
+// `exact_matmul`.
 // ---------------------------------------------------------------------------
-
-#[inline(always)]
-fn i64_axpy_body(acc: &mut [i64], a: i32, x: &[i32]) {
-    debug_assert_eq!(acc.len(), x.len());
-    let a = a as i64;
-    for (o, &v) in acc.iter_mut().zip(x) {
-        *o += a * v as i64;
-    }
-}
-
-#[inline(always)]
-fn madd_pairs_body(acc: &mut [i32], a_pair: i32, pairs: &[i32]) {
-    debug_assert_eq!(acc.len(), pairs.len());
-    let a0 = a_pair as i16 as i32;
-    let a1 = (a_pair >> 16) as i16 as i32;
-    for (o, &p) in acc.iter_mut().zip(pairs) {
-        let w0 = p as i16 as i32;
-        let w1 = (p >> 16) as i16 as i32;
-        *o += a0 * w0 + a1 * w1;
-    }
-}
-
-#[inline(always)]
-fn madd_block_body(acc: &mut [i32], a_pairs: &[i32], b_pairs: &[i32]) {
-    let m = acc.len();
-    debug_assert_eq!(b_pairs.len(), a_pairs.len() * m);
-    for (p, &ap) in a_pairs.iter().enumerate() {
-        madd_pairs_body(acc, ap, &b_pairs[p * m..(p + 1) * m]);
-    }
-}
-
-#[inline(always)]
-fn i64_mac_row_body(acc: &mut [i64], a_row: &[i32], b: &[i32]) {
-    let m = acc.len();
-    debug_assert_eq!(b.len(), a_row.len() * m);
-    for (p, &a) in a_row.iter().enumerate() {
-        i64_axpy_body(acc, a, &b[p * m..(p + 1) * m]);
-    }
-}
 
 /// Pack two i16-range fixed-point codes into the `(lo, hi)` pair layout the
 /// [`madd_block`] kernel consumes. Both values must fit in `i16`.
@@ -854,7 +831,7 @@ fn quantize_codes_lanes(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i3
 }
 
 // ---------------------------------------------------------------------------
-// Native tier
+// Native code: the x86-64 AVX2 gathers and `vzeroupper`
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
@@ -862,45 +839,11 @@ mod native {
     use super::*;
     use std::arch::x86_64::*;
 
-    // SAFETY (all wrappers): dispatch reaches this module only when `mode()`
+    // SAFETY (all bodies): dispatch reaches this module only when `mode()`
     // returned `Native`, which `clamp_to_available` guarantees implies AVX2
     // was detected at runtime. `avx2` deliberately does not imply `fma`, so
-    // no multiply-add can be fused and every body stays bitwise identical to
-    // its scalar reference.
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn scale_avx2(values: &mut [f32], factor: f32) {
-        scale_lanes(values, factor)
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn reduce_avx2(values: &[f32]) -> f32 {
-        reduce_lanes_body(values)
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn gather_two_tap_avx2(
-        flat: &[f32],
-        tap0: &[u32],
-        tap1: &[u32],
-        w0: &[f32],
-        w1: &[f32],
-        out: &mut [f32],
-    ) {
-        gather_two_tap_lanes(flat, tap0, tap1, w0, w1, out)
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn das_gather_reduce_avx2(
-        flat: &[f32],
-        tap0: &[u32],
-        tap1: &[u32],
-        w0: &[f32],
-        w1: &[f32],
-        apod: &[f32],
-    ) -> f32 {
-        das_gather_reduce_body(flat, tap0, tap1, w0, w1, apod)
-    }
+    // no multiply-add can be fused and both gathers stay bitwise identical
+    // to their scalar references.
 
     /// Eight entries of [`lerp_tap`]'s blend from one pair of
     /// `vgatherdps`: `at` holds each lane's trace offset. `_mm256_max_ps`
@@ -928,8 +871,11 @@ mod native {
         (_mm256_setr_epi32(0, s, 2 * s, 3 * s, 4 * s, 5 * s, 6 * s, 7 * s), _mm256_set1_epi32(8 * s))
     }
 
+    /// # Safety
+    ///
+    /// AVX2, and the shape `lerp_channels` checks.
     #[target_feature(enable = "avx2")]
-    unsafe fn lerp_gather_avx2(traces: &[f32], stride: usize, idx: &[f32], out: &mut [f32]) -> f32 {
+    pub unsafe fn lerp_gather(traces: &[f32], stride: usize, idx: &[f32], out: &mut [f32]) -> f32 {
         let (channels, top) = (traces.len() / stride, (stride - 2) as f32);
         let blocks = channels / F32_LANES;
         let (first, step) = lerp_offsets(stride);
@@ -958,8 +904,11 @@ mod native {
         lanes.iter().fold(tail, |m, &p| m.max(p))
     }
 
+    /// # Safety
+    ///
+    /// AVX2, and the shape `lerp_channels` checks, with one pixel of entries.
     #[target_feature(enable = "avx2")]
-    unsafe fn lerp_gather_reduce_avx2(traces: &[f32], stride: usize, idx: &[f32], apod: &[f32]) -> f32 {
+    pub unsafe fn lerp_gather_reduce(traces: &[f32], stride: usize, idx: &[f32], apod: &[f32]) -> f32 {
         let top = (stride - 2) as f32;
         let blocks = idx.len() / F32_LANES;
         let (mut at, step) = lerp_offsets(stride);
@@ -982,352 +931,11 @@ mod native {
         sum
     }
 
-    /// 16 integer MACs per instruction via `_mm256_madd_epi16`. Exact: the
-    /// caller bounds `2 * |a| * |w|` per lane below `i32::MAX`, which also
-    /// excludes the lone wrapping case of `madd` (both products equal to
-    /// `(-32768)^2`).
-    #[target_feature(enable = "avx2")]
-    unsafe fn madd_pairs_avx2(acc: &mut [i32], a_pair: i32, pairs: &[i32]) {
-        debug_assert_eq!(acc.len(), pairs.len());
-        let av = _mm256_set1_epi32(a_pair);
-        let n = acc.len();
-        let blocks = n / 8;
-        for b in 0..blocks {
-            let i = b * 8;
-            // SAFETY: i + 8 <= n for both slices; loads/stores are unaligned.
-            let p = _mm256_loadu_si256(pairs.as_ptr().add(i) as *const __m256i);
-            let o = _mm256_loadu_si256(acc.as_ptr().add(i) as *const __m256i);
-            let r = _mm256_add_epi32(o, _mm256_madd_epi16(p, av));
-            _mm256_storeu_si256(acc.as_mut_ptr().add(i) as *mut __m256i, r);
-        }
-        // Half-width tail: narrow panels (e.g. head_dim-wide attention
-        // outputs) would otherwise fall through to the scalar loop entirely.
-        let mut i = blocks * 8;
-        if n - i >= 4 {
-            // SAFETY: i + 4 <= n for both slices.
-            let p = _mm_loadu_si128(pairs.as_ptr().add(i) as *const __m128i);
-            let o = _mm_loadu_si128(acc.as_ptr().add(i) as *const __m128i);
-            let r = _mm_add_epi32(o, _mm_madd_epi16(p, _mm256_castsi256_si128(av)));
-            _mm_storeu_si128(acc.as_mut_ptr().add(i) as *mut __m128i, r);
-            i += 4;
-        }
-        madd_pairs_body(&mut acc[i..], a_pair, &pairs[i..]);
-    }
-
-    /// Branch-free [`quantize_codes`]: LLVM vectorizes the lane body's
-    /// `trunc` and selects under AVX2.
-    #[target_feature(enable = "avx2")]
-    unsafe fn quantize_codes_avx2(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i32, out: &mut [f64]) {
-        quantize_codes_lanes(values, inv_step, max_raw, min_raw, out)
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn exact_matmul_avx2(
-        a: &[f64],
-        strides: [usize; 2],
-        w: &[f64],
-        m: usize,
-        bias: Option<&[f64]>,
-        rq: Requantize,
-        out: &mut [f64],
-    ) {
-        exact_matmul_lanes(a, strides, w, m, bias, rq, out)
-    }
-
-    /// Whole-block madd: one dispatch for an entire packed weight panel.
-    /// Same-feature calls inline, so the inner intrinsic loop fuses.
-    #[target_feature(enable = "avx2")]
-    unsafe fn madd_block_avx2(acc: &mut [i32], a_pairs: &[i32], b_pairs: &[i32]) {
-        let m = acc.len();
-        debug_assert_eq!(b_pairs.len(), a_pairs.len() * m);
-        for (p, &ap) in a_pairs.iter().enumerate() {
-            madd_pairs_avx2(acc, ap, &b_pairs[p * m..(p + 1) * m]);
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn i64_mac_row_avx2(acc: &mut [i64], a_row: &[i32], b: &[i32]) {
-        i64_mac_row_body(acc, a_row, b)
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn exp_avx2(values: &mut [f32]) {
-        exp_lanes(values)
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn exp_shifted_sum_avx2(block: &mut [[f32; F32_LANES]], max: &[f32; F32_LANES]) -> [f32; F32_LANES] {
-        exp_shifted_sum_lanes(block, max)
-    }
-
     /// `vzeroupper`: marks the upper halves of the vector registers clean.
-    #[target_feature(enable = "avx")]
-    unsafe fn zero_upper_avx() {
-        std::arch::x86_64::_mm256_zeroupper()
-    }
-
     pub fn zero_upper() {
         debug_assert!(native_available());
-        unsafe { zero_upper_avx() }
-    }
-
-    pub fn scale(values: &mut [f32], factor: f32) {
-        debug_assert!(native_available());
-        unsafe { scale_avx2(values, factor) }
-    }
-    pub fn reduce(values: &[f32]) -> f32 {
-        debug_assert!(native_available());
-        unsafe { reduce_avx2(values) }
-    }
-    pub fn gather_two_tap(flat: &[f32], tap0: &[u32], tap1: &[u32], w0: &[f32], w1: &[f32], out: &mut [f32]) {
-        debug_assert!(native_available());
-        unsafe { gather_two_tap_avx2(flat, tap0, tap1, w0, w1, out) }
-    }
-    pub fn das_gather_reduce(
-        flat: &[f32],
-        tap0: &[u32],
-        tap1: &[u32],
-        w0: &[f32],
-        w1: &[f32],
-        apod: &[f32],
-    ) -> f32 {
-        debug_assert!(native_available());
-        unsafe { das_gather_reduce_avx2(flat, tap0, tap1, w0, w1, apod) }
-    }
-    /// # Safety
-    ///
-    /// The shape `lerp_channels` checks.
-    pub unsafe fn lerp_gather(traces: &[f32], stride: usize, idx: &[f32], out: &mut [f32]) -> f32 {
-        debug_assert!(native_available());
-        lerp_gather_avx2(traces, stride, idx, out)
-    }
-    /// # Safety
-    ///
-    /// The shape `lerp_channels` checks, with one pixel of entries.
-    pub unsafe fn lerp_gather_reduce(traces: &[f32], stride: usize, idx: &[f32], apod: &[f32]) -> f32 {
-        debug_assert!(native_available());
-        lerp_gather_reduce_avx2(traces, stride, idx, apod)
-    }
-    pub fn madd_block(acc: &mut [i32], a_pairs: &[i32], b_pairs: &[i32]) {
-        debug_assert!(native_available());
-        unsafe { madd_block_avx2(acc, a_pairs, b_pairs) }
-    }
-    pub fn i64_mac_row(acc: &mut [i64], a_row: &[i32], b: &[i32]) {
-        debug_assert!(native_available());
-        unsafe { i64_mac_row_avx2(acc, a_row, b) }
-    }
-    pub fn quantize_codes(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i32, out: &mut [f64]) {
-        debug_assert!(native_available());
-        unsafe { quantize_codes_avx2(values, inv_step, max_raw, min_raw, out) }
-    }
-    pub fn exact_matmul(
-        a: &[f64],
-        strides: [usize; 2],
-        w: &[f64],
-        m: usize,
-        bias: Option<&[f64]>,
-        rq: Requantize,
-        out: &mut [f64],
-    ) {
-        debug_assert!(native_available());
-        unsafe { exact_matmul_avx2(a, strides, w, m, bias, rq, out) }
-    }
-    pub fn exp(values: &mut [f32]) {
-        debug_assert!(native_available());
-        unsafe { exp_avx2(values) }
-    }
-    pub fn exp_shifted_sum(block: &mut [[f32; F32_LANES]], max: &[f32; F32_LANES]) -> [f32; F32_LANES] {
-        debug_assert!(native_available());
-        unsafe { exp_shifted_sum_avx2(block, max) }
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-mod native {
-    use super::*;
-
-    // SAFETY (all wrappers): `native_available()` is unconditionally true on
-    // aarch64 (NEON is baseline), and `#[target_feature(enable = "neon")]`
-    // only re-enables what the target already guarantees — no rounding
-    // behaviour changes, so bitwise identity with the reference holds.
-
-    pub fn scale(values: &mut [f32], factor: f32) {
-        #[target_feature(enable = "neon")]
-        unsafe fn go(values: &mut [f32], factor: f32) {
-            scale_lanes(values, factor)
-        }
-        unsafe { go(values, factor) }
-    }
-    pub fn reduce(values: &[f32]) -> f32 {
-        #[target_feature(enable = "neon")]
-        unsafe fn go(values: &[f32]) -> f32 {
-            reduce_lanes_body(values)
-        }
-        unsafe { go(values) }
-    }
-    pub fn gather_two_tap(flat: &[f32], tap0: &[u32], tap1: &[u32], w0: &[f32], w1: &[f32], out: &mut [f32]) {
-        #[target_feature(enable = "neon")]
-        unsafe fn go(flat: &[f32], tap0: &[u32], tap1: &[u32], w0: &[f32], w1: &[f32], out: &mut [f32]) {
-            gather_two_tap_lanes(flat, tap0, tap1, w0, w1, out)
-        }
-        unsafe { go(flat, tap0, tap1, w0, w1, out) }
-    }
-    pub fn das_gather_reduce(
-        flat: &[f32],
-        tap0: &[u32],
-        tap1: &[u32],
-        w0: &[f32],
-        w1: &[f32],
-        apod: &[f32],
-    ) -> f32 {
-        #[target_feature(enable = "neon")]
-        unsafe fn go(flat: &[f32], tap0: &[u32], tap1: &[u32], w0: &[f32], w1: &[f32], apod: &[f32]) -> f32 {
-            das_gather_reduce_body(flat, tap0, tap1, w0, w1, apod)
-        }
-        unsafe { go(flat, tap0, tap1, w0, w1, apod) }
-    }
-    /// # Safety
-    ///
-    /// The shape `lerp_channels` checks.
-    pub unsafe fn lerp_gather(traces: &[f32], stride: usize, idx: &[f32], out: &mut [f32]) -> f32 {
-        #[target_feature(enable = "neon")]
-        unsafe fn go(traces: &[f32], stride: usize, idx: &[f32], out: &mut [f32]) -> f32 {
-            lerp_gather_lanes(traces, stride, idx, out)
-        }
-        go(traces, stride, idx, out)
-    }
-    /// # Safety
-    ///
-    /// The shape `lerp_channels` checks, with one pixel of entries.
-    pub unsafe fn lerp_gather_reduce(traces: &[f32], stride: usize, idx: &[f32], apod: &[f32]) -> f32 {
-        #[target_feature(enable = "neon")]
-        unsafe fn go(traces: &[f32], stride: usize, idx: &[f32], apod: &[f32]) -> f32 {
-            lerp_gather_reduce_lanes(traces, stride, idx, apod)
-        }
-        go(traces, stride, idx, apod)
-    }
-    pub fn madd_block(acc: &mut [i32], a_pairs: &[i32], b_pairs: &[i32]) {
-        #[target_feature(enable = "neon")]
-        unsafe fn go(acc: &mut [i32], a_pairs: &[i32], b_pairs: &[i32]) {
-            madd_block_body(acc, a_pairs, b_pairs)
-        }
-        unsafe { go(acc, a_pairs, b_pairs) }
-    }
-    pub fn i64_mac_row(acc: &mut [i64], a_row: &[i32], b: &[i32]) {
-        #[target_feature(enable = "neon")]
-        unsafe fn go(acc: &mut [i64], a_row: &[i32], b: &[i32]) {
-            i64_mac_row_body(acc, a_row, b)
-        }
-        unsafe { go(acc, a_row, b) }
-    }
-    pub fn quantize_codes(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i32, out: &mut [f64]) {
-        #[target_feature(enable = "neon")]
-        unsafe fn go(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i32, out: &mut [f64]) {
-            quantize_codes_lanes(values, inv_step, max_raw, min_raw, out)
-        }
-        unsafe { go(values, inv_step, max_raw, min_raw, out) }
-    }
-    pub fn exact_matmul(
-        a: &[f64],
-        strides: [usize; 2],
-        w: &[f64],
-        m: usize,
-        bias: Option<&[f64]>,
-        rq: Requantize,
-        out: &mut [f64],
-    ) {
-        #[target_feature(enable = "neon")]
-        unsafe fn go(
-            a: &[f64],
-            strides: [usize; 2],
-            w: &[f64],
-            m: usize,
-            bias: Option<&[f64]>,
-            rq: Requantize,
-            out: &mut [f64],
-        ) {
-            exact_matmul_lanes(a, strides, w, m, bias, rq, out)
-        }
-        unsafe { go(a, strides, w, m, bias, rq, out) }
-    }
-    pub fn exp(values: &mut [f32]) {
-        #[target_feature(enable = "neon")]
-        unsafe fn go(values: &mut [f32]) {
-            exp_lanes(values)
-        }
-        unsafe { go(values) }
-    }
-    pub fn exp_shifted_sum(block: &mut [[f32; F32_LANES]], max: &[f32; F32_LANES]) -> [f32; F32_LANES] {
-        #[target_feature(enable = "neon")]
-        unsafe fn go(block: &mut [[f32; F32_LANES]], max: &[f32; F32_LANES]) -> [f32; F32_LANES] {
-            exp_shifted_sum_lanes(block, max)
-        }
-        unsafe { go(block, max) }
-    }
-}
-
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-mod native {
-    // `native_available()` is false here, so these aliases are unreachable
-    // through `mode()`; they exist only to keep dispatch uniform.
-    use super::*;
-
-    pub fn scale(values: &mut [f32], factor: f32) {
-        scale_lanes(values, factor)
-    }
-    pub fn reduce(values: &[f32]) -> f32 {
-        reduce_lanes_body(values)
-    }
-    pub fn gather_two_tap(flat: &[f32], tap0: &[u32], tap1: &[u32], w0: &[f32], w1: &[f32], out: &mut [f32]) {
-        gather_two_tap_lanes(flat, tap0, tap1, w0, w1, out)
-    }
-    pub fn das_gather_reduce(
-        flat: &[f32],
-        tap0: &[u32],
-        tap1: &[u32],
-        w0: &[f32],
-        w1: &[f32],
-        apod: &[f32],
-    ) -> f32 {
-        das_gather_reduce_body(flat, tap0, tap1, w0, w1, apod)
-    }
-    /// # Safety
-    ///
-    /// The shape `lerp_channels` checks.
-    pub unsafe fn lerp_gather(traces: &[f32], stride: usize, idx: &[f32], out: &mut [f32]) -> f32 {
-        lerp_gather_lanes(traces, stride, idx, out)
-    }
-    /// # Safety
-    ///
-    /// The shape `lerp_channels` checks, with one pixel of entries.
-    pub unsafe fn lerp_gather_reduce(traces: &[f32], stride: usize, idx: &[f32], apod: &[f32]) -> f32 {
-        lerp_gather_reduce_lanes(traces, stride, idx, apod)
-    }
-    pub fn madd_block(acc: &mut [i32], a_pairs: &[i32], b_pairs: &[i32]) {
-        madd_block_body(acc, a_pairs, b_pairs)
-    }
-    pub fn i64_mac_row(acc: &mut [i64], a_row: &[i32], b: &[i32]) {
-        i64_mac_row_body(acc, a_row, b)
-    }
-    pub fn quantize_codes(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i32, out: &mut [f64]) {
-        quantize_codes_lanes(values, inv_step, max_raw, min_raw, out)
-    }
-    pub fn exact_matmul(
-        a: &[f64],
-        strides: [usize; 2],
-        w: &[f64],
-        m: usize,
-        bias: Option<&[f64]>,
-        rq: Requantize,
-        out: &mut [f64],
-    ) {
-        exact_matmul_lanes(a, strides, w, m, bias, rq, out)
-    }
-    pub fn exp(values: &mut [f32]) {
-        exp_lanes(values)
-    }
-    pub fn exp_shifted_sum(block: &mut [[f32; F32_LANES]], max: &[f32; F32_LANES]) -> [f32; F32_LANES] {
-        exp_shifted_sum_lanes(block, max)
+        // SAFETY: only called where AVX2, and with it AVX, was detected.
+        unsafe { _mm256_zeroupper() }
     }
 }
 
@@ -1339,8 +947,7 @@ mod native {
 pub fn scale(values: &mut [f32], factor: f32) {
     match mode() {
         SimdMode::Scalar => scale_scalar(values, factor),
-        SimdMode::Portable => scale_lanes(values, factor),
-        SimdMode::Native => native::scale(values, factor),
+        SimdMode::Portable | SimdMode::Native => scale_lanes(values, factor),
     }
 }
 
@@ -1349,8 +956,7 @@ pub fn scale(values: &mut [f32], factor: f32) {
 pub fn reduce_lanes(values: &[f32]) -> f32 {
     match mode() {
         SimdMode::Scalar => reduce_scalar(values),
-        SimdMode::Portable => reduce_lanes_body(values),
-        SimdMode::Native => native::reduce(values),
+        SimdMode::Portable | SimdMode::Native => reduce_lanes_body(values),
     }
 }
 
@@ -1363,8 +969,7 @@ pub fn reduce_lanes(values: &[f32]) -> f32 {
 pub fn gather_two_tap(flat: &[f32], tap0: &[u32], tap1: &[u32], w0: &[f32], w1: &[f32], out: &mut [f32]) {
     match mode() {
         SimdMode::Scalar => gather_two_tap_scalar(flat, tap0, tap1, w0, w1, out),
-        SimdMode::Portable => gather_two_tap_lanes(flat, tap0, tap1, w0, w1, out),
-        SimdMode::Native => native::gather_two_tap(flat, tap0, tap1, w0, w1, out),
+        SimdMode::Portable | SimdMode::Native => gather_two_tap_lanes(flat, tap0, tap1, w0, w1, out),
     }
 }
 
@@ -1385,8 +990,7 @@ pub fn das_gather_reduce(
 ) -> f32 {
     match mode() {
         SimdMode::Scalar => das_gather_reduce_scalar(flat, tap0, tap1, w0, w1, apod),
-        SimdMode::Portable => das_gather_reduce_body(flat, tap0, tap1, w0, w1, apod),
-        SimdMode::Native => native::das_gather_reduce(flat, tap0, tap1, w0, w1, apod),
+        SimdMode::Portable | SimdMode::Native => das_gather_reduce_body(flat, tap0, tap1, w0, w1, apod),
     }
 }
 
@@ -1431,9 +1035,11 @@ pub fn lerp_gather(traces: &[f32], stride: usize, idx: &[f32], out: &mut [f32]) 
     assert_eq!(out.len(), idx.len(), "lerp_gather: one output per entry");
     match mode() {
         SimdMode::Scalar => lerp_gather_scalar(traces, stride, idx, out),
-        // SAFETY: `lerp_channels` checked the layout the bodies index by.
-        SimdMode::Portable => unsafe { lerp_gather_lanes(traces, stride, idx, out) },
+        // SAFETY (both arms): `lerp_channels` checked the layout the bodies
+        // index by, and `mode()` returns `Native` only where AVX2 was detected.
+        #[cfg(target_arch = "x86_64")]
         SimdMode::Native => unsafe { native::lerp_gather(traces, stride, idx, out) },
+        _ => unsafe { lerp_gather_lanes(traces, stride, idx, out) },
     }
 }
 
@@ -1449,9 +1055,12 @@ pub fn lerp_gather_reduce(traces: &[f32], stride: usize, idx: &[f32], apod: &[f3
     assert!(idx.len() == channels && apod.len() == channels, "lerp_gather_reduce: one pixel of {channels} entries");
     match mode() {
         SimdMode::Scalar => lerp_gather_reduce_scalar(traces, stride, idx, apod),
-        // SAFETY: `lerp_channels` checked the layout the bodies index by.
-        SimdMode::Portable => unsafe { lerp_gather_reduce_lanes(traces, stride, idx, apod) },
+        // SAFETY (both arms): `lerp_channels` and the assert above checked the
+        // layout the bodies index by, and `mode()` returns `Native` only where
+        // AVX2 was detected.
+        #[cfg(target_arch = "x86_64")]
         SimdMode::Native => unsafe { native::lerp_gather_reduce(traces, stride, idx, apod) },
+        _ => unsafe { lerp_gather_reduce_lanes(traces, stride, idx, apod) },
     }
 }
 
@@ -1477,26 +1086,32 @@ pub fn lerp_gather_complex(traces: &[f32], stride: usize, idx: &[f32], out: &mut
     }
 }
 
-/// Dual-MAC over a packed i16-pair panel in one dispatch: with
-/// `a_pairs[p] = pack(a0, a1)` and `b_pairs[p * m + i] = pack(w0, w1)` (layout
-/// `a_pairs.len() × acc.len()`), adds `a0*w0 + a1*w1` into `acc[i]` for every
-/// `p`. The native tier maps each row to `_mm256_madd_epi16` (16 MACs per
-/// instruction); the caller must keep every i32 accumulator below
-/// `i32::MAX` in magnitude over the entire panel. Exact across tiers.
+/// Dual-MAC over a packed i16-pair panel: with `a_pairs[p] = pack(a0, a1)`
+/// and `b_pairs[p * m + i] = pack(w0, w1)` (layout `a_pairs.len() ×
+/// acc.len()`), adds `a0*w0 + a1*w1` into `acc[i]` for every `p`. The caller
+/// must keep every i32 accumulator below `i32::MAX` in magnitude over the
+/// entire panel. One body for every tier.
 pub fn madd_block(acc: &mut [i32], a_pairs: &[i32], b_pairs: &[i32]) {
-    match mode() {
-        SimdMode::Scalar | SimdMode::Portable => madd_block_body(acc, a_pairs, b_pairs),
-        SimdMode::Native => native::madd_block(acc, a_pairs, b_pairs),
+    let m = acc.len();
+    debug_assert_eq!(b_pairs.len(), a_pairs.len() * m);
+    for (p, &ap) in a_pairs.iter().enumerate() {
+        let (a0, a1) = (ap as i16 as i32, (ap >> 16) as i16 as i32);
+        for (o, &w) in acc.iter_mut().zip(&b_pairs[p * m..(p + 1) * m]) {
+            *o += a0 * (w as i16 as i32) + a1 * ((w >> 16) as i16 as i32);
+        }
     }
 }
 
-/// Fixed-point MAC over a whole row-major panel in one dispatch: accumulates
+/// Fixed-point MAC over a whole row-major panel: accumulates
 /// `a_row[p] * b[p][..]` into `acc` in exact 64-bit integer arithmetic for
-/// every `p` (layout `a_row.len() × acc.len()`). Exact across tiers.
+/// every `p` (layout `a_row.len() × acc.len()`). One body for every tier.
 pub fn i64_mac_row(acc: &mut [i64], a_row: &[i32], b: &[i32]) {
-    match mode() {
-        SimdMode::Scalar | SimdMode::Portable => i64_mac_row_body(acc, a_row, b),
-        SimdMode::Native => native::i64_mac_row(acc, a_row, b),
+    let m = acc.len();
+    debug_assert_eq!(b.len(), a_row.len() * m);
+    for (p, &a) in a_row.iter().enumerate() {
+        for (o, &v) in acc.iter_mut().zip(&b[p * m..(p + 1) * m]) {
+            *o += a as i64 * v as i64;
+        }
     }
 }
 
@@ -1508,8 +1123,8 @@ pub fn i64_mac_row(acc: &mut [i64], a_row: &[i32], b: &[i32]) {
 /// for the `n = out.len() / m` output rows and `k = w.len() / m` reduction
 /// steps; `bias` defaults to zero. The strides let one kernel take row-major
 /// activations (`[k, 1]`), key rows of a fused q/k/v matrix, or value columns
-/// read in place (`[1, stride]`). The portable and native tiers hold 4 × 8
-/// output tiles in registers.
+/// read in place (`[1, stride]`). The lane body holds 4 × 8 output tiles in
+/// registers.
 ///
 /// **Exactness.** The caller keeps every code an integer and
 /// `|bias| + Σ_p |a·w| < 2^53`, so every product and partial sum is exact and
@@ -1543,8 +1158,7 @@ pub fn exact_matmul(
     assert!(bias.is_none_or(|b| b.len() == m), "exact_matmul: bias length");
     match mode() {
         SimdMode::Scalar => exact_matmul_scalar(a, strides, w, m, bias, rq, out),
-        SimdMode::Portable => exact_matmul_lanes(a, strides, w, m, bias, rq, out),
-        SimdMode::Native => native::exact_matmul(a, strides, w, m, bias, rq, out),
+        SimdMode::Portable | SimdMode::Native => exact_matmul_lanes(a, strides, w, m, bias, rq, out),
     }
 }
 
@@ -1561,8 +1175,7 @@ pub fn quantize_codes(values: &[f32], inv_step: f32, max_raw: i32, min_raw: i32,
     assert!(max_raw <= 1 << 24 && min_raw >= -(1 << 24), "quantize_codes: the code range must fit f32 exactly");
     match mode() {
         SimdMode::Scalar => quantize_codes_scalar(values, inv_step, max_raw, min_raw, out),
-        SimdMode::Portable => quantize_codes_lanes(values, inv_step, max_raw, min_raw, out),
-        SimdMode::Native => native::quantize_codes(values, inv_step, max_raw, min_raw, out),
+        SimdMode::Portable | SimdMode::Native => quantize_codes_lanes(values, inv_step, max_raw, min_raw, out),
     }
 }
 
@@ -1607,8 +1220,7 @@ pub fn tanh(values: &mut [f32]) {
 pub fn exp(values: &mut [f32]) {
     match mode() {
         SimdMode::Scalar => exp_scalar(values),
-        SimdMode::Portable => exp_lanes(values),
-        SimdMode::Native => native::exp(values),
+        SimdMode::Portable | SimdMode::Native => exp_lanes(values),
     }
 }
 
@@ -1621,8 +1233,7 @@ pub fn exp(values: &mut [f32]) {
 pub fn exp_shifted_sum(block: &mut [[f32; F32_LANES]], max: &[f32; F32_LANES]) -> [f32; F32_LANES] {
     match mode() {
         SimdMode::Scalar => exp_shifted_sum_scalar(block, max),
-        SimdMode::Portable => exp_shifted_sum_lanes(block, max),
-        SimdMode::Native => native::exp_shifted_sum(block, max),
+        SimdMode::Portable | SimdMode::Native => exp_shifted_sum_lanes(block, max),
     }
 }
 
@@ -1702,7 +1313,16 @@ mod tests {
     #[test]
     fn mode_labels_round_trip() {
         for m in [SimdMode::Scalar, SimdMode::Portable, SimdMode::Native] {
-            assert!(["scalar", "portable", "native"].contains(&m.label()));
+            assert_eq!(parse_mode(m.label()), Ok(Some(m)));
+            assert_eq!(parse_mode(&format!(" {} ", m.label().to_ascii_uppercase())), Ok(Some(m)));
+        }
+        assert_eq!(parse_mode(""), Ok(None));
+        assert_eq!(parse_mode(" \t"), Ok(None));
+        for typo in ["scaler", "avx2"] {
+            let message = parse_mode(typo).unwrap_err();
+            for word in [SIMD_ENV, typo, "scalar", "portable", "native"] {
+                assert!(message.contains(word), "{message:?} names {word:?}");
+            }
         }
     }
 }

@@ -1,13 +1,13 @@
 //! Property-based bitwise-equivalence suite for `runtime::simd`.
 //!
 //! The dispatch contract (`runtime::simd` module docs) is that every kernel
-//! produces **bitwise identical** results in all three tiers — the scalar
-//! lane-order reference, the portable autovectorized path, and the
-//! `#[target_feature]` native path — for every input shape, including ragged
-//! lengths that exercise the vector tails. Each property here draws random
-//! shapes/values from a seeded PRNG, computes the kernel under
-//! `SimdMode::Scalar`, and asserts exact equality (`f32::to_bits` for float
-//! results) under every other available tier.
+//! produces **bitwise identical** results in every tier — the scalar
+//! lane-order reference, the autovectorized lane body (portable and native),
+//! and on x86-64 with AVX2 the native gathers' intrinsics — for every input
+//! shape, including ragged lengths that exercise the vector tails. Each
+//! property here draws random shapes/values from a seeded PRNG, computes the
+//! kernel under `SimdMode::Scalar`, and asserts exact equality
+//! (`f32::to_bits` for float results) under every other available tier.
 //!
 //! `force_mode` is process-global, so every property serializes on one mutex
 //! and restores the default mode on exit (panic included).
@@ -606,6 +606,8 @@ fn scalar_and_portable_are_always_available() {
     let modes = simd::available_modes();
     assert!(modes.contains(&SimdMode::Scalar));
     assert!(modes.contains(&SimdMode::Portable));
-    // Native appears exactly when the CPU supports it.
+    // Native appears exactly when the CPU supports it, and only x86-64 has
+    // native code.
     assert_eq!(modes.contains(&SimdMode::Native), simd::native_available());
+    assert!(!simd::native_available() || cfg!(target_arch = "x86_64"));
 }
