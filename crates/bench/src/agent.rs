@@ -23,6 +23,7 @@ use beamforming::plan::{FrameFormat, PlanCache};
 use crate::harness::{synthetic_frame, ChaosSpec, ScenarioConfig};
 use quantize::QuantScheme;
 use runtime::json::Json;
+use runtime::simd;
 use serve::router::{FaultPolicy, Router, StreamSpec};
 use serve::{
     BatchConfig, ChaosBeamformer, ChaosSchedule, DegradeConfig, ServeError, ServeResult,
@@ -63,6 +64,20 @@ pub fn protocol_error(detail: &str) -> ! {
     let line = Json::obj([("event", Json::str("error")), ("detail", Json::str(detail))]);
     println!("{}", line.to_string_compact());
     std::process::exit(1);
+}
+
+/// The line an agent prints once it serves on `port`:
+/// `{"event":"ready","port":N,"simd":…,"target_features":{…}}`, with the SIMD
+/// tier its kernels run under and the build's target features, so a slow
+/// build shows from outside the process.
+pub fn ready_line(port: u16) -> Json {
+    let features = simd::TARGET_FEATURES.map(|(name, on)| (name, Json::Bool(on)));
+    Json::obj([
+        ("event", Json::str("ready")),
+        ("port", Json::num(f64::from(port))),
+        ("simd", Json::str(simd::mode().label())),
+        ("target_features", Json::obj(features)),
+    ])
 }
 
 /// Silences backtraces of injected chaos panics (they unwind with a

@@ -90,13 +90,7 @@ fn main() {
         .collect();
     // The build's target features: a build without `target-cpu=native`
     // runs the float forward several times slower.
-    let features = [
-        ("avx2", cfg!(target_feature = "avx2")),
-        ("fma", cfg!(target_feature = "fma")),
-        ("avx512f", cfg!(target_feature = "avx512f")),
-    ]
-    .map(|(name, on)| format!("\"{name}\": {on}"))
-    .join(", ");
+    let features = simd::TARGET_FEATURES.map(|(name, on)| format!("\"{name}\": {on}")).join(", ");
     let json = format!(
         "{{\n  \"schema_version\": 1,\n  \"pr\": 9,\n  \"reps\": {},\n  \"native_tier\": \"{}\",\n  \"target_features\": {{ {} }},\n  \"inference_368x128\": {{\n{}\n  }},\n  \"gate\": {{ \"fx16_faster_than_float\": {}, \"fx16_speedup_vs_float\": {:.3} }}\n}}\n",
         REPS,

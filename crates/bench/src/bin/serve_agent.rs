@@ -10,7 +10,8 @@
 //!
 //! Protocol (single-line JSON):
 //! * stdin, first line: `{"scenario": <ScenarioConfig>}`,
-//! * stdout: `{"event":"ready","port":N}` once listening,
+//! * stdout: `{"event":"ready","port":N,"simd":…,"target_features":{…}}`
+//!   once listening ([`agent::ready_line`]),
 //! * TCP, per request: `{"id":n,"stream":i,"seed":k}` →
 //!   `{"id":n,"status":"ok"|"expired"|"panicked"|"error","sum":…}` — the
 //!   frame is synthesized server-side from the seed, so the socket carries
@@ -62,11 +63,7 @@ fn main() {
     let listener = TcpListener::bind("127.0.0.1:0")
         .unwrap_or_else(|e| agent::protocol_error(&format!("binding loopback listener: {e}")));
     let port = listener.local_addr().expect("local addr").port();
-    println!(
-        "{}",
-        Json::obj([("event", Json::str("ready")), ("port", Json::num(port as f64))])
-            .to_string_compact()
-    );
+    println!("{}", agent::ready_line(port).to_string_compact());
 
     let specs = Arc::new(specs);
     let pools = Arc::new(pools);

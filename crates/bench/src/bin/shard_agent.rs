@@ -17,7 +17,8 @@
 //! Protocol (single-line JSON):
 //! * stdin, first line: `{"scenario": <ScenarioConfig>,
 //!   "registry_port": p, "shard_index": s}`,
-//! * stdout: `{"event":"ready","port":N}` once registered and listening,
+//! * stdout: `{"event":"ready","port":N,"simd":…,"target_features":{…}}`
+//!   once registered and listening ([`agent::ready_line`]),
 //! * stdin `shutdown` (or EOF): stdout
 //!   `{"event":"stats","shard":s,"rss_kb":…,"router":…}`, exit.
 
@@ -133,11 +134,7 @@ fn main() {
         agent::protocol_error("registering with registry: attempts exhausted");
     }
 
-    println!(
-        "{}",
-        Json::obj([("event", Json::str("ready")), ("port", Json::num(data_port as f64))])
-            .to_string_compact()
-    );
+    println!("{}", agent::ready_line(data_port).to_string_compact());
 
     // Heartbeat loop: renew the lease every `heartbeat_ms`, fold the
     // registry's answer into the live view, and re-register from scratch

@@ -9,8 +9,11 @@ use bench::harness::{
     ScenarioConfig, StreamLoad, SCHEMA_VERSION,
 };
 use runtime::json::Json;
+use runtime::simd;
+use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::Duration;
 
 /// A scenario small enough for a debug-build test (two streams, deadline,
 /// two agents → three OS processes) yet exercising the whole protocol.
@@ -82,6 +85,45 @@ fn scenario_spawns_processes_and_emits_a_stable_summary() {
     let baseline = baseline_from_summaries("fast", &[summary.clone()]).expect("baseline");
     let report = compare(&baseline, &[summary], &Tolerances::default()).expect("compare");
     assert!(!report.regressed(), "self-comparison regressed:\n{}", report.render());
+}
+
+/// The `ready` line names the SIMD tier the agent's kernels run under and
+/// the target features its build has, so a build without `target-cpu=native`
+/// shows from outside the process.
+#[test]
+fn serve_agent_reports_its_simd_tier_and_target_features_when_ready() {
+    let bin = agent_bin_path("serve_agent").expect("serve_agent is built");
+    let mut child = Command::new(bin)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("serve_agent spawns");
+    let mut stdin = child.stdin.take().unwrap();
+    let config_line = Json::obj([("scenario", tiny_scenario().to_json())]).to_string_compact();
+    writeln!(stdin, "{config_line}").unwrap();
+    // Read every stdout line, so the agent's final stats line never meets a
+    // closed pipe.
+    let stdout = child.stdout.take().unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for line in BufReader::new(stdout).lines() {
+            if tx.send(line).is_err() {
+                break;
+            }
+        }
+    });
+    let line = rx.recv_timeout(Duration::from_secs(60)).expect("a ready line within 60 s").unwrap();
+    writeln!(stdin, "shutdown").unwrap();
+    assert!(child.wait().unwrap().success(), "serve_agent failed after {line}");
+
+    let ready = Json::parse(line.trim()).expect("the ready line is JSON");
+    assert_eq!(ready.get("event").and_then(Json::as_str), Some("ready"), "{line}");
+    assert!(ready.get("port").and_then(Json::as_u64).is_some_and(|p| p > 0), "{line}");
+    assert_eq!(ready.get("simd").and_then(Json::as_str), Some(simd::mode().label()), "{line}");
+    let features = ready.get("target_features").expect("target_features");
+    for (name, on) in simd::TARGET_FEATURES {
+        assert_eq!(features.get(name).and_then(Json::as_bool), Some(on), "{name} in {line}");
+    }
 }
 
 /// Mid-run churn: a second stream joins partway through the window (engine

@@ -100,7 +100,7 @@ impl TinyVbfConfig {
         if self.num_blocks == 0 {
             return Err(TinyVbfError::InvalidConfig("at least one transformer block is required".into()));
         }
-        if self.num_heads == 0 || self.model_dim % self.num_heads != 0 {
+        if self.num_heads == 0 || !self.model_dim.is_multiple_of(self.num_heads) {
             return Err(TinyVbfError::InvalidConfig(format!(
                 "num_heads ({}) must be nonzero and divide model_dim ({})",
                 self.num_heads, self.model_dim

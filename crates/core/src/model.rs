@@ -251,7 +251,7 @@ impl TinyVbf {
                 actual: format!("{}", tensors.len()),
             });
         }
-        for (param, tensor) in params.iter_mut().zip(tensors.into_iter()) {
+        for (param, tensor) in params.iter_mut().zip(tensors) {
             if param.value.shape() != tensor.shape() {
                 return Err(TinyVbfError::ShapeMismatch {
                     expected: format!("{:?}", param.value.shape()),

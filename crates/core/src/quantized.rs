@@ -100,48 +100,20 @@ impl QuantizedTinyVbf {
     }
 
     /// Multi-head self-attention of one depth row, from `s.normed` into
-    /// `s.branch`, [`QUERY_BLOCK`] query rows at a time per head. Each block
-    /// computes its scores as `[key][query lane]` and each row's max
-    /// ([`block_scores`]); then, in one [`runtime::simd::exp_shifted_sum`]
-    /// pass, the exponentials of the shifted scores and the per-row
-    /// denominators summed in ascending key order (interleaved across the
-    /// block's rows); last, the divide and the probabilities times V summed
-    /// in ascending key order ([`attend_values`]). Per element this is
-    /// exactly the sequence of `Tensor::matmul` and `softmax_rows` in the
-    /// training model's attention. A short last block runs zero queries in
-    /// its unused lanes and drops their results.
+    /// `s.branch`: the q/k/v projections, [`attention`]'s three passes per
+    /// query block on `f32` lanes, and the output projection. Per element
+    /// this is exactly the sequence of `Tensor::matmul` and `softmax_rows` in
+    /// the training model's attention.
     fn attention_f32(&self, block: &TransformerBlockWeights, s: &mut RowScratch) {
         let config = &self.weights.config;
         let dim = config.model_dim;
         let head_dim = dim / config.num_heads;
-        let scale = 1.0 / (head_dim as f32).sqrt();
-        let tokens = s.normed.len() / dim;
         matmul_into(&s.normed, &block.wq, &mut s.q);
         matmul_into(&s.normed, &block.wk, &mut s.k);
         matmul_into(&s.normed, &block.wv, &mut s.v);
-        s.queries.resize(head_dim, [0.0; QUERY_BLOCK]);
-        s.scores.resize(tokens, [0.0; QUERY_BLOCK]);
-        for head in (0..dim).step_by(head_dim) {
-            for i0 in (0..tokens).step_by(QUERY_BLOCK) {
-                let lanes = QUERY_BLOCK.min(tokens - i0);
-                for (p, column) in s.queries.iter_mut().enumerate() {
-                    for (lane, q) in column.iter_mut().enumerate() {
-                        *q = if lane < lanes { s.q[(i0 + lane) * dim + head + p] } else { 0.0 };
-                    }
-                }
-                let row_max = block_scores(&mut s.scores, &s.queries, &s.k[head..], dim, scale);
-                let denom = runtime::simd::exp_shifted_sum(&mut s.scores, &row_max);
-                let mut col = head;
-                while col < head + head_dim {
-                    let (values, concat) = (&s.v[col..], &mut s.concat[col..]);
-                    col += if head + head_dim - col >= 4 {
-                        attend_values::<4>(&s.scores, denom, values, concat, i0, lanes, dim)
-                    } else {
-                        attend_values::<1>(&s.scores, denom, values, concat, i0, lanes, dim)
-                    };
-                }
-            }
-        }
+        let lanes = FloatLanes { scale: 1.0 / (head_dim as f32).sqrt() };
+        let qkv = [&s.q[..], &s.k[..], &s.v[..]];
+        attention(&lanes, qkv, dim, head_dim, (&mut s.concat, dim), &mut s.queries, &mut s.scores);
         matmul_into(&s.concat, &block.wo, &mut s.branch);
     }
 
@@ -246,7 +218,7 @@ pub(crate) struct RowScratch {
     hidden: Vec<f32>,
     /// One query block's queries of one head, `[head column][query lane]`.
     queries: Vec<[f32; QUERY_BLOCK]>,
-    /// One query block's scores, then probabilities, `[key][query lane]`.
+    /// One query block's scores, then exponentials, `[key][query lane]`.
     scores: Vec<[f32; QUERY_BLOCK]>,
     /// The `(tokens, 2)` output.
     out: Vec<f32>,
@@ -289,8 +261,131 @@ pub(crate) fn layer_norm_f32(input: &[f32], gamma: &Tensor, beta: &Tensor, out: 
     }
 }
 
+/// The per-element arithmetic of one engine's attention, over lanes of
+/// [`Lanes::Value`]: `f32` values in the float engine ([`FloatLanes`]),
+/// fixed-point codes held as exact integers in `f64` in the integer one.
+/// [`attention`]'s block loop and A·V pass are written once over it; the
+/// score pass has a body per lane type, as each compiled fastest.
+pub(crate) trait Lanes {
+    /// The element of queries, keys, values and head outputs.
+    type Value: Copy + Default;
+    /// `acc + a·b`.
+    fn mac(acc: Self::Value, a: Self::Value, b: Self::Value) -> Self::Value;
+    /// The score pass of one query block: its scores against every key,
+    /// `[key][query lane]`, and each query lane's max. `keys` starts at the
+    /// head's first column of key row 0 and has row stride `stride`.
+    fn block_scores(
+        &self,
+        scores: &mut [[f32; QUERY_BLOCK]],
+        queries: &[[Self::Value; QUERY_BLOCK]],
+        keys: &[Self::Value],
+        stride: usize,
+    ) -> [f32; QUERY_BLOCK];
+    /// A query lane's divisor of [`Lanes::weight`], from its softmax
+    /// denominator.
+    fn divisor(&self, denom: f32) -> f32;
+    /// The weight of one value row from its exponential `e` and its lane's
+    /// divisor: the probability.
+    fn weight(&self, e: f32, divisor: f32) -> Self::Value;
+    /// One head-column sum onto the output.
+    fn output(&self, acc: Self::Value) -> Self::Value;
+}
+
+/// The float engine's attention arithmetic: plain `f32` operations, never
+/// fused, as the training forward runs them.
+struct FloatLanes {
+    /// `1/√head_dim`.
+    scale: f32,
+}
+
+impl Lanes for FloatLanes {
+    type Value = f32;
+
+    #[inline(always)]
+    fn mac(acc: f32, a: f32, b: f32) -> f32 {
+        acc + a * b
+    }
+
+    #[inline(always)]
+    fn block_scores(
+        &self,
+        scores: &mut [[f32; QUERY_BLOCK]],
+        queries: &[[f32; QUERY_BLOCK]],
+        keys: &[f32],
+        stride: usize,
+    ) -> [f32; QUERY_BLOCK] {
+        block_scores(scores, queries, keys, stride, self.scale)
+    }
+
+    #[inline(always)]
+    fn divisor(&self, denom: f32) -> f32 {
+        denom
+    }
+
+    #[inline(always)]
+    fn weight(&self, e: f32, divisor: f32) -> f32 {
+        e / divisor
+    }
+
+    #[inline(always)]
+    fn output(&self, acc: f32) -> f32 {
+        acc
+    }
+}
+
+/// Multi-head self-attention over the rows of `concat` (`tokens ×
+/// model_dim`), [`QUERY_BLOCK`] query rows at a time per head, in three
+/// passes per block:
+///
+/// 1. [`Lanes::block_scores`]: the scores `[key][query lane]` and each
+///    row's max;
+/// 2. one [`runtime::simd::exp_shifted_sum`] pass, the exponentials of the
+///    shifted scores and the per-row denominators summed in ascending key
+///    order (interleaved across the block's rows);
+/// 3. [`attend_values`]: each key's probabilities, formed as its value row
+///    is read, times V, summed in ascending key order.
+///
+/// `qkv` holds q, k and v, each starting at column 0 of row 0 with row
+/// stride `stride`; `concat` has `model_dim` columns. `queries` and `exps`
+/// are the block buffers. A short last block runs zero queries in its unused
+/// lanes and drops their results.
+pub(crate) fn attention<L: Lanes>(
+    lanes: &L,
+    [q, k, v]: [&[L::Value]; 3],
+    stride: usize,
+    head_dim: usize,
+    (concat, dim): (&mut [L::Value], usize),
+    queries: &mut Vec<[L::Value; QUERY_BLOCK]>,
+    exps: &mut Vec<[f32; QUERY_BLOCK]>,
+) {
+    let tokens = concat.len() / dim;
+    queries.resize(head_dim, [L::Value::default(); QUERY_BLOCK]);
+    exps.resize(tokens, [0.0; QUERY_BLOCK]);
+    for head in (0..dim).step_by(head_dim) {
+        for i0 in (0..tokens).step_by(QUERY_BLOCK) {
+            let n = QUERY_BLOCK.min(tokens - i0);
+            for (p, column) in queries.iter_mut().enumerate() {
+                for (lane, x) in column.iter_mut().enumerate() {
+                    *x = if lane < n { q[(i0 + lane) * stride + head + p] } else { L::Value::default() };
+                }
+            }
+            let row_max = lanes.block_scores(exps, queries, &k[head..], stride);
+            let divisors = runtime::simd::exp_shifted_sum(exps, &row_max).map(|d| lanes.divisor(d));
+            let mut col = head;
+            while col < head + head_dim {
+                let (values, out) = ((&v[col..], stride), (&mut concat[col..], dim));
+                col += if head + head_dim - col >= 4 {
+                    attend_values::<L, 4>(lanes, exps, divisors, values, out, i0, n)
+                } else {
+                    attend_values::<L, 1>(lanes, exps, divisors, values, out, i0, n)
+                };
+            }
+        }
+    }
+}
+
 /// Keys per step of [`block_scores`], each with its own accumulators.
-const KEY_GROUP: usize = 4;
+pub(crate) const KEY_GROUP: usize = 4;
 
 /// The dot products of `G` keys with one query block, `[key][query lane]`:
 /// the products `q · k` added in ascending head column from `0.0`. The `G`
@@ -363,40 +458,39 @@ fn block_scores(
 }
 
 /// `D` head columns of one query block's output: `Σ_j p[j][lane] ·
-/// values[j·stride + d]` with the probabilities `p[j][lane] = exps[j][lane] /
-/// denom[lane]`, products added in ascending `j` from `0.0`, written to
-/// `concat[(i0 + lane)·stride + d]` for the block's first `lanes` lanes.
-/// Returns `D`. The divides ride in this pass, where they overlap with the
-/// latency of the `D` add chains instead of costing a pass of their own.
+/// values[j·value_stride + d]` with the weights `p[j][lane] =
+/// lanes.weight(exps[j][lane], divisors[lane])`, products added in ascending
+/// `j` from zero, each sum put through [`Lanes::output`] and written to
+/// `concat[(i0 + lane)·concat_stride + d]` for the block's first `n` lanes.
+/// Returns `D`. The weights are formed here, as each value row is read,
+/// where they overlap with the latency of the `D` add chains instead of
+/// costing a pass of their own.
 ///
 /// Kept out of line: inlined into the block loop, it compiled to code that
 /// made the whole float forward about 1.7× slower on the paper grid.
 #[inline(never)]
-fn attend_values<const D: usize>(
+fn attend_values<L: Lanes, const D: usize>(
+    lanes: &L,
     exps: &[[f32; QUERY_BLOCK]],
-    denom: [f32; QUERY_BLOCK],
-    values: &[f32],
-    concat: &mut [f32],
+    divisors: [f32; QUERY_BLOCK],
+    (values, value_stride): (&[L::Value], usize),
+    (concat, concat_stride): (&mut [L::Value], usize),
     i0: usize,
-    lanes: usize,
-    stride: usize,
+    n: usize,
 ) -> usize {
-    let mut acc = [[0.0f32; QUERY_BLOCK]; D];
-    for (e, v) in exps.iter().zip(values.chunks(stride)) {
-        let v: &[f32; D] = v[..D].try_into().unwrap();
-        let mut p = *e;
-        for (p, d) in p.iter_mut().zip(denom) {
-            *p /= d;
-        }
+    let mut acc = [[L::Value::default(); QUERY_BLOCK]; D];
+    for (e, v) in exps.iter().zip(values.chunks(value_stride)) {
+        let v: &[L::Value; D] = v[..D].try_into().unwrap();
+        let p: [L::Value; QUERY_BLOCK] = std::array::from_fn(|l| lanes.weight(e[l], divisors[l]));
         for (a, &vd) in acc.iter_mut().zip(v) {
             for (o, &pj) in a.iter_mut().zip(&p) {
-                *o += pj * vd;
+                *o = L::mac(*o, pj, vd);
             }
         }
     }
     for (d, column) in acc.iter().enumerate() {
-        for (lane, &o) in column[..lanes].iter().enumerate() {
-            concat[(i0 + lane) * stride + d] = o;
+        for (lane, &o) in column[..n].iter().enumerate() {
+            concat[(i0 + lane) * concat_stride + d] = lanes.output(o);
         }
     }
     D
@@ -669,7 +763,7 @@ impl Beamformer for QuantizedTinyVbfBeamformer {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::TinyVbfConfig;
     use crate::training::{cube_row, Trainable};
@@ -744,7 +838,7 @@ mod tests {
     }
 
     /// Multiplies every block's `wq` and `wk` by `factor` in place.
-    fn scale_query_key_weights(model: &mut TinyVbf, factor: f32) {
+    pub(crate) fn scale_query_key_weights(model: &mut TinyVbf, factor: f32) {
         let exported = model.export_weights();
         // Parameter order: encoder weight and bias, the positional table,
         // then per block norm1's two, wq, wk, wv, wo, and six more.

@@ -4,12 +4,13 @@
 //! grid and weights as codes on its weight grid, both held as exact integers
 //! in `f64`. Every multiply-accumulate — the encoder, the fused q/k/v
 //! projection, the attention scores, the probabilities times V, `wo`, the MLP
-//! and the decoder — runs on one kernel, [`simd::exact_matmul`]. Its products
-//! and sums are integers below 2^53, so `f64` lanes compute them exactly, and
-//! one epilogue (round half away from zero, then saturate) lands each result
-//! on its grid as [`FixedFormat::requantize_i64`] would. The lane type of
-//! every stage is fixed by the scheme's formats: nothing inspects code
-//! magnitudes at run time.
+//! and the decoder — sums integer products below 2^53, so `f64` lanes compute
+//! it exactly, and one epilogue (round half away from zero, then saturate)
+//! lands each result on its grid as [`FixedFormat::requantize_i64`] would. The
+//! dense layers run on [`simd::exact_matmul`]; attention runs the float
+//! engine's three passes on codes (below). The lane type of every stage is
+//! fixed by the scheme's formats: nothing inspects code magnitudes at run
+//! time.
 //!
 //! **The exactness bound, per scheme.** Every code satisfies |code| ≤
 //! 2^(bits−1), and a softmax probability lies in [0, 1], so its code is at most
@@ -30,15 +31,27 @@
 //! asserts the dense and score bounds of the actual config, and
 //! [`IntModel::infer_row`] the A·V bound of each row.
 //!
-//! Attention runs each head [`QUERY_BLOCK`] query rows at a time and reads the
-//! q/k/v codes in place. A block computes its scores as exact dot products
-//! with the score shift (or, for a `head_dim` that is not a power of four, the
-//! `f64`-rounded `1/√head_dim` multiply), then its softmax — one
-//! [`simd::exp_shifted_sum`] pass over the shifted scores, the denominators
-//! summed in ascending key order — with each probability quantized onto the
-//! softmax grid in the divide pass, then the exact A·V and its rounding shift
-//! back onto the activation grid. Per element these are the operations of the
-//! plain-loop `i64` oracle in the tests, so the bits are the oracle's.
+//! Attention runs each head [`QUERY_BLOCK`] query rows at a time, reads the
+//! q/k/v codes in place, and runs the float engine's three passes per block
+//! (`quantized::attention`) with [`CodeLanes`]' arithmetic:
+//!
+//! 1. **Scores** ([`CodeLanes::scores_of`]). Each q·k sum is exact, four
+//!    keys per step, and requantized onto the activation grid with the score
+//!    shift (or, for a `head_dim` that is not a power of four, the
+//!    `f64`-rounded `1/√head_dim` multiply). The code times the grid step,
+//!    exact in `f32`, goes straight into the `[key][query lane]` block, each
+//!    lane's max folded in.
+//! 2. **Softmax.** One [`simd::exp_shifted_sum`] pass, `exp(score − max)`
+//!    with the denominators summed in ascending key order.
+//! 3. **A·V.** Each probability code, `min(round(e / denom · 2^soft_frac),
+//!    max)` in `f32`, is formed as its key's value row is read; the exact
+//!    head-column sums are requantized onto the activation grid.
+//!
+//! Every element is the plain-loop `i64` oracle's of the tests, bit for bit:
+//! the passes run its operations, but for two cheaper forms that
+//! [`CodeLanes`] proves equal — the score code clamped in `f32` after its
+//! rounding in `f64`, and the probability's divide and scale as one divide
+//! by `denom · 2^−soft_frac`.
 //!
 //! Nonlinear boundaries (layer norm, softmax, tanh) convert codes to `f32`
 //! (exact: every code of a ≤24-bit format fits the f32 mantissa), run the
@@ -49,7 +62,7 @@
 //! bitwise identical across thread counts and `runtime::simd` dispatch tiers.
 
 use crate::model::TinyVbfWeights;
-use crate::quantized::{layer_norm_f32, QUERY_BLOCK};
+use crate::quantized::{attention, layer_norm_f32, Lanes, KEY_GROUP, QUERY_BLOCK};
 use neural::tensor::Tensor;
 use quantize::{FixedFormat, QuantScheme, TensorRole};
 use runtime::simd::{self, Requantize};
@@ -106,8 +119,7 @@ impl IntDense {
 
     /// `out = requantize(x · W + bias)` over the rows of `x`.
     fn forward(&self, x: &[f64], out: &mut [f64]) {
-        let k = self.weight.len() / self.m;
-        simd::exact_matmul(x, [k, 1], &self.weight, self.m, Some(&self.bias), self.requant, out);
+        simd::exact_matmul(x, &self.weight, self.m, Some(&self.bias), self.requant, out);
     }
 }
 
@@ -146,13 +158,160 @@ pub(crate) struct IntModel {
     /// Exact sums onto the activation grid unscaled: residual and positional
     /// adds (round, then saturate).
     residual: Requantize,
+    /// The attention passes' arithmetic on codes.
+    lanes: CodeLanes,
+}
+
+/// The integer attention's arithmetic on codes held as exact integers in
+/// `f64` ([`Lanes`]): exact q·k and A·V sums, each requantized onto the
+/// activation grid, and the softmax at the float boundary.
+#[derive(Debug, Clone, Copy)]
+struct CodeLanes {
     /// Scores from the `2·fa` product grid onto the activation grid:
     /// `2^−(fa + k)` when `1/√head_dim = 2^−k` (head_dim a power of four, the
     /// served config's shift of 1), else `f64(1/√head_dim) · 2^−fa`, whose
     /// product rounds once in `f64` before the round half away.
-    scores: Requantize,
+    score_factor: f64,
+    /// The activation grid's smallest and largest codes.
+    code_range: [f32; 2],
+    /// The activation grid's step, `2^−fa`.
+    step: f32,
+    /// The softmax grid's step, `2^−soft_frac`.
+    soft_step: f32,
+    /// The largest softmax code.
+    soft_max: f32,
     /// A·V from the `soft_frac + fa` product grid onto the activation grid.
     attend: Requantize,
+}
+
+impl CodeLanes {
+    /// The score `code · step`. `code` is [`Requantize::apply`] with
+    /// `score_factor` up to the sign of a zero: the round half away in
+    /// `f64`, then the clamp in `f32`, which is cheaper and gives the same
+    /// code. The conversion to `f32` is monotone and the grid's bounds are
+    /// `f32` integers, so a code past them still clamps to them, and a code
+    /// within them converts exactly. A zero code may be `−0.0`, which changes
+    /// no softmax bit (see `quantized::block_scores`). Codes are integers of
+    /// at most 2^24 and `step` is a power of two, so `code · step` is exact
+    /// and `score − max` in the softmax rounds once, as the exact `(code −
+    /// max) · step` would.
+    #[inline(always)]
+    fn score(&self, dot: f64) -> f32 {
+        let [lo, hi] = self.code_range;
+        let code = (dot * self.score_factor).round() as f32;
+        let code = if code > lo { code } else { lo };
+        (if code < hi { code } else { hi }) * self.step
+    }
+
+    /// The score pass over `queries.len()` head columns: [`KEY_GROUP`] keys
+    /// per step, each q·k sum exact and onto its score by
+    /// [`CodeLanes::score`], each lane's max in one fold (a max is exact, so
+    /// its order changes nothing on codes).
+    #[inline(always)]
+    fn scores_of(
+        &self,
+        scores: &mut [[f32; QUERY_BLOCK]],
+        queries: &[[f64; QUERY_BLOCK]],
+        keys: &[f64],
+        stride: usize,
+    ) -> [f32; QUERY_BLOCK] {
+        let head_dim = queries.len();
+        let key = |j: usize| &keys[j * stride..][..head_dim];
+        let mut max = [f32::NEG_INFINITY; QUERY_BLOCK];
+        let grouped = scores.len() - scores.len() % KEY_GROUP;
+        let (groups, rest) = scores.split_at_mut(grouped);
+        for (g, group) in groups.chunks_exact_mut(KEY_GROUP).enumerate() {
+            let j = g * KEY_GROUP;
+            let dots = code_dots::<KEY_GROUP>(queries, std::array::from_fn(|i| key(j + i)));
+            for (score, dot) in group.iter_mut().zip(dots) {
+                self.score_and_fold(score, dot, &mut max);
+            }
+        }
+        for (i, score) in rest.iter_mut().enumerate() {
+            let [dot] = code_dots::<1>(queries, [key(grouped + i)]);
+            self.score_and_fold(score, dot, &mut max);
+        }
+        max
+    }
+
+    /// `score = self.score(dot)`, and each lane's running max.
+    #[inline(always)]
+    fn score_and_fold(&self, score: &mut [f32; QUERY_BLOCK], dot: [f64; QUERY_BLOCK], max: &mut [f32; QUERY_BLOCK]) {
+        for ((s, d), m) in score.iter_mut().zip(dot).zip(max.iter_mut()) {
+            *s = self.score(d);
+            *m = if *s > *m { *s } else { *m };
+        }
+    }
+}
+
+/// The exact q·k sums of `G` keys with one query block, `[key][query
+/// lane]`, each key's add chain independent of the others.
+#[inline(always)]
+fn code_dots<const G: usize>(queries: &[[f64; QUERY_BLOCK]], keys: [&[f64]; G]) -> [[f64; QUERY_BLOCK]; G] {
+    let mut acc = [[0.0; QUERY_BLOCK]; G];
+    for (p, column) in queries.iter().enumerate() {
+        for (a, key) in acc.iter_mut().zip(keys) {
+            for (a, &q) in a.iter_mut().zip(column) {
+                *a = CodeLanes::mac(*a, q, key[p]);
+            }
+        }
+    }
+    acc
+}
+
+impl Lanes for CodeLanes {
+    type Value = f64;
+
+    /// Exact: fused where the build targets FMA, which gives the same bits.
+    #[inline(always)]
+    fn mac(acc: f64, a: f64, b: f64) -> f64 {
+        if cfg!(target_feature = "fma") {
+            a.mul_add(b, acc)
+        } else {
+            acc + a * b
+        }
+    }
+
+    /// With the served head width as a constant length the `f64` dot
+    /// products unroll into registers, which halved the score pass against
+    /// the loop over a run-time width.
+    #[inline(always)]
+    fn block_scores(
+        &self,
+        scores: &mut [[f32; QUERY_BLOCK]],
+        queries: &[[f64; QUERY_BLOCK]],
+        keys: &[f64],
+        stride: usize,
+    ) -> [f32; QUERY_BLOCK] {
+        match queries.len() {
+            4 => self.scores_of(scores, &queries[..4], keys, stride),
+            _ => self.scores_of(scores, queries, keys, stride),
+        }
+    }
+
+    /// `denom · 2^−soft_frac`, exact: the lane's max score contributes
+    /// `exp(0) = 1`, so `denom ≥ 1` and the product is a normal float.
+    #[inline(always)]
+    fn divisor(&self, denom: f32) -> f32 {
+        denom * self.soft_step
+    }
+
+    /// The probability code `min(round(e / denom · 2^soft_frac), max)`, one
+    /// division cheaper: `e / divisor` is `e / denom · 2^soft_frac` rounded
+    /// once, which equals the rounded `p = e / denom` scaled exactly whenever
+    /// `p` is a normal float. Below that, both quotients are under 2^−102
+    /// and round to code `+0.0`. `p ≤ 1`, and `p ≥ 0` rounds to `+0.0` or
+    /// above.
+    #[inline(always)]
+    fn weight(&self, e: f32, divisor: f32) -> f64 {
+        let code = (e / divisor).round();
+        f64::from(if code < self.soft_max { code } else { self.soft_max })
+    }
+
+    #[inline(always)]
+    fn output(&self, acc: f64) -> f64 {
+        self.attend.apply(acc)
+    }
 }
 
 /// `Some(k)` when `scale == 2^-k` exactly (positive power-of-two reciprocal).
@@ -225,14 +384,17 @@ impl IntModel {
             model_dim: config.model_dim,
             head_dim,
             residual: onto(act, 1.0),
-            scores: onto(
-                act,
-                match power_of_two_shift(scale) {
+            lanes: CodeLanes {
+                score_factor: match power_of_two_shift(scale) {
                     Some(k) => pow2(-fa - k as i32),
                     None => f64::from(scale) * pow2(-fa),
                 },
-            ),
-            attend: onto(act, pow2(-(soft.frac_bits() as i32))),
+                code_range: [act.min_raw() as f32, act.max_raw() as f32],
+                step: act.resolution(),
+                soft_step: soft.resolution(),
+                soft_max: soft.max_raw() as f32,
+                attend: onto(act, pow2(-(soft.frac_bits() as i32))),
+            },
         }
     }
 
@@ -264,84 +426,12 @@ impl IntModel {
     }
 
     /// Multi-head self-attention of one depth row, from `s.qkv` into
-    /// `s.concat`, [`QUERY_BLOCK`] query rows at a time per head. A short last
-    /// block runs zero queries in its unused lanes and drops their results.
-    fn attention(&self, s: &mut CodeScratch, tokens: usize) {
-        let (dim, head_dim) = (self.model_dim, self.head_dim);
-        let stride = 3 * dim;
-        s.queries.resize(head_dim, [0.0; QUERY_BLOCK]);
-        s.head_out.resize(head_dim, [0.0; QUERY_BLOCK]);
-        s.block.resize(tokens, [0.0; QUERY_BLOCK]);
-        s.exps.resize(tokens, [0.0; QUERY_BLOCK]);
-        for head in (0..dim).step_by(head_dim) {
-            for i0 in (0..tokens).step_by(QUERY_BLOCK) {
-                let lanes = QUERY_BLOCK.min(tokens - i0);
-                for (p, column) in s.queries.iter_mut().enumerate() {
-                    for (lane, q) in column.iter_mut().enumerate() {
-                        *q = if lane < lanes { s.qkv[(i0 + lane) * stride + head + p] } else { 0.0 };
-                    }
-                }
-                // Scores `[key][query lane]`: key rows read in place.
-                let (keys, scores) = (&s.qkv[dim + head..], s.block.as_flattened_mut());
-                simd::exact_matmul(keys, [stride, 1], s.queries.as_flattened(), QUERY_BLOCK, None, self.scores, scores);
-                self.block_softmax(&mut s.block, &mut s.exps);
-                // `[head column][query lane]`: the value columns read in place.
-                let (values, out) = (&s.qkv[2 * dim + head..], s.head_out.as_flattened_mut());
-                simd::exact_matmul(values, [1, stride], s.block.as_flattened(), QUERY_BLOCK, None, self.attend, out);
-                for (d, column) in s.head_out.iter().enumerate() {
-                    for (lane, &o) in column[..lanes].iter().enumerate() {
-                        s.concat[(i0 + lane) * dim + head + d] = o;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Softmax of one query block's score codes over the keys, in place, to
-    /// probability codes on the softmax grid. Per lane: the scores `code ·
-    /// step` and their max; one [`simd::exp_shifted_sum`] pass, `exp(score −
-    /// max)` with the denominator summed in ascending key order from `0.0`;
-    /// one divide per element, and its quotient rounded onto the softmax grid
-    /// in the same pass. Codes are integers of at most 2^24, so `code · step`
-    /// is exact in `f32` and `score − max` rounds once, as the exact `(code −
-    /// max) · step` would.
-    fn block_softmax(&self, block: &mut [[f64; QUERY_BLOCK]], exps: &mut [[f32; QUERY_BLOCK]]) {
-        let step = self.act.resolution();
-        // Four independent running maxima break the compare's latency chain;
-        // a max is exact, so the grouping cannot change it.
-        let mut maxima = [[f32::NEG_INFINITY; QUERY_BLOCK]; 4];
-        let mut quads = exps.chunks_exact_mut(4).zip(block.chunks_exact(4));
-        for (scores, codes) in &mut quads {
-            for ((max, score), codes) in maxima.iter_mut().zip(scores).zip(codes) {
-                for l in 0..QUERY_BLOCK {
-                    score[l] = codes[l] as f32 * step;
-                    max[l] = if score[l] > max[l] { score[l] } else { max[l] };
-                }
-            }
-        }
-        let grouped = block.len() - block.len() % 4;
-        for (score, codes) in exps[grouped..].iter_mut().zip(&block[grouped..]) {
-            for l in 0..QUERY_BLOCK {
-                score[l] = codes[l] as f32 * step;
-                maxima[0][l] = if score[l] > maxima[0][l] { score[l] } else { maxima[0][l] };
-            }
-        }
-        let mut row_max = maxima[0];
-        for max in &maxima[1..] {
-            for l in 0..QUERY_BLOCK {
-                row_max[l] = if max[l] > row_max[l] { max[l] } else { row_max[l] };
-            }
-        }
-        let denom = simd::exp_shifted_sum(exps, &row_max);
-        let (inv_step, hi) = (1.0 / self.soft.resolution(), self.soft.max_raw() as f32);
-        for (codes, e) in block.iter_mut().zip(exps.iter()) {
-            for l in 0..QUERY_BLOCK {
-                // `p · 2^soft_frac` is exact in f32, and `p ≥ 0` rounds to
-                // `+0.0` or above.
-                let code = (e[l] / denom[l] * inv_step).round();
-                codes[l] = f64::from(if code < hi { code } else { hi });
-            }
-        }
+    /// `s.concat`: [`attention`]'s three passes on codes, q, k and v read in
+    /// place from the fused projection.
+    fn attention(&self, s: &mut CodeScratch) {
+        let dim = self.model_dim;
+        let qkv = [&s.qkv[..], &s.qkv[dim..], &s.qkv[2 * dim..]];
+        attention(&self.lanes, qkv, 3 * dim, self.head_dim, (&mut s.concat, dim), &mut s.queries, &mut s.exps);
     }
 
     /// Integer-datapath inference over one row-major `(tokens, channels)`
@@ -376,7 +466,7 @@ impl IntModel {
         for (block, ib) in weights.blocks.iter().zip(&self.blocks) {
             self.layer_norm(&s.x, &block.norm1_gamma, &block.norm1_beta, &mut s.floats, &mut s.normed);
             ib.wqkv.forward(&s.normed, &mut s.qkv);
-            self.attention(s, tokens);
+            self.attention(s);
             ib.wo.forward(&s.concat, &mut s.branch);
             self.add_residual(&mut s.x, &s.branch);
             self.layer_norm(&s.x, &block.norm2_gamma, &block.norm2_beta, &mut s.floats, &mut s.normed);
@@ -429,13 +519,8 @@ pub(crate) struct CodeScratch {
     hidden: Vec<f64>,
     /// One query block's queries of one head, `[head column][query lane]`.
     queries: Vec<[f64; QUERY_BLOCK]>,
-    /// One query block's score codes, then its probability codes, `[key][query
-    /// lane]`.
-    block: Vec<[f64; QUERY_BLOCK]>,
-    /// One query block's `exp` values, `[key][query lane]`.
+    /// One query block's scores, then exponentials, `[key][query lane]`.
     exps: Vec<[f32; QUERY_BLOCK]>,
-    /// One query block's head output, `[head column][query lane]`.
-    head_out: Vec<[f64; QUERY_BLOCK]>,
     /// The layer-norm boundary's float input and output.
     floats: [Vec<f32>; 2],
 }
@@ -486,12 +571,23 @@ mod tests {
         }
     }
 
+    /// What [`oracle_row`] saw at the attention's grid edges.
+    #[derive(Debug, Default)]
+    struct Edges {
+        /// Score codes at the activation grid's bounds.
+        saturated_scores: usize,
+        /// Probability codes of 0.
+        zero_probabilities: usize,
+    }
+
     /// The integer forward of one row written out as plain per-element
     /// loops: i64 accumulators, `to_code`/`requantize_i64` for every grid
     /// change, the float boundaries through `layer_norm_f32` and
     /// `softmax_rows`, and `f64::round` for a score scale that is not a power
     /// of two. Independent of the engine's kernels, tiers and lane types.
-    fn oracle_row(q: &crate::quantized::QuantizedTinyVbf, row: &Tensor) -> Vec<f32> {
+    /// Counts into `edges` the score codes it saturates and the probability
+    /// codes it rounds to 0.
+    fn oracle_row(q: &crate::quantized::QuantizedTinyVbf, row: &Tensor, edges: &mut Edges) -> Vec<f32> {
         let (w, scheme, tokens) = (q.weights(), q.scheme(), row.rows());
         let wf = scheme.format_for(TensorRole::Weight).unwrap();
         let act = scheme.format_for(TensorRole::MacResult).unwrap();
@@ -546,13 +642,16 @@ mod tests {
                             ((acc as f64 * f64::from(scale) * (-(fa as f64)).exp2()).round() as i64)
                                 .clamp(act.min_raw(), act.max_raw())
                         };
+                        edges.saturated_scores += usize::from(code == act.min_raw() || code == act.max_raw());
                         *scores.at_mut(i, j) = act.from_raw(code);
                     }
                 }
                 let probs = softmax_rows(&scores);
+                let codes = probs.map(|p| soft.to_code(p) as f32);
+                edges.zero_probabilities += codes.as_slice().iter().filter(|&&c| c == 0.0).count();
                 for i in 0..tokens {
                     for d in h..h + head_dim {
-                        let acc: i64 = (0..tokens).map(|j| soft.to_code(probs.at(i, j)) as i64 * vm[j * dim + d]).sum();
+                        let acc: i64 = (0..tokens).map(|j| codes.at(i, j) as i64 * vm[j * dim + d]).sum();
                         concat[i * dim + d] = act.requantize_i64(acc, soft.frac_bits() + fa) as i64;
                     }
                 }
@@ -571,31 +670,46 @@ mod tests {
     fn integer_forward_matches_the_plain_loop_oracle_bit_for_bit() {
         use crate::config::TinyVbfConfig;
         use crate::model::TinyVbf;
+        use crate::quantized::tests::scale_query_key_weights;
         use crate::quantized::QuantizedTinyVbf;
         // tiny_test: head_dim 2, the 1/√2 score scale. The served shape:
         // head_dim 4 and the score shift. Rows of 6, 16, 37 and 130 tokens
         // cover short last query blocks and rows longer than the positional
-        // table; inputs ×64 saturate the activation grids.
+        // table; inputs ×64 saturate the activation grids. q and k weights ×30
+        // push scores past the activation grid and spread them until some
+        // probabilities round to code 0: both edges are asserted reached.
         for config in [TinyVbfConfig::tiny_test(), TinyVbfConfig::small().for_frame(128, 128)] {
-            let model = TinyVbf::new(&config).unwrap();
-            for scheme in QuantScheme::all().into_iter().filter(|s| !s.is_float()) {
-                let engine = QuantizedTinyVbf::from_model(&model, scheme);
-                for (seed, tokens) in [6usize, 16, 37, 130].into_iter().enumerate() {
-                    for gain in [1.0f32, 64.0] {
-                        let row = neural::init::normal(&[tokens, config.channels], 0.4, 40 + seed as u64)
-                            .map(|v| v.clamp(-1.0, 1.0) * gain);
-                        let expect = oracle_row(&engine, &row);
-                        let got = engine.infer_row(&row);
-                        for (i, (a, b)) in expect.iter().zip(got.as_slice()).enumerate() {
-                            assert_eq!(
-                                a.to_bits(),
-                                b.to_bits(),
-                                "{} channels, {}, {tokens} tokens, gain {gain}, value {i}: {a} vs {b}",
-                                config.channels,
-                                scheme.name
-                            );
+            for qk_scale in [1.0f32, 30.0] {
+                let mut model = TinyVbf::new(&config).unwrap();
+                scale_query_key_weights(&mut model, qk_scale);
+                for scheme in QuantScheme::all().into_iter().filter(|s| !s.is_float()) {
+                    let engine = QuantizedTinyVbf::from_model(&model, scheme);
+                    let mut edges = Edges::default();
+                    for (seed, tokens) in [6usize, 16, 37, 130].into_iter().enumerate() {
+                        for gain in [1.0f32, 64.0] {
+                            let row = neural::init::normal(&[tokens, config.channels], 0.4, 40 + seed as u64)
+                                .map(|v| v.clamp(-1.0, 1.0) * gain);
+                            let expect = oracle_row(&engine, &row, &mut edges);
+                            let got = engine.infer_row(&row);
+                            for (i, (a, b)) in expect.iter().zip(got.as_slice()).enumerate() {
+                                assert_eq!(
+                                    a.to_bits(),
+                                    b.to_bits(),
+                                    "{} channels, {}, q/k ×{qk_scale}, {tokens} tokens, gain {gain}, value {i}: {a} vs {b}",
+                                    config.channels,
+                                    scheme.name
+                                );
+                            }
+                            assert_eq!(expect.len(), got.as_slice().len());
                         }
-                        assert_eq!(expect.len(), got.as_slice().len());
+                    }
+                    if qk_scale != 1.0 {
+                        assert!(
+                            edges.saturated_scores > 0 && edges.zero_probabilities > 0,
+                            "{} channels, {}: {edges:?}",
+                            config.channels,
+                            scheme.name
+                        );
                     }
                 }
             }

@@ -67,9 +67,8 @@ pub fn cube_row(cube: &TofCube, row: usize) -> Tensor {
     let channels = cube.channels();
     let mut t = Tensor::zeros(&[cols, channels]);
     for col in 0..cols {
-        let pixel = cube.pixel_channels(row, col);
-        for ch in 0..channels {
-            *t.at_mut(col, ch) = pixel[ch];
+        for (ch, &v) in cube.pixel_channels(row, col).iter().enumerate() {
+            *t.at_mut(col, ch) = v;
         }
     }
     t

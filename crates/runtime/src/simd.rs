@@ -93,6 +93,17 @@ impl SimdMode {
     }
 }
 
+/// The x86-64 target features this build was compiled for, by name. The
+/// lane bodies are autovectorized for them, and without `fma` [`exp`]'s
+/// `mul_add` steps call a software routine, about 20× slower. A build that
+/// misses the repository's `.cargo/config.toml` (`target-cpu=native`) has
+/// none of them.
+pub const TARGET_FEATURES: [(&str, bool); 3] = [
+    ("avx2", cfg!(target_feature = "avx2")),
+    ("fma", cfg!(target_feature = "fma")),
+    ("avx512f", cfg!(target_feature = "avx512f")),
+];
+
 /// 0 = no override, 1 = scalar, 2 = portable, 3 = native.
 static FORCED: AtomicU8 = AtomicU8::new(0);
 static DEFAULT: OnceLock<SimdMode> = OnceLock::new();
@@ -615,8 +626,8 @@ unsafe fn lerp_gather_reduce_lanes(traces: &[f32], stride: usize, idx: &[f32], a
 
 // ---------------------------------------------------------------------------
 // Integer kernels: exact arithmetic, so one body serves every tier. Only
-// `perfbench` calls `madd_block` and `i64_mac_row`; the integer datapath runs
-// `exact_matmul`.
+// `perfbench` calls `madd_block` and `i64_mac_row`; the integer datapath's
+// dense layers run `exact_matmul`.
 // ---------------------------------------------------------------------------
 
 /// Pack two i16-range fixed-point codes into the `(lo, hi)` pair layout the
@@ -697,36 +708,27 @@ const TILE_COLS: usize = 8;
 /// The exact accumulator of output `(r, c)`: `bias[c]` plus the products in
 /// ascending `p`.
 #[inline(always)]
-fn exact_dot(a: &[f64], [rs, cs]: [usize; 2], w: &[f64], m: usize, bias: Option<&[f64]>, r: usize, c: usize) -> f64 {
+fn exact_dot(a: &[f64], w: &[f64], m: usize, bias: Option<&[f64]>, r: usize, c: usize) -> f64 {
+    let k = w.len() / m;
     let mut acc = bias.map_or(0.0, |b| b[c]);
-    for p in 0..w.len() / m {
-        acc += a[r * rs + p * cs] * w[p * m + c];
+    for (p, &x) in a[r * k..][..k].iter().enumerate() {
+        acc += x * w[p * m + c];
     }
     acc
 }
 
 /// Scalar reference for [`exact_matmul`]: one [`exact_dot`] per output.
-fn exact_matmul_scalar(
-    a: &[f64],
-    strides: [usize; 2],
-    w: &[f64],
-    m: usize,
-    bias: Option<&[f64]>,
-    rq: Requantize,
-    out: &mut [f64],
-) {
+fn exact_matmul_scalar(a: &[f64], w: &[f64], m: usize, bias: Option<&[f64]>, rq: Requantize, out: &mut [f64]) {
     for (i, o) in out.iter_mut().enumerate() {
-        *o = rq.apply(exact_dot(a, strides, w, m, bias, i / m, i % m));
+        *o = rq.apply(exact_dot(a, w, m, bias, i / m, i % m));
     }
 }
 
 /// One `R × TILE_COLS` tile of output rows `r0..` and columns `c0..`, its
 /// accumulators held in registers across the whole reduction.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn exact_tile<const R: usize>(
     a: &[f64],
-    [rs, cs]: [usize; 2],
     w: &[f64],
     m: usize,
     init: [f64; TILE_COLS],
@@ -734,11 +736,12 @@ fn exact_tile<const R: usize>(
     (r0, c0): (usize, usize),
     out: &mut [f64],
 ) {
+    let k = w.len() / m;
     let mut acc = [init; R];
     for (p, w_row) in w.chunks_exact(m).enumerate() {
         let w_row: &[f64; TILE_COLS] = w_row[c0..c0 + TILE_COLS].try_into().unwrap();
         for (i, acc_row) in acc.iter_mut().enumerate() {
-            let x = a[(r0 + i) * rs + p * cs];
+            let x = a[(r0 + i) * k + p];
             for (o, &y) in acc_row.iter_mut().zip(w_row) {
                 *o = exact_mac(*o, x, y);
             }
@@ -753,32 +756,24 @@ fn exact_tile<const R: usize>(
 }
 
 #[inline(always)]
-fn exact_matmul_lanes(
-    a: &[f64],
-    strides: [usize; 2],
-    w: &[f64],
-    m: usize,
-    bias: Option<&[f64]>,
-    rq: Requantize,
-    out: &mut [f64],
-) {
+fn exact_matmul_lanes(a: &[f64], w: &[f64], m: usize, bias: Option<&[f64]>, rq: Requantize, out: &mut [f64]) {
     let n = out.len() / m;
     let mut c0 = 0;
     while c0 + TILE_COLS <= m {
         let init = bias.map_or([0.0; TILE_COLS], |b| b[c0..c0 + TILE_COLS].try_into().unwrap());
         let mut r0 = 0;
         while r0 + TILE_ROWS <= n {
-            exact_tile::<TILE_ROWS>(a, strides, w, m, init, rq, (r0, c0), out);
+            exact_tile::<TILE_ROWS>(a, w, m, init, rq, (r0, c0), out);
             r0 += TILE_ROWS;
         }
         for r in r0..n {
-            exact_tile::<1>(a, strides, w, m, init, rq, (r, c0), out);
+            exact_tile::<1>(a, w, m, init, rq, (r, c0), out);
         }
         c0 += TILE_COLS;
     }
     for r in 0..n {
         for c in c0..m {
-            out[r * m + c] = rq.apply(exact_dot(a, strides, w, m, bias, r, c));
+            out[r * m + c] = rq.apply(exact_dot(a, w, m, bias, r, c));
         }
     }
 }
@@ -1115,50 +1110,28 @@ pub fn i64_mac_row(acc: &mut [i64], a_row: &[i32], b: &[i32]) {
     }
 }
 
-/// Exact matrix product of fixed-point codes held as integers in `f64`,
-/// requantized onto the output grid:
+/// Exact row-major matrix product of fixed-point codes held as integers in
+/// `f64`, requantized onto the output grid:
 ///
-/// `out[r·m + c] = rq.apply(bias[c] + Σ_p a[r·strides[0] + p·strides[1]] · w[p·m + c])`
+/// `out[r·m + c] = rq.apply(bias[c] + Σ_p a[r·k + p] · w[p·m + c])`
 ///
-/// for the `n = out.len() / m` output rows and `k = w.len() / m` reduction
-/// steps; `bias` defaults to zero. The strides let one kernel take row-major
-/// activations (`[k, 1]`), key rows of a fused q/k/v matrix, or value columns
-/// read in place (`[1, stride]`). The lane body holds 4 × 8 output tiles in
-/// registers.
+/// for the `n = out.len() / m` output rows of the `n × k` activations `a` and
+/// `k = w.len() / m` reduction steps; `bias` defaults to zero. The lane body
+/// holds 4 × 8 output tiles in registers.
 ///
 /// **Exactness.** The caller keeps every code an integer and
 /// `|bias| + Σ_p |a·w| < 2^53`, so every product and partial sum is exact and
 /// the tiers agree bit for bit whatever their order, fused or not. With
-/// |code| ≤ 2^(bits−1) and softmax probability codes ≤ 2^soft_frac, the
-/// Tiny-VBF sums at 128 channels, 128 tokens and `head_dim` 4 peak at:
-///
-/// | Scheme | dense `k·2^(a−1)·2^(w−1)` | scores `head_dim·2^(2a−2)` | A·V `tokens·2^soft_frac·2^(a−1)` |
-/// |--------|------|------|------|
-/// | fx24   | 2^47 | 2^48 | 2^48 |
-/// | fx20   | 2^43 | 2^40 | 2^40 |
-/// | fx16   | 2^37 | 2^32 | 2^32 |
-/// | w8a20  | 2^33 | 2^40 | 2^46 |
-/// | w8a16  | 2^29 | 2^32 | 2^42 |
-///
-/// plus a dense bias below 2^35: at least 32× headroom on every stage.
-pub fn exact_matmul(
-    a: &[f64],
-    strides: [usize; 2],
-    w: &[f64],
-    m: usize,
-    bias: Option<&[f64]>,
-    rq: Requantize,
-    out: &mut [f64],
-) {
+/// |code| ≤ 2^(bits−1), the Tiny-VBF dense sums `k·2^(a−1)·2^(w−1)` at 128
+/// channels peak at 2^47 (fx24), 2^43 (fx20), 2^37 (fx16), 2^33 (w8a20) and
+/// 2^29 (w8a16), plus a bias below 2^35: at least 32× headroom.
+pub fn exact_matmul(a: &[f64], w: &[f64], m: usize, bias: Option<&[f64]>, rq: Requantize, out: &mut [f64]) {
     assert!(m > 0 && w.len().is_multiple_of(m) && out.len().is_multiple_of(m), "exact_matmul: shape mismatch");
-    let (n, k) = (out.len() / m, w.len() / m);
-    if n > 0 && k > 0 {
-        assert!((n - 1) * strides[0] + (k - 1) * strides[1] < a.len(), "exact_matmul: `a` too short");
-    }
+    assert_eq!(a.len(), out.len() / m * (w.len() / m), "exact_matmul: `a` is not n × k");
     assert!(bias.is_none_or(|b| b.len() == m), "exact_matmul: bias length");
     match mode() {
-        SimdMode::Scalar => exact_matmul_scalar(a, strides, w, m, bias, rq, out),
-        SimdMode::Portable | SimdMode::Native => exact_matmul_lanes(a, strides, w, m, bias, rq, out),
+        SimdMode::Scalar => exact_matmul_scalar(a, w, m, bias, rq, out),
+        SimdMode::Portable | SimdMode::Native => exact_matmul_lanes(a, w, m, bias, rq, out),
     }
 }
 
