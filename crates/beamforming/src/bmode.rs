@@ -168,7 +168,7 @@ mod tests {
     #[test]
     fn profiles_have_expected_lengths() {
         let g = grid(3, 4);
-        let img = BModeImage::from_envelope(&vec![1.0; 12], g, 60.0).unwrap();
+        let img = BModeImage::from_envelope(&[1.0; 12], g, 60.0).unwrap();
         assert_eq!(img.lateral_profile(1).len(), 4);
         assert_eq!(img.axial_profile(2).len(), 3);
     }

@@ -246,6 +246,6 @@ mod tests {
     #[test]
     fn rf_to_iq_validates_shape() {
         let g = grid(4, 4);
-        assert!(rf_to_iq(&vec![0.0; 15], &g).is_err());
+        assert!(rf_to_iq(&[0.0; 15], &g).is_err());
     }
 }

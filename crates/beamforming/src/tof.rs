@@ -94,8 +94,8 @@ impl TofCube {
         for (pixel, out_value) in out.iter_mut().enumerate() {
             let start = pixel * self.channels;
             let mut acc = 0.0f32;
-            for ch in 0..self.channels {
-                acc += self.data[start + ch] * apodization[ch];
+            for (&value, &weight) in self.data[start..start + self.channels].iter().zip(apodization) {
+                acc += value * weight;
             }
             *out_value = acc;
         }

@@ -2,12 +2,21 @@
 //!
 //! `serve_agent` (the single-process scenario server) and `shard_agent`
 //! (one shard of the registry-coordinated topology) host the exact same
-//! stack — stream specs, seeded frame pools, a `serve::router::Router`,
-//! and a line-frame TCP data plane. This module is that shared stack, so
-//! the two binaries differ only in topology: `serve_agent` listens and
-//! serves, `shard_agent` additionally registers with the shard registry,
-//! renews its heartbeat lease, and rejects requests for stream keys the
-//! registry has (re)assigned elsewhere with `status:"wrong_epoch"`.
+//! stack — the scenario's [`Streams`], a `serve::router::Router`, and a
+//! line-frame TCP data plane. This module is that shared stack, so the two
+//! binaries differ only in topology: `serve_agent` listens and serves,
+//! `shard_agent` additionally registers with the shard registry, renews its
+//! heartbeat lease, and rejects requests for stream keys the registry has
+//! (re)assigned elsewhere with `status:"wrong_epoch"`.
+//!
+//! An agent holds no frames between requests. Each request names a stream
+//! and a seed, and [`serve_connection`] synthesizes that request's RF frame
+//! when it arrives ([`Streams::frame`]): a pure function of the scenario
+//! seed, the stream and the slot `seed % FRAME_POOL`. The frame moves into
+//! the router without a copy, so the agent's memory is the engines' plans,
+//! cubes and scratch plus the frames in flight. [`build_streams`] builds
+//! whole pools from the same function, for in-process callers that want
+//! every frame up front.
 //!
 //! Keeping one datapath is also what makes the failover acceptance check
 //! meaningful: a surviving shard's responses must be bitwise identical to
@@ -41,8 +50,9 @@ use tiny_vbf::model::TinyVbf;
 use tiny_vbf::quantized::{QuantizedTinyVbf, QuantizedTinyVbfBeamformer};
 use ultrasound::ChannelData;
 
-/// Pre-synthesized frames per stream; requests index the pool by
-/// `seed % FRAME_POOL`, keeping per-request work at one memcpy.
+/// Distinct frames per stream: a request with seed `k` is served frame slot
+/// `k % FRAME_POOL` of its stream ([`Streams::frame`]). The agents keep none
+/// of them resident; [`build_streams`] materializes all of them.
 pub const FRAME_POOL: usize = 32;
 
 /// Threads resolving response handles per connection. Handles resolve in
@@ -156,44 +166,90 @@ pub fn status_of(result: &ServeResult<IqImage>) -> &'static str {
 /// determinism probe responses carry as `"sum"`. Two images checksum equal
 /// iff every sample is bit-identical (modulo 64-bit FNV collisions, which
 /// the failover acceptance test tolerates at ~2⁻⁶⁴).
+///
+/// The pixels are hashed in place, `re` then `im` per pixel in row-major
+/// order: the bytes of [`IqImage::to_interleaved`] without its copy.
 pub fn image_checksum(image: &IqImage) -> String {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for value in image.to_interleaved() {
-        for byte in value.to_bits().to_le_bytes() {
-            hash = (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    for pixel in image.as_slice() {
+        for value in [pixel.re, pixel.im] {
+            for byte in value.to_bits().to_le_bytes() {
+                hash = (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
         }
     }
     format!("{hash:016x}")
 }
 
-/// One spec + seeded frame pool per scenario stream. Pools are derived
-/// from the scenario seed alone, so every process serving this scenario —
-/// single-process server or any shard — holds bit-identical frames.
-pub fn build_streams(config: &ScenarioConfig) -> (Vec<StreamSpec>, Vec<Vec<ChannelData>>) {
-    let mut specs = Vec::with_capacity(config.streams.len());
-    let mut pools = Vec::with_capacity(config.streams.len());
-    for (index, stream) in config.streams.iter().enumerate() {
-        let array = config.stream_array(index);
-        let (rows, cols) = config.stream_grid_shape(index);
-        let grid = ImagingGrid::for_array(&array, 5.0e-3, 15.0e-3, rows, cols);
-        specs.push(StreamSpec {
-            array: array.clone(),
-            grid,
-            sound_speed: 1540.0,
-            backend: stream.backend.clone(),
-        });
-        let pool: Vec<ChannelData> = (0..FRAME_POOL)
-            .map(|i| {
-                let seed = config
-                    .seed
-                    .wrapping_add((index as u64) << 32)
-                    .wrapping_add(i as u64);
-                synthetic_frame(&array, config.num_samples, seed)
+/// A scenario's streams as an agent holds them: one spec per stream, and
+/// the scenario seed and frame length every stream's frames derive from.
+/// It holds no frame; [`Streams::frame`] synthesizes one per call.
+pub struct Streams {
+    /// One spec per scenario stream, in scenario order.
+    pub specs: Vec<StreamSpec>,
+    seed: u64,
+    num_samples: usize,
+}
+
+impl Streams {
+    /// The specs of `config`'s streams: each stream's probe (with its
+    /// channel override), its grid over 5–20 mm depth, c = 1540 m/s and its
+    /// backend.
+    pub fn new(config: &ScenarioConfig) -> Self {
+        let specs = (0..config.streams.len())
+            .map(|index| {
+                let array = config.stream_array(index);
+                let (rows, cols) = config.stream_grid_shape(index);
+                StreamSpec {
+                    grid: ImagingGrid::for_array(&array, 5.0e-3, 15.0e-3, rows, cols),
+                    array,
+                    sound_speed: 1540.0,
+                    backend: config.streams[index].backend.clone(),
+                }
             })
             .collect();
-        pools.push(pool);
+        Self { specs, seed: config.seed, num_samples: config.num_samples }
     }
-    (specs, pools)
+
+    /// Frame `slot` of stream `index`, the frame a request with
+    /// `seed % FRAME_POOL == slot` is served. It derives from the scenario
+    /// seed alone, so every process serving this scenario — single-process
+    /// server or any shard — synthesizes bit-identical frames.
+    pub fn frame(&self, index: usize, slot: usize) -> ChannelData {
+        let seed = self.seed.wrapping_add((index as u64) << 32).wrapping_add(slot as u64);
+        synthetic_frame(&self.specs[index].array, self.num_samples, seed)
+    }
+
+    /// The format of every frame of stream `index` ([`synthetic_frame`]'s
+    /// frames start at t = 0 and sample at the probe's rate).
+    pub fn format(&self, index: usize) -> FrameFormat {
+        FrameFormat {
+            num_samples: self.num_samples,
+            sampling_frequency: self.specs[index].array.sampling_frequency(),
+            start_time: 0.0,
+        }
+    }
+
+    /// Warms (engine spawn + plan build) the given streams from their
+    /// frame formats, so the measured window starts from a hot server.
+    pub fn warm(&self, router: &Router, indices: impl Iterator<Item = usize>) -> Result<(), String> {
+        for index in indices {
+            warm(router, &self.specs[index], &self.format(index))?;
+        }
+        Ok(())
+    }
+}
+
+/// One spec + seeded frame pool per scenario stream: pool `i` holds
+/// [`Streams::frame`]`(i, slot)` for every slot below [`FRAME_POOL`]. For
+/// in-process callers that want every frame built up front; the agents
+/// synthesize frames per request instead.
+pub fn build_streams(config: &ScenarioConfig) -> (Vec<StreamSpec>, Vec<Vec<ChannelData>>) {
+    let streams = Streams::new(config);
+    let pools = (0..streams.specs.len())
+        .map(|index| (0..FRAME_POOL).map(|slot| streams.frame(index, slot)).collect())
+        .collect();
+    (streams.specs, pools)
 }
 
 /// Builds the scenario's router: chaos-aware backend factory, the
@@ -231,8 +287,8 @@ pub fn build_router(config: &ScenarioConfig) -> Result<Router, String> {
         .map_err(|e| format!("invalid router config: {e}"))
 }
 
-/// Warms (engine spawn + plan build) the given streams so the measured
-/// window starts from a hot server.
+/// Warms (engine spawn + plan build) the given streams from their pools'
+/// first frames, so the measured window starts from a hot server.
 pub fn warm_streams(
     router: &Router,
     specs: &[StreamSpec],
@@ -240,11 +296,13 @@ pub fn warm_streams(
     indices: impl Iterator<Item = usize>,
 ) -> Result<(), String> {
     for index in indices {
-        router
-            .warm(&specs[index], &FrameFormat::of(&pools[index][0]))
-            .map_err(|e| format!("warming `{}`: {e}", specs[index].backend))?;
+        warm(router, &specs[index], &FrameFormat::of(&pools[index][0]))?;
     }
     Ok(())
+}
+
+fn warm(router: &Router, spec: &StreamSpec, format: &FrameFormat) -> Result<(), String> {
+    router.warm(spec, format).map_err(|e| format!("warming `{}`: {e}", spec.backend))
 }
 
 /// The shard server's live view of its registry lease, shared between the
@@ -278,9 +336,10 @@ impl Default for ShardView {
 }
 
 /// Serves one load-agent connection until it disconnects, idles out or
-/// misbehaves: a reader thread submits, [`COMPLETION_THREADS`] waiters
-/// resolve handles and write responses (with the image checksum on success)
-/// through a shared writer.
+/// misbehaves: a reader thread synthesizes each request's frame
+/// ([`Streams::frame`] of slot `seed % FRAME_POOL`) and submits it,
+/// [`COMPLETION_THREADS`] waiters resolve handles and write responses (with
+/// the image checksum on success) through a shared writer.
 ///
 /// Requests are read through [`FrameReader`], one JSON object per line under
 /// a [`CONNECTION_IDLE`] deadline per line. Any reader error closes the
@@ -301,8 +360,7 @@ impl Default for ShardView {
 pub fn serve_connection(
     stream: TcpStream,
     router: Arc<Router>,
-    specs: Arc<Vec<StreamSpec>>,
-    pools: Arc<Vec<Vec<ChannelData>>>,
+    streams: Arc<Streams>,
     deadline: Option<Duration>,
     shard_view: Option<ShardView>,
     shed_on_full: bool,
@@ -347,7 +405,7 @@ pub fn serve_connection(
         ) else {
             break;
         };
-        if stream_idx >= specs.len() {
+        if stream_idx >= streams.specs.len() {
             break;
         }
         if let Some(view) = &shard_view {
@@ -369,12 +427,13 @@ pub fn serve_connection(
                 continue;
             }
         }
-        let frame = pools[stream_idx][seed as usize % FRAME_POOL].clone();
+        let frame = streams.frame(stream_idx, seed as usize % FRAME_POOL);
+        let spec = &streams.specs[stream_idx];
         let submitted = match (deadline, shed_on_full) {
-            (Some(d), false) => router.submit_with_deadline(&specs[stream_idx], frame, d),
-            (None, false) => router.submit(&specs[stream_idx], frame),
-            (Some(d), true) => router.try_submit_with_deadline(&specs[stream_idx], frame, d),
-            (None, true) => router.try_submit(&specs[stream_idx], frame),
+            (Some(d), false) => router.submit_with_deadline(spec, frame, d),
+            (None, false) => router.submit(spec, frame),
+            (Some(d), true) => router.try_submit_with_deadline(spec, frame, d),
+            (None, true) => router.try_submit(spec, frame),
         };
         match submitted {
             Ok(handle) => {
@@ -402,5 +461,90 @@ pub fn serve_connection(
     drop(tx);
     for waiter in waiters {
         let _ = waiter.join();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::harness::StreamLoad;
+    use ultrasound::LinearArray;
+
+    /// FNV-1a over a copy of the interleaved samples: the checksum's form
+    /// before it hashed in place.
+    fn interleaved_checksum(image: &IqImage) -> String {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for value in image.to_interleaved() {
+            for byte in value.to_bits().to_le_bytes() {
+                hash = (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        format!("{hash:016x}")
+    }
+
+    #[test]
+    fn in_place_checksum_equals_the_interleaved_copy_on_special_values() {
+        let values = [
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7fc0_1234),
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            -f32::MIN_POSITIVE / 2.0,
+            f32::MIN_POSITIVE,
+            1.5,
+            -2.25,
+        ];
+        let grid = ImagingGrid::for_array(&LinearArray::small_test_array(), 5.0e-3, 15.0e-3, 4, 3);
+        let mut image = IqImage::zeros(grid);
+        for (pixel, value) in values.iter().enumerate() {
+            let sample = image.value_mut(pixel / 3, pixel % 3);
+            sample.re = *value;
+            sample.im = values[values.len() - 1 - pixel];
+        }
+        assert_eq!(image_checksum(&image), interleaved_checksum(&image));
+
+        // The hash sees bit patterns: swapping the +0 and −0 pixels moves it.
+        let mut flipped = image.clone();
+        flipped.value_mut(1, 0).re = -0.0;
+        flipped.value_mut(1, 1).re = 0.0;
+        assert_ne!(image_checksum(&flipped), image_checksum(&image));
+        assert_eq!(image_checksum(&flipped), interleaved_checksum(&flipped));
+    }
+
+    fn bits(frame: &ChannelData) -> Vec<u32> {
+        frame.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn per_request_frames_equal_the_pool_frames_bit_for_bit() {
+        let mut config = ScenarioConfig::named("frames");
+        config.num_samples = 24;
+        config.seed = u64::MAX - 3;
+        config.streams = vec![
+            StreamLoad::new("das-planned"),
+            StreamLoad { channels: Some(5), ..StreamLoad::new("das-planned") },
+            StreamLoad { channels: Some(17), grid: Some((6, 3)), ..StreamLoad::new("das") },
+        ];
+        let streams = Streams::new(&config);
+        let (specs, pools) = build_streams(&config);
+        assert_eq!(specs, streams.specs);
+        for (index, pool) in pools.iter().enumerate() {
+            assert_eq!(pool.len(), FRAME_POOL);
+            let channels = config.streams[index].channels.unwrap_or(config.channels);
+            for (slot, pooled) in pool.iter().enumerate() {
+                let frame = streams.frame(index, slot);
+                assert_eq!(bits(&frame), bits(pooled), "stream {index}, slot {slot}");
+                assert_eq!(frame.num_channels(), channels);
+                assert_eq!(FrameFormat::of(&frame), streams.format(index));
+                // The slot's seed, as the served checksums have always used it.
+                let seed = config.seed.wrapping_add((index as u64) << 32).wrapping_add(slot as u64);
+                let expected = synthetic_frame(&config.stream_array(index), config.num_samples, seed);
+                assert_eq!(bits(&frame), bits(&expected), "stream {index}, slot {slot}");
+            }
+        }
     }
 }

@@ -73,7 +73,7 @@ fn main() {
     for rung in &profile.rungs {
         let summary = Json::obj([
             ("schema_version", Json::num(SCHEMA_VERSION as f64)),
-            ("scenario", Json::str(&format!("quality_{}", rung.backend))),
+            ("scenario", Json::str(format!("quality_{}", rung.backend))),
             ("profile", Json::str(&profile.profile)),
             (
                 "quality",

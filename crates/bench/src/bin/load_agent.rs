@@ -130,7 +130,7 @@ impl Shaper {
             .streams
             .iter()
             .enumerate()
-            .flat_map(|(i, s)| std::iter::repeat(i).take(s.weight as usize))
+            .flat_map(|(i, s)| std::iter::repeat_n(i, s.weight as usize))
             .collect();
         let started = Instant::now();
         let measured_span = scenario.duration_ms.saturating_sub(scenario.warmup_ms);
@@ -165,7 +165,7 @@ impl Shaper {
 
     /// The wire seed for request `id`: mix, then keep 32 bits — JSON
     /// numbers are f64, exact only below 2^53, and the server only uses
-    /// the seed to index its frame pool.
+    /// the seed to pick the frame slot it synthesizes.
     fn wire_seed(&self, id: u64) -> u64 {
         (self.scenario.seed ^ ((self.agent_index as u64) << 48) ^ id)
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)

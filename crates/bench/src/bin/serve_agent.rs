@@ -5,8 +5,11 @@
 //! scenario measurements cross a real process boundary (separate heaps,
 //! separate RSS, real sockets) instead of sharing the load generator's
 //! address space the way the old per-PR bench binaries did. The serving
-//! datapath itself — stream specs, frame pools, router, connection
-//! handling — lives in [`bench::agent`], shared with `shard_agent`.
+//! datapath itself — stream specs, per-request frame synthesis, router,
+//! connection handling — lives in [`bench::agent`], shared with
+//! `shard_agent`. The process holds no frames between requests, so its
+//! peak RSS (the `stats` line's `rss_kb`) is the engines' plans, cubes and
+//! scratch plus the frames in flight.
 //!
 //! Protocol (single-line JSON):
 //! * stdin, first line: `{"scenario": <ScenarioConfig>}`,
@@ -14,9 +17,10 @@
 //!   once listening ([`agent::ready_line`]),
 //! * TCP, per request: `{"id":n,"stream":i,"seed":k}` →
 //!   `{"id":n,"status":"ok"|"expired"|"panicked"|"error","sum":…}` — the
-//!   frame is synthesized server-side from the seed, so the socket carries
-//!   only routing metadata and the measurement isolates the serving
-//!   datapath,
+//!   frame is synthesized server-side from the scenario seed, the stream
+//!   and slot `seed % FRAME_POOL` when the request arrives, so the socket
+//!   carries only routing metadata and the measurement isolates the
+//!   serving datapath,
 //! * stdin `shutdown` (or EOF): stdout
 //!   `{"event":"stats","rss_kb":…,"router":<RouterStatsWire>}`, exit.
 
@@ -46,7 +50,7 @@ fn main() {
         })
         .unwrap_or_else(|e| agent::protocol_error(&format!("bad scenario config: {e}")));
 
-    let (specs, pools) = agent::build_streams(&config);
+    let streams = agent::Streams::new(&config);
     let router = agent::build_router(&config)
         .unwrap_or_else(|e| agent::protocol_error(&e));
     let router = Arc::new(router);
@@ -56,7 +60,7 @@ fn main() {
     // window opens later spin up under traffic — that spin-up is exactly
     // what the churn scenario measures.
     let warm_now = (0..config.streams.len()).filter(|&i| config.streams[i].is_active_at(0));
-    if let Err(e) = agent::warm_streams(&router, &specs, &pools, warm_now) {
+    if let Err(e) = streams.warm(&router, warm_now) {
         agent::protocol_error(&e);
     }
 
@@ -65,8 +69,7 @@ fn main() {
     let port = listener.local_addr().expect("local addr").port();
     println!("{}", agent::ready_line(port).to_string_compact());
 
-    let specs = Arc::new(specs);
-    let pools = Arc::new(pools);
+    let streams = Arc::new(streams);
     let deadline = config.deadline_ms.map(Duration::from_millis);
     let shed_on_full = config.shed_on_full;
     let stats_router = Arc::clone(&router);
@@ -75,10 +78,9 @@ fn main() {
             let Ok(stream) = stream else { break };
             stream.set_nodelay(true).ok();
             let router = Arc::clone(&router);
-            let specs = Arc::clone(&specs);
-            let pools = Arc::clone(&pools);
+            let streams = Arc::clone(&streams);
             std::thread::spawn(move || {
-                agent::serve_connection(stream, router, specs, pools, deadline, None, shed_on_full)
+                agent::serve_connection(stream, router, streams, deadline, None, shed_on_full)
             });
         }
     });

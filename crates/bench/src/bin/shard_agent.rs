@@ -1,7 +1,8 @@
 //! One shard of the registry-coordinated serving topology.
 //!
 //! Hosts the same serving datapath as `serve_agent` ([`bench::agent`]) —
-//! same specs, same seeded frame pools, same router — but additionally:
+//! same specs, same seeded per-request frames, same router, no frames held
+//! between requests — but additionally:
 //!
 //! * registers its stream keys with the shard registry and renews its
 //!   heartbeat lease every `heartbeat_ms`,
@@ -82,14 +83,14 @@ fn main() {
         .and_then(Json::as_usize)
         .unwrap_or_else(|| agent::protocol_error("missing `shard_index`"));
 
-    let (specs, pools) = agent::build_streams(&scenario);
+    let streams = agent::Streams::new(&scenario);
     let router =
         agent::build_router(&scenario).unwrap_or_else(|e| agent::protocol_error(&e));
     let router = Arc::new(router);
 
     // Warm everything: any key can be reassigned here the moment a sibling
     // dies, and failover latency must not include an engine spin-up.
-    if let Err(e) = agent::warm_streams(&router, &specs, &pools, 0..specs.len()) {
+    if let Err(e) = streams.warm(&router, 0..streams.specs.len()) {
         agent::protocol_error(&e);
     }
 
@@ -100,7 +101,7 @@ fn main() {
     let shard_name = format!("shard{shard_index}");
     let data_addr = format!("127.0.0.1:{data_port}");
     let registry_addr = format!("127.0.0.1:{registry_port}");
-    let keys = Json::arr((0..specs.len()).map(|i| Json::str(i.to_string())));
+    let keys = Json::arr((0..streams.specs.len()).map(|i| Json::str(i.to_string())));
     let register_frame = Json::obj([
         ("op", Json::str("register")),
         ("shard", Json::str(shard_name.clone())),
@@ -171,8 +172,7 @@ fn main() {
         });
     }
 
-    let specs = Arc::new(specs);
-    let pools = Arc::new(pools);
+    let streams = Arc::new(streams);
     let deadline = scenario.deadline_ms.map(Duration::from_millis);
     let shed_on_full = scenario.shed_on_full;
     let stats_router = Arc::clone(&router);
@@ -183,11 +183,10 @@ fn main() {
                 let Ok(stream) = stream else { break };
                 stream.set_nodelay(true).ok();
                 let router = Arc::clone(&router);
-                let specs = Arc::clone(&specs);
-                let pools = Arc::clone(&pools);
+                let streams = Arc::clone(&streams);
                 let view = view.clone();
                 std::thread::spawn(move || {
-                    agent::serve_connection(stream, router, specs, pools, deadline, Some(view), shed_on_full)
+                    agent::serve_connection(stream, router, streams, deadline, Some(view), shed_on_full)
                 });
             }
         });

@@ -14,18 +14,17 @@ use std::time::{Duration, Instant};
 #[test]
 fn an_unterminated_oversized_request_closes_only_its_own_connection() {
     let config = ScenarioConfig::named("frame_cap");
-    let (specs, pools) = agent::build_streams(&config);
+    let streams = Arc::new(agent::Streams::new(&config));
     let router = Arc::new(agent::build_router(&config).unwrap());
-    let (specs, pools) = (Arc::new(specs), Arc::new(pools));
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let acceptor = std::thread::spawn(move || {
         let mut connections = Vec::new();
         for stream in listener.incoming().take(2) {
             let stream = stream.unwrap();
-            let (router, specs, pools) = (Arc::clone(&router), Arc::clone(&specs), Arc::clone(&pools));
+            let (router, streams) = (Arc::clone(&router), Arc::clone(&streams));
             connections.push(std::thread::spawn(move || {
-                agent::serve_connection(stream, router, specs, pools, None, None, false)
+                agent::serve_connection(stream, router, streams, None, None, false)
             }));
         }
         connections

@@ -8,11 +8,14 @@ use bench::harness::{
     agent_bin_path, run_scenario, summary_json, summary_metrics, LoadModel, Profile,
     ScenarioConfig, StreamLoad, SCHEMA_VERSION,
 };
+use bench::agent::FRAME_POOL;
 use runtime::json::Json;
 use runtime::simd;
 use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::process::{Child, ChildStdin, Command, Stdio};
+use std::sync::mpsc::Receiver;
 use std::time::Duration;
 
 /// A scenario small enough for a debug-build test (two streams, deadline,
@@ -82,16 +85,15 @@ fn scenario_spawns_processes_and_emits_a_stable_summary() {
     }
 
     // An identical-by-construction run compares clean against itself.
-    let baseline = baseline_from_summaries("fast", &[summary.clone()]).expect("baseline");
+    let baseline = baseline_from_summaries("fast", std::slice::from_ref(&summary)).expect("baseline");
     let report = compare(&baseline, &[summary], &Tolerances::default()).expect("compare");
     assert!(!report.regressed(), "self-comparison regressed:\n{}", report.render());
 }
 
-/// The `ready` line names the SIMD tier the agent's kernels run under and
-/// the target features its build has, so a build without `target-cpu=native`
-/// shows from outside the process.
-#[test]
-fn serve_agent_reports_its_simd_tier_and_target_features_when_ready() {
+/// Spawns `serve_agent` on `config`. Its stdout lines arrive on the
+/// receiver; every line is read, so the agent's final stats line never
+/// meets a closed pipe.
+fn spawn_serve_agent(config: &ScenarioConfig) -> (Child, ChildStdin, Receiver<std::io::Result<String>>) {
     let bin = agent_bin_path("serve_agent").expect("serve_agent is built");
     let mut child = Command::new(bin)
         .stdin(Stdio::piped())
@@ -99,10 +101,8 @@ fn serve_agent_reports_its_simd_tier_and_target_features_when_ready() {
         .spawn()
         .expect("serve_agent spawns");
     let mut stdin = child.stdin.take().unwrap();
-    let config_line = Json::obj([("scenario", tiny_scenario().to_json())]).to_string_compact();
+    let config_line = Json::obj([("scenario", config.to_json())]).to_string_compact();
     writeln!(stdin, "{config_line}").unwrap();
-    // Read every stdout line, so the agent's final stats line never meets a
-    // closed pipe.
     let stdout = child.stdout.take().unwrap();
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
@@ -112,6 +112,15 @@ fn serve_agent_reports_its_simd_tier_and_target_features_when_ready() {
             }
         }
     });
+    (child, stdin, rx)
+}
+
+/// The `ready` line names the SIMD tier the agent's kernels run under and
+/// the target features its build has, so a build without `target-cpu=native`
+/// shows from outside the process.
+#[test]
+fn serve_agent_reports_its_simd_tier_and_target_features_when_ready() {
+    let (mut child, mut stdin, rx) = spawn_serve_agent(&tiny_scenario());
     let line = rx.recv_timeout(Duration::from_secs(60)).expect("a ready line within 60 s").unwrap();
     writeln!(stdin, "shutdown").unwrap();
     assert!(child.wait().unwrap().success(), "serve_agent failed after {line}");
@@ -123,6 +132,52 @@ fn serve_agent_reports_its_simd_tier_and_target_features_when_ready() {
     let features = ready.get("target_features").expect("target_features");
     for (name, on) in simd::TARGET_FEATURES {
         assert_eq!(features.get(name).and_then(Json::as_bool), Some(on), "{name} in {line}");
+    }
+}
+
+/// The agent holds no frames between requests. This scenario's frame pools
+/// would take 128 MiB (4 streams × 32 frames × 128 channels × 2048 samples
+/// × 4 B); served every distinct frame of every stream, the agent peaks
+/// below 64 MiB.
+#[test]
+fn serve_agent_peak_rss_holds_no_frame_pool() {
+    let mut config = ScenarioConfig::named("e2e_no_pool");
+    config.channels = 128;
+    config.num_samples = 2048;
+    config.grid_rows = 8;
+    config.grid_cols = 4;
+    config.streams = vec![StreamLoad::new("das-planned"); 4];
+    let (mut child, mut stdin, rx) = spawn_serve_agent(&config);
+    let next_line = || {
+        let line = rx.recv_timeout(Duration::from_secs(60)).expect("an agent line within 60 s").unwrap();
+        Json::parse(line.trim()).expect("agent lines are JSON")
+    };
+    let ready = next_line();
+    let port = ready.get("port").and_then(Json::as_u64).expect("ready line with a port") as u16;
+
+    // One request at a time, so at most one frame is ever in flight.
+    let mut client = TcpStream::connect(("127.0.0.1", port)).unwrap();
+    client.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let mut replies = BufReader::new(client.try_clone().unwrap());
+    for seed in 0..FRAME_POOL {
+        for stream in 0..config.streams.len() {
+            let request = format!("{{\"id\":{seed},\"stream\":{stream},\"seed\":{seed}}}\n");
+            client.write_all(request.as_bytes()).unwrap();
+            let mut line = String::new();
+            replies.read_line(&mut line).unwrap();
+            let reply = Json::parse(line.trim()).unwrap();
+            assert_eq!(reply.get("status").and_then(Json::as_str), Some("ok"), "{line}");
+        }
+    }
+    drop((client, replies));
+
+    writeln!(stdin, "shutdown").unwrap();
+    let stats = next_line();
+    assert!(child.wait().unwrap().success(), "serve_agent failed");
+    assert_eq!(stats.get("event").and_then(Json::as_str), Some("stats"));
+    if cfg!(target_os = "linux") {
+        let rss_kb = stats.get("rss_kb").and_then(Json::as_u64).expect("stats line with rss_kb");
+        assert!(rss_kb < 64 * 1024, "serve_agent peaked at {rss_kb} kB: it holds frames between requests");
     }
 }
 

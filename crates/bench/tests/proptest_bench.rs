@@ -46,7 +46,7 @@ proptest! {
         } else {
             LoadModel::ClosedLoop { inflight }
         };
-        config.chaos = with_chaos_spec.then(|| ChaosSpec {
+        config.chaos = with_chaos_spec.then_some(ChaosSpec {
             seed: 1,
             panic_one_in: 16,
             delay_one_in: 0,

@@ -182,11 +182,7 @@ impl LatencyHistogram {
 
     /// Mean recorded latency ([`Duration::ZERO`] when empty).
     pub fn mean(&self) -> Duration {
-        if self.count == 0 {
-            Duration::ZERO
-        } else {
-            Duration::from_micros(self.total_micros / self.count)
-        }
+        Duration::from_micros(self.total_micros.checked_div(self.count).unwrap_or(0))
     }
 
     /// Upper-bound estimate of the `q`-quantile (`0.0 < q <= 1.0`): the upper
@@ -973,7 +969,7 @@ mod tests {
         // exactly as one histogram that recorded both sets directly.
         let fast: Vec<Duration> = (0..97).map(|i| Duration::from_micros(40 + 7 * i)).collect();
         let slow: Vec<Duration> =
-            (0..31).map(|i| Duration::from_millis(3 + i) + Duration::from_micros(13 * i as u64)).collect();
+            (0..31).map(|i| Duration::from_millis(3 + i) + Duration::from_micros(13 * i)).collect();
         let (mut a, mut b, mut combined) =
             (LatencyHistogram::default(), LatencyHistogram::default(), LatencyHistogram::default());
         for &d in &fast {

@@ -167,7 +167,7 @@ impl ChaosSchedule {
         match &self.kind {
             ScheduleKind::Scripted(faults) => faults.get(call as usize).copied().flatten(),
             ScheduleKind::Seeded { seed, panic_one_in, error_one_in, nan_one_in, delay_one_in } => {
-                let hits = |salt: u64, n: u64| mix(*seed, call, salt) % n == 0;
+                let hits = |salt: u64, n: u64| mix(*seed, call, salt).is_multiple_of(n);
                 if panic_one_in.is_some_and(|n| hits(1, n)) {
                     Some(ChaosFault::Panic)
                 } else if error_one_in.is_some_and(|n| hits(2, n)) {

@@ -353,6 +353,7 @@ impl LadderState {
             return None;
         }
         // `!(x >= floor)` instead of `x < floor`: NaN must count as bad.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
         let quality_bad = tuning.sqnr_floor_db.is_some_and(|floor| !(window_sqnr_db >= floor));
         let shift = if quality_bad && self.rung > 0 {
             // Quality floor violated: fall back to the wider scheme and bar
@@ -364,7 +365,7 @@ impl LadderState {
         } else if !quality_bad
             && expiry_rate >= tuning.downshift_expiry_rate
             && self.rung + 1 < self.num_rungs
-            && self.bar.is_none_or(|(max, _)| self.rung + 1 <= max)
+            && self.bar.is_none_or(|(max, _)| self.rung < max)
         {
             self.rung += 1;
             Some(Shift::Down)
@@ -672,14 +673,8 @@ mod tests {
 
     #[test]
     fn window_sqnr_from_cumulative_snapshots() {
-        let mut prev = QuantQualityStats::default();
-        prev.frames = 4;
-        prev.signal_energy = 100.0;
-        prev.noise_energy = 1.0;
-        let mut cur = prev;
-        cur.frames = 8;
-        cur.signal_energy = 200.0;
-        cur.noise_energy = 2.0;
+        let prev = QuantQualityStats { frames: 4, signal_energy: 100.0, noise_energy: 1.0 };
+        let cur = QuantQualityStats { frames: 8, signal_energy: 200.0, noise_energy: 2.0 };
         let db = window_sqnr_db(Some(cur), Some(prev));
         assert!((db - 20.0).abs() < 1e-9, "got {db}");
         assert_eq!(window_sqnr_db(None, None), f64::INFINITY);
