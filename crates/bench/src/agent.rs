@@ -267,7 +267,6 @@ pub fn build_router(config: &ScenarioConfig) -> Result<Router, String> {
         queue_capacity: config.queue_capacity.unwrap_or(1024),
         ..BatchConfig::default()
     };
-    let threads = Router::dispatch_threads(&batch_config);
     let policy = FaultPolicy {
         engine_ttl: config.engine_ttl_ms.map(Duration::from_millis),
         ..FaultPolicy::default()
@@ -283,7 +282,7 @@ pub fn build_router(config: &ScenarioConfig) -> Result<Router, String> {
             ..DegradeConfig::with_ladder(ladder.clone())
         }
     });
-    Router::with_policies(batch_config, factory, threads, policy, degrade)
+    Router::with_policies(batch_config, factory, runtime::default_threads(), policy, degrade)
         .map_err(|e| format!("invalid router config: {e}"))
 }
 

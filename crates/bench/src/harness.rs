@@ -1118,7 +1118,6 @@ fn merge_router_stats(shards: &[ShardProcessStats]) -> serve::RouterStatsWire {
         server.batches += wire.server.batches;
         server.max_batch_observed = server.max_batch_observed.max(wire.server.max_batch_observed);
         server.deadline_expired += wire.server.deadline_expired;
-        server.workers_respawned += wire.server.workers_respawned;
         server.latency.merge(&wire.server.latency);
         for engine in &wire.engines {
             let mut engine = engine.clone();
@@ -1135,7 +1134,6 @@ fn merge_router_stats(shards: &[ShardProcessStats]) -> serve::RouterStatsWire {
         resilience.quarantined += wire.resilience.quarantined;
         resilience.quarantines += wire.resilience.quarantines;
         resilience.engines_evicted += wire.resilience.engines_evicted;
-        resilience.workers_respawned += wire.resilience.workers_respawned;
     }
     serve::RouterStatsWire { server, engines, degrade, resilience }
 }

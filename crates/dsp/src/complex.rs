@@ -319,7 +319,7 @@ mod tests {
     #[test]
     fn cis_is_unit_magnitude() {
         for k in 0..16 {
-            let theta = k as f32 * 0.39269908;
+            let theta = k as f32 * std::f32::consts::FRAC_PI_8;
             assert!((Complex32::cis(theta).abs() - 1.0).abs() < 1e-6);
         }
     }

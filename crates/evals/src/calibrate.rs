@@ -66,7 +66,8 @@ impl Calibration {
 /// dropped from every rung's mean so it cannot skew the ordering. Returns
 /// `(backend, score)` in profile order.
 pub fn quality_scores(profile: &QualityProfile) -> Vec<(String, f64)> {
-    let best = |get: fn(&crate::RungQuality) -> f64| {
+    type Metric = fn(&crate::RungQuality) -> f64;
+    let best = |get: Metric| {
         profile
             .rungs
             .iter()
@@ -75,13 +76,13 @@ pub fn quality_scores(profile: &QualityProfile) -> Vec<(String, f64)> {
             .fold(f64::NAN, f64::max)
     };
     // (accessor, higher_is_better, best value across rungs)
-    let metrics: [(fn(&crate::RungQuality) -> f64, bool); 4] = [
+    let metrics: [(Metric, bool); 4] = [
         (|r| r.cr_db, true),
         (|r| r.cnr, true),
         (|r| r.gcnr, true),
         (|r| r.fwhm_mm, false),
     ];
-    let anchors: Vec<(fn(&crate::RungQuality) -> f64, bool, f64)> = metrics
+    let anchors: Vec<(Metric, bool, f64)> = metrics
         .iter()
         .map(|&(get, higher)| {
             let anchor = if higher {

@@ -46,7 +46,7 @@ impl MultiHeadAttention {
         if model_dim == 0 || num_heads == 0 {
             return Err(NeuralError::InvalidConfig { name: "model_dim/num_heads", reason: "must be nonzero".into() });
         }
-        if model_dim % num_heads != 0 {
+        if !model_dim.is_multiple_of(num_heads) {
             return Err(NeuralError::InvalidConfig {
                 name: "num_heads",
                 reason: format!("must divide model_dim ({model_dim} % {num_heads} != 0)"),
@@ -168,11 +168,10 @@ impl Layer for MultiHeadAttention {
         self.wk.grad = self.wk.grad.add(&input_t.matmul(&grad_k));
         self.wv.grad = self.wv.grad.add(&input_t.matmul(&grad_v));
 
-        let grad_input = grad_q
+        grad_q
             .matmul(&self.wq.value.transpose())
             .add(&grad_k.matmul(&self.wk.value.transpose()))
-            .add(&grad_v.matmul(&self.wv.value.transpose()));
-        grad_input
+            .add(&grad_v.matmul(&self.wv.value.transpose()))
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

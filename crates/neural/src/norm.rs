@@ -103,16 +103,15 @@ impl Layer for LayerNorm {
             let mut mean_dxhat = 0.0f32;
             let mut mean_dxhat_xhat = 0.0f32;
             let mut dxhat = vec![0.0f32; m];
-            for j in 0..m {
-                dxhat[j] = grad_output.at(i, j) * self.gamma.value.at(0, j);
-                mean_dxhat += dxhat[j];
-                mean_dxhat_xhat += dxhat[j] * normalized.at(i, j);
+            for (j, d) in dxhat.iter_mut().enumerate() {
+                *d = grad_output.at(i, j) * self.gamma.value.at(0, j);
+                mean_dxhat += *d;
+                mean_dxhat_xhat += *d * normalized.at(i, j);
             }
             mean_dxhat /= m as f32;
             mean_dxhat_xhat /= m as f32;
-            for j in 0..m {
-                *grad_input.at_mut(i, j) =
-                    inv_std * (dxhat[j] - mean_dxhat - normalized.at(i, j) * mean_dxhat_xhat);
+            for (j, &d) in dxhat.iter().enumerate() {
+                *grad_input.at_mut(i, j) = inv_std * (d - mean_dxhat - normalized.at(i, j) * mean_dxhat_xhat);
             }
         }
         grad_input

@@ -1,21 +1,20 @@
 //! The generic micro-batching server: bounded queue, coalescing scheduler,
-//! worker pool, per-request handles, backpressure and graceful shutdown.
+//! one batch worker, per-request handles, backpressure and graceful
+//! shutdown.
 //!
 //! The data path is deliberately simple — one `Mutex<VecDeque>` plus two
 //! `Condvar`s — because the expensive work (the batch computation itself)
-//! happens outside the lock, on the worker that drained the batch. Requests
-//! never reorder relative to their submission within a worker's batch, and
-//! every request's result depends only on its own payload, so serving adds
-//! latency policy (coalescing) without changing any numeric result.
+//! happens outside the lock, on the worker thread; the engine's own
+//! (frame/row) parallelism runs inside the batch call. Requests never
+//! reorder relative to their submission, and every request's result depends
+//! only on its own payload, so serving adds latency policy (coalescing)
+//! without changing any numeric result.
 //!
-//! The pool is **supervised**: every worker carries a death watch, and a
-//! supervisor thread resolves a dead worker's in-flight requests with
-//! [`ServeError::WorkerDied`] and respawns the worker
-//! ([`ServerStats::workers_respawned`]), so a single runaway batch can never
-//! silently halve the pool or strand a handle. Engine panics are additionally
-//! contained per batch by default ([`BatchConfig::contain_panics`]), in which
-//! case the worker survives and only the panicking batch resolves with an
-//! error.
+//! The worker has one panic boundary: every engine call runs under
+//! `catch_unwind`, so a panicking batch resolves with
+//! [`ServeError::WorkerDied`] and the worker keeps serving. Nothing else on
+//! the worker thread can unwind (the `on_expired` hook is caught the same
+//! way), so no handle is ever stranded.
 
 use crate::{recover, ServeError, ServeResult};
 use std::collections::VecDeque;
@@ -31,15 +30,14 @@ pub struct BatchConfig {
     pub max_batch: usize,
     /// How long the scheduler waits after picking up the first pending request
     /// for more requests to arrive before dispatching a partial batch.
-    /// `Duration::ZERO` dispatches immediately with whatever is queued.
+    /// `Duration::ZERO` dispatches immediately with whatever is queued. A
+    /// linger whose end is past what an [`Instant`] can represent (such as
+    /// `Duration::MAX`) waits until the batch fills, a deadline cuts it, or
+    /// shutdown begins.
     pub linger: Duration,
     /// Bounded submission-queue capacity. When full, [`Server::submit`] blocks
     /// and [`Server::try_submit`] returns [`TrySubmitError::Full`].
     pub queue_capacity: usize,
-    /// Number of batch worker threads draining the queue. Each worker
-    /// processes one batch at a time; the engine's own (frame/row) parallelism
-    /// happens inside the batch call.
-    pub workers: usize,
     /// Latency-priority mode: default per-request deadline applied by
     /// [`Server::submit`] / [`Server::try_submit`] (individual requests may
     /// override it via [`Server::submit_with_deadline`]). `None` (the
@@ -52,31 +50,17 @@ pub struct BatchConfig {
     /// blocking younger requests. A request already handed to the engine
     /// always completes normally.
     pub deadline: Option<Duration>,
-    /// Whether an engine panic is contained at the *batch* boundary (the
-    /// default): the panicking batch resolves with
-    /// [`ServeError::WorkerDied`] and the worker thread survives. With
-    /// `false` the panic unwinds the worker instead, exercising the
-    /// supervisor path: the dead worker's in-flight requests are resolved by
-    /// the supervisor and the worker is respawned
-    /// ([`ServerStats::workers_respawned`]).
-    pub contain_panics: bool,
 }
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        Self {
-            max_batch: 8,
-            linger: Duration::from_millis(2),
-            queue_capacity: 64,
-            workers: 1,
-            deadline: None,
-            contain_panics: true,
-        }
+        Self { max_batch: 8, linger: Duration::from_millis(2), queue_capacity: 64, deadline: None }
     }
 }
 
 impl BatchConfig {
-    /// Validates the configuration (all knobs must be ≥ 1 requests/workers).
+    /// Validates the configuration (`max_batch` and `queue_capacity` must be
+    /// ≥ 1).
     ///
     /// # Errors
     ///
@@ -88,9 +72,6 @@ impl BatchConfig {
         if self.queue_capacity == 0 {
             return Err(ServeError::InvalidConfig("queue_capacity must be >= 1".into()));
         }
-        if self.workers == 0 {
-            return Err(ServeError::InvalidConfig("workers must be >= 1".into()));
-        }
         Ok(())
     }
 }
@@ -99,10 +80,8 @@ impl BatchConfig {
 ///
 /// `process_batch` receives the coalesced requests in submission order and
 /// must return exactly one result per request, in the same order. The engine
-/// is shared by all workers, so it must be `Sync`; the router's engine
-/// ([`crate::router::RouterEngine`]) satisfies this with shared immutable
-/// beamformers.
-pub trait BatchEngine: Send + Sync + 'static {
+/// moves to the server's worker thread, so it must be `Send`.
+pub trait BatchEngine: Send + 'static {
     /// Payload submitted per request (e.g. one `ChannelData` frame).
     type Request: Send + 'static;
     /// Result resolved per request (e.g. one `IqImage`).
@@ -131,7 +110,7 @@ impl<I, O, F> BatchEngine for FnEngine<I, O, F>
 where
     I: Send + 'static,
     O: Send + 'static,
-    F: Fn(Vec<I>) -> Vec<ServeResult<O>> + Send + Sync + 'static,
+    F: Fn(Vec<I>) -> Vec<ServeResult<O>> + Send + 'static,
 {
     type Request = I;
     type Response = O;
@@ -286,9 +265,6 @@ pub struct ServerStats {
     /// engine actually served, including queueing, linger and engine time
     /// (deadline-expired requests are excluded).
     pub latency: LatencyHistogram,
-    /// Workers that died mid-batch and were respawned by the supervisor
-    /// (their in-flight requests resolved with [`ServeError::WorkerDied`]).
-    pub workers_respawned: u64,
 }
 
 impl ServerStats {
@@ -332,9 +308,9 @@ impl<O> Slot<O> {
 /// The receiving end of one submitted request: a blocking future.
 ///
 /// Obtained from [`Server::submit`] / [`Server::try_submit`]; resolves when
-/// the worker that drained the request's batch finishes. Handles stay valid
-/// across [`Server::shutdown`] — shutdown drains the queue, so every accepted
-/// request is fulfilled before the workers exit.
+/// the worker finishes the request's batch. Handles stay valid across
+/// [`Server::shutdown`] — shutdown drains the queue, so every accepted
+/// request is fulfilled before the worker exits.
 pub struct ResponseHandle<O> {
     slot: Arc<Slot<O>>,
 }
@@ -355,11 +331,10 @@ impl<O> ResponseHandle<O> {
                 SlotState::Taken => panic!("ResponseHandle polled after the result was taken"),
                 SlotState::Pending => {
                     *state = SlotState::Pending;
-                    // Waiting is sound: engine panics resolve the batch with
-                    // an error (contained per batch or via the supervisor's
-                    // WorkerDied sweep), and shutdown drains the queue before
-                    // the pool exits, so every accepted request is eventually
-                    // fulfilled.
+                    // Waiting is sound: an engine panic resolves its batch
+                    // with WorkerDied, and shutdown drains the queue before
+                    // the worker exits, so every accepted request is
+                    // eventually fulfilled.
                     state = recover(self.slot.ready.wait(state));
                 }
             }
@@ -439,57 +414,20 @@ fn earliest_deadline<I, O>(queue: &VecDeque<Pending<I, O>>) -> Option<Instant> {
     queue.iter().filter_map(|p| p.deadline).min()
 }
 
-/// Worker-supervision bookkeeping: which workers are mid-batch with which
-/// response slots, and which have died.
-struct SupervisorPlane<O> {
-    /// Per worker index: the response slots of the batch it is currently
-    /// executing (`None` between batches). A worker that dies mid-batch
-    /// leaves its entry set; the supervisor resolves those slots with
-    /// [`ServeError::WorkerDied`].
-    in_flight: Vec<Option<Vec<Arc<Slot<O>>>>>,
-    /// Indices of workers whose death watch fired, awaiting the supervisor.
-    dead: Vec<usize>,
-    /// Set by [`Server::shutdown`] once the pool is fully joined; the
-    /// supervisor exits after processing any remaining deaths.
-    shutdown: bool,
-}
-
 struct Shared<I, O> {
     state: Mutex<QueueState<I, O>>,
-    /// Signalled when a request is enqueued or shutdown begins (wakes workers).
+    /// Signalled when a request is enqueued or shutdown begins (wakes the
+    /// worker).
     not_empty: Condvar,
     /// Signalled when queue space frees up (wakes blocked submitters).
     not_full: Condvar,
-    supervisor: Mutex<SupervisorPlane<O>>,
-    /// Signalled when a worker dies or supervisor shutdown begins.
-    supervisor_wake: Condvar,
-    /// Join handles of the live workers, indexed by worker; `None` while a
-    /// slot's thread is being reaped/respawned (or after shutdown joined it).
-    handles: Mutex<Vec<Option<std::thread::JoinHandle<()>>>>,
-}
-
-/// Drop guard signalling the supervisor when a worker thread unwinds without
-/// reaching its normal exit (`armed` is cleared on the normal path).
-struct DeathWatch<I, O> {
-    shared: Arc<Shared<I, O>>,
-    index: usize,
-    armed: bool,
-}
-
-impl<I, O> Drop for DeathWatch<I, O> {
-    fn drop(&mut self) {
-        if self.armed {
-            recover(self.shared.supervisor.lock()).dead.push(self.index);
-            self.shared.supervisor_wake.notify_all();
-        }
-    }
 }
 
 /// A synchronous streaming micro-batching server over a [`BatchEngine`].
 ///
 /// See the [crate-level documentation](crate) for the architecture.
-/// Construction spawns the worker pool; [`Server::shutdown`] (or dropping the
-/// server) drains every accepted request and joins the workers.
+/// Construction spawns the one worker thread; [`Server::shutdown`] (or
+/// dropping the server) drains every accepted request and joins it.
 ///
 /// ```
 /// use serve::{BatchConfig, Server};
@@ -507,14 +445,14 @@ impl<I, O> Drop for DeathWatch<I, O> {
 pub struct Server<E: BatchEngine> {
     shared: Arc<Shared<E::Request, E::Response>>,
     config: BatchConfig,
-    supervisor: Option<std::thread::JoinHandle<()>>,
+    worker: Option<std::thread::JoinHandle<()>>,
 }
 
 impl<I, O, F> Server<FnEngine<I, O, F>>
 where
     I: Send + 'static,
     O: Send + 'static,
-    F: Fn(Vec<I>) -> Vec<ServeResult<O>> + Send + Sync + 'static,
+    F: Fn(Vec<I>) -> Vec<ServeResult<O>> + Send + 'static,
 {
     /// Builds a server whose engine is a plain closure mapping a batch of
     /// requests to one result per request (in order). Convenient for tests
@@ -523,51 +461,34 @@ where
     ///
     /// # Panics
     ///
-    /// Panics on an invalid [`BatchConfig`] (zero `max_batch`, capacity or
-    /// workers).
+    /// Panics on an invalid [`BatchConfig`] (zero `max_batch` or capacity).
     pub fn from_fn(config: BatchConfig, f: F) -> Self {
         Self::new(config, FnEngine { f, _marker: std::marker::PhantomData })
     }
 }
 
 impl<E: BatchEngine> Server<E> {
-    /// Spawns the worker pool and returns the running server.
+    /// Spawns the worker thread and returns the running server.
     ///
     /// # Panics
     ///
-    /// Panics on an invalid [`BatchConfig`] (zero `max_batch`, capacity or
-    /// workers).
+    /// Panics on an invalid [`BatchConfig`] (zero `max_batch` or capacity).
     pub fn new(config: BatchConfig, engine: E) -> Self {
         config.validate().expect("invalid BatchConfig");
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState { queue: VecDeque::new(), shutting_down: false, stats: ServerStats::default() }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
-            supervisor: Mutex::new(SupervisorPlane {
-                in_flight: (0..config.workers).map(|_| None).collect(),
-                dead: Vec::new(),
-                shutdown: false,
-            }),
-            supervisor_wake: Condvar::new(),
-            handles: Mutex::new((0..config.workers).map(|_| None).collect()),
         });
-        let engine = Arc::new(engine);
-        {
-            let mut handles = recover(shared.handles.lock());
-            for index in 0..config.workers {
-                handles[index] = Some(spawn_worker(&shared, &engine, &config, index));
-            }
-        }
-        let supervisor = {
+        let worker = {
             let shared = Arc::clone(&shared);
-            let engine = Arc::clone(&engine);
             let config = config.clone();
             std::thread::Builder::new()
-                .name("serve-supervisor".into())
-                .spawn(move || supervisor_loop(&shared, &engine, &config))
-                .expect("failed to spawn serve supervisor")
+                .name("serve-worker".into())
+                .spawn(move || worker_loop(&shared, &engine, &config))
+                .expect("failed to spawn serve worker")
         };
-        Self { shared, config, supervisor: Some(supervisor) }
+        Self { shared, config, worker: Some(worker) }
     }
 
     /// The configuration the server was built with.
@@ -593,7 +514,9 @@ impl<E: BatchEngine> Server<E> {
     /// if the request is still queued `deadline` from now, it resolves with
     /// [`ServeError::DeadlineExceeded`] instead of being dispatched, and a
     /// lingering batch is cut early rather than letting the request's slack
-    /// run out (see [`BatchConfig::deadline`] for the exact semantics).
+    /// run out (see [`BatchConfig::deadline`] for the exact semantics). A
+    /// deadline whose end is past what an [`Instant`] can represent (such as
+    /// `Duration::MAX`) never expires.
     ///
     /// # Errors
     ///
@@ -655,7 +578,7 @@ impl<E: BatchEngine> Server<E> {
             request,
             slot: Arc::clone(&slot),
             submitted_at,
-            deadline: deadline.map(|d| submitted_at + d),
+            deadline: deadline.and_then(|d| submitted_at.checked_add(d)),
         });
         state.stats.submitted += 1;
         drop(state);
@@ -673,147 +596,35 @@ impl<E: BatchEngine> Server<E> {
         recover(self.shared.state.lock()).queue.len()
     }
 
-    /// Graceful shutdown: stops accepting new requests, lets the workers
-    /// drain and fulfil every already-accepted request, joins the pool and
-    /// returns the final counters.
+    /// Graceful shutdown: stops accepting new requests, lets the worker
+    /// drain and fulfil every already-accepted request, joins it and returns
+    /// the final counters.
     pub fn shutdown(mut self) -> ServerStats {
         self.stop();
         self.stats()
     }
 
     fn stop(&mut self) {
-        {
-            let mut state = recover(self.shared.state.lock());
-            state.shutting_down = true;
-        }
+        recover(self.shared.state.lock()).shutting_down = true;
         self.shared.not_empty.notify_all();
         self.shared.not_full.notify_all();
-        // Join the pool. Loop through the handle table (instead of iterating
-        // once) because the supervisor may still be reaping/respawning a
-        // worker concurrently; a join failure is a worker death the
-        // supervisor observes through the death watch, so it is not
-        // propagated here.
-        self.join_workers();
-        // Pool drained; release the supervisor (it first finishes any death
-        // still queued, resolving the dead worker's in-flight requests).
-        {
-            let mut plane = recover(self.shared.supervisor.lock());
-            plane.shutdown = true;
-        }
-        self.shared.supervisor_wake.notify_all();
-        if let Some(supervisor) = self.supervisor.take() {
-            let _ = supervisor.join();
-        }
-        // The supervisor may have respawned one last worker between the first
-        // sweep and its exit; reap any straggler.
-        self.join_workers();
-        // Last resort: if the final worker died mid-drain with no supervisor
-        // left to respawn it, its in-flight batch and the remaining queue
-        // would strand their handles — resolve them with WorkerDied instead.
-        let stranded: Vec<_> = {
-            let mut plane = recover(self.shared.supervisor.lock());
-            plane.in_flight.iter_mut().filter_map(Option::take).flatten().collect()
-        };
-        let queued: Vec<_> = recover(self.shared.state.lock()).queue.drain(..).collect();
-        let resolved = (stranded.len() + queued.len()) as u64;
-        for slot in &stranded {
-            slot.fulfill(Err(ServeError::WorkerDied));
-        }
-        for pending in &queued {
-            pending.slot.fulfill(Err(ServeError::WorkerDied));
-        }
-        if resolved > 0 {
-            recover(self.shared.state.lock()).stats.completed += resolved;
-        }
-    }
-
-    fn join_workers(&self) {
-        loop {
-            let handle = recover(self.shared.handles.lock()).iter_mut().find_map(Option::take);
-            match handle {
-                Some(handle) => {
-                    let _ = handle.join();
-                }
-                None => break,
-            }
+        // The worker exits only on an empty queue, so joining it drains every
+        // accepted request.
+        if let Some(worker) = self.worker.take() {
+            let _ = worker.join();
         }
     }
 }
 
 impl<E: BatchEngine> Drop for Server<E> {
     fn drop(&mut self) {
-        if self.supervisor.is_some() && !std::thread::panicking() {
+        if self.worker.is_some() && !std::thread::panicking() {
             self.stop();
         }
     }
 }
 
-fn spawn_worker<E: BatchEngine>(
-    shared: &Arc<Shared<E::Request, E::Response>>,
-    engine: &Arc<E>,
-    config: &BatchConfig,
-    index: usize,
-) -> std::thread::JoinHandle<()> {
-    let shared = Arc::clone(shared);
-    let engine = Arc::clone(engine);
-    let config = config.clone();
-    std::thread::Builder::new()
-        .name(format!("serve-worker-{index}"))
-        .spawn(move || {
-            let mut watch = DeathWatch { shared: Arc::clone(&shared), index, armed: true };
-            worker_loop(&shared, engine.as_ref(), &config, index);
-            watch.armed = false;
-        })
-        .expect("failed to spawn serve worker")
-}
-
-/// The supervisor: waits for worker deaths, resolves the dead worker's
-/// in-flight requests with [`ServeError::WorkerDied`], reaps the thread and
-/// respawns a replacement (unless the server is shutting down).
-fn supervisor_loop<E: BatchEngine>(shared: &Arc<Shared<E::Request, E::Response>>, engine: &Arc<E>, config: &BatchConfig) {
-    loop {
-        let index = {
-            let mut plane = recover(shared.supervisor.lock());
-            loop {
-                if let Some(index) = plane.dead.pop() {
-                    break index;
-                }
-                if plane.shutdown {
-                    return;
-                }
-                plane = recover(shared.supervisor_wake.wait(plane));
-            }
-        };
-        // The worker died mid-batch (its normal exit disarms the watch):
-        // resolve whatever it had in flight so no handle hangs.
-        let orphans = recover(shared.supervisor.lock()).in_flight[index].take();
-        if let Some(slots) = orphans {
-            let count = slots.len() as u64;
-            for slot in &slots {
-                slot.fulfill(Err(ServeError::WorkerDied));
-            }
-            recover(shared.state.lock()).stats.completed += count;
-        }
-        // Reap the dead thread (shutdown may have raced us to the handle).
-        let stale = recover(shared.handles.lock())[index].take();
-        if let Some(handle) = stale {
-            let _ = handle.join();
-        }
-        let shutting_down = recover(shared.state.lock()).shutting_down;
-        if !shutting_down {
-            let replacement = spawn_worker(shared, engine, config, index);
-            recover(shared.handles.lock())[index] = Some(replacement);
-            recover(shared.state.lock()).stats.workers_respawned += 1;
-        }
-    }
-}
-
-fn worker_loop<E: BatchEngine>(
-    shared: &Shared<E::Request, E::Response>,
-    engine: &E,
-    config: &BatchConfig,
-    index: usize,
-) {
+fn worker_loop<E: BatchEngine>(shared: &Shared<E::Request, E::Response>, engine: &E, config: &BatchConfig) {
     loop {
         let (batch, expired) = {
             let mut state = recover(shared.state.lock());
@@ -841,25 +652,31 @@ fn worker_loop<E: BatchEngine>(
             // `not_full`), or the server is draining for shutdown. In
             // latency-priority mode the wait is additionally capped by the
             // oldest queued request's deadline: once its slack runs out the
-            // batch is cut early and dispatched with whatever coalesced.
+            // batch is cut early and dispatched with whatever coalesced. A
+            // linger or deadline past the end of `Instant` sets no cut.
             if !config.linger.is_zero() {
-                let linger_until = Instant::now() + config.linger;
+                let linger_until = cycle_start.checked_add(config.linger);
                 while state.queue.len() < config.max_batch.min(config.queue_capacity) && !state.shutting_down {
-                    let now = Instant::now();
-                    let cut = earliest_deadline(&state.queue).map_or(linger_until, |d| d.min(linger_until));
-                    if now >= cut {
-                        break;
-                    }
-                    let (next, timeout) = recover(shared.not_empty.wait_timeout(state, cut - now));
-                    state = next;
-                    if timeout.timed_out() {
-                        break;
+                    match [earliest_deadline(&state.queue), linger_until].into_iter().flatten().min() {
+                        Some(cut) => {
+                            let now = Instant::now();
+                            if now >= cut {
+                                break;
+                            }
+                            let (next, timeout) = recover(shared.not_empty.wait_timeout(state, cut - now));
+                            state = next;
+                            if timeout.timed_out() {
+                                break;
+                            }
+                        }
+                        None => state = recover(shared.not_empty.wait(state)),
                     }
                 }
             }
             // Drain up to max_batch live requests; requests whose deadline
             // passed before this cycle began are pulled aside to time out
-            // instead of occupying batch slots.
+            // instead of occupying batch slots. Only this thread pops the
+            // queue, so the drain takes at least one request.
             let mut batch = Vec::new();
             let mut expired = Vec::new();
             while batch.len() < config.max_batch {
@@ -870,12 +687,6 @@ fn worker_loop<E: BatchEngine>(
                     Some(_) => batch.push(state.queue.pop_front().expect("front checked")),
                     None => break,
                 }
-            }
-            if batch.is_empty() && expired.is_empty() {
-                // Another worker drained the queue while this one lingered
-                // (the linger wait releases the lock); go back to sleep
-                // instead of dispatching an empty batch.
-                continue;
             }
             if !batch.is_empty() {
                 state.stats.batches += 1;
@@ -906,23 +717,10 @@ fn worker_loop<E: BatchEngine>(
             submitted_at.push(p.submitted_at);
         }
         let count = requests.len();
-        // Register the batch's slots with the supervisor: if this worker dies
-        // inside the engine call, the supervisor resolves them with
-        // WorkerDied and respawns the worker. The entry is cleared after the
-        // slots are fulfilled (fulfil is idempotent, but clearing before the
-        // stats bump keeps `completed` exactly-once: the only code that can
-        // unwind runs inside the engine call, before fulfilment).
-        recover(shared.supervisor.lock()).in_flight[index] = Some(slots.clone());
-        // A panicking engine must not strand the batch. By default the panic
-        // is contained here: the batch resolves with WorkerDied and the
-        // worker lives on. With `contain_panics: false` the panic unwinds the
-        // worker and the supervisor takes over (death-watch path).
-        let mut results = if config.contain_panics {
-            catch_unwind(AssertUnwindSafe(|| engine.process_batch(requests)))
-                .unwrap_or_else(|_| (0..count).map(|_| Err(ServeError::WorkerDied)).collect())
-        } else {
-            engine.process_batch(requests)
-        };
+        // The one panic boundary: a panicking engine resolves its batch with
+        // WorkerDied and the worker lives on.
+        let mut results = catch_unwind(AssertUnwindSafe(|| engine.process_batch(requests)))
+            .unwrap_or_else(|_| (0..count).map(|_| Err(ServeError::WorkerDied)).collect());
         if results.len() != count {
             let actual = results.len();
             results = (0..count).map(|_| Err(ServeError::BatchSizeMismatch { expected: count, actual })).collect();
@@ -930,7 +728,6 @@ fn worker_loop<E: BatchEngine>(
         for (slot, result) in slots.iter().zip(results) {
             slot.fulfill(result);
         }
-        recover(shared.supervisor.lock()).in_flight[index] = None;
         let mut state = recover(shared.state.lock());
         state.stats.completed += count as u64;
         for at in &submitted_at {

@@ -10,10 +10,11 @@
 //!
 //! * [`Server`] — the generic micro-batching server: a **bounded submission
 //!   queue** (backpressure), a scheduler that **coalesces** pending requests
-//!   into batches (configurable max batch size and linger), a worker pool, and
+//!   into batches (configurable max batch size and linger), one batch worker
+//!   thread whose engine calls each run behind a panic boundary, and
 //!   per-request [`ResponseHandle`]s that resolve when the batch completes,
-//! * [`BatchConfig`] — queue capacity, `max_batch`, linger and worker/thread
-//!   budget knobs,
+//! * [`BatchConfig`] — `max_batch`, linger, queue capacity and default
+//!   deadline,
 //! * [`BatchEngine`] — the pluggable batch computation (implement it, or wrap
 //!   a closure with [`Server::from_fn`]),
 //! * [`router`] — the beamforming front end on top: a [`router::Router`]
@@ -36,9 +37,8 @@
 //! Everything is synchronous-core `std`: no async runtime, plain
 //! `Mutex`/`Condvar` scheduling, deterministic results — an image produced
 //! through the server is **bitwise identical** to one produced by a serial
-//! per-frame call, for every batch size, linger, worker count and
-//! `TINY_VBF_THREADS` setting (asserted by `examples/serve_demo.rs` and this
-//! crate's tests).
+//! per-frame call, for every batch size, linger and `TINY_VBF_THREADS`
+//! setting (asserted by `examples/serve_demo.rs` and this crate's tests).
 //!
 //! # Example
 //!
@@ -79,10 +79,8 @@ use std::sync::{LockResult, PoisonError};
 /// A poisoned serve-crate lock means some thread panicked while holding it;
 /// every guarded mutation in this crate is a single-step counter bump, queue
 /// push/pop or slot write, so the protected state is never left half-updated
-/// and recovery is sound. Cascading the poison panic instead would kill every
-/// other worker and submitter touching the lock — exactly the amplification
-/// the worker supervisor exists to prevent (the original death is still
-/// observed and counted there; see `ServerStats::workers_respawned`).
+/// and recovery is sound. Cascading the poison panic instead would turn one
+/// panic into a dead batch worker, stranded handles and failing submitters.
 pub(crate) fn recover<T>(result: LockResult<T>) -> T {
     result.unwrap_or_else(PoisonError::into_inner)
 }
@@ -90,8 +88,8 @@ pub(crate) fn recover<T>(result: LockResult<T>) -> T {
 /// Errors produced by the serving front-end.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// The [`BatchConfig`] is invalid (a zero `max_batch`, queue capacity or
-    /// worker count).
+    /// The [`BatchConfig`] is invalid (a zero `max_batch` or queue
+    /// capacity).
     InvalidConfig(String),
     /// The server is shutting down and no longer accepts submissions.
     ShuttingDown,
@@ -106,12 +104,9 @@ pub enum ServeError {
         /// Number of results the engine returned.
         actual: usize,
     },
-    /// The batch engine panicked while processing this request's batch (the
-    /// worker survives; only the batch in flight resolves with this error).
-    /// Also produced by the worker supervisor when a worker thread itself
-    /// dies mid-batch: the supervisor resolves the orphaned requests with
-    /// this error and respawns the worker (see
-    /// `ServerStats::workers_respawned`).
+    /// The batch engine panicked while processing this request's batch. The
+    /// panic is caught at the batch boundary: every request of that batch
+    /// resolves with this error and the worker keeps serving.
     WorkerDied,
     /// One routed engine panicked while beamforming its sub-batch. The panic
     /// is contained at the engine boundary: only the panicking engine's

@@ -462,7 +462,6 @@ impl EngineRegistry {
             quarantined: self.quarantined_rejections.load(Ordering::Relaxed),
             quarantines: self.quarantines.load(Ordering::Relaxed),
             engines_evicted: self.evictions.load(Ordering::Relaxed),
-            workers_respawned: 0,
         }
     }
 }
@@ -644,9 +643,6 @@ pub struct ResilienceStats {
     /// Idle engines evicted by the TTL sweep
     /// ([`FaultPolicy::engine_ttl`]).
     pub engines_evicted: u64,
-    /// Dead batch workers respawned by the server's supervisor (mirrors
-    /// [`ServerStats::workers_respawned`]).
-    pub workers_respawned: u64,
 }
 
 /// Snapshot of a [`Router`]'s work: the shared server counters plus the
@@ -725,16 +721,14 @@ pub struct Router {
 
 impl Router {
     /// Spawns a router over the factory with the workspace-default thread
-    /// budget split across the batch workers ([`Router::dispatch_threads`]),
-    /// the default [`FaultPolicy`] and no degradation ladder.
+    /// budget ([`runtime::default_threads`]), the default [`FaultPolicy`] and
+    /// no degradation ladder.
     ///
     /// # Panics
     ///
-    /// Panics on an invalid [`BatchConfig`] (zero `max_batch`, capacity or
-    /// workers).
+    /// Panics on an invalid [`BatchConfig`] (zero `max_batch` or capacity).
     pub fn new(config: BatchConfig, factory: impl EngineFactory) -> Self {
-        let threads = Self::dispatch_threads(&config);
-        Self::with_policies(config, factory, threads, FaultPolicy::default(), None)
+        Self::with_policies(config, factory, runtime::default_threads(), FaultPolicy::default(), None)
             .expect("no degrade config to validate")
     }
 
@@ -751,20 +745,11 @@ impl Router {
     ///
     /// Same as [`Router::new`] (invalid [`BatchConfig`]).
     pub fn with_degrade(config: BatchConfig, factory: impl EngineFactory, degrade: DegradeConfig) -> ServeResult<Self> {
-        let threads = Self::dispatch_threads(&config);
-        Self::with_policies(config, factory, threads, FaultPolicy::default(), Some(degrade))
-    }
-
-    /// The default thread budget of one dispatched batch:
-    /// `default_threads / workers`, at least 1, so raising
-    /// [`BatchConfig::workers`] overlaps batches without multiplying the
-    /// total compute-thread count.
-    pub fn dispatch_threads(config: &BatchConfig) -> usize {
-        (runtime::default_threads() / config.workers.max(1)).max(1)
+        Self::with_policies(config, factory, runtime::default_threads(), FaultPolicy::default(), Some(degrade))
     }
 
     /// Full-control constructor: explicit per-dispatch thread budget
-    /// ([`Router::dispatch_threads`] is the default one), [`FaultPolicy`] and
+    /// ([`runtime::default_threads`] is the default one), [`FaultPolicy`] and
     /// optional [`DegradeConfig`].
     ///
     /// # Errors
@@ -889,8 +874,8 @@ impl Router {
     }
 
     /// Graceful shutdown: stops intake, drains every accepted request
-    /// (expired deadlines resolve as timeouts), joins the workers and
-    /// returns the final counters.
+    /// (expired deadlines resolve as timeouts), joins the worker and returns
+    /// the final counters.
     pub fn shutdown(self) -> RouterStats {
         let registry = Arc::clone(&self.registry);
         let degrade = self.degrade.clone();
@@ -899,13 +884,11 @@ impl Router {
     }
 
     fn assemble_stats(server: ServerStats, registry: &EngineRegistry, degrade: Option<&DegradeController>) -> RouterStats {
-        let mut resilience = registry.resilience();
-        resilience.workers_respawned = server.workers_respawned;
         RouterStats {
             server,
             engines: registry.snapshots(),
             degrade: degrade.map(DegradeController::stats).unwrap_or_default(),
-            resilience,
+            resilience: registry.resilience(),
         }
     }
 }

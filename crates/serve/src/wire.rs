@@ -83,7 +83,6 @@ pub fn server_stats_to_json(stats: &ServerStats) -> Json {
         ("batches", Json::num(stats.batches as f64)),
         ("max_batch_observed", Json::num(stats.max_batch_observed as f64)),
         ("deadline_expired", Json::num(stats.deadline_expired as f64)),
-        ("workers_respawned", Json::num(stats.workers_respawned as f64)),
         ("latency", latency_to_json(&stats.latency)),
     ])
 }
@@ -99,7 +98,6 @@ pub fn server_stats_from_json(value: &Json) -> Result<ServerStats, String> {
             .and_then(Json::as_usize)
             .ok_or_else(|| missing("max_batch_observed"))?,
         deadline_expired: get_u64(value, "deadline_expired")?,
-        workers_respawned: get_u64(value, "workers_respawned")?,
         latency: latency_from_json(value.get("latency").ok_or_else(|| missing("latency"))?)?,
     })
 }
@@ -112,7 +110,6 @@ pub fn resilience_to_json(stats: &ResilienceStats) -> Json {
         ("quarantined", Json::num(stats.quarantined as f64)),
         ("quarantines", Json::num(stats.quarantines as f64)),
         ("engines_evicted", Json::num(stats.engines_evicted as f64)),
-        ("workers_respawned", Json::num(stats.workers_respawned as f64)),
     ])
 }
 
@@ -124,7 +121,6 @@ pub fn resilience_from_json(value: &Json) -> Result<ResilienceStats, String> {
         quarantined: get_u64(value, "quarantined")?,
         quarantines: get_u64(value, "quarantines")?,
         engines_evicted: get_u64(value, "engines_evicted")?,
-        workers_respawned: get_u64(value, "workers_respawned")?,
     })
 }
 

@@ -1,15 +1,13 @@
 //! Fault-injection suite: panics stay contained to their stream, repeated
 //! failures quarantine the spec, transient factory errors recover through
-//! retries, dead workers respawn, idle engines are TTL-evicted, and chaos
-//! that only delays (never corrupts) preserves bitwise identity.
+//! retries, idle engines are TTL-evicted, and chaos that only delays (never
+//! corrupts) preserves bitwise identity.
 
 use beamforming::grid::ImagingGrid;
 use beamforming::iq::IqImage;
 use beamforming::pipeline::{Beamformer, DelayAndSum, PlannedDas};
 use serve::router::{FaultPolicy, Router, StreamSpec};
-use serve::{
-    BatchConfig, ChaosBeamformer, ChaosFactory, ChaosFault, ChaosSchedule, ServeError, ServeResult, Server,
-};
+use serve::{BatchConfig, ChaosBeamformer, ChaosFactory, ChaosFault, ChaosSchedule, ServeError, ServeResult};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -48,7 +46,7 @@ fn direct_das(spec: &StreamSpec, frame: &ChannelData) -> IqImage {
 /// One-batch-at-a-time config so scripted chaos call indices line up with
 /// submission order.
 fn serial_config() -> BatchConfig {
-    BatchConfig { max_batch: 1, linger: Duration::ZERO, workers: 1, ..BatchConfig::default() }
+    BatchConfig { max_batch: 1, linger: Duration::ZERO, ..BatchConfig::default() }
 }
 
 #[test]
@@ -67,7 +65,7 @@ fn engine_panic_fails_only_its_own_stream() {
         }
     };
     let router = Router::new(
-        BatchConfig { max_batch: 4, linger: Duration::from_micros(300), workers: 1, ..BatchConfig::default() },
+        BatchConfig { max_batch: 4, linger: Duration::from_micros(300), ..BatchConfig::default() },
         factory,
     );
 
@@ -210,38 +208,6 @@ fn persistent_factory_failure_trips_the_circuit_breaker() {
 }
 
 #[test]
-fn supervisor_respawns_dead_workers_and_resolves_their_requests() {
-    // `contain_panics: false` lets the engine panic unwind the whole worker
-    // thread — the supervisor must resolve the orphaned request and respawn.
-    let config = BatchConfig {
-        max_batch: 1,
-        linger: Duration::ZERO,
-        workers: 1,
-        contain_panics: false,
-        ..BatchConfig::default()
-    };
-    let server = Server::from_fn(config, |batch: Vec<i64>| {
-        batch
-            .into_iter()
-            .map(|v| {
-                assert!(v >= 0, "poison request kills the worker");
-                Ok(v * 2)
-            })
-            .collect()
-    });
-
-    let poisoned = server.submit(-1).unwrap();
-    assert_eq!(poisoned.wait(), Err(ServeError::WorkerDied), "the dying worker's request must still resolve");
-    // The sole worker is dead at this point; only a respawned one can serve.
-    let healthy = server.submit(21).unwrap();
-    assert_eq!(healthy.wait(), Ok(42), "a respawned worker must drain the queue");
-
-    let stats = server.shutdown();
-    assert_eq!(stats.workers_respawned, 1);
-    assert_eq!(stats.completed, 2, "supervisor and worker must count each request exactly once");
-}
-
-#[test]
 fn idle_engines_are_evicted_after_their_ttl() {
     let spawned = Arc::new(AtomicUsize::new(0));
     let spawned_in = Arc::clone(&spawned);
@@ -281,7 +247,7 @@ fn delay_only_chaos_preserves_bitwise_identity() {
         Ok(Arc::clone(&chaos_engine) as Arc<dyn Beamformer + Send + Sync>)
     };
     let router = Router::new(
-        BatchConfig { max_batch: 3, linger: Duration::from_micros(200), workers: 1, ..BatchConfig::default() },
+        BatchConfig { max_batch: 3, linger: Duration::from_micros(200), ..BatchConfig::default() },
         factory,
     );
     let spec = small_spec("das");

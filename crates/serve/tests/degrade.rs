@@ -123,7 +123,7 @@ fn ladder_downshifts_under_deadline_pressure_and_recovers() {
     // and a back-to-back burst the queue expires en masse, so the stream
     // must fall back to the fast rung — and climb back once pressure clears.
     let router = Router::with_degrade(
-        BatchConfig { max_batch: 2, linger: Duration::ZERO, workers: 1, queue_capacity: 64, ..BatchConfig::default() },
+        BatchConfig { max_batch: 2, linger: Duration::ZERO, queue_capacity: 64, ..BatchConfig::default() },
         two_rung_factory(Duration::from_millis(5)),
         two_rung_ladder_config(),
     )
@@ -202,7 +202,7 @@ fn ladder_serves_more_of_a_pressured_stream_than_no_ladder() {
     // With the ladder, expiries move the stream to the fast rung and later
     // waves are served.
     let config =
-        BatchConfig { max_batch: 2, linger: Duration::ZERO, workers: 1, queue_capacity: 64, ..BatchConfig::default() };
+        BatchConfig { max_batch: 2, linger: Duration::ZERO, queue_capacity: 64, ..BatchConfig::default() };
     let spec = small_spec("slow");
     let off = Router::new(config.clone(), two_rung_factory(Duration::from_millis(30)));
     let served_off = serve_waves(&off, &spec, 4);
@@ -239,7 +239,7 @@ fn calibrated_ladder_is_bitwise_unchanged_for_unmanaged_and_rung0_traffic() {
     assert_eq!(calibrated.sqnr_floor_db, Some(38.0));
 
     let router = Router::with_degrade(
-        BatchConfig { max_batch: 2, linger: Duration::ZERO, workers: 1, ..BatchConfig::default() },
+        BatchConfig { max_batch: 2, linger: Duration::ZERO, ..BatchConfig::default() },
         two_rung_factory(Duration::from_micros(200)),
         calibrated,
     )
@@ -264,7 +264,7 @@ fn unpressured_streams_stay_at_full_quality_and_bitwise_identical() {
     // response must be bitwise identical to direct inference — degradation
     // must be invisible until it actually engages.
     let router = Router::with_degrade(
-        BatchConfig { max_batch: 2, linger: Duration::ZERO, workers: 1, ..BatchConfig::default() },
+        BatchConfig { max_batch: 2, linger: Duration::ZERO, ..BatchConfig::default() },
         two_rung_factory(Duration::from_micros(200)),
         two_rung_ladder_config(),
     )

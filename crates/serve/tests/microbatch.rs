@@ -1,12 +1,13 @@
 //! Micro-batcher edge cases: empty queue, batch-of-one, coalescing, ordering,
-//! backpressure, error isolation and shutdown with in-flight requests.
+//! backpressure, error isolation, panics at the batch and expiry boundaries,
+//! unbounded linger and deadlines, and shutdown with in-flight requests.
 
-use serve::{BatchConfig, ServeError, Server, TrySubmitError};
+use serve::{BatchConfig, BatchEngine, ServeError, ServeResult, Server, TrySubmitError};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-fn identity_server(config: BatchConfig) -> Server<impl serve::BatchEngine<Request = usize, Response = usize>> {
+fn identity_server(config: BatchConfig) -> Server<impl BatchEngine<Request = usize, Response = usize>> {
     Server::from_fn(config, |batch: Vec<usize>| batch.into_iter().map(Ok).collect())
 }
 
@@ -165,7 +166,6 @@ fn shutdown_drains_in_flight_requests() {
         max_batch: 3,
         linger: Duration::from_millis(50),
         queue_capacity: 64,
-        workers: 2,
         ..BatchConfig::default()
     });
     let handles: Vec<_> = (0..40).map(|v| server.submit(v).unwrap()).collect();
@@ -176,6 +176,35 @@ fn shutdown_drains_in_flight_requests() {
     for (expected, handle) in handles.into_iter().enumerate() {
         assert_eq!(handle.wait().unwrap(), expected);
     }
+}
+
+#[test]
+fn unrepresentable_linger_and_deadline_wait_instead_of_overflowing() {
+    // `Instant + Duration::MAX` overflows; such a linger sets no cut, so a
+    // batch waits until it fills or shutdown begins, and such a deadline
+    // never expires.
+    let sizes = Arc::new(Mutex::new(Vec::new()));
+    let server = {
+        let sizes = Arc::clone(&sizes);
+        Server::from_fn(
+            BatchConfig { max_batch: 2, linger: Duration::MAX, ..BatchConfig::default() },
+            move |batch: Vec<usize>| {
+                sizes.lock().unwrap().push(batch.len());
+                batch.into_iter().map(Ok).collect()
+            },
+        )
+    };
+    let first = server.submit(1).unwrap();
+    let second = server.submit_with_deadline(2, Duration::MAX).unwrap();
+    assert_eq!(first.wait(), Ok(1));
+    assert_eq!(second.wait(), Ok(2));
+    // A lone request lingers until shutdown drains it.
+    let third = server.submit(3).unwrap();
+    let stats = server.shutdown();
+    assert_eq!(third.wait(), Ok(3));
+    assert_eq!(*sizes.lock().unwrap(), vec![2, 1], "the first two requests must coalesce into one batch");
+    assert_eq!(stats.completed, 3);
+    assert_eq!(stats.deadline_expired, 0);
 }
 
 #[test]
@@ -267,6 +296,47 @@ fn engine_panic_resolves_its_batch_and_the_worker_survives() {
     assert_eq!(after.wait().unwrap(), 2);
     let stats = server.shutdown();
     assert_eq!(stats.completed, 3);
+}
+
+/// A slow engine whose expiry hook panics after counting its call.
+struct PanickingExpiryHook {
+    expired_calls: Arc<AtomicUsize>,
+}
+
+impl BatchEngine for PanickingExpiryHook {
+    type Request = usize;
+    type Response = usize;
+
+    fn process_batch(&self, batch: Vec<usize>) -> Vec<ServeResult<usize>> {
+        std::thread::sleep(Duration::from_millis(20));
+        batch.into_iter().map(Ok).collect()
+    }
+
+    fn on_expired(&self, _request: &usize) {
+        self.expired_calls.fetch_add(1, Ordering::SeqCst);
+        panic!("expiry hook panics");
+    }
+}
+
+#[test]
+fn expiry_hook_panic_still_times_out_its_request_and_the_worker_survives() {
+    let expired_calls = Arc::new(AtomicUsize::new(0));
+    let server = Server::new(
+        BatchConfig { max_batch: 1, linger: Duration::ZERO, ..BatchConfig::default() },
+        PanickingExpiryHook { expired_calls: Arc::clone(&expired_calls) },
+    );
+    let first = server.submit(1).unwrap();
+    // Queued behind the first one-request batch, so it has expired by the
+    // time the worker drains it.
+    let doomed = server.submit_with_deadline(2, Duration::ZERO).unwrap();
+    assert_eq!(first.wait(), Ok(1));
+    assert_eq!(doomed.wait(), Err(ServeError::DeadlineExceeded));
+    assert_eq!(expired_calls.load(Ordering::SeqCst), 1, "the expiry hook must have run");
+    // The worker survived the hook's panic and serves the next request.
+    assert_eq!(server.submit(3).unwrap().wait(), Ok(3));
+    let stats = server.shutdown();
+    assert_eq!(stats.completed, 3);
+    assert_eq!(stats.deadline_expired, 1);
 }
 
 #[test]

@@ -42,7 +42,6 @@ fn populated_wire() -> RouterStatsWire {
             max_batch_observed: 8,
             deadline_expired: 3,
             latency: populated_histogram(11),
-            workers_respawned: 2,
         },
         engines: vec![
             EngineStatsWire {
@@ -86,7 +85,6 @@ fn populated_wire() -> RouterStatsWire {
             quarantined: 6,
             quarantines: 2,
             engines_evicted: 1,
-            workers_respawned: 2,
         },
     }
 }

@@ -156,6 +156,9 @@ impl PlaneWaveSimulator {
                     }
                     let k_lo = ((centre_idx - half_support * fs).floor().max(0.0)) as usize;
                     let k_hi = ((centre_idx + half_support * fs).ceil() as usize).min(num_samples.saturating_sub(1));
+                    // `k` is both the sample written and the pulse's time
+                    // axis; an iterator would hide the window in skip/take.
+                    #[allow(clippy::needless_range_loop)]
                     for k in k_lo..=k_hi.min(num_samples - 1) {
                         let t = (k as f32 - centre_idx) / fs;
                         line[k] += amplitude * pulse.evaluate(t);

@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..DegradeConfig::with_ladder(vec!["slow".into(), "das".into()])
     };
     let router = Router::with_degrade(
-        BatchConfig { max_batch: 2, linger: Duration::ZERO, workers: 1, queue_capacity: 64, ..BatchConfig::default() },
+        BatchConfig { max_batch: 2, linger: Duration::ZERO, queue_capacity: 64, ..BatchConfig::default() },
         factory,
         degrade,
     )?;

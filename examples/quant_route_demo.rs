@@ -74,8 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // One router over a scheme-label factory.
     let factory = {
-        let backends: Vec<_> = backends.iter().cloned().collect();
-        let schemes = schemes;
+        let backends = backends.to_vec();
         move |spec: &StreamSpec| -> ServeResult<Arc<dyn Beamformer + Send + Sync>> {
             match schemes.iter().position(|s| s.backend_label() == spec.backend) {
                 Some(i) => Ok(Arc::new(backends[i].clone())),

@@ -49,12 +49,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         max_batch: 8,
         linger: Duration::from_millis(1),
         queue_capacity: 32,
-        workers: 1,
         ..BatchConfig::default()
     };
     println!(
-        "serving (max_batch {}, linger {:?}, queue {}, {} worker)…",
-        batch_config.max_batch, batch_config.linger, batch_config.queue_capacity, batch_config.workers
+        "serving (max_batch {}, linger {:?}, queue {})…",
+        batch_config.max_batch, batch_config.linger, batch_config.queue_capacity
     );
     let spec = StreamSpec { array, grid, sound_speed, backend: "tiny-vbf-fp".into() };
     let engine: Arc<dyn Beamformer + Send + Sync> = Arc::new(beamformer);
